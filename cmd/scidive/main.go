@@ -136,7 +136,14 @@ func run(args []string, out io.Writer) error {
 		return fmt.Errorf("-probe cannot be combined with -direct: the direct-matching ablation bypasses the event layer probes export")
 	}
 	if *direct && *shards > 1 {
-		return fmt.Errorf("-direct is a serial-engine ablation; use -shards 1")
+		// The GOMAXPROCS default is a convenience, not a request: only a
+		// -shards the user typed conflicts with the serial-only ablation.
+		explicit := false
+		fs.Visit(func(f *flag.Flag) { explicit = explicit || f.Name == "shards" })
+		if explicit {
+			return fmt.Errorf("-direct is a serial-engine ablation; use -shards 1")
+		}
+		*shards = 1
 	}
 	if *ingest < 1 {
 		return fmt.Errorf("-ingest must be at least 1")

@@ -130,6 +130,14 @@ func TestReplayWithEventsAndDirect(t *testing.T) {
 	if !strings.Contains(buf.String(), "bye-attack") {
 		t.Error("direct mode missed the attack")
 	}
+	// The implicit -shards default (GOMAXPROCS) yields to -direct on any
+	// host; a -shards the user typed does not.
+	if err := run([]string{"-in", path, "-shards", "2", "-direct"}, &buf); err == nil {
+		t.Error("explicit -shards 2 with -direct accepted")
+	}
+	if err := run([]string{"-in", path, "-shards", "1", "-direct"}, &buf); err != nil {
+		t.Errorf("explicit -shards 1 with -direct: %v", err)
+	}
 }
 
 func TestReplaySharded(t *testing.T) {

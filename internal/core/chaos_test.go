@@ -348,7 +348,12 @@ func TestStallWatchdogQuarantine(t *testing.T) {
 		netip.AddrFrom4([4]byte{10, 0, 0, 3}), netip.AddrFrom4([4]byte{10, 0, 0, 4}),
 		10004, 10006)
 	spamSrc := netip.AddrFrom4([4]byte{10, 0, 0, 66})
-	const spamFrames = 3000
+	// Enough spam that feeding outlasts the watchdog: once the stalled
+	// shard's queue is full every batch waits out ShedAfter, and Close
+	// stops the watchdog, so the feed (~85 shed batches x 2ms) must run
+	// well past StallTimeout plus one watchdog tick (75ms + 19ms). At
+	// 3000 frames it ran ~76ms and the alert was lost about 1 run in 12.
+	const spamFrames = 6000
 	for i := 0; i < spamFrames; i++ {
 		g.rtp(spamSrc, spamDst.Addr(), 40000, spamDst.Port(), uint16(i), 0x5BAD)
 	}

@@ -1,5 +1,7 @@
 package core
 
+import "fmt"
+
 // Test-only accessors for the external core_test package.
 
 // StreamMuxBuffered reports whether the serial engine's stream mux is
@@ -18,4 +20,28 @@ func (e *Engine) StreamMuxBuffered() bool {
 		}
 	}
 	return false
+}
+
+// CheckMediaIndex runs checkMediaIndex on the serial engine's table.
+func (e *Engine) CheckMediaIndex() error { return checkMediaIndex(e.gen.idx) }
+
+// CheckMediaIndex runs checkMediaIndex on the router directory and on
+// every shard's table. It flushes first, so the shard tables are read at
+// rest; quarantined shards are skipped.
+func (s *ShardedEngine) CheckMediaIndex() error {
+	s.Flush()
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if err := checkMediaIndex(s.idx); err != nil {
+		return fmt.Errorf("router directory: %w", err)
+	}
+	for _, w := range s.workers {
+		if w.state.Load() != stateHealthy {
+			continue
+		}
+		if err := checkMediaIndex(w.eng.gen.idx); err != nil {
+			return fmt.Errorf("shard %d: %w", w.id, err)
+		}
+	}
+	return nil
 }

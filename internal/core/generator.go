@@ -213,11 +213,6 @@ func (g *EventGenerator) session(callID string) *sessionState {
 	return g.idx.core(callID)
 }
 
-// touch records session activity for expiry bookkeeping.
-func (g *EventGenerator) touch(session string, at time.Duration) {
-	g.idx.touch(session, at)
-}
-
 // ExpireSessions drops per-session state (and the session's trails) for
 // sessions idle longer than timeout as of now, then notifies expirer
 // correlators so state tied to the session table's lifetime is swept too.
@@ -252,9 +247,9 @@ func (g *EventGenerator) processView(v *FrameView, boxed Footprint, h RouteHints
 	// dialog's first sighting exactly as the sharded router does
 	// (classifySIPMsgLocked), so portable checkpoints restore to any
 	// shard count with cross-dialog state colocated.
-	if g.sticky != nil && v.Proto == ProtoSIP && g.ctx.sipSt != nil {
-		if _, ok := g.sticky[g.ctx.sipSt.callID]; !ok {
-			routeKey := g.ctx.sipSt.callID
+	if g.sticky != nil && v.Proto == ProtoSIP && g.ctx.st != nil {
+		if _, ok := g.sticky[g.ctx.st.callID]; !ok {
+			routeKey := g.ctx.st.callID
 			if v.StreamKey != "" {
 				// Stream-carried message: flow affinity wins (the router
 				// routes by TCP 4-tuple, see streamFlowKey).
@@ -269,7 +264,7 @@ func (g *EventGenerator) processView(v *FrameView, boxed Footprint, h RouteHints
 					}
 				}
 			}
-			g.sticky[g.ctx.sipSt.callID] = routeKey
+			g.sticky[g.ctx.st.callID] = routeKey
 		}
 	}
 	p := v.dispatchProto()

@@ -1,7 +1,7 @@
 package core_test
 
 // go test -bench . grid for the parallel ingest front end, over the
-// same mixed-call workload the benchreport scaling gate replays. The
+// same mixed-call workload the benchreport sharded gate replays. The
 // authoritative regression gate is `benchreport -exp sharded` (it
 // verifies alert output and enforces the scaling-aware speedup floor);
 // these benchmarks exist for quick -benchmem iteration on the handoff.

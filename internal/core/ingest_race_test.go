@@ -130,16 +130,15 @@ func TestIngestShedRace(t *testing.T) {
 	}
 	feedWG.Wait()
 	eng.Flush()
-	st := eng.Stats()
-	var processed, shed uint64
-	for _, sh := range eng.ShardHealth() {
-		if sh.FramesRouted != sh.FramesProcessed+sh.FramesShed {
-			t.Errorf("shard %d: routed %d != processed %d + shed %d",
-				sh.Shard, sh.FramesRouted, sh.FramesProcessed, sh.FramesShed)
-		}
-		processed += sh.FramesProcessed
+	// A flush marker bound for a saturated queue is itself shed (and
+	// acked), so Flush can return with accepted batches still queued on a
+	// shard: settleHealth waits for each ledger to balance, and fails the
+	// test if one never does.
+	var shed uint64
+	for _, sh := range settleHealth(t, eng) {
 		shed += sh.FramesShed
 	}
+	st := eng.Stats()
 	if shed == 0 {
 		t.Skip("no shed under this scheduling; ledger still verified")
 	}

@@ -32,8 +32,8 @@ func (c *rtcpCorrelator) Process(v *FrameView, h RouteHints, ctx *SessionContext
 	if v.Proto != ProtoRTCP {
 		return
 	}
-	st, known := ctx.LookupSession(ctx.Session())
-	if !known {
+	st := ctx.SessionState()
+	if st == nil {
 		return
 	}
 	ctx.CheckPendingRTCPBye(st, v.At, evs)

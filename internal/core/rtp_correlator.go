@@ -166,7 +166,7 @@ func (c *rtpCorrelator) processRTP(v *FrameView, h RouteHints, ctx *SessionConte
 			Footprint: ctx.Observation(),
 		})
 	}
-	st, known := ctx.LookupSession(session)
+	st := ctx.SessionState()
 	// Media-liveness heartbeat for cross-point rules (see GenConfig.
 	// RTPActivityEvery): at most one event per interval per endpoint, so a
 	// remote aggregator can prove media kept flowing without shipping
@@ -174,11 +174,11 @@ func (c *rtpCorrelator) processRTP(v *FrameView, h RouteHints, ctx *SessionConte
 	// BYE — post-teardown media is orphan evidence (EvRTPAfterBye), not
 	// liveness, and a vantage that witnessed a legitimate hangup must not
 	// report the last in-flight packets as the call still being up.
-	if sv.Activity && !(known && st.byeSeen) {
+	if sv.Activity && !(st != nil && st.byeSeen) {
 		*evs = append(*evs, Event{At: v.At, Type: EvRTPActivity, Session: session,
 			Detail: fmt.Sprintf("media flowing to %v", v.Dst), Footprint: ctx.Observation()})
 	}
-	if !known {
+	if st == nil {
 		return
 	}
 	c.checkSessionRTP(v, st, ctx, evs)

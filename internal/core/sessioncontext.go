@@ -42,13 +42,16 @@ type SessionContext struct {
 	// Per-frame scratch, valid from beginFrame to endFrame. view is the
 	// frame in flight; boxed is its Footprint materialization, filled
 	// lazily by Observation (or up front by the compat wrappers, which
-	// already hold a boxed footprint).
-	view       *FrameView
-	boxed      Footprint
-	session    string
-	touchOnEnd bool
-	sipSt      *sessionState
-	sipOut     sipOutcome
+	// already hold a boxed footprint). st is the dialog state the frame
+	// was resolved to, once, by beginFrame: applySIP's for SIP, the
+	// attributed session's for RTP/RTCP (nil when the flow belongs to no
+	// known session), nil for everything else. Correlators read it and
+	// endFrame touches through it; nobody looks the key up again.
+	view    *FrameView
+	boxed   Footprint
+	session string
+	st      *sessionState
+	sipOut  sipOutcome
 }
 
 // newSessionContext builds the shared context for one pipeline instance.
@@ -56,7 +59,7 @@ func newSessionContext(cfg GenConfig, trails *TrailStore) *SessionContext {
 	return &SessionContext{
 		cfg:        cfg,
 		trails:     trails,
-		idx:        newSessionIndex(false),
+		idx:        newSessionIndex(),
 		bindings:   make(map[string]netip.Addr),
 		bindingAge: make(map[string]int),
 	}
@@ -70,36 +73,27 @@ func newSessionContext(cfg GenConfig, trails *TrailStore) *SessionContext {
 // an event needs the footprint attached. It reports whether the view's
 // protocol is known.
 func (ctx *SessionContext) beginFrame(v *FrameView, boxed Footprint, h RouteHints) bool {
-	ctx.sipSt, ctx.sipOut = nil, sipOutcome{}
-	ctx.touchOnEnd = false
+	ctx.st, ctx.sipOut = nil, sipOutcome{}
 	ctx.view, ctx.boxed = v, boxed
 	switch v.Proto {
 	case ProtoSIP:
 		ctx.session = v.Msg.CallID()
 		ctx.trails.Get(ctx.session, ProtoSIP).AppendView(v)
-		ctx.sipSt, ctx.sipOut = ctx.idx.applySIP(v.Msg, v.At, v.Src)
+		ctx.st, ctx.sipOut = ctx.idx.applySIP(v.Msg, v.At, v.Src)
 		if ctx.sipOut.established {
 			for _, o := range ctx.observers {
-				o.onEstablished(ctx.sipSt)
+				o.onEstablished(ctx.st)
 			}
 		}
-		ctx.touchOnEnd = true
-	case ProtoRTP:
-		session := h.Session
-		if session == "" {
-			session = ctx.idx.sessionKeyView(v)
+	case ProtoRTP, ProtoRTCP:
+		if h.Session != "" {
+			// The router attributed the flow in global frame order; this
+			// shard only resolves the key against its own table.
+			ctx.session, ctx.st = h.Session, ctx.idx.sessions[h.Session]
+		} else {
+			ctx.session, ctx.st = ctx.idx.attributeMedia(v.Proto, v.Src, v.Dst)
 		}
-		ctx.session = session
-		ctx.trails.Get(session, ProtoRTP).AppendView(v)
-		ctx.touchOnEnd = true
-	case ProtoRTCP:
-		session := h.Session
-		if session == "" {
-			session = ctx.idx.sessionKeyView(v)
-		}
-		ctx.session = session
-		ctx.trails.Get(session, ProtoRTCP).AppendView(v)
-		ctx.touchOnEnd = true
+		ctx.trails.Get(ctx.session, v.Proto).AppendView(v)
 	case ProtoAccounting:
 		ctx.session = v.Txn.CallID
 		ctx.trails.Get(ctx.session, ProtoAccounting).AppendView(v)
@@ -113,11 +107,11 @@ func (ctx *SessionContext) beginFrame(v *FrameView, boxed Footprint, h RouteHint
 }
 
 // endFrame records session activity for expiry bookkeeping (SIP, RTP and
-// RTCP frames touch their session; accounting and raw traffic do not,
-// preserving the generator's historic expiry behavior).
+// RTCP frames touch their session; accounting and raw traffic resolve no
+// state, so do not, preserving the generator's historic expiry behavior).
 func (ctx *SessionContext) endFrame(at time.Duration) {
-	if ctx.touchOnEnd {
-		ctx.idx.touch(ctx.session, at)
+	if ctx.st != nil {
+		ctx.st.lastSeen = at
 	}
 	ctx.view, ctx.boxed = nil, nil
 }
@@ -146,17 +140,15 @@ func (ctx *SessionContext) Observation() Footprint {
 
 // SIP returns the memoized dialog state and transition outcome of the SIP
 // footprint being processed. Only meaningful while a SIPFootprint is in
-// flight (st is nil otherwise).
+// flight.
 func (ctx *SessionContext) SIP() (st *sessionState, out sipOutcome) {
-	return ctx.sipSt, ctx.sipOut
+	return ctx.st, ctx.sipOut
 }
 
-// LookupSession returns the dialog state for a session key without
-// creating it.
-func (ctx *SessionContext) LookupSession(id string) (*sessionState, bool) {
-	st, ok := ctx.idx.sessions[id]
-	return st, ok
-}
+// SessionState returns the dialog state of the frame in flight, as
+// resolved by beginFrame: nil for a media flow no known session
+// negotiated, and for accounting and raw traffic.
+func (ctx *SessionContext) SessionState() *sessionState { return ctx.st }
 
 // OpenSession returns the dialog state for a session key, creating it
 // (subject to the MaxSessions budget) if needed.
@@ -167,7 +159,10 @@ func (ctx *SessionContext) OpenSession(id string) *sessionState {
 // MediaDstSession maps a destination media endpoint to the session that
 // negotiated it ("" when none has).
 func (ctx *SessionContext) MediaDstSession(dst netip.AddrPort) string {
-	return ctx.idx.mediaDstSession(dst)
+	if st := ctx.idx.mediaDstSession(dst); st != nil {
+		return st.callID
+	}
+	return ""
 }
 
 // Binding returns the registered contact IP for an AOR.

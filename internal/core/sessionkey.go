@@ -62,11 +62,11 @@ type sessionState struct {
 // frame stream, which is what lets it attribute media flows to sessions
 // without consulting any shard.
 //
-// With indexed=true the index additionally maintains a reverse map from
-// negotiated media endpoint to candidate sessions, turning flow
-// attribution from an O(#sessions) scan into a map lookup. Both modes
-// return identical results: the scan and the lookup pick the best
-// candidate under the same flowSessionLess total order.
+// byMedia is the reverse map from negotiated media endpoint to the
+// sessions holding it (a session holding one endpoint as both caller and
+// callee media is listed twice), so attributing a media frame is a map
+// lookup plus a pick among the few calls that share the endpoint under
+// the flowSessionLess total order, whatever the size of the table.
 type sessionIndex struct {
 	sessions   map[string]*sessionState
 	pendingReg map[string]string // Call-ID -> AOR awaiting 200
@@ -85,18 +85,14 @@ type sessionIndex struct {
 	onCapEvict  func(id string)
 }
 
-// newSessionIndex returns an empty index. indexed enables the reverse
-// media-endpoint map.
-func newSessionIndex(indexed bool) *sessionIndex {
-	x := &sessionIndex{
+// newSessionIndex returns an empty index.
+func newSessionIndex() *sessionIndex {
+	return &sessionIndex{
 		sessions:     make(map[string]*sessionState),
 		pendingReg:   make(map[string]string),
+		byMedia:      make(map[netip.AddrPort][]*sessionState),
 		endpointKeys: make(map[endpointKeyID]string),
 	}
-	if indexed {
-		x.byMedia = make(map[netip.AddrPort][]*sessionState)
-	}
-	return x
 }
 
 // endpointKeyID identifies one interned fallback key: the key kind
@@ -163,17 +159,8 @@ func (x *sessionIndex) evictLRU() {
 func (x *sessionIndex) dropSession(id string, st *sessionState) {
 	delete(x.sessions, id)
 	delete(x.pendingReg, id)
-	if x.byMedia != nil {
-		x.unindexMedia(st, st.callerMedia)
-		x.unindexMedia(st, st.calleeMedia)
-	}
-}
-
-// touch records session activity for expiry bookkeeping.
-func (x *sessionIndex) touch(session string, at time.Duration) {
-	if st, ok := x.sessions[session]; ok {
-		st.lastSeen = at
-	}
+	x.unindexMedia(st, st.callerMedia)
+	x.unindexMedia(st, st.calleeMedia)
 }
 
 // expire drops per-session state for sessions idle longer than timeout as
@@ -194,14 +181,14 @@ func (x *sessionIndex) expire(now, timeout time.Duration, onEvict func(id string
 }
 
 func (x *sessionIndex) indexMedia(st *sessionState, media netip.AddrPort) {
-	if x.byMedia == nil || !media.IsValid() {
+	if !media.IsValid() {
 		return
 	}
 	x.byMedia[media] = append(x.byMedia[media], st)
 }
 
 func (x *sessionIndex) unindexMedia(st *sessionState, media netip.AddrPort) {
-	if x.byMedia == nil || !media.IsValid() {
+	if !media.IsValid() {
 		return
 	}
 	list := x.byMedia[media]
@@ -238,102 +225,56 @@ func (x *sessionIndex) setCalleeMedia(st *sessionState, media netip.AddrPort) {
 	st.calleeMedia = media
 }
 
-// SessionKey returns the session (trail) key a footprint is filed under:
-// Call-ID for SIP and accounting, the negotiated session for media flows
-// (with an address-derived fallback when no session matches), and a
-// destination-derived key for undecodable traffic. The sharded router
-// calls this on a footprint it reconstructs from a peeked frame, so both
-// engines key trails identically by construction.
-func (x *sessionIndex) SessionKey(f Footprint) string {
-	switch fp := f.(type) {
-	case *SIPFootprint:
-		return fp.Msg.CallID()
-	case *RTPFootprint:
-		if s := x.flowSession(fp.Src, fp.Dst); s != "" {
-			return s
+// attributeMedia resolves an RTP or RTCP flow to the session (trail) key it
+// is filed under and the dialog state behind that key: the negotiated
+// session when one holds either endpoint, else the interned
+// address-derived fallback key ("rtp:<dst>" / "rtcp:<dst>"). The fallback
+// key is still looked up in the table — a SIP dialog whose Call-ID spells
+// a fallback key is the state such flows see and touch — which is the one
+// string lookup left on the media path, paid by unattributed flows only.
+// The serial engine and the sharded router both attribute here (shards
+// take the router's key as a hint), so trails are keyed identically by
+// construction.
+func (x *sessionIndex) attributeMedia(proto Protocol, src, dst netip.AddrPort) (string, *sessionState) {
+	var key string
+	if proto == ProtoRTCP {
+		if st := x.rtcpFlowSession(src, dst); st != nil {
+			return st.callID, st
 		}
-		return x.endpointKey('r', "rtp:", fp.Dst)
-	case *RTCPFootprint:
-		if s := x.rtcpFlowSession(fp.Src, fp.Dst); s != "" {
-			return s
+		key = x.endpointKey('c', "rtcp:", dst)
+	} else {
+		if st := x.flowSession(src, dst); st != nil {
+			return st.callID, st
 		}
-		return x.endpointKey('c', "rtcp:", fp.Dst)
-	case *AcctFootprint:
-		return fp.Txn.CallID
-	case *RawFootprint:
-		return x.endpointKey('w', "raw:", fp.Dst)
-	default:
-		return ""
+		key = x.endpointKey('r', "rtp:", dst)
 	}
-}
-
-// sessionKeyView is SessionKey for a frame view — the hot-path form: the
-// fallback keys come from the intern table, so a steady media stream
-// computes its key with zero allocations.
-func (x *sessionIndex) sessionKeyView(v *FrameView) string {
-	switch v.Proto {
-	case ProtoSIP:
-		return v.Msg.CallID()
-	case ProtoRTP:
-		if s := x.flowSession(v.Src, v.Dst); s != "" {
-			return s
-		}
-		return x.endpointKey('r', "rtp:", v.Dst)
-	case ProtoRTCP:
-		if s := x.rtcpFlowSession(v.Src, v.Dst); s != "" {
-			return s
-		}
-		return x.endpointKey('c', "rtcp:", v.Dst)
-	case ProtoAccounting:
-		return v.Txn.CallID
-	case ProtoOther:
-		return x.endpointKey('w', "raw:", v.Dst)
-	default:
-		return ""
-	}
+	return key, x.sessions[key]
 }
 
 // flowSession maps a media flow to the SIP session that negotiated either
-// endpoint. Sessions whose media is still unknown (zero-valued) never
-// match. Consecutive calls frequently renegotiate the same media ports,
-// so among candidates the live (not torn down), most recently active
-// session wins; ties break on the session id for determinism.
-func (x *sessionIndex) flowSession(src, dst netip.AddrPort) string {
-	if x.byMedia != nil {
-		var best *sessionState
-		var bestID string
-		for _, st := range x.byMedia[dst] {
-			if best == nil || flowSessionLess(best, bestID, st, st.callID) {
-				best, bestID = st, st.callID
-			}
-		}
-		for _, st := range x.byMedia[src] {
-			if best == nil || flowSessionLess(best, bestID, st, st.callID) {
-				best, bestID = st, st.callID
-			}
-		}
-		return bestID
-	}
-	match := func(negotiated, ep netip.AddrPort) bool {
-		return negotiated.IsValid() && ep.IsValid() && negotiated == ep
-	}
-	var bestID string
-	var best *sessionState
-	for id, st := range x.sessions {
-		if !(match(st.callerMedia, dst) || match(st.calleeMedia, dst) ||
-			match(st.callerMedia, src) || match(st.calleeMedia, src)) {
-			continue
-		}
-		if best == nil || flowSessionLess(best, bestID, st, id) {
-			best, bestID = st, id
-		}
-	}
-	return bestID
+// endpoint (nil when none has). Sessions whose media is still unknown
+// (zero-valued) have no byMedia entry, so never match. Consecutive calls
+// frequently renegotiate the same media ports, so among candidates the
+// live (not torn down), most recently active session wins; ties break on
+// the session id for determinism.
+func (x *sessionIndex) flowSession(src, dst netip.AddrPort) *sessionState {
+	return bestFlowSession(bestFlowSession(nil, x.byMedia[dst]), x.byMedia[src])
 }
 
-// flowSessionLess reports whether candidate (b, bID) should replace the
-// current best (a, aID) when attributing a media flow.
-func flowSessionLess(a *sessionState, aID string, b *sessionState, bID string) bool {
+// bestFlowSession returns the best of best and cands under
+// flowSessionLess.
+func bestFlowSession(best *sessionState, cands []*sessionState) *sessionState {
+	for _, st := range cands {
+		if best == nil || flowSessionLess(best, st) {
+			best = st
+		}
+	}
+	return best
+}
+
+// flowSessionLess reports whether candidate b should replace the current
+// best a when attributing a media flow.
+func flowSessionLess(a, b *sessionState) bool {
 	// Live sessions outrank torn-down ones: an old call's BYE must not
 	// capture the media of the call that replaced it (it still matches
 	// within its own monitoring window via lastSeen recency below).
@@ -344,12 +285,12 @@ func flowSessionLess(a *sessionState, aID string, b *sessionState, bID string) b
 	if a.lastSeen != b.lastSeen {
 		return b.lastSeen > a.lastSeen
 	}
-	return bID > aID
+	return b.callID > a.callID
 }
 
 // rtcpFlowSession maps an RTCP flow (media port + 1 by convention) to its
 // session.
-func (x *sessionIndex) rtcpFlowSession(src, dst netip.AddrPort) string {
+func (x *sessionIndex) rtcpFlowSession(src, dst netip.AddrPort) *sessionState {
 	down := func(ap netip.AddrPort) netip.AddrPort {
 		if !ap.IsValid() || ap.Port() == 0 {
 			return ap
@@ -359,34 +300,11 @@ func (x *sessionIndex) rtcpFlowSession(src, dst netip.AddrPort) string {
 	return x.flowSession(down(src), down(dst))
 }
 
-// mediaDstSession maps a destination media endpoint to its session,
-// picking the best candidate under flowSessionLess so the answer does not
-// depend on map iteration order.
-func (x *sessionIndex) mediaDstSession(dst netip.AddrPort) string {
-	if !dst.IsValid() {
-		return ""
-	}
-	if x.byMedia != nil {
-		var best *sessionState
-		var bestID string
-		for _, st := range x.byMedia[dst] {
-			if best == nil || flowSessionLess(best, bestID, st, st.callID) {
-				best, bestID = st, st.callID
-			}
-		}
-		return bestID
-	}
-	var bestID string
-	var best *sessionState
-	for id, st := range x.sessions {
-		if st.callerMedia != dst && st.calleeMedia != dst {
-			continue
-		}
-		if best == nil || flowSessionLess(best, bestID, st, id) {
-			best, bestID = st, id
-		}
-	}
-	return bestID
+// mediaDstSession maps a destination media endpoint to its session (nil
+// when none negotiated it), picking the best candidate under
+// flowSessionLess.
+func (x *sessionIndex) mediaDstSession(dst netip.AddrPort) *sessionState {
+	return bestFlowSession(nil, x.byMedia[dst])
 }
 
 // sipOutcome reports which attribution-relevant transitions one SIP

@@ -381,7 +381,7 @@ func NewShardedEngine(cfg Config, shards int, opts ...EngineOption) *ShardedEngi
 		gen:         cfg.Gen.withDefaults(),
 		timeout:     cfg.SessionTimeout,
 		opts:        opts,
-		idx:         newSessionIndex(true),
+		idx:         newSessionIndex(),
 		reasm:       packet.NewReassembler(0),
 		frags:       make(map[fragIdent]*fragGroup),
 		correlators: buildCorrelators(cfg.Correlators, cfg.Gen.withDefaults()),
@@ -805,7 +805,7 @@ func (s *ShardedEngine) classifySIPMsgLocked(at time.Duration, src, dst netip.Ad
 			}
 		}
 	}
-	s.idx.touch(st.callID, at)
+	st.lastSeen = at
 	// Pin the routing key on the dialog's first sighting. A correlator
 	// with cross-dialog state overrides the default Call-ID key (the im
 	// correlator routes MESSAGE dialogs by "im:" + sender AOR, the
@@ -897,7 +897,7 @@ func (s *ShardedEngine) classifyStreamSIPLocked(at time.Duration, src, dst netip
 			}
 		}
 	}
-	s.idx.touch(st.callID, at)
+	st.lastSeen = at
 	if _, ok := s.sticky[st.callID]; !ok {
 		s.sticky[st.callID] = flowKey
 	}
@@ -952,16 +952,13 @@ func (s *ShardedEngine) classifyRTPSeqLocked(at time.Duration, src, dst netip.Ad
 	if !ok {
 		// Garbage on a media port: the serial generator attributes the
 		// event to the session negotiating this endpoint.
-		sess := s.idx.mediaDstSession(dst)
-		if sess == "" {
-			sess = s.idx.endpointKey('w', "raw:", dst)
+		if st := s.idx.mediaDstSession(dst); st != nil {
+			return st.callID, RouteHints{Session: st.callID}
 		}
+		sess := s.idx.endpointKey('w', "raw:", dst)
 		return sess, RouteHints{Session: sess}
 	}
-	session := s.idx.flowSession(src, dst)
-	if session == "" {
-		session = s.idx.endpointKey('r', "rtp:", dst)
-	}
+	session, st := s.idx.attributeMedia(ProtoRTP, src, dst)
 	// The rtp correlator's router instance tracks continuity across all
 	// shards in global frame order and ships the verdict as a hint.
 	s.hints = RouteHints{Session: session}
@@ -970,7 +967,9 @@ func (s *ShardedEngine) classifyRTPSeqLocked(at time.Duration, src, dst netip.Ad
 			rh.rtpHint(at, dst, seq, &s.hints)
 		}
 	}
-	s.idx.touch(session, at)
+	if st != nil {
+		st.lastSeen = at
+	}
 	return session, s.hints
 }
 
@@ -992,11 +991,10 @@ func (s *ShardedEngine) classifyRTCPFlowLocked(at time.Duration, src, dst netip.
 		// Undecodable on an RTCP port: filed raw, no session attribution.
 		return s.idx.endpointKey('w', "raw:", dst), RouteHints{}
 	}
-	session := s.idx.rtcpFlowSession(src, dst)
-	if session == "" {
-		session = s.idx.endpointKey('c', "rtcp:", dst)
+	session, st := s.idx.attributeMedia(ProtoRTCP, src, dst)
+	if st != nil {
+		st.lastSeen = at
 	}
-	s.idx.touch(session, at)
 	return session, RouteHints{Session: session}
 }
 

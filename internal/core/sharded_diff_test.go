@@ -53,7 +53,18 @@ func runSerialCfg(frames []rec, cfg core.Config) ([]core.Alert, []core.Event, co
 	for _, r := range frames {
 		eng.HandleFrame(r.at, r.frame)
 	}
+	mustMediaIndex(eng.CheckMediaIndex())
 	return eng.Alerts(), eng.Events(), eng.Stats()
+}
+
+// mustMediaIndex fails the run when an engine's reverse media index has
+// drifted from its session table. Every differential goes through the run
+// helpers here, so each sweep ends by checking the serial engine, or the
+// router directory and every shard.
+func mustMediaIndex(err error) {
+	if err != nil {
+		panic(fmt.Sprintf("media index invariant: %v", err))
+	}
 }
 
 func runSharded(frames []rec, shards int) ([]core.Alert, []core.Event, core.EngineStats) {
@@ -66,7 +77,7 @@ func runShardedCfg(frames []rec, shards int, cfg core.Config) ([]core.Alert, []c
 	for _, r := range frames {
 		eng.HandleFrame(r.at, r.frame)
 	}
-	eng.Flush()
+	mustMediaIndex(eng.CheckMediaIndex()) // flushes
 	return eng.Alerts(), eng.Events(), eng.Stats()
 }
 

@@ -684,14 +684,11 @@ func readSessionIndex(r *snapReader) indexSnap {
 }
 
 // installSessionIndex replaces the index's contents in place (the maps are
-// aliased by the generator) and rebuilds the reverse media index when the
-// index maintains one.
+// aliased by the generator) and rebuilds the reverse media index.
 func installSessionIndex(x *sessionIndex, snap indexSnap) {
 	clear(x.sessions)
 	clear(x.pendingReg)
-	if x.byMedia != nil {
-		clear(x.byMedia)
-	}
+	clear(x.byMedia)
 	for _, s := range snap.sessions {
 		st := new(sessionState)
 		*st = s.st

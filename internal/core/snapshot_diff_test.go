@@ -74,6 +74,7 @@ func runSerialKillRestore(t *testing.T, frames []rec, k int, cfg core.Config) ([
 	for _, r := range frames[k:] {
 		b.HandleFrame(r.at, r.frame)
 	}
+	mustMediaIndex(b.CheckMediaIndex())
 	return b.Alerts(), b.Events(), b.Stats()
 }
 
@@ -100,7 +101,7 @@ func runShardedKillRestore(t *testing.T, frames []rec, shards, k int, cfg core.C
 	for _, r := range frames[k:] {
 		b.HandleFrame(r.at, r.frame)
 	}
-	b.Flush()
+	mustMediaIndex(b.CheckMediaIndex()) // flushes
 	for _, h := range b.ShardHealth() {
 		if h.FramesRouted != h.FramesProcessed+h.FramesShed {
 			t.Errorf("shard %d ledger does not reconcile after restore: routed=%d processed=%d shed=%d",

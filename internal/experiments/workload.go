@@ -20,9 +20,8 @@ import (
 // raise exactly `calls` bye-attack alerts on it and nothing else.
 //
 // The workload is the scaling benchmark shared by bench_test.go and
-// cmd/benchreport: with every call live at once, per-packet session
-// attribution is the dominant cost, which is precisely what the sharded
-// engine's flow index and session-affinity routing attack.
+// cmd/benchreport: every call is live at once, so each media packet must
+// be attributed among all of them and sessions spread across every shard.
 func MixedCallWorkload(calls, rtpRounds int, seed int64) []capture.Record {
 	rng := rand.New(rand.NewSource(seed))
 	var recs []capture.Record
