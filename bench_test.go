@@ -246,10 +246,11 @@ func buildRTPFrame(b *testing.B) []byte {
 func BenchmarkDistiller_RTPFrame(b *testing.B) {
 	frame := buildRTPFrame(b)
 	d := core.NewDistiller()
+	var v core.FrameView
 	b.SetBytes(int64(len(frame)))
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if fp := d.Distill(time.Duration(i)*20*time.Millisecond, frame); fp == nil {
+		if !d.DistillView(time.Duration(i)*20*time.Millisecond, frame, &v) {
 			b.Fatal("no footprint")
 		}
 	}
@@ -397,20 +398,22 @@ func BenchmarkAblation_Reassembly(b *testing.B) {
 	}
 	b.Run("unfragmented", func(b *testing.B) {
 		d := core.NewDistiller()
+		var v core.FrameView
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
-			if fp := d.Distill(0, whole[0]); fp == nil {
+			if !d.DistillView(0, whole[0], &v) {
 				b.Fatal("no footprint")
 			}
 		}
 	})
 	b.Run("fragmented", func(b *testing.B) {
 		d := core.NewDistiller()
+		var v core.FrameView
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
 			var got bool
 			for _, f := range fragged {
-				if fp := d.Distill(0, f); fp != nil {
+				if d.DistillView(0, f, &v) {
 					got = true
 				}
 			}

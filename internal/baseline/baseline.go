@@ -22,7 +22,7 @@ type Rule struct {
 	Description string
 	// Match is the per-packet predicate, evaluated on the decoded
 	// footprint with no access to any session state.
-	Match func(fp core.Footprint) bool
+	Match func(v *core.FrameView) bool
 	// Threshold fires the rule only after this many matches within Window
 	// across ALL traffic (0 or 1 = fire on every match).
 	Threshold int
@@ -41,6 +41,7 @@ type Alert struct {
 // detection methodology, not the decoder.
 type Engine struct {
 	distiller *core.Distiller
+	view      core.FrameView
 	rules     []Rule
 	matches   map[string][]time.Duration // rule -> recent match times
 	alerts    []Alert
@@ -57,13 +58,12 @@ func NewEngine(rules []Rule) *Engine {
 
 // HandleFrame processes one observed frame (netsim.Tap compatible).
 func (e *Engine) HandleFrame(at time.Duration, frame []byte) {
-	fp := e.distiller.Distill(at, frame)
-	if fp == nil {
+	if !e.distiller.DistillView(at, frame, &e.view) {
 		return
 	}
 	for i := range e.rules {
 		r := &e.rules[i]
-		if !r.Match(fp) {
+		if !r.Match(&e.view) {
 			continue
 		}
 		if r.Threshold <= 1 {
@@ -120,9 +120,8 @@ func SnortLikeRuleset(threshold int, window time.Duration) []Rule {
 		{
 			Name:        Rule4XXFlood,
 			Description: "N SIP 4XX responses within the window, any session",
-			Match: func(fp core.Footprint) bool {
-				sf, ok := fp.(*core.SIPFootprint)
-				return ok && sf.Msg.IsResponse() && sf.Msg.StatusCode >= 400 && sf.Msg.StatusCode < 500
+			Match: func(v *core.FrameView) bool {
+				return v.Proto == core.ProtoSIP && v.Msg.IsResponse() && v.Msg.StatusCode >= 400 && v.Msg.StatusCode < 500
 			},
 			Threshold: threshold,
 			Window:    window,
@@ -130,9 +129,8 @@ func SnortLikeRuleset(threshold int, window time.Duration) []Rule {
 		{
 			Name:        RuleAnyBye,
 			Description: "any SIP BYE request",
-			Match: func(fp core.Footprint) bool {
-				sf, ok := fp.(*core.SIPFootprint)
-				return ok && sf.Msg.IsRequest() && sf.Msg.Method == sip.MethodBye
+			Match: func(v *core.FrameView) bool {
+				return v.Proto == core.ProtoSIP && v.Msg.IsRequest() && v.Msg.Method == sip.MethodBye
 			},
 		},
 	}

@@ -83,7 +83,7 @@ func TestBothCatchRegisterFloodButBaselineCannotSeparate(t *testing.T) {
 func TestBaselineThresholdOneFiresImmediately(t *testing.T) {
 	rules := []baseline.Rule{{
 		Name:  "every-sip",
-		Match: func(fp core.Footprint) bool { _, ok := fp.(*core.SIPFootprint); return ok },
+		Match: func(v *core.FrameView) bool { return v.Proto == core.ProtoSIP },
 	}}
 	tb, err := scenario.New(scenario.Config{Seed: 4})
 	if err != nil {
@@ -102,9 +102,8 @@ func TestBaselineWindowExpiry(t *testing.T) {
 	// Matches spread wider than the window must not accumulate.
 	rules := []baseline.Rule{{
 		Name: "windowed",
-		Match: func(fp core.Footprint) bool {
-			sf, ok := fp.(*core.SIPFootprint)
-			return ok && sf.Msg.IsResponse() && sf.Msg.StatusCode == sip.StatusUnauthorized
+		Match: func(v *core.FrameView) bool {
+			return v.Proto == core.ProtoSIP && v.Msg.IsResponse() && v.Msg.StatusCode == sip.StatusUnauthorized
 		},
 		Threshold: 3,
 		Window:    time.Second,

@@ -3,6 +3,7 @@ package core
 import (
 	"fmt"
 	"net/netip"
+	"runtime"
 	"testing"
 	"time"
 
@@ -37,10 +38,10 @@ func allocFrame(t testing.TB, srcPort, dstPort uint16, payload []byte) []byte {
 	return frames[0]
 }
 
-// allocRTPFrame builds one representative media frame (fixed seq: a
+// allocRTPPacket builds one representative media packet (fixed seq: a
 // constant frame replayed forever is a well-behaved stream, so the
 // pipeline reaches true steady state).
-func allocRTPFrame(t testing.TB) []byte {
+func allocRTPPacket(t testing.TB) []byte {
 	t.Helper()
 	pkt := rtp.Packet{
 		Header:  rtp.Header{PayloadType: rtp.PayloadTypePCMU, Seq: 100, Timestamp: 16000, SSRC: 7},
@@ -50,8 +51,41 @@ func allocRTPFrame(t testing.TB) []byte {
 	if err != nil {
 		t.Fatal(err)
 	}
-	return allocFrame(t, 40000, 40000, buf)
+	return buf
 }
+
+func allocRTPFrame(t testing.TB) []byte {
+	return allocFrame(t, 40000, 40000, allocRTPPacket(t))
+}
+
+// allocBareRTCPPacket is an empty receiver report: 8 bytes, too short to
+// pass for an RTP header, so on an RTP port the claimed decoder rejects
+// it and the reclassification ladder files it as RTCP (Mismatched++).
+func allocBareRTCPPacket(t testing.TB) []byte {
+	t.Helper()
+	buf, err := rtp.MarshalCompound([]rtp.RTCPPacket{&rtp.ReceiverReport{SSRC: 7}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return buf
+}
+
+// Per-frame allocation budgets for ladder-reclassified frames through
+// the whole pipeline (measured 33 / 13 serial and 41.1 / 15.1 through the
+// synchronous router plus shard; the race detector's runtime adds about
+// a tenth). They cannot be zero: the claimed decoder's rejection builds
+// an error value (a SIP-claimed frame has also paid for the Message by
+// then), and every reclassified frame raises protocol-mismatch and
+// evasion-suspect events by design. These catch gross regressions — a
+// second decode, a copy per frame; what is held to exactly zero is what
+// the shared decode stage adds on top of the rejection, in the ladder
+// subtest's decode cases.
+const (
+	ladderSerialRTPOnSIPBudget   = 44
+	ladderSerialRTCPOnRTPBudget  = 18
+	ladderShardedRTPOnSIPBudget  = 54
+	ladderShardedRTCPOnRTPBudget = 22
+)
 
 // allocRTCPFrame builds one receiver-report frame (no BYE, so replaying
 // it generates no events).
@@ -168,6 +202,94 @@ func TestSteadyStateAllocs(t *testing.T) {
 					}
 				})
 			}
+		}
+	})
+
+	// The evasion path. The decode stage is shared by the distiller and
+	// the router, so a quietly added err.Error(), boxed value or second
+	// parse shows up here before it shows up in a benchmark.
+	t.Run("ladder", func(t *testing.T) {
+		rtpPkt, rtcpPkt := allocRTPPacket(t), allocBareRTCPPacket(t)
+		parser := sip.NewParser()
+		var scratch sip.Message
+		var hv rtp.HeaderView
+		for _, tc := range []struct {
+			name             string
+			srcPort, dstPort uint16
+			payload          []byte
+			content          Protocol
+			// What the claimed decoder's rejection alone costs, with the
+			// distiller's owned message and with the router's scratch one.
+			rejectOwned, rejectScratch  func()
+			serialBudget, shardedBudget float64
+		}{
+			{"rtp-on-sip-port", 5060, 5060, rtpPkt, ProtoRTP,
+				func() { _, _ = parser.Parse(rtpPkt) }, func() { _ = parser.ParseInto(rtpPkt, &scratch) },
+				ladderSerialRTPOnSIPBudget, ladderShardedRTPOnSIPBudget},
+			{"rtcp-on-rtp-port", 40000, 40000, rtcpPkt, ProtoRTCP,
+				func() { _ = rtp.PeekHeader(rtcpPkt, &hv) }, func() { _ = rtp.PeekHeader(rtcpPkt, &hv) },
+				ladderSerialRTCPOnRTPBudget, ladderShardedRTCPOnRTPBudget},
+		} {
+			frame := allocFrame(t, tc.srcPort, tc.dstPort, tc.payload)
+			t.Run(tc.name+"/decode", func(t *testing.T) {
+				d := NewDistiller()
+				var v FrameView
+				want := testing.AllocsPerRun(400, tc.rejectOwned)
+				if got := testing.AllocsPerRun(400, func() { d.DistillView(0, frame, &v) }); got != want {
+					t.Errorf("DistillView: %.1f allocs/op, the claimed decoder's rejection alone costs %.1f", got, want)
+				}
+				if v.Proto != tc.content || v.PortProto == 0 || d.Stats().Mismatched == 0 {
+					t.Fatalf("frame was not reclassified: proto %v, port claim %v, stats %+v", v.Proto, v.PortProto, d.Stats())
+				}
+				// The router's form: same stage, caller-owned SIP storage,
+				// digest instead of view.
+				s := NewShardedEngine(Config{}, 1)
+				defer s.Close()
+				var p prelude
+				s.dec.prelude(frame, &p)
+				var dig ingDigest
+				want = testing.AllocsPerRun(400, tc.rejectScratch)
+				if got := testing.AllocsPerRun(400, func() { s.dec.digest(p.proto, false, p.payload, &s.msg, &dig) }); got != want {
+					t.Errorf("router digest: %.1f allocs/op, the claimed decoder's rejection alone costs %.1f", got, want)
+				}
+				if dig.proto != tc.content || !dig.ok {
+					t.Fatalf("router digest was not reclassified: %+v", dig)
+				}
+			})
+			t.Run(tc.name+"/serial", func(t *testing.T) {
+				eng := NewEngine(Config{})
+				got := steadyAllocs(eng.HandleFrame, frame, warmup)
+				t.Logf("%.1f allocs/op (budget %.0f)", got, tc.serialBudget)
+				if got > tc.serialBudget {
+					t.Errorf("%.1f allocs/op, budget %.0f", got, tc.serialBudget)
+				}
+			})
+			t.Run(tc.name+"/sharded", func(t *testing.T) {
+				// Through the synchronous router and one shard. The shard
+				// raises the frame's events asynchronously, so count every
+				// allocation up to a Flush instead of sampling per call.
+				eng := NewShardedEngine(Config{}, 1)
+				defer eng.Close()
+				at := time.Duration(0)
+				feed := func(n int) {
+					for i := 0; i < n; i++ {
+						eng.HandleFrame(at, frame)
+						at += 20 * time.Millisecond
+					}
+					eng.Flush()
+				}
+				feed(warmup)
+				var before, after runtime.MemStats
+				runtime.ReadMemStats(&before)
+				const n = 2000
+				feed(n)
+				runtime.ReadMemStats(&after)
+				got := float64(after.Mallocs-before.Mallocs) / n
+				t.Logf("%.1f allocs/op (budget %.0f)", got, tc.shardedBudget)
+				if got > tc.shardedBudget {
+					t.Errorf("%.1f allocs/op, budget %.0f", got, tc.shardedBudget)
+				}
+			})
 		}
 	})
 }

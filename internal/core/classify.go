@@ -1,14 +1,24 @@
 package core
 
 import (
+	"errors"
+	"net/netip"
+
+	"scidive/internal/accounting"
+	"scidive/internal/packet"
 	"scidive/internal/rtp"
+	"scidive/internal/sip"
 )
 
-// This file implements content-confirmed protocol classification: the
-// layer between port claims and protocol decoding that catches traffic
-// whose content contradicts its port. Port claims still pick the
-// candidate protocol (paper Section 3.1); when the candidate's decoder
-// rejects the payload, the reclassification ladder below asks each
+// This file is the stateless decode stage: the one place a frame's
+// protocol is decided and its bytes parsed. The serial Distiller, the
+// sharded router, the parallel-ingest lanes and the TCP stream arm all
+// call decoder.prelude (link/IPv4/UDP/port claim) and decoder.decode
+// (claimed decoder, then the content-confirmation ladder, then raw) and
+// nothing else; they differ only in what they do with the result.
+//
+// Port claims pick the candidate protocol (paper Section 3.1); when the
+// candidate's decoder rejects the payload, the ladder asks each
 // correlator that can recognize its protocol's wire shape (the
 // contentConfirmer capability) whether the bytes look like *its*
 // traffic, in registry order, skipping the protocol the port claimed.
@@ -16,19 +26,16 @@ import (
 // payload wins, and the resulting view is flagged with the port's
 // expected protocol (FrameView.PortProto) so the evasion correlator can
 // raise protocol-mismatch / evasion-suspect self-alerts. If no step
-// confirms, the frame falls through to the raw footprint path exactly
-// as before — the ladder never changes the fate of traffic that decodes
-// under its port's protocol, which is what keeps the pre-existing
-// scenario goldens byte-identical.
+// confirms, the frame falls through to the raw footprint path — the
+// ladder never changes the fate of traffic that decodes under its port's
+// protocol, which is what keeps the pre-ladder scenario goldens
+// byte-identical.
 
 // contentConfirmer correlators can recognize their protocol's wire
 // shape from payload bytes alone, independent of ports. confirmContent
 // must be cheap, allocation-free, and conservative: a confirmation only
 // nominates the protocol for full decoding, so false positives waste a
-// decode attempt but false negatives hide evasion. The distiller, the
-// sharded router, and the parallel-ingest lanes all build their ladder
-// from the same registry, so every classification site reclassifies
-// identically.
+// decode attempt but false negatives hide evasion.
 type contentConfirmer interface {
 	// contentProto is the protocol the confirmer recognizes.
 	contentProto() Protocol
@@ -59,6 +66,196 @@ func ladderOf(correlators []Correlator) classifyLadder {
 		}
 	}
 	return ladder
+}
+
+// decoder is the decode stage's configuration: one correlator registry's
+// port claims and ladder, plus a SIP parser private to the owner (the
+// Distiller, the router, or one ingest lane) so its intern table stays
+// warm. Everything it does is a pure function of the frame bytes, so
+// lanes run it in parallel with the router.
+type decoder struct {
+	claimers []Correlator
+	ladder   classifyLadder
+	parser   *sip.Parser
+}
+
+func newDecoder(correlators []Correlator) decoder {
+	return decoder{claimers: correlators, ladder: ladderOf(correlators), parser: sip.NewParser()}
+}
+
+// preludeKind is what the protocol-independent prelude made of a frame,
+// which is exactly what a stateful caller must do next.
+type preludeKind uint8
+
+const (
+	// preDrop: bad link or IPv4 framing. Nothing downstream — not even
+	// the reassembly clocks — sees the frame.
+	preDrop preludeKind = iota
+	// preClock: decoded past IPv4 but no footprint (other IP protocol,
+	// bad UDP/TCP framing, or a port no decoder is claimed for). Only
+	// the reassembly clocks advance.
+	preClock
+	// preFrag: an IPv4 fragment; ip/body carry it to the reassembler,
+	// whose completed datagram re-enters through transport.
+	preFrag
+	// preTCP: a whole TCP segment in ip/body, bound for the stream arm
+	// (segment validates it and checks the port claim).
+	preTCP
+	// preDatagram: a UDP datagram on a claimed port: proto is the claim,
+	// payload the bytes decode takes.
+	preDatagram
+)
+
+// prelude is one frame's prelude outcome. bad qualifies preDrop and
+// preClock: the frame was undecodable (DistillerStats.DecodeError)
+// rather than merely outside the monitored set (Ignored).
+type prelude struct {
+	kind     preludeKind
+	bad      bool
+	ip       packet.IPv4Header
+	body     []byte
+	proto    Protocol
+	src, dst netip.AddrPort
+	payload  []byte
+}
+
+// prelude decodes Ethernet and IPv4 and, for an unfragmented packet, the
+// transport header and port claim.
+func (dc *decoder) prelude(frame []byte, p *prelude) {
+	ef, err := packet.UnmarshalEthernet(frame)
+	if err != nil || ef.Type != packet.EtherTypeIPv4 {
+		p.kind, p.bad = preDrop, true
+		return
+	}
+	if p.ip, p.body, err = packet.UnmarshalIPv4(ef.Payload); err != nil {
+		p.kind, p.bad = preDrop, true
+		return
+	}
+	if p.ip.FragOffset != 0 || p.ip.MoreFragments() {
+		p.kind = preFrag
+		return
+	}
+	dc.transport(p)
+}
+
+// transport finishes the prelude for the whole IPv4 packet in p.ip/p.body
+// (straight from prelude, or out of the reassembler).
+func (dc *decoder) transport(p *prelude) {
+	p.kind, p.bad = preClock, false
+	switch p.ip.Protocol {
+	case packet.ProtoTCP:
+		p.kind = preTCP
+	case packet.ProtoUDP:
+		uh, payload, err := packet.PeekUDP(p.ip.Src, p.ip.Dst, p.body)
+		if err != nil {
+			p.bad = true
+			return
+		}
+		// Protocols below ProtoOther have a decoder (decodeAs); a claim
+		// for anything else (the IDS's own control port) is classified
+		// and dropped here.
+		if proto, claimed := claimPortOf(dc.claimers, uh.SrcPort, uh.DstPort); claimed && proto < ProtoOther {
+			p.kind, p.proto, p.payload = preDatagram, proto, payload
+			p.src = netip.AddrPortFrom(p.ip.Src, uh.SrcPort)
+			p.dst = netip.AddrPortFrom(p.ip.Dst, uh.DstPort)
+		}
+	}
+}
+
+// segment is the stream arm's half of the prelude: it validates the TCP
+// segment of a preTCP outcome and checks the port claim (only SIP rides
+// streams here), leaving the flow and payload in p. ok=false downgrades
+// p to preClock.
+func (dc *decoder) segment(p *prelude) (th packet.TCPHeader, ok bool) {
+	th, payload, err := packet.PeekTCP(p.ip.Src, p.ip.Dst, p.body)
+	if err != nil {
+		p.kind, p.bad = preClock, true
+		return th, false
+	}
+	if proto, _ := claimPortOf(dc.claimers, th.SrcPort, th.DstPort); proto != ProtoSIP {
+		p.kind = preClock
+		return th, false
+	}
+	p.src = netip.AddrPortFrom(p.ip.Src, th.SrcPort)
+	p.dst = netip.AddrPortFrom(p.ip.Dst, th.DstPort)
+	p.payload = payload
+	return th, true
+}
+
+// errUnclassifiable is the raw reason for a sniffed stream chunk no
+// decoder accepts. Unreachable while the queueing sniff and decode see
+// the same bytes; kept so a divergence degrades to a raw footprint
+// instead of a dropped frame.
+var errUnclassifiable = errors.New("unclassifiable stream chunk")
+
+// decode turns a claimed protocol plus payload into a decoded view: the
+// claimed decoder first, then the ladder in registry order skipping the
+// claim (its decoder already said no), then raw. sniffed marks a stream
+// chunk whose SIP claim tunnelSniff already contradicted, so the claimed
+// decoder is not tried at all. On return v.Proto is the content
+// protocol; a reclassified view carries the contradicted claim in
+// PortProto; a raw view (ProtoOther) carries it in OnPort with RawLen,
+// and the returned error is why the claimed decoder rejected the bytes.
+//
+// msg says where a SIP message is stored: nil parses into a fresh owned
+// Message (the Distiller, whose trails retain it); otherwise ParseInto
+// reuses msg, which then aliases payload (router scratch, lane batch
+// slot). Fields only trails and correlators read (Malformed, Reason,
+// EmbeddedSIP) are left to Distiller.finish so routing never pays for
+// them. v must arrive reset.
+func (dc *decoder) decode(claimed Protocol, sniffed bool, payload []byte, msg *sip.Message, v *FrameView) error {
+	err := errUnclassifiable
+	if !sniffed {
+		if err = dc.decodeAs(claimed, payload, msg, v); err == nil {
+			v.Proto = claimed
+			return nil
+		}
+	}
+	for _, step := range dc.ladder {
+		if step.proto == claimed || !step.confirm(payload) {
+			continue
+		}
+		if dc.decodeAs(step.proto, payload, msg, v) == nil {
+			v.Proto, v.PortProto = step.proto, claimed
+			return nil
+		}
+	}
+	v.Proto, v.OnPort, v.RawLen = ProtoOther, claimed, len(payload)
+	return err
+}
+
+// decodeAs runs one protocol's full decoder over the payload, straight
+// into the view's fields for that protocol (the media arms peek in
+// place: no packet struct, no copy). A rejected payload leaves the view
+// as it found it.
+func (dc *decoder) decodeAs(proto Protocol, payload []byte, msg *sip.Message, v *FrameView) (err error) {
+	switch proto {
+	case ProtoSIP:
+		if msg == nil {
+			msg, err = dc.parser.Parse(payload)
+		} else {
+			err = dc.parser.ParseInto(payload, msg)
+		}
+		if err == nil {
+			v.Msg = msg
+		}
+	case ProtoAccounting:
+		var txn accounting.Txn
+		if txn, err = accounting.ParseTxn(payload); err == nil {
+			v.Txn = txn
+		}
+	case ProtoRTP:
+		if err = rtp.PeekHeader(payload, &v.RTP); err != nil {
+			v.RTP = rtp.HeaderView{}
+		}
+	case ProtoRTCP:
+		if err = rtp.PeekCompound(payload, &v.RTCP); err != nil {
+			v.RTCP = rtp.CompoundView{}
+		}
+	default:
+		err = errUnclassifiable
+	}
+	return err
 }
 
 // sniffLineMax bounds the start-line scan: a SIP start line longer than
@@ -159,11 +356,14 @@ func rtpPayloadHasSIP(payload []byte, hv *rtp.HeaderView) bool {
 	return sniffSIPStart(payload[off : off+hv.PayloadLen])
 }
 
-// tunnelSniff is the stream-arm analogue of the ladder: given a chunk
-// of reassembled TCP bytes on a SIP-claimed stream with no partial SIP
+// tunnelSniff gates the stream arm's SIP framer: given a chunk of
+// reassembled TCP bytes on a SIP-claimed stream with no partial SIP
 // message pending, it reports whether the chunk is a media packet
-// tunneled over the trunk (RTP or RTCP content confirmation). The SIP
-// rung is skipped — SIP is what the stream is *supposed* to carry.
+// tunneled over the trunk (RTP or RTCP content confirmation), to be
+// queued whole instead of poisoning the framing buffer. It only
+// confirms — the diverted chunk is decoded by decode like everything
+// else — and skips the SIP rung: SIP is what the stream is *supposed* to
+// carry.
 func (l classifyLadder) tunnelSniff(b []byte) (Protocol, bool) {
 	for _, step := range l {
 		if step.proto != ProtoRTP && step.proto != ProtoRTCP {

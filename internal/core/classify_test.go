@@ -49,8 +49,7 @@ func rtcpBytes(t *testing.T) []byte {
 
 // TestClassifyCounterPinning pins the exact classification counters for a
 // crafted frame set covering every terminal bucket, including the
-// content-confirmation reclassifications. Both distiller forms (boxed and
-// view) must account identically.
+// content-confirmation reclassifications.
 func TestClassifyCounterPinning(t *testing.T) {
 	cases := []struct {
 		name             string
@@ -70,54 +69,39 @@ func TestClassifyCounterPinning(t *testing.T) {
 		Frames: 7, SIP: 1, Raw: 1, Ignored: 1, DecodeError: 1, Mismatched: 3,
 	}
 
-	run := func(t *testing.T, distill func(d *Distiller, at time.Duration, frame []byte)) DistillerStats {
-		d := NewDistiller()
-		for i, c := range cases {
-			for _, frame := range frameFor(t, c.srcPort, c.dstPort, c.payload, 0) {
-				distill(d, time.Duration(i)*time.Millisecond, frame)
-			}
-		}
-		distill(d, time.Second, []byte{0x01, 0x02}) // decode error
-		return d.Stats()
-	}
-
-	boxed := run(t, func(d *Distiller, at time.Duration, frame []byte) { d.Distill(at, frame) })
+	d := NewDistiller()
 	var v FrameView
-	viewed := run(t, func(d *Distiller, at time.Duration, frame []byte) { d.DistillView(at, frame, &v) })
-
-	if boxed != want {
-		t.Errorf("boxed stats = %+v, want %+v", boxed, want)
+	for i, c := range cases {
+		for _, frame := range frameFor(t, c.srcPort, c.dstPort, c.payload, 0) {
+			d.DistillView(time.Duration(i)*time.Millisecond, frame, &v)
+		}
 	}
-	if viewed != boxed {
-		t.Errorf("view stats = %+v, boxed %+v", viewed, boxed)
+	d.DistillView(time.Second, []byte{0x01, 0x02}, &v) // decode error
+	if got := d.Stats(); got != want {
+		t.Errorf("stats = %+v, want %+v", got, want)
 	}
-	checkLedger(t, boxed)
+	checkLedger(t, d.Stats())
 }
 
 // TestReclassifiedFootprintShape pins what a reclassified frame looks
 // like downstream: the footprint carries the content protocol's decoded
-// fields with PortProto recording the contradicted port claim.
+// fields with PortProto recording the contradicted port claim — in the
+// view and in the boxed footprint an event would attach.
 func TestReclassifiedFootprintShape(t *testing.T) {
 	d := NewDistiller()
-	fp := d.Distill(time.Second, frameFor(t, 5060, 5060, rtpBytes(t), 0)[0])
-	rf, ok := fp.(*RTPFootprint)
-	if !ok {
-		t.Fatalf("footprint = %T, want *RTPFootprint", fp)
-	}
-	if rf.PortProto != ProtoSIP {
-		t.Errorf("PortProto = %v, want ProtoSIP", rf.PortProto)
+	v := distillOne(t, d, time.Second, frameFor(t, 5060, 5060, rtpBytes(t), 0)[0], ProtoRTP)
+	rf := v.box().(*RTPFootprint)
+	if v.PortProto != ProtoSIP || rf.PortProto != ProtoSIP {
+		t.Errorf("PortProto = %v (boxed %v), want ProtoSIP", v.PortProto, rf.PortProto)
 	}
 	if rf.Header.SSRC != 0xC0FFEE01 {
 		t.Errorf("SSRC = %#x; reclassified decode lost the header", rf.Header.SSRC)
 	}
 
-	fp = d.Distill(2*time.Second, frameFor(t, 40666, 40000, sipBytes(t), 0)[0])
-	sf, ok := fp.(*SIPFootprint)
-	if !ok {
-		t.Fatalf("footprint = %T, want *SIPFootprint", fp)
-	}
-	if sf.PortProto != ProtoRTP {
-		t.Errorf("PortProto = %v, want ProtoRTP", sf.PortProto)
+	v = distillOne(t, d, 2*time.Second, frameFor(t, 40666, 40000, sipBytes(t), 0)[0], ProtoSIP)
+	sf := v.box().(*SIPFootprint)
+	if v.PortProto != ProtoRTP || sf.PortProto != ProtoRTP {
+		t.Errorf("PortProto = %v (boxed %v), want ProtoRTP", v.PortProto, sf.PortProto)
 	}
 	if sf.Msg.CallID() != "dist@test" {
 		t.Errorf("Call-ID = %q; reclassified parse lost the message", sf.Msg.CallID())
@@ -133,10 +117,7 @@ func TestReclassifySkipsClaimedProtocol(t *testing.T) {
 	// on the SIP port the ladder must skip the SIP rung, find no other
 	// protocol, and account the frame Raw.
 	broken := []byte("INVITE sip:x@y SIP/2.0\r\n")
-	fp := d.Distill(time.Second, frameFor(t, 5060, 5060, broken, 0)[0])
-	if _, ok := fp.(*RawFootprint); !ok {
-		t.Fatalf("footprint = %T, want *RawFootprint", fp)
-	}
+	distillOne(t, d, time.Second, frameFor(t, 5060, 5060, broken, 0)[0], ProtoOther)
 	st := d.Stats()
 	if st.Raw != 1 || st.Mismatched != 0 {
 		t.Errorf("stats = %+v, want Raw=1 Mismatched=0", st)
@@ -150,11 +131,12 @@ func TestReclassifySkipsClaimedProtocol(t *testing.T) {
 func TestTortureCorpusLedger(t *testing.T) {
 	corpus := sip.TortureCorpus()
 	d := NewDistiller()
+	var v FrameView
 	frames := 0
 	for i, e := range corpus {
 		for _, ports := range []struct{ src, dst uint16 }{{5060, 5060}, {40666, 40000}} {
 			for _, frame := range frameFor(t, ports.src, ports.dst, e.Raw, 0) {
-				d.Distill(time.Duration(i)*time.Millisecond, frame)
+				d.DistillView(time.Duration(i)*time.Millisecond, frame, &v)
 				frames++
 			}
 		}

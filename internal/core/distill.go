@@ -6,9 +6,7 @@ import (
 	"strconv"
 	"time"
 
-	"scidive/internal/accounting"
 	"scidive/internal/packet"
-	"scidive/internal/rtp"
 	"scidive/internal/sip"
 )
 
@@ -36,39 +34,33 @@ type DistillerStats struct {
 
 // Distiller translates raw frames into Footprints: Ethernet and IPv4
 // decoding, fragment reassembly, UDP demultiplexing, and protocol
-// classification (paper Section 3.1).
+// classification (paper Section 3.1). The stateless part of that is the
+// shared decode stage (classify.go); the Distiller adds the state —
+// reassembly, stream framing, counters — and the fields trails retain.
 type Distiller struct {
 	reasm *packet.Reassembler
 	stats DistillerStats
 
-	// claimers is the correlator set whose port claims drive protocol
-	// classification (first claim in registry order wins).
-	claimers []Correlator
+	// dec is the decode stage over the correlator set whose port claims
+	// drive classification, with the distiller-owned SIP parser: one per
+	// pipeline keeps its intern table warm across every message the
+	// pipeline sees.
+	dec decoder
 
-	// parser is the distiller-owned SIP parser: one per pipeline keeps
-	// its intern table warm across every message the pipeline sees.
-	parser *sip.Parser
-
-	// frags buffers the raw frames of in-progress fragment groups on the
-	// same lifetime the sharded router keeps (sharded.go routeLocked), so
-	// a serial-written portable checkpoint carries everything a sharded
-	// restore needs to ship completed groups to their shards. nil on
-	// standalone and shard-local distillers (only the serial engine's own
-	// distiller mirrors; shards receive already-grouped frames).
-	frags map[fragIdent]*fragGroup
+	// frags buffers the raw frames of in-progress fragment groups, as the
+	// sharded router's instance does, so a serial-written portable
+	// checkpoint carries everything a sharded restore needs to ship
+	// completed groups to their shards. nil on standalone and shard-local
+	// distillers (shards receive already-grouped frames).
+	frags fragGroups
 
 	// streams is the stream-transport demux (TCP reassembly + SIP message
-	// framing). Datagram transports yield one message per payload through
-	// decodeUDP as always; stream transports land zero or more complete
-	// messages per frame on the mux queue, drained by NextStreamMessage.
-	// nil on shard-local distillers: the sharded router owns the only
-	// stream state and ships extracted messages (see sharded.go).
+	// framing). Datagram transports yield one message per payload;
+	// stream transports land zero or more complete messages per frame on
+	// the mux queue, drained by NextStreamMessage. nil on shard-local
+	// distillers: the sharded router owns the only stream state and ships
+	// extracted messages (see sharded.go).
 	streams *streamMux
-
-	// ladder is the content-confirmation reclassification ladder derived
-	// from the same correlator set as the port claims (classify.go), run
-	// when a claimed protocol's decoder rejects the payload.
-	ladder classifyLadder
 }
 
 // defaultMediaPortFloor is the lowest UDP port treated as media traffic
@@ -86,140 +78,192 @@ func NewDistiller() *Distiller {
 // correlator set between its distiller and its generator so the two can
 // never disagree about a port's protocol.
 func NewDistillerFor(correlators []Correlator) *Distiller {
-	return &Distiller{
-		reasm:    packet.NewReassembler(0),
-		claimers: correlators,
-		parser:   sip.NewParser(),
-		ladder:   ladderOf(correlators),
-	}
+	return &Distiller{reasm: packet.NewReassembler(0), dec: newDecoder(correlators)}
 }
 
 // Stats returns a snapshot of the distiller counters.
 func (d *Distiller) Stats() DistillerStats { return d.stats }
 
-// pruneFrags drops mirrored fragment groups on the reassembler's expiry
-// schedule (see the frags field doc).
-func (d *Distiller) pruneFrags(now time.Duration) {
-	for k, grp := range d.frags {
+// fragIdent mirrors the reassembler's fragment-stream identity.
+type fragIdent struct {
+	src, dst netip.Addr
+	proto    uint8
+	id       uint16
+}
+
+// fragGroup buffers the original frames of one in-progress fragment
+// stream so the whole datagram can ship to one shard once its session
+// key is known. first mirrors the reassembler's eviction clock.
+type fragGroup struct {
+	frames []routedFrame
+	first  time.Duration
+}
+
+// routedFrame is one raw frame with its capture time.
+type routedFrame struct {
+	at    time.Duration
+	frame []byte
+}
+
+// fragGroups keeps the raw frames of in-progress fragment streams on
+// exactly the reassembler's buffer lifetimes, so a completed datagram's
+// original frames can ship to a shard (router) or ride a checkpoint
+// (serial engine) as one group. Capacity evictions arrive through the
+// reassembler's OnEvict hook (drop). A nil table buffers nothing.
+type fragGroups map[fragIdent]*fragGroup
+
+func (g fragGroups) drop(id packet.FragID) {
+	delete(g, fragIdent{src: id.Src, dst: id.Dst, proto: id.Proto, id: id.ID})
+}
+
+// prune drops groups on the reassembler's expiry schedule. It runs
+// before every Insert/Expire so the two can never disagree about which
+// stream a fragment belongs to.
+func (g fragGroups) prune(now time.Duration) {
+	for k, grp := range g {
 		if now-grp.first > packet.DefaultReassemblyTimeout {
-			delete(d.frags, k)
+			delete(g, k)
 		}
 	}
 }
 
-// decodeUDP runs the protocol-independent prelude shared by Distill and
-// DistillView: Ethernet, IPv4, reassembly, and zero-copy UDP validation.
-// It returns ok=false (with stats counted) when the frame produces no
-// footprint, and otherwise the claimed protocol and UDP payload.
-func (d *Distiller) decodeUDP(at time.Duration, frame []byte) (proto Protocol, src, dst netip.AddrPort, payload []byte, ok bool) {
+// expire advances both expiry clocks past a frame that carries no
+// fragment.
+func (g fragGroups) expire(r *packet.Reassembler, now time.Duration) {
+	g.prune(now)
+	r.Expire(now)
+}
+
+// insert feeds one fragment to the reassembler and mirrors the outcome:
+// a buffered fragment's frame joins its group (copied when the feeder
+// may reuse the buffer), and the fragment completing a datagram takes
+// the group out, returned for shipping.
+func (g fragGroups) insert(r *packet.Reassembler, iph packet.IPv4Header, body []byte, at time.Duration, frame []byte, copyFrame bool) (full packet.IPv4Header, payload []byte, group []routedFrame, done bool, err error) {
+	g.prune(at)
+	full, payload, done, err = r.Insert(iph, body, at)
+	if g == nil {
+		return
+	}
+	key := fragIdent{src: iph.Src, dst: iph.Dst, proto: iph.Protocol, id: iph.ID}
+	grp := g[key]
+	switch {
+	case done:
+		delete(g, key)
+		if grp != nil {
+			group = grp.frames
+		}
+		return
+	case err != nil:
+		// The reassembler creates its buffer before the oversize check
+		// but after the alignment check; mirror that so group lifetimes
+		// track buffer lifetimes exactly. The frame contributed nothing.
+		if alignErr := iph.FragOffset != 0 && len(body)%8 != 0 && iph.MoreFragments(); alignErr {
+			return
+		}
+	}
+	if grp == nil {
+		grp = &fragGroup{first: at}
+		g[key] = grp
+	}
+	if err == nil {
+		if copyFrame {
+			frame = append([]byte(nil), frame...)
+		}
+		grp.frames = append(grp.frames, routedFrame{at: at, frame: frame})
+	}
+	return
+}
+
+// reassemble is the stateful middle of the prelude, shared by the serial
+// Distiller and the synchronous router: a fragment goes through the
+// reassembler — staying preFrag while buffered, becoming a bad preDrop
+// when rejected, or re-entering transport as the completed datagram
+// (whose buffered frames are returned) — and anything else past IPv4
+// decode just advances the reassembly clocks.
+func (dc *decoder) reassemble(r *packet.Reassembler, g fragGroups, at time.Duration, frame []byte, copyFrame bool, p *prelude) (group []routedFrame) {
+	switch p.kind {
+	case preDrop:
+	case preFrag:
+		full, body, grp, done, err := g.insert(r, p.ip, p.body, at, frame, copyFrame)
+		if err != nil {
+			p.kind, p.bad = preDrop, true
+		} else if done {
+			p.ip, p.body = full, body
+			dc.transport(p)
+			return grp
+		}
+	default:
+		g.expire(r, at)
+	}
+	return nil
+}
+
+// DistillView processes one frame observed at the given virtual time,
+// filling the caller-owned view in place; it reports false when the
+// frame produced no footprint (a non-final fragment, a TCP segment,
+// undecodable below UDP, or outside the monitored ports). Media frames
+// (RTP/RTCP) are projected through the rtp package's peek decoders and
+// never materialize packet structs; SIP frames allocate one Message
+// (trails retain it — the documented per-SIP-frame budget).
+func (d *Distiller) DistillView(at time.Duration, frame []byte, v *FrameView) bool {
+	v.reset()
 	d.stats.Frames++
-	ef, err := packet.UnmarshalEthernet(frame)
-	if err != nil || ef.Type != packet.EtherTypeIPv4 {
-		d.stats.DecodeError++
-		return 0, src, dst, nil, false
-	}
-	iph, ipPayload, err := packet.UnmarshalIPv4(ef.Payload)
-	if err != nil {
-		d.stats.DecodeError++
-		return 0, src, dst, nil, false
-	}
-	// Frame-group mirror (serial engine only, d.frags != nil): keep the
-	// raw frames of in-progress fragment streams on the reassembler's
-	// lifetime, exactly as the sharded router does in routeLocked, so a
-	// portable checkpoint written here restores losslessly at any shard
-	// count. Prune on the reassembler's expiry clock before Insert so the
-	// two can never disagree about which stream a fragment belongs to.
-	var fragmented bool
-	var fkey fragIdent
-	if d.frags != nil {
-		d.pruneFrags(at)
-		fragmented = iph.FragOffset != 0 || iph.MoreFragments()
-		fkey = fragIdent{src: iph.Src, dst: iph.Dst, proto: iph.Protocol, id: iph.ID}
-	}
-	full, ipBody, done, err := d.reasm.Insert(iph, ipPayload, at)
-	if err != nil {
-		if d.frags != nil {
-			// The reassembler creates its buffer before the oversize check
-			// but after the alignment check; mirror that so group lifetimes
-			// track buffer lifetimes exactly.
-			alignErr := iph.FragOffset != 0 && len(ipPayload)%8 != 0 && iph.MoreFragments()
-			if fragmented && !alignErr && d.frags[fkey] == nil {
-				d.frags[fkey] = &fragGroup{first: at}
-			}
+	var p prelude
+	d.dec.prelude(frame, &p)
+	d.dec.reassemble(d.reasm, d.frags, at, frame, true, &p)
+	if p.kind == preTCP && d.streams != nil {
+		// Stream transport: complete messages land on the mux queue; the
+		// frame itself produces no immediate footprint.
+		if th, ok := d.dec.segment(&p); ok {
+			d.stats.Streamed++
+			d.streams.push(at, p.src, p.dst, th, p.payload)
+			return false
 		}
-		d.stats.DecodeError++
-		return 0, src, dst, nil, false
 	}
-	if !done {
-		if d.frags != nil {
-			grp := d.frags[fkey]
-			if grp == nil {
-				grp = &fragGroup{first: at}
-				d.frags[fkey] = grp
-			}
-			// Copy: capture.Replay (and other feeders) may reuse the frame
-			// buffer after this call returns.
-			grp.frames = append(grp.frames, routedFrame{at: at, frame: append([]byte(nil), frame...)})
-		}
+	switch {
+	case p.kind == preDatagram:
+		v.At, v.Src, v.Dst = at, p.src, p.dst
+		d.finish(v, p.payload, d.dec.decode(p.proto, false, p.payload, nil, v))
+		return true
+	case p.kind == preFrag:
 		d.stats.Fragments++
-		return 0, src, dst, nil, false
-	}
-	if d.frags != nil && fragmented {
-		delete(d.frags, fkey)
-	}
-	if full.Protocol == packet.ProtoTCP {
-		d.streamFrame(at, full.Src, full.Dst, ipBody)
-		return 0, src, dst, nil, false
-	}
-	if full.Protocol != packet.ProtoUDP {
-		d.stats.Ignored++
-		return 0, src, dst, nil, false
-	}
-	uh, udpPayload, err := packet.PeekUDP(full.Src, full.Dst, ipBody)
-	if err != nil {
+	case p.bad:
 		d.stats.DecodeError++
-		return 0, src, dst, nil, false
-	}
-	proto, claimed := claimPortOf(d.claimers, uh.SrcPort, uh.DstPort)
-	if !claimed {
+	default:
 		d.stats.Ignored++
-		return 0, src, dst, nil, false
 	}
-	src = netip.AddrPortFrom(full.Src, uh.SrcPort)
-	dst = netip.AddrPortFrom(full.Dst, uh.DstPort)
-	return proto, src, dst, udpPayload, true
+	return false
 }
 
-// streamFrame is the stream-transport arm of the demux: it validates the
-// TCP segment, checks the port claim (only SIP is carried over streams
-// here), and feeds the segment through the mux. Complete messages land on
-// the mux queue; the frame itself produces no immediate footprint.
-func (d *Distiller) streamFrame(at time.Duration, srcIP, dstIP netip.Addr, seg []byte) {
-	if d.streams == nil {
-		d.stats.Ignored++
-		return
+// finish counts a decoded view's terminal from the decode result and
+// fills the fields only trails and correlators read, which the shared
+// decode leaves out so the router never pays for them: the strict SIP
+// format check, the smuggled-SIP sniff of an RTP payload, and the raw
+// reason text (err is decode's return).
+func (d *Distiller) finish(v *FrameView, payload []byte, err error) {
+	var terminal *int
+	switch v.Proto {
+	case ProtoSIP:
+		terminal, v.Malformed = &d.stats.SIP, CheckSIPFormat(v.Msg)
+	case ProtoRTP:
+		terminal, v.EmbeddedSIP = &d.stats.RTP, rtpPayloadHasSIP(payload, &v.RTP)
+	case ProtoRTCP:
+		terminal = &d.stats.RTCP
+	case ProtoAccounting:
+		terminal = &d.stats.Acct
+	default:
+		terminal, v.Reason = &d.stats.Raw, err.Error()
 	}
-	th, payload, err := packet.PeekTCP(srcIP, dstIP, seg)
-	if err != nil {
-		d.stats.DecodeError++
-		return
+	if v.PortProto != 0 {
+		terminal = &d.stats.Mismatched
 	}
-	proto, claimed := claimPortOf(d.claimers, th.SrcPort, th.DstPort)
-	if !claimed || proto != ProtoSIP {
-		d.stats.Ignored++
-		return
-	}
-	d.stats.Streamed++
-	src := netip.AddrPortFrom(srcIP, th.SrcPort)
-	dst := netip.AddrPortFrom(dstIP, th.DstPort)
-	d.streams.push(at, src, dst, th, payload)
+	*terminal++
 }
 
 // NextStreamMessage pops the next stream-extracted SIP message into v,
-// reporting false when none are pending. Parsing, validation and stats
-// agree with the datagram SIP arm of DistillView bit for bit; the view
-// additionally carries the flow's routing key (StreamKey) so the serial
-// engine pins the same sticky key the sharded router would.
+// reporting false when none are pending. The view additionally carries
+// the flow's routing key (StreamKey) so the serial engine pins the same
+// sticky key the sharded router would.
 func (d *Distiller) NextStreamMessage(v *FrameView) bool {
 	if d.streams == nil {
 		return false
@@ -232,251 +276,17 @@ func (d *Distiller) NextStreamMessage(v *FrameView) bool {
 	return true
 }
 
-// distillStreamMessage fills v from one stream-extracted message. Shared
-// by the serial drain above and the shard-side processing of
-// router-shipped messages (both must count stats exactly as the datagram
-// path does). Framed SIP messages that fail to parse run the same
-// content-confirmation ladder as datagrams; tunnel chunks (media content
-// sniffed on the SIP-claimed stream) reuse the ladder with SIP as the
-// contradicted claim.
+// distillStreamMessage fills v from one stream-extracted message: the
+// serial drain above and the shard-side processing of router-shipped
+// messages. It is the datagram decode with SIP as the claim; a tunnel
+// chunk (media content sniffed on the SIP-claimed stream) arrives with
+// that claim already contradicted.
 func (d *Distiller) distillStreamMessage(at time.Duration, src, dst netip.AddrPort, payload []byte, kind streamKind, v *FrameView) {
 	d.stats.StreamMsgs++
 	v.reset()
 	v.At, v.Src, v.Dst = at, src, dst
 	v.StreamKey = streamFlowKey(src, dst)
-	if kind == streamKindTunnel {
-		if d.reclassifyView(ProtoSIP, payload, v) {
-			return
-		}
-		// Unreachable when the queueing sniff and this decode see the
-		// same bytes; kept so a divergence degrades to a raw footprint
-		// instead of a dropped frame.
-		d.stats.Raw++
-		v.Proto, v.OnPort, v.Reason, v.RawLen = ProtoOther, ProtoSIP, "unclassifiable stream chunk", len(payload)
-		return
-	}
-	m, err := d.parser.Parse(payload)
-	if err != nil {
-		if d.reclassifyView(ProtoSIP, payload, v) {
-			return
-		}
-		d.stats.Raw++
-		v.Proto, v.OnPort, v.Reason, v.RawLen = ProtoOther, ProtoSIP, err.Error(), len(payload)
-		return
-	}
-	d.stats.SIP++
-	v.Proto, v.Msg, v.Malformed = ProtoSIP, m, CheckSIPFormat(m)
-}
-
-// Distill processes one frame observed at the given virtual time. It
-// returns the footprint extracted from the frame, or nil when the frame
-// is a non-final fragment, undecodable below UDP, or outside the
-// monitored ports. This is the boxed (allocating) form; the detection
-// engines use DistillView.
-func (d *Distiller) Distill(at time.Duration, frame []byte) Footprint {
-	proto, src, dst, payload, ok := d.decodeUDP(at, frame)
-	if !ok {
-		return nil
-	}
-	base := FootprintBase{At: at, Src: src, Dst: dst}
-	switch proto {
-	case ProtoSIP:
-		return d.distillSIP(base, payload)
-	case ProtoAccounting:
-		return d.distillAcct(base, payload)
-	case ProtoRTP:
-		return d.distillRTP(base, payload)
-	case ProtoRTCP:
-		return d.distillRTCP(base, payload)
-	default:
-		d.stats.Ignored++
-		return nil
-	}
-}
-
-// DistillView is Distill's zero-allocation form: it fills the
-// caller-owned view in place and reports whether the frame produced a
-// footprint. Media frames (RTP/RTCP) are projected through the rtp
-// package's peek decoders and never materialize packet structs; SIP
-// frames still allocate one Message (trails retain it — the documented
-// per-SIP-frame budget). Classification, validation and stats agree with
-// Distill bit for bit.
-func (d *Distiller) DistillView(at time.Duration, frame []byte, v *FrameView) bool {
-	v.reset()
-	proto, src, dst, payload, ok := d.decodeUDP(at, frame)
-	if !ok {
-		return false
-	}
-	v.At, v.Src, v.Dst = at, src, dst
-	switch proto {
-	case ProtoSIP:
-		m, err := d.parser.Parse(payload)
-		if err != nil {
-			if d.reclassifyView(ProtoSIP, payload, v) {
-				return true
-			}
-			d.stats.Raw++
-			v.Proto, v.OnPort, v.Reason, v.RawLen = ProtoOther, ProtoSIP, err.Error(), len(payload)
-			return true
-		}
-		d.stats.SIP++
-		v.Proto, v.Msg, v.Malformed = ProtoSIP, m, CheckSIPFormat(m)
-		return true
-	case ProtoAccounting:
-		txn, err := accounting.ParseTxn(payload)
-		if err != nil {
-			if d.reclassifyView(ProtoAccounting, payload, v) {
-				return true
-			}
-			d.stats.Raw++
-			v.Proto, v.OnPort, v.Reason, v.RawLen = ProtoOther, ProtoAccounting, err.Error(), len(payload)
-			return true
-		}
-		d.stats.Acct++
-		v.Proto, v.Txn = ProtoAccounting, txn
-		return true
-	case ProtoRTP:
-		if err := rtp.PeekHeader(payload, &v.RTP); err != nil {
-			v.RTP = rtp.HeaderView{}
-			if d.reclassifyView(ProtoRTP, payload, v) {
-				return true
-			}
-			d.stats.Raw++
-			v.Proto, v.OnPort, v.Reason, v.RawLen = ProtoOther, ProtoRTP, err.Error(), len(payload)
-			return true
-		}
-		d.stats.RTP++
-		v.Proto = ProtoRTP
-		v.EmbeddedSIP = rtpPayloadHasSIP(payload, &v.RTP)
-		return true
-	case ProtoRTCP:
-		if err := rtp.PeekCompound(payload, &v.RTCP); err != nil {
-			v.RTCP = rtp.CompoundView{}
-			if d.reclassifyView(ProtoRTCP, payload, v) {
-				return true
-			}
-			d.stats.Raw++
-			v.Proto, v.OnPort, v.Reason, v.RawLen = ProtoOther, ProtoRTCP, err.Error(), len(payload)
-			return true
-		}
-		d.stats.RTCP++
-		v.Proto = ProtoRTCP
-		return true
-	default:
-		d.stats.Ignored++
-		return false
-	}
-}
-
-// reclassifyView runs the content-confirmation ladder after the claimed
-// protocol's decoder rejected the payload. Ladder steps run in registry
-// order, skipping the claimed protocol (its decoder already said no);
-// the first step whose cheap confirmation AND full decode both accept
-// the payload wins. On success the view carries the content protocol's
-// decoded fields with PortProto recording the contradicted claim, and
-// the frame counts as Mismatched. On failure the view is untouched and
-// the caller falls through to the raw path — so traffic that reclassifies
-// under no protocol is accounted exactly as before the ladder existed.
-func (d *Distiller) reclassifyView(claimed Protocol, payload []byte, v *FrameView) bool {
-	for _, step := range d.ladder {
-		if step.proto == claimed || !step.confirm(payload) {
-			continue
-		}
-		switch step.proto {
-		case ProtoSIP:
-			m, err := d.parser.Parse(payload)
-			if err != nil {
-				continue
-			}
-			d.stats.Mismatched++
-			v.Proto, v.PortProto = ProtoSIP, claimed
-			v.Msg, v.Malformed = m, CheckSIPFormat(m)
-			return true
-		case ProtoRTP:
-			if rtp.PeekHeader(payload, &v.RTP) != nil {
-				v.RTP = rtp.HeaderView{}
-				continue
-			}
-			d.stats.Mismatched++
-			v.Proto, v.PortProto = ProtoRTP, claimed
-			v.EmbeddedSIP = rtpPayloadHasSIP(payload, &v.RTP)
-			return true
-		case ProtoRTCP:
-			if rtp.PeekCompound(payload, &v.RTCP) != nil {
-				v.RTCP = rtp.CompoundView{}
-				continue
-			}
-			d.stats.Mismatched++
-			v.Proto, v.PortProto = ProtoRTCP, claimed
-			return true
-		}
-	}
-	return false
-}
-
-func (d *Distiller) distillSIP(base FootprintBase, payload []byte) Footprint {
-	m, err := d.parser.Parse(payload)
-	if err != nil {
-		if f, ok := d.reclassifyBoxed(base, ProtoSIP, payload); ok {
-			return f
-		}
-		d.stats.Raw++
-		return &RawFootprint{FootprintBase: base, OnPort: ProtoSIP, Reason: err.Error(), Len: len(payload)}
-	}
-	d.stats.SIP++
-	return &SIPFootprint{FootprintBase: base, Msg: m, Malformed: CheckSIPFormat(m)}
-}
-
-func (d *Distiller) distillAcct(base FootprintBase, payload []byte) Footprint {
-	txn, err := accounting.ParseTxn(payload)
-	if err != nil {
-		if f, ok := d.reclassifyBoxed(base, ProtoAccounting, payload); ok {
-			return f
-		}
-		d.stats.Raw++
-		return &RawFootprint{FootprintBase: base, OnPort: ProtoAccounting, Reason: err.Error(), Len: len(payload)}
-	}
-	d.stats.Acct++
-	return &AcctFootprint{FootprintBase: base, Txn: txn}
-}
-
-func (d *Distiller) distillRTP(base FootprintBase, payload []byte) Footprint {
-	p, err := rtp.Unmarshal(payload)
-	if err != nil {
-		if f, ok := d.reclassifyBoxed(base, ProtoRTP, payload); ok {
-			return f
-		}
-		d.stats.Raw++
-		return &RawFootprint{FootprintBase: base, OnPort: ProtoRTP, Reason: err.Error(), Len: len(payload)}
-	}
-	d.stats.RTP++
-	embedded := !p.Header.Extension && len(p.Payload) > 0 && sniffSIPStart(p.Payload)
-	return &RTPFootprint{FootprintBase: base, Header: p.Header, PayloadLen: len(p.Payload), EmbeddedSIP: embedded}
-}
-
-func (d *Distiller) distillRTCP(base FootprintBase, payload []byte) Footprint {
-	pkts, err := rtp.UnmarshalCompound(payload)
-	if err != nil {
-		if f, ok := d.reclassifyBoxed(base, ProtoRTCP, payload); ok {
-			return f
-		}
-		d.stats.Raw++
-		return &RawFootprint{FootprintBase: base, OnPort: ProtoRTCP, Reason: err.Error(), Len: len(payload)}
-	}
-	d.stats.RTCP++
-	return &RTCPFootprint{FootprintBase: base, Packets: pkts}
-}
-
-// reclassifyBoxed is reclassifyView's boxed-footprint form, used by the
-// allocating Distill path so both forms classify — and count — every
-// payload identically.
-func (d *Distiller) reclassifyBoxed(base FootprintBase, claimed Protocol, payload []byte) (Footprint, bool) {
-	var v FrameView
-	if !d.reclassifyView(claimed, payload, &v) {
-		return nil, false
-	}
-	v.At, v.Src, v.Dst = base.At, base.Src, base.Dst
-	return v.box(), true
+	d.finish(v, payload, d.dec.decode(ProtoSIP, kind == streamKindTunnel, payload, nil, v))
 }
 
 // CheckSIPFormat applies the strict well-formedness checks the IDS uses

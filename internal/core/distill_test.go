@@ -45,21 +45,29 @@ func sipBytes(t *testing.T) []byte {
 	return req.Marshal()
 }
 
+// distillOne runs one frame through DistillView, failing the test unless
+// it produces a footprint of the wanted protocol.
+func distillOne(t *testing.T, d *Distiller, at time.Duration, frame []byte, want Protocol) *FrameView {
+	t.Helper()
+	var v FrameView
+	if ok := d.DistillView(at, frame, &v); !ok || v.Proto != want {
+		t.Fatalf("footprint = %v (produced=%v), want %v", v.Proto, ok, want)
+	}
+	return &v
+}
+
 func TestDistillSIP(t *testing.T) {
 	d := NewDistiller()
 	frames := frameFor(t, 5060, 5060, sipBytes(t), 0)
-	fp := d.Distill(time.Second, frames[0])
-	sf, ok := fp.(*SIPFootprint)
-	if !ok {
-		t.Fatalf("footprint = %T", fp)
+	v := distillOne(t, d, time.Second, frames[0], ProtoSIP)
+	if v.Msg.CallID() != "dist@test" {
+		t.Errorf("Call-ID = %q", v.Msg.CallID())
 	}
-	if sf.Msg.CallID() != "dist@test" {
-		t.Errorf("Call-ID = %q", sf.Msg.CallID())
+	if len(v.Malformed) != 0 {
+		t.Errorf("clean message flagged: %v", v.Malformed)
 	}
-	if len(sf.Malformed) != 0 {
-		t.Errorf("clean message flagged: %v", sf.Malformed)
-	}
-	src, dst := sf.Flow()
+	// The boxed form (what an event carries) reports the same flow.
+	src, dst := v.box().(*SIPFootprint).Flow()
 	if src.Port() != 5060 || dst.Port() != 5060 || src.Addr() != dSrcIP {
 		t.Errorf("flow = %v -> %v", src, dst)
 	}
@@ -84,19 +92,17 @@ func TestDistillFragmentedSIP(t *testing.T) {
 	if len(frames) < 2 {
 		t.Fatalf("expected fragmentation, got %d frame(s)", len(frames))
 	}
-	var got Footprint
+	var v FrameView
 	for i, fr := range frames {
-		fp := d.Distill(time.Duration(i)*time.Millisecond, fr)
-		if fp != nil {
-			got = fp
+		if got := d.DistillView(time.Duration(i)*time.Millisecond, fr, &v); got != (i == len(frames)-1) {
+			t.Fatalf("fragment %d of %d: footprint = %v", i, len(frames), got)
 		}
 	}
-	sf, ok := got.(*SIPFootprint)
-	if !ok {
-		t.Fatalf("reassembled footprint = %T", got)
+	if v.Proto != ProtoSIP {
+		t.Fatalf("reassembled footprint = %v", v.Proto)
 	}
-	if len(sf.Msg.Body) != 2000 {
-		t.Errorf("body = %d bytes", len(sf.Msg.Body))
+	if len(v.Msg.Body) != 2000 {
+		t.Errorf("body = %d bytes", len(v.Msg.Body))
 	}
 	if d.Stats().Fragments == 0 {
 		t.Error("no fragments counted")
@@ -107,59 +113,47 @@ func TestDistillRTPAndRTCP(t *testing.T) {
 	d := NewDistiller()
 	pkt := rtp.Packet{Header: rtp.Header{Seq: 7, SSRC: 9}, Payload: make([]byte, 160)}
 	buf, _ := pkt.Marshal()
-	fp := d.Distill(0, frameFor(t, 40000, 40000, buf, 0)[0])
-	rf, ok := fp.(*RTPFootprint)
-	if !ok {
-		t.Fatalf("footprint = %T", fp)
-	}
-	if rf.Header.Seq != 7 || rf.PayloadLen != 160 {
-		t.Errorf("rtp footprint = %+v", rf)
+	v := distillOne(t, d, 0, frameFor(t, 40000, 40000, buf, 0)[0], ProtoRTP)
+	if v.RTP.Seq != 7 || v.RTP.PayloadLen != 160 {
+		t.Errorf("rtp view = %+v", v.RTP)
 	}
 
 	rtcpBuf, _ := rtp.MarshalCompound([]rtp.RTCPPacket{&rtp.ReceiverReport{SSRC: 9}})
-	fp = d.Distill(0, frameFor(t, 40001, 40001, rtcpBuf, 0)[0])
-	cf, ok := fp.(*RTCPFootprint)
-	if !ok {
-		t.Fatalf("rtcp footprint = %T", fp)
-	}
-	if len(cf.Packets) != 1 {
-		t.Errorf("rtcp packets = %d", len(cf.Packets))
+	v = distillOne(t, d, 0, frameFor(t, 40001, 40001, rtcpBuf, 0)[0], ProtoRTCP)
+	if v.RTCP.Packets != 1 {
+		t.Errorf("rtcp packets = %d", v.RTCP.Packets)
 	}
 }
 
 func TestDistillGarbageOnRTPPort(t *testing.T) {
 	d := NewDistiller()
 	garbage := []byte{0x00, 0x01, 0x02, 0x03, 0x04, 0x05, 0x06, 0x07, 0x08, 0x09, 0x0a, 0x0b}
-	fp := d.Distill(0, frameFor(t, 40666, 40000, garbage, 0)[0])
-	raw, ok := fp.(*RawFootprint)
-	if !ok {
-		t.Fatalf("footprint = %T", fp)
+	v := distillOne(t, d, 0, frameFor(t, 40666, 40000, garbage, 0)[0], ProtoOther)
+	if v.OnPort != ProtoRTP {
+		t.Errorf("OnPort = %v", v.OnPort)
 	}
-	if raw.OnPort != ProtoRTP {
-		t.Errorf("OnPort = %v", raw.OnPort)
+	if v.RawLen != len(garbage) {
+		t.Errorf("RawLen = %d", v.RawLen)
 	}
-	if raw.Len != len(garbage) {
-		t.Errorf("Len = %d", raw.Len)
+	if v.Reason == "" {
+		t.Error("raw view carries no reason")
 	}
 }
 
 func TestDistillAccounting(t *testing.T) {
 	d := NewDistiller()
 	txn := accounting.Txn{Kind: accounting.TxnStart, CallID: "c1", From: "a@d", To: "b@d", FromIP: dSrcIP}
-	fp := d.Distill(0, frameFor(t, 7010, accounting.DefaultPort, txn.Marshal(), 0)[0])
-	af, ok := fp.(*AcctFootprint)
-	if !ok {
-		t.Fatalf("footprint = %T", fp)
-	}
-	if af.Txn.CallID != "c1" || af.Txn.Kind != accounting.TxnStart {
-		t.Errorf("txn = %+v", af.Txn)
+	v := distillOne(t, d, 0, frameFor(t, 7010, accounting.DefaultPort, txn.Marshal(), 0)[0], ProtoAccounting)
+	if v.Txn.CallID != "c1" || v.Txn.Kind != accounting.TxnStart {
+		t.Errorf("txn = %+v", v.Txn)
 	}
 }
 
 func TestDistillIgnoresUnmonitoredPorts(t *testing.T) {
 	d := NewDistiller()
-	if fp := d.Distill(0, frameFor(t, 1234, 80, []byte("GET / HTTP/1.1"), 0)[0]); fp != nil {
-		t.Errorf("footprint = %v for web traffic", fp)
+	var v FrameView
+	if d.DistillView(0, frameFor(t, 1234, 80, []byte("GET / HTTP/1.1"), 0)[0], &v) {
+		t.Errorf("footprint = %v for web traffic", v.Proto)
 	}
 	if d.Stats().Ignored != 1 {
 		t.Errorf("Ignored = %d", d.Stats().Ignored)
@@ -168,7 +162,8 @@ func TestDistillIgnoresUnmonitoredPorts(t *testing.T) {
 
 func TestDistillUndecodableFrames(t *testing.T) {
 	d := NewDistiller()
-	if fp := d.Distill(0, []byte{1, 2, 3}); fp != nil {
+	var v FrameView
+	if d.DistillView(0, []byte{1, 2, 3}, &v) {
 		t.Error("footprint from 3-byte frame")
 	}
 	if d.Stats().DecodeError != 1 {

@@ -73,7 +73,7 @@ type Config struct {
 	// engine fans capture decode across (<= 1 keeps the single
 	// synchronous router; see ingest.go for the determinism argument).
 	// The serial engine ignores it. Checkpoints record the width for
-	// inspection only: the portable v3 format restores at any
+	// inspection only: portable checkpoints restore at any
 	// shards x ingesters geometry.
 	IngestRouters int
 }
@@ -141,16 +141,14 @@ func NewEngine(cfg Config, opts ...EngineOption) *Engine {
 	// so its portable checkpoints restore at any shard count. Shard-local
 	// engines (newShardEngine) nil both — the router owns that state.
 	e.gen.sticky = make(map[string]string)
-	e.distiller.frags = make(map[fragIdent]*fragGroup)
-	e.distiller.reasm.OnEvict(func(id packet.FragID) {
-		delete(e.distiller.frags, fragIdent{src: id.Src, dst: id.Dst, proto: id.Proto, id: id.ID})
-	})
+	e.distiller.frags = make(fragGroups)
+	e.distiller.reasm.OnEvict(e.distiller.frags.drop)
 	// Stream-transport demux (serial engine only, like sticky/frags above:
 	// the sharded router owns the only mux at shard counts > 0). Capacity
 	// evictions lose mid-message reassembly state, so each raises an
 	// ids-overload self-alert exactly as the sharded router does.
 	e.distiller.streams = newStreamMux()
-	e.distiller.streams.sniff = e.distiller.ladder.tunnelSniff
+	e.distiller.streams.sniff = e.distiller.dec.ladder.tunnelSniff
 	e.distiller.streams.reasm.SetLimit(cfg.Limits.MaxStreams)
 	e.distiller.streams.onEvict = func(id packet.StreamID, at time.Duration) {
 		e.rules.raiseSynthetic(Alert{

@@ -18,7 +18,8 @@ func FuzzDistill(f *testing.F) {
 	f.Add(make([]byte, 64))
 	f.Fuzz(func(t *testing.T, frame []byte) {
 		d := NewDistiller()
-		_ = d.Distill(time.Millisecond, frame)
+		var v FrameView
+		_ = d.DistillView(time.Millisecond, frame, &v)
 		if d.Stats().Frames != 1 {
 			t.Fatal("frame not accounted")
 		}
@@ -39,9 +40,11 @@ var fuzzClassifyPorts = []struct{ src, dst uint16 }{
 // FuzzDistillerClassify throws hostile payloads at every port-claim arm
 // of the content-confirmed classifier — seeded with the torture corpus
 // and the evasion shapes (RTP on signaling ports, SIP smuggled in RTP
-// payloads). The distiller must never panic, the boxed and view forms
-// must account identically, and every frame must land in exactly one
-// terminal ledger counter.
+// payloads). The distiller must never panic and every frame must land in
+// exactly one terminal ledger counter; and because the router decides a
+// frame's protocol with the same decode stage the distiller runs, the
+// serial engine and a 1-shard sharded engine must count the payload the
+// same way on every port pair.
 func FuzzDistillerClassify(f *testing.F) {
 	for _, e := range sip.TortureCorpus() {
 		f.Add(e.Raw, uint8(0))
@@ -54,31 +57,49 @@ func FuzzDistillerClassify(f *testing.F) {
 	f.Add([]byte{}, uint8(4))
 	f.Fuzz(func(t *testing.T, payload []byte, portSel uint8) {
 		ports := fuzzClassifyPorts[int(portSel)%len(fuzzClassifyPorts)]
-		frames, err := packet.BuildUDPFrames(packet.UDPFrameSpec{
+		spec := packet.UDPFrameSpec{
 			SrcMAC: packet.MAC{2, 0, 0, 0, 0, 1}, DstMAC: packet.MAC{2, 0, 0, 0, 0, 2},
 			SrcIP: netip.MustParseAddr("10.0.0.1"), DstIP: netip.MustParseAddr("10.0.0.2"),
 			SrcPort: ports.src, DstPort: ports.dst, IPID: 3, Payload: payload,
-		}, 0)
+		}
+		frames, err := packet.BuildUDPFrames(spec, 0)
 		if err != nil {
 			t.Skip() // payload exceeds what UDP can carry
 		}
-		boxed, viewed := NewDistiller(), NewDistiller()
+		d := NewDistiller()
 		var v FrameView
 		for i, frame := range frames {
-			_ = boxed.Distill(time.Duration(i)*time.Millisecond, frame)
-			_ = viewed.DistillView(time.Duration(i)*time.Millisecond, frame, &v)
+			_ = d.DistillView(time.Duration(i)*time.Millisecond, frame, &v)
 		}
-		bs, vs := boxed.Stats(), viewed.Stats()
-		if bs != vs {
-			t.Fatalf("boxed and view forms diverged:\nboxed %+v\nview  %+v", bs, vs)
+		st := d.Stats()
+		if st.Frames != len(frames) {
+			t.Fatalf("Frames = %d, fed %d", st.Frames, len(frames))
 		}
-		if bs.Frames != len(frames) {
-			t.Fatalf("Frames = %d, fed %d", bs.Frames, len(frames))
+		terminal := st.DecodeError + st.Fragments + st.Ignored + st.Streamed +
+			st.SIP + st.RTP + st.RTCP + st.Acct + st.Raw + st.Mismatched
+		if terminal != st.Frames+st.StreamMsgs {
+			t.Fatalf("ledger broken: terminal %d, inputs %d (%+v)", terminal, st.Frames+st.StreamMsgs, st)
 		}
-		terminal := bs.DecodeError + bs.Fragments + bs.Ignored + bs.Streamed +
-			bs.SIP + bs.RTP + bs.RTCP + bs.Acct + bs.Raw + bs.Mismatched
-		if terminal != bs.Frames+bs.StreamMsgs {
-			t.Fatalf("ledger broken: terminal %d, inputs %d (%+v)", terminal, bs.Frames+bs.StreamMsgs, bs)
+
+		serial := NewEngine(Config{})
+		sharded := NewShardedEngine(Config{}, 1)
+		defer sharded.Close()
+		at := time.Millisecond
+		for _, ports := range fuzzClassifyPorts {
+			spec.SrcPort, spec.DstPort = ports.src, ports.dst
+			frames, _ := packet.BuildUDPFrames(spec, 0)
+			for _, frame := range frames {
+				serial.HandleFrame(at, frame)
+				sharded.HandleFrame(at, frame)
+				at += time.Millisecond
+			}
+		}
+		sharded.Flush()
+		classified := func(st DistillerStats) [6]int {
+			return [6]int{st.SIP, st.RTP, st.RTCP, st.Acct, st.Raw, st.Mismatched}
+		}
+		if ss, gs := serial.DistillerStats(), sharded.DistillerStats(); classified(ss) != classified(gs) {
+			t.Fatalf("serial and sharded classified differently:\nserial  %+v\nsharded %+v", ss, gs)
 		}
 	})
 }
@@ -143,6 +164,60 @@ func fuzzSeedFrames(t testing.TB) [][]byte {
 	return out
 }
 
+// fuzzStreamSeed returns TCP-trunk seed traffic for the stream arm — a
+// sniffed RTP tunnel chunk, a keep-alive-prefixed RTP packet only the
+// ladder can classify once framed, and an INVITE split across segments —
+// concatenated in the shape fuzzFrameStream cuts back into whole frames:
+// every frame is at most 133 bytes and its first byte (destination MAC,
+// which nothing checks) encodes its own length.
+func fuzzStreamSeed(t testing.TB) []byte {
+	inv := sip.NewRequest(sip.RequestSpec{
+		Method:     sip.MethodInvite,
+		RequestURI: "sip:bob@pbx",
+		From:       sip.Address{URI: sip.URI{User: "alice", Host: "pbx"}}.WithTag("t1"),
+		To:         sip.Address{URI: sip.URI{User: "bob", Host: "pbx"}},
+		CallID:     "fuzzstream@pbx",
+		CSeq:       sip.CSeq{Seq: 1, Method: sip.MethodInvite},
+		Via:        sip.Via{Transport: "TCP", SentBy: "10.0.0.1"},
+	})
+	rtp100 := []byte{0x80, 0, 0, 100, 0, 0, 0x10, 0, 0, 0, 0, 9, 'm', 'e', 'd', 'i', 'a'}
+	rtp101 := []byte{'\r', '\n', 0x80, 0, 0, 101, 0, 0, 0x10, 0xa0, 0, 0, 0, 9, 'm', 'e', 'd', 'i', 'a', '\n', '\n'}
+	var out []byte
+	seq := uint32(1)
+	for i, payload := range [][]byte{rtp100, rtp101, inv.Marshal()} {
+		frames, err := packet.BuildTCPFrames(packet.TCPFrameSpec{
+			SrcMAC: packet.MAC{2, 0, 0, 0, 0, 1}, DstMAC: packet.MAC{2, 0, 0, 0, 0, 2},
+			SrcIP: netip.MustParseAddr("10.0.0.1"), DstIP: netip.MustParseAddr("10.0.0.2"),
+			SrcPort: 5060, DstPort: 5060, Seq: seq, Flags: packet.TCPFlagACK,
+			IPID: uint16(16 * (i + 1)), Payload: payload,
+		}, 119)
+		if err != nil {
+			t.Fatalf("seed segment: %v", err)
+		}
+		for _, fr := range frames {
+			fr[0] = byte(len(fr) - 14)
+			out = append(out, fr...)
+		}
+		seq += uint32(len(payload))
+	}
+	return out
+}
+
+// TestFuzzStreamSeedShape checks the seed survives the chunker and
+// reaches the stream arm: a seed that is cut mid-frame fuzzes nothing.
+func TestFuzzStreamSeedShape(t *testing.T) {
+	eng := NewEngine(Config{})
+	at := time.Millisecond
+	for _, fr := range fuzzFrameStream(fuzzStreamSeed(t)) {
+		eng.HandleFrame(at, fr)
+		at += 3 * time.Millisecond
+	}
+	st := eng.DistillerStats()
+	if st.DecodeError != 0 || st.Streamed != st.Frames || st.StreamMsgs != 3 || st.Mismatched != 2 || st.SIP != 1 {
+		t.Fatalf("seed did not reach the stream arm whole: %+v", st)
+	}
+}
+
 // FuzzShardedDivergence routes fuzzed frame streams through both the
 // serial Engine and a ShardedEngine and requires no panic and byte-equal
 // alert/event/stat outcomes.
@@ -152,6 +227,7 @@ func FuzzShardedDivergence(f *testing.F) {
 		seed = append(seed, fr...)
 	}
 	f.Add(seed, uint8(3))
+	f.Add(fuzzStreamSeed(f), uint8(1))
 	f.Add([]byte{}, uint8(1))
 	f.Add(make([]byte, 300), uint8(8))
 	f.Fuzz(func(t *testing.T, data []byte, nshards uint8) {
@@ -208,6 +284,7 @@ func FuzzIngestHandoff(f *testing.F) {
 		seed = append(seed, fr...)
 	}
 	f.Add(seed, uint8(2), uint8(3))
+	f.Add(fuzzStreamSeed(f), uint8(0), uint8(1))
 	f.Add([]byte{}, uint8(4), uint8(1))
 	f.Add(make([]byte, 300), uint8(3), uint8(8))
 	f.Fuzz(func(t *testing.T, data []byte, ningest, nshards uint8) {

@@ -14,9 +14,10 @@ import (
 
 func TestDistillerNeverPanicsOnRandomBytes(t *testing.T) {
 	d := NewDistiller()
+	var v FrameView
 	f := func(frame []byte) bool {
 		before := d.Stats()
-		_ = d.Distill(0, frame)
+		_ = d.DistillView(0, frame, &v)
 		after := d.Stats()
 		return after.Frames == before.Frames+1
 	}
@@ -32,11 +33,12 @@ func TestDistillerNeverPanicsOnMutatedValidFrames(t *testing.T) {
 	frames := frameFor(t, 5060, 5060, sipBytes(t), 0)
 	base := frames[0]
 	d := NewDistiller()
+	var v FrameView
 	for i := range base {
 		for _, x := range []byte{0x00, 0xff, 0x80} {
 			mut := append([]byte(nil), base...)
 			mut[i] ^= x
-			_ = d.Distill(time.Duration(i), mut)
+			_ = d.DistillView(time.Duration(i), mut, &v)
 		}
 	}
 }
@@ -50,8 +52,9 @@ func TestDistillerStatsAccounting(t *testing.T) {
 		frameFor(t, 1234, 80, []byte("GET /"), 0)[0],  // ignored
 		{0x01, 0x02}, // decode error
 	}
+	var v FrameView
 	for i, frame := range cases {
-		d.Distill(time.Duration(i), frame)
+		d.DistillView(time.Duration(i), frame, &v)
 	}
 	st := d.Stats()
 	if st.Frames != 4 {

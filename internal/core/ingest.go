@@ -13,13 +13,15 @@ package core
 //	                blocks     lane N ┘    stateful routing)
 //	                round-robin)
 //
-//   - N decode lanes each own a SIP parser and RTP/RTCP peek scratch and
-//     run the *stateless* per-frame work — the expensive part — fully in
-//     parallel, summarizing each frame into a small digest.
+//   - N decode lanes each own an instance of the decode stage
+//     (classify.go) and run that *stateless* per-frame work — the
+//     expensive part — fully in parallel, summarizing each frame into a
+//     small digest.
 //   - One sequencer consumes the digest batches in the exact order the
-//     feeder dealt them and replays only the *stateful* remainder
+//     feeder dealt them and runs only the *stateful* route stage
 //     (directory transitions, hinter verdicts, sticky-key pinning, shard
-//     handoff) under the routing lock, batch-at-a-time.
+//     handoff) under the routing lock, batch-at-a-time — the same stage
+//     the synchronous router runs on the digest it decodes inline.
 //
 // Determinism argument: the feeder deals whole batches to lanes in strict
 // rotation while holding feedMu, so the global batch order is the arrival
@@ -33,9 +35,10 @@ package core
 // tests in ingest_diff_test.go hold every (ingesters × shards) point to
 // byte-identical output with the serial engine.
 //
-// The only work a lane performs against shared state is claimPortOf,
-// whose claimPort implementations are pure functions of the port numbers
-// (see correlator.go) — safe to call concurrently with the sequencer.
+// The only work a lane performs against shared state is the registry's
+// port claims and content confirmers, which are pure functions of the
+// port numbers and payload bytes (see correlator.go, classify.go) — safe
+// to call concurrently with the sequencer.
 //
 // Deadlock freedom: the stages form a DAG (feeder → lane.in → lane.out →
 // sequencer → shard queues) with every edge a bounded channel and no
@@ -45,8 +48,8 @@ package core
 // HandleFrame — exactly the synchronous router's behavior.
 //
 // Steady-state frames allocate nothing: batches come from a fixed
-// recycled pool, digests are written in place, and lane scratch (parser,
-// peek views) is lane-owned. TestSteadyStateAllocs holds the RTP/RTCP
+// recycled pool, digests are written in place, and the lane's parser and
+// message slots are lane-owned. TestSteadyStateAllocs holds the RTP/RTCP
 // path with ingest lanes to 0 allocs/op.
 
 import (
@@ -56,8 +59,6 @@ import (
 	"time"
 
 	"scidive/internal/accounting"
-	"scidive/internal/packet"
-	"scidive/internal/rtp"
 	"scidive/internal/sip"
 )
 
@@ -70,58 +71,48 @@ const (
 	ingQueueDepth = 2
 )
 
-// ingDigestKind says how far a lane got with a frame, which is exactly
-// what the sequencer must replay to keep the router's clocks and state
-// serial-identical.
-type ingDigestKind uint8
-
-const (
-	// ingDrop: dropped before IPv4 decode (bad Ethernet/IPv4 framing).
-	// The synchronous router returns before touching the reassembler, so
-	// the sequencer advances nothing.
-	ingDrop ingDigestKind = iota
-	// ingClock: dropped after IPv4 decode (non-UDP protocol, bad UDP
-	// framing, or an unclaimed port). The synchronous router advanced the
-	// reassembly clocks first, so the sequencer does the same.
-	ingClock
-	// ingFrag: an IPv4 fragment. Reassembly is stateful, so the
-	// sequencer replays the whole frame through routeLocked.
-	ingFrag
-	// ingStream: a TCP segment. Stream transports are stateful end to end
-	// (reassembly cursors, framing buffers, flow teardown), so the
-	// sequencer replays the whole frame through routeLocked like a
-	// fragment.
-	ingStream
-	// Claimed-port digests: the lane pre-decoded the protocol payload;
-	// ok records whether the parse/peek succeeded.
-	ingSIP
-	ingAcct
-	ingRTP
-	ingRTCP
-)
-
-// ingDigest is one frame's decode summary, written in place by a lane
-// and consumed once by the sequencer.
+// ingDigest is one frame's decode summary — the few scalars the route
+// stage needs from a decoded view — written in place by a lane (or on
+// the synchronous router's stack) and consumed once by the router.
 type ingDigest struct {
-	kind     ingDigestKind
-	ok       bool
+	// pre is how far the prelude got, which is exactly what the sequencer
+	// must replay to keep the router's clocks and state serial-identical:
+	// nothing (preDrop), the reassembly clocks (preClock), the whole
+	// frame through the stateful reassembly of routeLocked (preFrag,
+	// preTCP), or the clocks plus the route stage (preDatagram).
+	pre      preludeKind
 	at       time.Duration
 	frame    []byte
 	src, dst netip.AddrPort
-	seq      uint16 // RTP sequence number (ingRTP, ok)
-	msg      int    // index into the batch's SIP message slots (ingSIP)
-	callID   string // accounting Call-ID (ingAcct, ok)
-	start    bool   // accounting START transaction (ingAcct, ok)
+	// The decode result (preDatagram): the protocol the payload
+	// dispatches under, and ok=false for a raw payload no decoder took.
+	proto  Protocol
+	ok     bool
+	seq    uint16       // RTP sequence number
+	msg    *sip.Message // parsed SIP message (aliases the frame)
+	callID string       // accounting Call-ID
+	start  bool         // accounting START transaction
+}
+
+// digest runs decode for a caller that keeps no view — the router and
+// the lanes, which want a routing decision and not a footprint — and
+// summarizes the result into d.
+func (dc *decoder) digest(claimed Protocol, sniffed bool, payload []byte, msg *sip.Message, d *ingDigest) {
+	var v FrameView
+	dc.decode(claimed, sniffed, payload, msg, &v)
+	d.proto, d.ok = v.dispatchProto(), v.Proto != ProtoOther
+	d.seq, d.msg = v.RTP.Seq, v.Msg
+	d.callID, d.start = v.Txn.CallID, v.Txn.Kind == accounting.TxnStart
 }
 
 // ingBatch carries ingBatchSize consecutive frames from the feeder
-// through one lane to the sequencer. SIP messages are parsed into the
-// batch's own slots (one per SIP frame); the parsed views alias the
-// retained frames, which outlive the batch's trip through the sequencer.
+// through one lane to the sequencer. A frame that decodes as SIP parses
+// into the batch's message slot of the same index; the parsed views
+// alias the retained frames, which outlive the batch's trip through the
+// sequencer.
 type ingBatch struct {
 	lane int
 	n    int
-	nmsg int
 	dig  [ingBatchSize]ingDigest
 	msgs [ingBatchSize]sip.Message
 }
@@ -132,7 +123,7 @@ type ingBatch struct {
 // synchronous router's single scratch message.
 func (b *ingBatch) reset() {
 	clear(b.dig[:b.n])
-	b.n, b.nmsg = 0, 0
+	b.n = 0
 }
 
 // ingMsg is one unit on a lane's channels: a digest batch, or a drain
@@ -142,15 +133,12 @@ type ingMsg struct {
 	marker chan struct{}
 }
 
-// ingLane is one decode worker: a goroutine with private parse scratch,
+// ingLane is one decode worker: a goroutine with a private decode stage,
 // fed batches over in, forwarding them decoded over out.
 type ingLane struct {
-	owner   *ShardedEngine
-	in      chan ingMsg
-	out     chan ingMsg
-	parser  *sip.Parser
-	rtpHdr  rtp.HeaderView
-	rtcpCmp rtp.CompoundView
+	in  chan ingMsg
+	out chan ingMsg
+	dec decoder
 
 	fed       atomic.Uint64
 	decoded   atomic.Uint64
@@ -188,10 +176,9 @@ func newIngestTier(s *ShardedEngine, n int) *ingestTier {
 	}
 	for i := range t.lanes {
 		l := &ingLane{
-			owner:  s,
-			in:     make(chan ingMsg, ingQueueDepth),
-			out:    make(chan ingMsg, ingQueueDepth),
-			parser: sip.NewParser(),
+			in:  make(chan ingMsg, ingQueueDepth),
+			out: make(chan ingMsg, ingQueueDepth),
+			dec: newDecoder(s.correlators),
 		}
 		t.lanes[i] = l
 		go l.run()
@@ -296,7 +283,7 @@ func (l *ingLane) run() {
 	for m := range l.in {
 		if b := m.batch; b != nil {
 			for i := 0; i < b.n; i++ {
-				l.decodeOne(b, &b.dig[i])
+				l.decodeOne(&b.dig[i], &b.msgs[i])
 			}
 			l.decoded.Add(uint64(b.n))
 		}
@@ -304,120 +291,14 @@ func (l *ingLane) run() {
 	}
 }
 
-// decodeOne runs the stateless half of routeLocked/classifyLocked for
-// one frame: framing decode, port classification and protocol peek. Each
-// early return mirrors a drop (or clock-advance) point of the
-// synchronous path; the digest kind tells the sequencer which one.
-func (l *ingLane) decodeOne(b *ingBatch, d *ingDigest) {
-	ef, err := packet.UnmarshalEthernet(d.frame)
-	if err != nil || ef.Type != packet.EtherTypeIPv4 {
-		d.kind = ingDrop
-		return
-	}
-	iph, ipPayload, err := packet.UnmarshalIPv4(ef.Payload)
-	if err != nil {
-		d.kind = ingDrop
-		return
-	}
-	if iph.FragOffset != 0 || iph.MoreFragments() {
-		d.kind = ingFrag
-		return
-	}
-	if iph.Protocol == packet.ProtoTCP {
-		d.kind = ingStream
-		return
-	}
-	if iph.Protocol != packet.ProtoUDP {
-		d.kind = ingClock
-		return
-	}
-	uh, udpPayload, err := packet.PeekUDP(iph.Src, iph.Dst, ipPayload)
-	if err != nil {
-		d.kind = ingClock
-		return
-	}
-	d.src = netip.AddrPortFrom(iph.Src, uh.SrcPort)
-	d.dst = netip.AddrPortFrom(iph.Dst, uh.DstPort)
-	proto, claimed := claimPortOf(l.owner.correlators, uh.SrcPort, uh.DstPort)
-	if !claimed {
-		d.kind = ingClock
-		return
-	}
-	switch proto {
-	case ProtoSIP:
-		d.kind = ingSIP
-		d.msg = b.nmsg
-		d.ok = l.parser.ParseInto(udpPayload, &b.msgs[b.nmsg]) == nil
-		b.nmsg++
-		if !d.ok {
-			l.reclassify(b, d, ProtoSIP, udpPayload)
-		}
-	case ProtoAccounting:
-		d.kind = ingAcct
-		txn, perr := accounting.ParseTxn(udpPayload)
-		d.ok = perr == nil
-		d.callID = txn.CallID
-		d.start = txn.Kind == accounting.TxnStart
-		if !d.ok {
-			l.reclassify(b, d, ProtoAccounting, udpPayload)
-		}
-	case ProtoRTP:
-		d.kind = ingRTP
-		d.ok = rtp.PeekHeader(udpPayload, &l.rtpHdr) == nil
-		d.seq = l.rtpHdr.Seq
-		if !d.ok {
-			l.reclassify(b, d, ProtoRTP, udpPayload)
-		}
-	case ProtoRTCP:
-		d.kind = ingRTCP
-		d.ok = rtp.PeekCompound(udpPayload, &l.rtcpCmp) == nil
-		if !d.ok {
-			l.reclassify(b, d, ProtoRTCP, udpPayload)
-		}
-	default:
-		// A claimed port with no routing rule ships nowhere — the
-		// synchronous classifyLocked returns ship=false after the clocks
-		// advanced.
-		d.kind = ingClock
-	}
-}
-
-// reclassify runs the content-confirmation ladder (classify.go) after a
-// claimed decode failed, rewriting the digest to the content protocol's
-// kind (with ok=true) when a rung's confirmation and full decode both
-// accept the payload. Like claimPortOf, the ladder is stateless — the
-// confirm functions and decoders touch only lane-owned scratch — so
-// lanes reclassify in parallel and the sequencer then routes the digest
-// exactly as the synchronous router's ladderRouteLocked would have.
-// Reclassification toward SIP consumes one of the batch's message slots,
-// like a natively claimed SIP frame (at most one slot per frame either
-// way: a failed claimed-SIP parse never reclassifies back to SIP).
-func (l *ingLane) reclassify(b *ingBatch, d *ingDigest, claimed Protocol, udpPayload []byte) {
-	for _, step := range l.owner.ladder {
-		if step.proto == claimed || !step.confirm(udpPayload) {
-			continue
-		}
-		switch step.proto {
-		case ProtoSIP:
-			if l.parser.ParseInto(udpPayload, &b.msgs[b.nmsg]) != nil {
-				continue
-			}
-			d.kind, d.ok, d.msg = ingSIP, true, b.nmsg
-			b.nmsg++
-			return
-		case ProtoRTP:
-			if rtp.PeekHeader(udpPayload, &l.rtpHdr) != nil {
-				continue
-			}
-			d.kind, d.ok, d.seq = ingRTP, true, l.rtpHdr.Seq
-			return
-		case ProtoRTCP:
-			if rtp.PeekCompound(udpPayload, &l.rtcpCmp) != nil {
-				continue
-			}
-			d.kind, d.ok = ingRTCP, true
-			return
-		}
+// decodeOne runs the decode stage for one frame. Fragments and TCP
+// segments stop at the prelude: what follows for them is stateful.
+func (l *ingLane) decodeOne(d *ingDigest, msg *sip.Message) {
+	var p prelude
+	l.dec.prelude(d.frame, &p)
+	if d.pre = p.kind; d.pre == preDatagram {
+		d.src, d.dst = p.src, p.dst
+		l.dec.digest(p.proto, false, p.payload, msg, d)
 	}
 }
 
@@ -451,7 +332,7 @@ func (t *ingestTier) sequence() {
 			if s.frameIdx%gcEvery == 0 {
 				s.expireLocked(d.at)
 			}
-			s.sequenceDigestLocked(s.frameIdx, b, d)
+			s.sequenceDigestLocked(s.frameIdx, d)
 		}
 		s.mu.Unlock()
 		t.lanes[b.lane].sequenced.Add(uint64(b.n))
@@ -460,44 +341,18 @@ func (t *ingestTier) sequence() {
 	}
 }
 
-// sequenceDigestLocked replays the stateful remainder of one frame's
-// routing: exactly the work routeLocked does after the point the lane's
-// digest captured.
-func (s *ShardedEngine) sequenceDigestLocked(idx uint64, b *ingBatch, d *ingDigest) {
-	switch d.kind {
-	case ingDrop:
-		return
-	case ingFrag, ingStream:
-		// Fragments and TCP segments take the full synchronous path:
-		// reassembly, group/stream buffering and the eventual handoff are
-		// all stateful.
+// sequenceDigestLocked replays what the synchronous routeLocked does
+// after the point the lane's digest captured.
+func (s *ShardedEngine) sequenceDigestLocked(idx uint64, d *ingDigest) {
+	switch d.pre {
+	case preFrag, preTCP:
 		s.routeLocked(idx, d.at, d.frame)
-		return
-	}
-	// Unfragmented past IPv4 decode: the synchronous path advanced the
-	// fragment-group prune and the reassembler's expiry clock (Insert
-	// expires first, then returns unfragmented packets untouched).
-	s.pruneFragsLocked(d.at)
-	s.reasm.Expire(d.at)
-	if d.kind == ingClock {
-		return
-	}
-	var routeKey string
-	var hints RouteHints
-	switch d.kind {
-	case ingSIP:
-		var m *sip.Message
-		if d.ok {
-			m = &b.msgs[d.msg]
+	case preClock, preDatagram:
+		// Unfragmented past IPv4 decode: the reassembly clocks advance
+		// (reassemble's default arm), then a datagram routes.
+		s.frags.expire(s.reasm, d.at)
+		if d.pre == preDatagram {
+			s.shipLocked(idx, d, nil)
 		}
-		routeKey, hints = s.classifySIPMsgLocked(d.at, d.src, d.dst, m)
-	case ingAcct:
-		routeKey = s.classifyAcctLocked(d.dst, d.callID, d.start, d.ok)
-	case ingRTP:
-		routeKey, hints = s.classifyRTPSeqLocked(d.at, d.src, d.dst, d.seq, d.ok)
-	case ingRTCP:
-		routeKey, hints = s.classifyRTCPFlowLocked(d.at, d.src, d.dst, d.ok)
 	}
-	shard := shardOf(s.resolveRouteLocked(routeKey), len(s.workers))
-	s.appendItemLocked(shard, shardItem{kind: itemFrame, idx: idx, at: d.at, frame: d.frame, hints: hints})
 }

@@ -9,11 +9,9 @@ import (
 	"sync/atomic"
 	"time"
 
-	"scidive/internal/accounting"
 	"scidive/internal/capture"
 	"scidive/internal/netsim"
 	"scidive/internal/packet"
-	"scidive/internal/rtp"
 	"scidive/internal/sip"
 )
 
@@ -88,7 +86,7 @@ type ShardedEngine struct {
 	frameIdx uint64
 	idx      *sessionIndex
 	reasm    *packet.Reassembler
-	frags    map[fragIdent]*fragGroup
+	frags    fragGroups
 	// streams is the router-owned stream-transport demux (TCP reassembly +
 	// SIP framing). It is the ONLY stream state in the sharded engine:
 	// shards receive already-extracted messages, so stream expiry and
@@ -101,26 +99,19 @@ type ShardedEngine struct {
 	// is mutated under mu; their eviction counters are atomics, read
 	// lock-free by Stats).
 	correlators []Correlator
-	// ladder is the content-confirmation reclassification ladder derived
-	// from the same correlator registry (classify.go): when a claimed
-	// protocol's decode fails here, the router reclassifies exactly as the
-	// shard's distiller will, so a reclassified frame still routes to the
-	// session its content belongs to.
-	ladder  classifyLadder
+	// dec is the router's instance of the decode stage (classify.go) over
+	// that registry — the same stage the shard's distiller runs on the
+	// shipped frame, so a reclassified frame routes to the session its
+	// content belongs to. Its SIP messages parse into msg, one reusable
+	// scratch message: routing never retains it, only interned strings
+	// flow into the directory.
+	dec     decoder
+	msg     sip.Message
 	sticky  map[string]string // Call-ID -> routing key (pinned on first sighting)
 	pending [][]shardItem
-
-	// Router-side decode scratch, used under mu: a pooled SIP parser with
-	// one reusable message (classify never retains the message — only
-	// interned strings flow into the directory) and peek views for
-	// RTP/RTCP, so classification allocates nothing per frame.
-	parser  *sip.Parser
-	msg     sip.Message
-	rtpHdr  rtp.HeaderView
-	rtcpCmp rtp.CompoundView
 	// hints is per-frame scratch for the hinter passes: taking the
 	// address of a local RouteHints forces a heap escape through the
-	// hinter interfaces, so classify reuses this field instead.
+	// hinter interfaces, so classification reuses this field instead.
 	hints RouteHints
 
 	frames           atomic.Uint64
@@ -159,27 +150,6 @@ type ShardedEngine struct {
 	cbMu    sync.Mutex
 	onAlert func(Alert)
 	onEvent func(Event)
-}
-
-// fragIdent mirrors the reassembler's fragment-stream identity.
-type fragIdent struct {
-	src, dst netip.Addr
-	proto    uint8
-	id       uint16
-}
-
-// fragGroup buffers the original frames of one in-progress fragment
-// stream so the whole datagram can ship to one shard once its session
-// key is known. first mirrors the reassembler's eviction clock.
-type fragGroup struct {
-	frames []routedFrame
-	first  time.Duration
-}
-
-// routedFrame is one raw frame with its capture time.
-type routedFrame struct {
-	at    time.Duration
-	frame []byte
 }
 
 // shippedMsg is one stream-extracted SIP message (or tunneled media
@@ -383,15 +353,14 @@ func NewShardedEngine(cfg Config, shards int, opts ...EngineOption) *ShardedEngi
 		opts:        opts,
 		idx:         newSessionIndex(),
 		reasm:       packet.NewReassembler(0),
-		frags:       make(map[fragIdent]*fragGroup),
+		frags:       make(fragGroups),
 		correlators: buildCorrelators(cfg.Correlators, cfg.Gen.withDefaults()),
-		parser:      sip.NewParser(),
 		sticky:      make(map[string]string),
 		selfDedup:   make(map[string]int),
 		pending:     make([][]shardItem, shards),
 		workers:     make([]*shardWorker, shards),
 	}
-	s.ladder = ladderOf(s.correlators)
+	s.dec = newDecoder(s.correlators)
 	s.liveRules.Store(&s.cfg.Rules)
 	// The router's correlator instances enforce the full (global) budget;
 	// shard instances get those caps zeroed (see shardLocalLimits).
@@ -414,10 +383,10 @@ func NewShardedEngine(cfg Config, shards int, opts ...EngineOption) *ShardedEngi
 	s.reasm.SetLimit(cfg.Limits.MaxFragGroups)
 	s.reasm.OnEvict(func(id packet.FragID) {
 		s.capFrags.Add(1)
-		delete(s.frags, fragIdent{src: id.Src, dst: id.Dst, proto: id.Proto, id: id.ID})
+		s.frags.drop(id)
 	})
 	s.streams = newStreamMux()
-	s.streams.sniff = s.ladder.tunnelSniff
+	s.streams.sniff = s.dec.ladder.tunnelSniff
 	s.streams.reasm.SetLimit(cfg.Limits.MaxStreams)
 	s.streams.onEvict = func(id packet.StreamID, at time.Duration) {
 		s.capStreams.Add(1)
@@ -464,8 +433,8 @@ func (s *ShardedEngine) newShardEngine() *Engine {
 	eng := NewEngine(wcfg, s.opts...)
 	// Shard engines never own router-side routing state: the router keeps
 	// the sticky routing keys, buffered fragment groups and the stream
-	// mux, so the serial engine's mirrors stay nil here (nil-map deletes
-	// in the eviction hooks are no-ops).
+	// mux, so the serial engine's copies stay nil here (the reassembler's
+	// eviction hook then drops from an orphaned empty table).
 	eng.gen.sticky = nil
 	eng.distiller.frags = nil
 	eng.distiller.streams = nil
@@ -589,120 +558,57 @@ func (s *ShardedEngine) expireLocked(at time.Duration) {
 	}
 }
 
-// routeLocked peeks at a frame, updates the routing directory, and ships
-// the frame (with hints) to its shard. Every drop point below matches a
-// path where the serial distiller produces no footprint, so dropped
-// frames are exactly the frames no shard needs.
+// routeLocked is the synchronous router: the ingest lanes' decode run
+// inline, then the stateful route stage. Every path that ships nothing
+// matches a path where the serial distiller produces no footprint, so
+// dropped frames are exactly the frames no shard needs. Fragments and
+// TCP segments from the ingest sequencer come through here whole: their
+// reassembly is stateful end to end.
 func (s *ShardedEngine) routeLocked(idx uint64, at time.Duration, frame []byte) {
-	ef, err := packet.UnmarshalEthernet(frame)
-	if err != nil || ef.Type != packet.EtherTypeIPv4 {
-		return
+	var p prelude
+	s.dec.prelude(frame, &p)
+	group := s.dec.reassemble(s.reasm, s.frags, at, frame, false, &p)
+	switch p.kind {
+	case preTCP:
+		s.routeStreamLocked(idx, at, &p)
+	case preDatagram:
+		d := ingDigest{at: at, frame: frame, src: p.src, dst: p.dst}
+		s.dec.digest(p.proto, false, p.payload, &s.msg, &d)
+		s.shipLocked(idx, &d, group)
 	}
-	iph, ipPayload, err := packet.UnmarshalIPv4(ef.Payload)
-	if err != nil {
-		return
-	}
-	// The reassembler expires stale fragment streams at every Insert;
-	// prune the buffered frame groups on the same clock so the two can
-	// never disagree about which stream a fragment belongs to. Capacity
-	// evictions are mirrored through the OnEvict hook.
-	s.pruneFragsLocked(at)
-	fragmented := iph.FragOffset != 0 || iph.MoreFragments()
-	full, payload, done, err := s.reasm.Insert(iph, ipPayload, at)
-	key := fragIdent{src: iph.Src, dst: iph.Dst, proto: iph.Protocol, id: iph.ID}
-	if err != nil {
-		// The reassembler creates its buffer before the oversize check but
-		// after the alignment check; mirror that so group lifetimes track
-		// buffer lifetimes exactly. The frame itself contributed nothing.
-		alignErr := iph.FragOffset != 0 && len(ipPayload)%8 != 0 && iph.MoreFragments()
-		if fragmented && !alignErr {
-			if s.frags[key] == nil {
-				s.frags[key] = &fragGroup{first: at}
-			}
-		}
-		return
-	}
-	if !done {
-		grp := s.frags[key]
-		if grp == nil {
-			grp = &fragGroup{first: at}
-			s.frags[key] = grp
-		}
-		grp.frames = append(grp.frames, routedFrame{at: at, frame: frame})
-		return
-	}
-	var group []routedFrame
-	if fragmented {
-		if grp := s.frags[key]; grp != nil {
-			group = grp.frames
-			delete(s.frags, key)
-		}
-	}
-	if full.Protocol != packet.ProtoUDP {
-		if full.Protocol == packet.ProtoTCP {
-			s.routeStreamLocked(idx, at, full.Src, full.Dst, payload)
-		}
-		return
-	}
-	uh, udpPayload, err := packet.PeekUDP(full.Src, full.Dst, payload)
-	if err != nil {
-		return
-	}
-	src := netip.AddrPortFrom(full.Src, uh.SrcPort)
-	dst := netip.AddrPortFrom(full.Dst, uh.DstPort)
-	routeKey, hints, ship := s.classifyLocked(at, src, dst, udpPayload)
-	if !ship {
-		return
-	}
+}
+
+// shipLocked routes one decoded datagram and queues its frame — or, for
+// a datagram the reassembler completed, its whole fragment group — on
+// the session's shard with the router's hints.
+func (s *ShardedEngine) shipLocked(idx uint64, d *ingDigest, group []routedFrame) {
+	routeKey, hints := s.dispatchLocked(d, "")
 	shard := shardOf(s.resolveRouteLocked(routeKey), len(s.workers))
 	if group == nil {
-		s.appendItemLocked(shard, shardItem{kind: itemFrame, idx: idx, at: at, frame: frame, hints: hints})
+		s.appendItemLocked(shard, shardItem{kind: itemFrame, idx: idx, at: d.at, frame: d.frame, hints: hints})
 		return
 	}
-	group = append(group, routedFrame{at: at, frame: frame})
+	group = append(group, routedFrame{at: d.at, frame: d.frame})
 	s.appendItemLocked(shard, shardItem{kind: itemGroup, idx: idx, group: group, hints: hints})
 }
 
-// pruneFragsLocked drops buffered fragment groups on the reassembler's
-// eviction schedule.
-func (s *ShardedEngine) pruneFragsLocked(now time.Duration) {
-	for k, grp := range s.frags {
-		if now-grp.first > packet.DefaultReassemblyTimeout {
-			delete(s.frags, k)
-		}
-	}
-}
-
-// classifyLocked computes the routing key plus hints for a datagram. The
-// protocol comes from the registered correlators' port claims — the same
-// claims the shards' distillers consult, so router and shard can never
-// disagree about a port's protocol. ship=false means no correlator
-// claimed the port, so the serial engine would produce no footprint.
-func (s *ShardedEngine) classifyLocked(at time.Duration, src, dst netip.AddrPort, udpPayload []byte) (string, RouteHints, bool) {
-	proto, claimed := claimPortOf(s.correlators, src.Port(), dst.Port())
-	if !claimed {
-		return "", RouteHints{}, false
-	}
-	switch proto {
+// dispatchLocked is the one stateful route stage: given what the decode
+// stage made of a payload — datagram, framed stream message or tunnel
+// chunk alike — it runs the content protocol's directory transition and
+// hinter passes in global arrival order and returns the routing key and
+// the hints the shard will need. A raw payload (ok=false) dispatches
+// under the protocol its port claimed, as the generator does. flowKey is
+// the carrying TCP flow's routing key, empty for datagrams.
+func (s *ShardedEngine) dispatchLocked(d *ingDigest, flowKey string) (string, RouteHints) {
+	switch d.proto {
 	case ProtoSIP:
-		key, hints := s.classifySIPLocked(at, src, dst, udpPayload)
-		return key, hints, true
+		return s.classifySIPMsgLocked(d.at, d.src, d.dst, d.msg, flowKey)
 	case ProtoAccounting:
-		txn, err := accounting.ParseTxn(udpPayload)
-		if err != nil {
-			if key, hints, ok := s.ladderRouteLocked(ProtoAccounting, at, src, dst, udpPayload); ok {
-				return key, hints, true
-			}
-		}
-		return s.classifyAcctLocked(dst, txn.CallID, txn.Kind == accounting.TxnStart, err == nil), RouteHints{}, true
+		return s.classifyAcctLocked(d.dst, d.callID, d.start, d.ok), RouteHints{}
 	case ProtoRTP:
-		key, hints := s.classifyRTPLocked(at, src, dst, udpPayload)
-		return key, hints, true
-	case ProtoRTCP:
-		key, hints := s.classifyRTCPLocked(at, src, dst, udpPayload)
-		return key, hints, true
-	default:
-		return "", RouteHints{}, false
+		return s.classifyRTPSeqLocked(d.at, d.src, d.dst, d.seq, d.ok)
+	default: // ProtoRTCP
+		return s.classifyRTCPFlowLocked(d.at, d.src, d.dst, d.ok)
 	}
 }
 
@@ -719,65 +625,11 @@ func (s *ShardedEngine) classifyAcctLocked(dst netip.AddrPort, callID string, st
 	return callID
 }
 
-func (s *ShardedEngine) classifySIPLocked(at time.Duration, src, dst netip.AddrPort, udpPayload []byte) (string, RouteHints) {
-	// ParseInto reuses the router's message and aliases the frame's body;
-	// neither outlives this call — applySIP and the hinters extract only
-	// interned strings and scalar verdicts.
-	m := &s.msg
-	if err := s.parser.ParseInto(udpPayload, &s.msg); err != nil {
-		if key, hints, ok := s.ladderRouteLocked(ProtoSIP, at, src, dst, udpPayload); ok {
-			return key, hints
-		}
-		m = nil
-	}
-	return s.classifySIPMsgLocked(at, src, dst, m)
-}
-
-// ladderRouteLocked is the router's half of content-confirmed
-// reclassification (classify.go): after the claimed protocol's decode
-// failed, it walks the same ladder the shard's distiller will walk and,
-// on the first protocol whose confirmation and full decode both accept
-// the payload, runs that protocol's normal stateful classification — so
-// a reclassified frame lands on the shard of the session its content
-// belongs to, with the same hints a natively classified frame would
-// carry. ok=false means no rung accepted and the caller falls through to
-// its raw path, exactly as before the ladder existed.
-func (s *ShardedEngine) ladderRouteLocked(claimed Protocol, at time.Duration, src, dst netip.AddrPort, udpPayload []byte) (string, RouteHints, bool) {
-	for _, step := range s.ladder {
-		if step.proto == claimed || !step.confirm(udpPayload) {
-			continue
-		}
-		switch step.proto {
-		case ProtoSIP:
-			if s.parser.ParseInto(udpPayload, &s.msg) != nil {
-				continue
-			}
-			key, hints := s.classifySIPMsgLocked(at, src, dst, &s.msg)
-			return key, hints, true
-		case ProtoRTP:
-			if rtp.PeekHeader(udpPayload, &s.rtpHdr) != nil {
-				continue
-			}
-			key, hints := s.classifyRTPSeqLocked(at, src, dst, s.rtpHdr.Seq, true)
-			return key, hints, true
-		case ProtoRTCP:
-			if rtp.PeekCompound(udpPayload, &s.rtcpCmp) != nil {
-				continue
-			}
-			key, hints := s.classifyRTCPFlowLocked(at, src, dst, true)
-			return key, hints, true
-		}
-	}
-	return "", RouteHints{}, false
-}
-
 // classifySIPMsgLocked is the stateful half of SIP classification: it
-// takes an already-parsed message (nil for an unparseable datagram on a
-// SIP port) and runs the directory transition, hinters, binding
-// replication and sticky-key pinning. The synchronous router parses into
-// its own scratch message; the ingest sequencer passes messages the
-// ingest lanes parsed in parallel (see ingest.go).
-func (s *ShardedEngine) classifySIPMsgLocked(at time.Duration, src, dst netip.AddrPort, m *sip.Message) (string, RouteHints) {
+// takes an already-parsed message (nil for undecodable bytes on a SIP
+// port) and runs the directory transition, hinters, binding replication
+// and sticky-key pinning.
+func (s *ShardedEngine) classifySIPMsgLocked(at time.Duration, src, dst netip.AddrPort, m *sip.Message, flowKey string) (string, RouteHints) {
 	if m == nil {
 		return s.idx.endpointKey('w', "raw:", dst), RouteHints{}
 	}
@@ -806,19 +658,24 @@ func (s *ShardedEngine) classifySIPMsgLocked(at time.Duration, src, dst netip.Ad
 		}
 	}
 	st.lastSeen = at
-	// Pin the routing key on the dialog's first sighting. A correlator
-	// with cross-dialog state overrides the default Call-ID key (the im
-	// correlator routes MESSAGE dialogs by "im:" + sender AOR, the
-	// options-scan correlator routes OPTIONS probes by source) so its
-	// state colocates on one shard across Call-IDs.
+	// Pin the routing key on the dialog's first sighting. On a stream
+	// that is the flow's key: every message of the stream already routes
+	// there, so flow affinity wins and the dialog's media and accounting
+	// follow the stream's shard. Otherwise it is the Call-ID, unless a
+	// correlator with cross-dialog state overrides it (the im correlator
+	// routes MESSAGE dialogs by "im:" + sender AOR, the options-scan
+	// correlator routes OPTIONS probes by source) so its state colocates
+	// on one shard across Call-IDs.
 	routeKey, ok := s.sticky[st.callID]
 	if !ok {
-		routeKey = st.callID
-		for _, c := range s.correlators {
-			if rk, isKeyer := c.(sipRouteKeyer); isKeyer {
-				if k, claimed := rk.sipRouteKey(m, out, src); claimed {
-					routeKey = k
-					break
+		if routeKey = flowKey; routeKey == "" {
+			routeKey = st.callID
+			for _, c := range s.correlators {
+				if rk, isKeyer := c.(sipRouteKeyer); isKeyer {
+					if k, claimed := rk.sipRouteKey(m, out, src); claimed {
+						routeKey = k
+						break
+					}
 				}
 			}
 		}
@@ -828,37 +685,30 @@ func (s *ShardedEngine) classifySIPMsgLocked(at time.Duration, src, dst netip.Ad
 }
 
 // routeStreamLocked is the stream-transport arm of the router: a TCP
-// segment feeds the router-owned mux, and every SIP message it completes
-// is classified here in arrival order, copied, and shipped to the flow's
-// shard as ONE item — the messages' merge ordinals stay contiguous, so
-// coalesced messages keep the serial engine's output order. TCP frames
-// that complete no message (handshakes, partial messages, unclaimed
-// ports) ship nothing, exactly the frames the serial engine produces no
-// footprint for.
-func (s *ShardedEngine) routeStreamLocked(idx uint64, at time.Duration, srcIP, dstIP netip.Addr, seg []byte) {
-	th, payload, err := packet.PeekTCP(srcIP, dstIP, seg)
-	if err != nil {
+// segment feeds the router-owned mux, and everything it completes —
+// framed SIP messages and sniffed tunnel chunks — goes through the same
+// decode and dispatch as a datagram, in arrival order. The results are
+// copied and shipped to the flow's shard as ONE item (the route key of
+// each is ignored: stream order and the merge ordinals of coalesced
+// messages must hold; the hints are kept). TCP frames that complete
+// nothing (handshakes, partial messages, unclaimed ports) ship nothing,
+// exactly the frames the serial engine produces no footprint for.
+func (s *ShardedEngine) routeStreamLocked(idx uint64, at time.Duration, p *prelude) {
+	th, ok := s.dec.segment(p)
+	if !ok {
 		return
 	}
-	if proto, claimed := claimPortOf(s.correlators, th.SrcPort, th.DstPort); !claimed || proto != ProtoSIP {
-		return
-	}
-	src := netip.AddrPortFrom(srcIP, th.SrcPort)
-	dst := netip.AddrPortFrom(dstIP, th.DstPort)
-	s.streams.push(at, src, dst, th, payload)
+	s.streams.push(at, p.src, p.dst, th, p.payload)
 	msgs := s.streams.drain()
 	if len(msgs) == 0 {
 		return
 	}
-	flowKey := streamFlowKey(src, dst)
+	flowKey := streamFlowKey(p.src, p.dst)
 	ship := make([]shippedMsg, len(msgs))
 	for i, sm := range msgs {
-		var hints RouteHints
-		if sm.kind == streamKindTunnel {
-			hints = s.classifyStreamTunnelLocked(sm.at, sm.src, sm.dst, sm.payload)
-		} else {
-			hints = s.classifyStreamSIPLocked(sm.at, sm.src, sm.dst, sm.payload, flowKey)
-		}
+		d := ingDigest{at: sm.at, src: sm.src, dst: sm.dst}
+		s.dec.digest(ProtoSIP, sm.kind == streamKindTunnel, sm.payload, &s.msg, &d)
+		_, hints := s.dispatchLocked(&d, flowKey)
 		ship[i] = shippedMsg{at: sm.at, src: sm.src, dst: sm.dst,
 			payload: append([]byte(nil), sm.payload...), hints: hints, kind: sm.kind}
 	}
@@ -866,88 +716,9 @@ func (s *ShardedEngine) routeStreamLocked(idx uint64, at time.Duration, srcIP, d
 		shardItem{kind: itemStream, idx: idx, at: at, msgs: ship})
 }
 
-// classifyStreamSIPLocked runs the router's directory transition, hinter
-// passes and binding replication for one stream-extracted SIP message,
-// mirroring classifySIPMsgLocked with one difference: a dialog first
-// sighted on a stream pins its sticky key to the flow's routing key
-// (every message of the stream already routes there — flow affinity wins
-// over the Call-ID and keyer overrides), so the dialog's media and
-// accounting follow the stream's shard.
-func (s *ShardedEngine) classifyStreamSIPLocked(at time.Duration, src, dst netip.AddrPort, payload []byte, flowKey string) RouteHints {
-	if err := s.parser.ParseInto(payload, &s.msg); err != nil {
-		return RouteHints{}
-	}
-	m := &s.msg
-	st, out := s.idx.applySIP(m, at, src)
-	s.hints = RouteHints{}
-	for _, c := range s.correlators {
-		if sh, ok := c.(sipHinter); ok {
-			sh.sipHint(at, src, dst, m, out, &s.hints)
-		}
-	}
-	if out.regOK && out.bindingIP.IsValid() {
-		for i := range s.workers {
-			s.appendItemLocked(i, shardItem{kind: itemBinding, aor: out.regAOR, ip: out.bindingIP})
-		}
-	}
-	if out.established {
-		for _, c := range s.correlators {
-			if o, ok := c.(establishObserver); ok {
-				o.onEstablished(st)
-			}
-		}
-	}
-	st.lastSeen = at
-	if _, ok := s.sticky[st.callID]; !ok {
-		s.sticky[st.callID] = flowKey
-	}
-	return s.hints
-}
-
-// classifyStreamTunnelLocked runs the stateful classification for a
-// media chunk tunneled over a SIP-claimed TCP stream. The chunk still
-// routes with its flow (stream order and the shipped payload's merge
-// ordinal must hold), so only the hints matter here — but the directory
-// transitions (session touch, rtp continuity hint) run exactly as they
-// would for the equivalent datagram, in global arrival order. Mirrors
-// the shard-side decode in distillStreamMessage's tunnel arm.
-func (s *ShardedEngine) classifyStreamTunnelLocked(at time.Duration, src, dst netip.AddrPort, payload []byte) RouteHints {
-	for _, step := range s.ladder {
-		if step.proto == ProtoSIP || !step.confirm(payload) {
-			continue
-		}
-		switch step.proto {
-		case ProtoRTP:
-			if rtp.PeekHeader(payload, &s.rtpHdr) != nil {
-				continue
-			}
-			_, hints := s.classifyRTPSeqLocked(at, src, dst, s.rtpHdr.Seq, true)
-			return hints
-		case ProtoRTCP:
-			if rtp.PeekCompound(payload, &s.rtcpCmp) != nil {
-				continue
-			}
-			_, hints := s.classifyRTCPFlowLocked(at, src, dst, true)
-			return hints
-		}
-	}
-	return RouteHints{}
-}
-
-func (s *ShardedEngine) classifyRTPLocked(at time.Duration, src, dst netip.AddrPort, udpPayload []byte) (string, RouteHints) {
-	ok := rtp.PeekHeader(udpPayload, &s.rtpHdr) == nil
-	if !ok {
-		if key, hints, lok := s.ladderRouteLocked(ProtoRTP, at, src, dst, udpPayload); lok {
-			return key, hints
-		}
-	}
-	return s.classifyRTPSeqLocked(at, src, dst, s.rtpHdr.Seq, ok)
-}
-
 // classifyRTPSeqLocked is the stateful half of RTP classification: only
-// the peeked sequence number (and whether the peek succeeded) is needed
-// from the datagram, so ingest lanes can do the header decode off the
-// routing lock.
+// the peeked sequence number (and whether the payload decoded) is needed
+// from the datagram.
 func (s *ShardedEngine) classifyRTPSeqLocked(at time.Duration, src, dst netip.AddrPort, seq uint16, ok bool) (string, RouteHints) {
 	if !ok {
 		// Garbage on a media port: the serial generator attributes the
@@ -971,16 +742,6 @@ func (s *ShardedEngine) classifyRTPSeqLocked(at time.Duration, src, dst netip.Ad
 		st.lastSeen = at
 	}
 	return session, s.hints
-}
-
-func (s *ShardedEngine) classifyRTCPLocked(at time.Duration, src, dst netip.AddrPort, udpPayload []byte) (string, RouteHints) {
-	ok := rtp.PeekCompound(udpPayload, &s.rtcpCmp) == nil
-	if !ok {
-		if key, hints, lok := s.ladderRouteLocked(ProtoRTCP, at, src, dst, udpPayload); lok {
-			return key, hints
-		}
-	}
-	return s.classifyRTCPFlowLocked(at, src, dst, ok)
 }
 
 // classifyRTCPFlowLocked is the stateful half of RTCP classification:

@@ -785,3 +785,92 @@ func TestShardedDiffExpiryInterleaved(t *testing.T) {
 		}
 	}
 }
+
+// tcpSegments frames each payload as one in-order TCP segment of a single
+// 10.0.0.1:5060 -> 10.0.0.2:5060 stream, 10 ms apart.
+func tcpSegments(t testing.TB, payloads ...[]byte) []rec {
+	t.Helper()
+	var out []rec
+	seq := uint32(1000)
+	for i, payload := range payloads {
+		frames, err := packet.BuildTCPFrames(packet.TCPFrameSpec{
+			SrcMAC: packet.MAC{2, 0, 0, 0, 0, 1}, DstMAC: packet.MAC{2, 0, 0, 0, 0, 2},
+			SrcIP: netip.MustParseAddr("10.0.0.1"), DstIP: netip.MustParseAddr("10.0.0.2"),
+			SrcPort: 5060, DstPort: 5060, Seq: seq, Flags: packet.TCPFlagACK,
+			IPID: uint16(i + 1), Payload: payload,
+		}, 0)
+		if err != nil || len(frames) != 1 {
+			t.Fatalf("segment %d: %d frames, err %v", i, len(frames), err)
+		}
+		out = append(out, rec{at: time.Duration(i+1) * 10 * time.Millisecond, frame: frames[0]})
+		seq += uint32(len(payload))
+	}
+	return out
+}
+
+// streamLadderRTP is the stream-arm ladder divergence: a bare RTP packet
+// on a SIP trunk (sniffed, tunnel chunk), then a keep-alive CRLF glued to
+// a second RTP packet whose payload ends "\n\n" — the framer skips the
+// keep-alive and frames the packet as a "SIP message", which only the
+// ladder can file as RTP. A router that does not walk the ladder for
+// framed messages leaves the shard to judge continuity alone, and the
+// second packet raises a second rtp-new-flow.
+func streamLadderRTP(t testing.TB) []rec {
+	t.Helper()
+	pkt := func(seq uint16, payload string) []byte {
+		p := rtp.Packet{Header: rtp.Header{PayloadType: rtp.PayloadTypePCMU, Seq: seq, Timestamp: 160 * uint32(seq), SSRC: 9}, Payload: []byte(payload)}
+		buf, err := p.Marshal()
+		if err != nil {
+			t.Fatal(err)
+		}
+		return buf
+	}
+	return tcpSegments(t, pkt(100, "media"), append([]byte("\r\n"), pkt(101, "media\n\n")...))
+}
+
+// streamLadderRTCP is the RTCP analogue: a bare receiver report, then a
+// keep-alive CRLF glued to a BYE compound that tiles exactly and whose
+// reason text ends "\n\n". RTCP carries no router-side verdict beyond the
+// session attribution the shard can redo, so this shape never diverged;
+// it is kept as a plain equivalence case.
+func streamLadderRTCP(t testing.TB) []rec {
+	t.Helper()
+	compound := func(pkts ...rtp.RTCPPacket) []byte {
+		buf, err := rtp.MarshalCompound(pkts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return buf
+	}
+	return tcpSegments(t,
+		compound(&rtp.ReceiverReport{SSRC: 9}),
+		append([]byte("\r\n"), compound(&rtp.Bye{SSRCs: []uint32{9}, Reason: "a\n\n"})...))
+}
+
+// TestShardedDiffStreamLadder holds serial ≡ sharded on framed stream
+// messages that only the reclassification ladder can decode: the router
+// must classify them with the same decode stage the shard's distiller
+// runs, or its hints and the shard's verdict part ways.
+func TestShardedDiffStreamLadder(t *testing.T) {
+	for _, tc := range []struct {
+		name   string
+		frames []rec
+	}{
+		{"rtp", streamLadderRTP(t)},
+		{"rtcp", streamLadderRTCP(t)},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			diffIngestRunsCfg(t, "stream-ladder-"+tc.name, tc.frames, core.Config{}, []int{1, 2}, diffShardCounts)
+			// Both segments must have reached the content protocol's
+			// correlator as reclassified stream messages, or the case
+			// pins nothing.
+			eng := core.NewEngine(core.Config{})
+			for _, r := range tc.frames {
+				eng.HandleFrame(r.at, r.frame)
+			}
+			if st := eng.DistillerStats(); st.Streamed != 2 || st.StreamMsgs != 2 || st.Mismatched != 2 {
+				t.Fatalf("stream messages not reclassified: %+v", st)
+			}
+		})
+	}
+}
