@@ -7,7 +7,6 @@ import (
 	"testing"
 	"time"
 
-	"scidive/internal/packet"
 	"scidive/internal/rtp"
 	"scidive/internal/sdp"
 	"scidive/internal/sip"
@@ -27,15 +26,8 @@ const sipSteadyStateAllocBudget = 20
 // allocFrame builds one UDP frame carrying payload between fixed hosts.
 func allocFrame(t testing.TB, srcPort, dstPort uint16, payload []byte) []byte {
 	t.Helper()
-	frames, err := packet.BuildUDPFrames(packet.UDPFrameSpec{
-		SrcMAC: packet.MAC{2, 0, 0, 0, 0, 1}, DstMAC: packet.MAC{2, 0, 0, 0, 0, 2},
-		SrcIP: netip.MustParseAddr("10.0.0.1"), DstIP: netip.MustParseAddr("10.0.0.2"),
-		SrcPort: srcPort, DstPort: dstPort, IPID: 1, Payload: payload,
-	}, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return frames[0]
+	return udpFrame(t, netip.AddrPortFrom(netip.MustParseAddr("10.0.0.1"), srcPort),
+		netip.AddrPortFrom(netip.MustParseAddr("10.0.0.2"), dstPort), payload)
 }
 
 // allocRTPPacket builds one representative media packet (fixed seq: a

@@ -55,7 +55,8 @@ type Config struct {
 	Correlators []Registration
 	// Rules is the ruleset (nil = DefaultRuleset).
 	Rules []Rule
-	// MaxTrailLen bounds per-trail memory (default 4096 footprints).
+	// MaxTrailLen bounds per-trail memory (default 4096 footprints; a
+	// media footprint is 64 B, so a long call's RTP trail is 256 KB).
 	MaxTrailLen int
 	// SessionTimeout evicts per-session state and trails idle this long
 	// (default 10 minutes; the paper notes memory is the practical bound
@@ -349,9 +350,6 @@ func (e *Engine) directByeScan(v *FrameView) {
 		var byeFromCaller bool
 		var callerTag string
 		trail.eachView(func(tv *FrameView) bool {
-			if tv.Proto != ProtoSIP {
-				return true
-			}
 			m := tv.Msg
 			switch {
 			case m.IsRequest() && m.Method == sip.MethodInvite:

@@ -15,9 +15,10 @@ import (
 // Distiller fills it in place (DistillView), the Event Generator
 // dispatches on Proto/OnPort (ProcessView), correlators read the fields
 // of their protocol, and trails retain a value copy in a contiguous
-// slab. No per-frame boxing allocation ever happens unless an event
-// actually fires and needs a Footprint attached (see SessionContext's
-// lazy Observation).
+// slab (SIP, accounting and raw trails the view itself, RTP and RTCP
+// trails a packed mediaSlot). No per-frame boxing allocation ever happens
+// unless an event actually fires and needs a Footprint attached (see
+// SessionContext's lazy Observation).
 //
 // Field validity follows Proto: Msg/Malformed for ProtoSIP, RTP for
 // ProtoRTP, RTCP for ProtoRTCP, Txn for ProtoAccounting, and
@@ -79,11 +80,10 @@ func (v *FrameView) dispatchProto() Protocol {
 }
 
 // box materializes the boxed Footprint equivalent of the view. This is
-// the slow path — only taken when an event fires or a legacy accessor
-// (Trail.Footprints, Trail.Last) rereads a trail. RTCP packet bodies are
-// not retained by views, so a boxed RTCPFootprint reports the compound's
-// packet count through a nil Packets slice; nothing downstream of
-// distillation rereads the bodies.
+// the slow path, and the one boxing site: taken only when an event fires
+// and needs its footprint attached. RTCP packet bodies are not retained
+// by views, so a boxed RTCPFootprint carries a nil Packets slice; nothing
+// downstream of distillation rereads the bodies.
 func (v *FrameView) box() Footprint {
 	base := FootprintBase{At: v.At, Src: v.Src, Dst: v.Dst, PortProto: v.PortProto}
 	switch v.Proto {
@@ -113,50 +113,4 @@ func (v *FrameView) box() Footprint {
 	default:
 		return nil
 	}
-}
-
-// viewOf projects a boxed footprint into v, for the compat wrappers that
-// still accept Footprint values (tests, the direct-matching ablation).
-// It reports false for footprint types the union does not model.
-func viewOf(f Footprint, v *FrameView) bool {
-	v.reset()
-	switch fp := f.(type) {
-	case *SIPFootprint:
-		v.Proto, v.At, v.Src, v.Dst = ProtoSIP, fp.At, fp.Src, fp.Dst
-		v.PortProto = fp.PortProto
-		v.Msg, v.Malformed = fp.Msg, fp.Malformed
-	case *RTPFootprint:
-		v.Proto, v.At, v.Src, v.Dst = ProtoRTP, fp.At, fp.Src, fp.Dst
-		v.PortProto, v.EmbeddedSIP = fp.PortProto, fp.EmbeddedSIP
-		v.RTP = rtp.HeaderView{
-			Padding:     fp.Header.Padding,
-			Extension:   fp.Header.Extension,
-			Marker:      fp.Header.Marker,
-			PayloadType: fp.Header.PayloadType,
-			Seq:         fp.Header.Seq,
-			Timestamp:   fp.Header.Timestamp,
-			SSRC:        fp.Header.SSRC,
-			CSRCCount:   len(fp.Header.CSRC),
-			PayloadLen:  fp.PayloadLen,
-		}
-	case *RTCPFootprint:
-		v.Proto, v.At, v.Src, v.Dst = ProtoRTCP, fp.At, fp.Src, fp.Dst
-		v.PortProto = fp.PortProto
-		v.RTCP.Packets = len(fp.Packets)
-		for _, pkt := range fp.Packets {
-			if _, ok := pkt.(*rtp.Bye); ok {
-				v.RTCP.HasBye = true
-				break
-			}
-		}
-	case *AcctFootprint:
-		v.Proto, v.At, v.Src, v.Dst = ProtoAccounting, fp.At, fp.Src, fp.Dst
-		v.Txn = fp.Txn
-	case *RawFootprint:
-		v.Proto, v.At, v.Src, v.Dst = ProtoOther, fp.At, fp.Src, fp.Dst
-		v.OnPort, v.Reason, v.RawLen = fp.OnPort, fp.Reason, fp.Len
-	default:
-		return false
-	}
-	return true
 }

@@ -90,8 +90,9 @@ type EventGenerator struct {
 	// dispatcher).
 	byProto [ProtoOther + 1][]Correlator
 
-	// dropTrail is the expiry sweep's eviction callback, hoisted to a
-	// field so ExpireSessions does not allocate a closure per call.
+	// dropTrail drops an evicted session's trails and routing pin. Every
+	// eviction path runs it beside dropSession; a field, so ExpireSessions
+	// does not allocate a closure per call.
 	dropTrail func(id string)
 
 	// sticky mirrors the sharded router's Call-ID -> routing-key pins
@@ -166,8 +167,7 @@ func (g *EventGenerator) SetLimits(l Limits) {
 	g.ctx.limits = l
 	g.idx.maxSessions = l.MaxSessions
 	g.idx.onCapEvict = func(id string) {
-		g.trails.Drop(id)
-		delete(g.sticky, id)
+		g.dropTrail(id)
 		g.ctx.evictedSessions++
 	}
 	for _, c := range g.correlators {
@@ -186,8 +186,7 @@ func (g *EventGenerator) EvictSession(id string) bool {
 		return false
 	}
 	g.idx.dropSession(id, st)
-	g.trails.Drop(id)
-	delete(g.sticky, id)
+	g.dropTrail(id)
 	return true
 }
 
@@ -235,11 +234,7 @@ func (g *EventGenerator) ExpireSessions(now, timeout time.Duration) int {
 // view, the hints and the event scratch are all caller-owned, so a frame
 // that completes no event is processed with zero heap allocations.
 func (g *EventGenerator) ProcessView(v *FrameView, h RouteHints, evs *[]Event) {
-	g.processView(v, nil, h, evs)
-}
-
-func (g *EventGenerator) processView(v *FrameView, boxed Footprint, h RouteHints, evs *[]Event) {
-	if !g.ctx.beginFrame(v, boxed, h) {
+	if !g.ctx.beginFrame(v, h) {
 		return
 	}
 	defer g.ctx.endFrame(v.At)
@@ -274,26 +269,6 @@ func (g *EventGenerator) processView(v *FrameView, boxed Footprint, h RouteHints
 	for _, c := range g.byProto[p] {
 		c.Process(v, h, g.ctx, evs)
 	}
-}
-
-// Process folds one boxed footprint into the trails and state, returning
-// any events it completes. Compat (allocating) form of ProcessView.
-func (g *EventGenerator) Process(f Footprint) []Event {
-	return g.ProcessHinted(f, RouteHints{})
-}
-
-// ProcessHinted is Process with router-supplied hints. A zero RouteHints
-// reproduces the serial engine exactly; non-zero hints replace the local
-// cross-session lookups with verdicts the sharded router computed in
-// global frame order.
-func (g *EventGenerator) ProcessHinted(f Footprint, h RouteHints) []Event {
-	var v FrameView
-	if !viewOf(f, &v) {
-		return nil
-	}
-	var events []Event
-	g.processView(&v, f, h, &events)
-	return events
 }
 
 // mediaFromBody extracts the audio endpoint from a message's SDP body.

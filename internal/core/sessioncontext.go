@@ -41,12 +41,11 @@ type SessionContext struct {
 
 	// Per-frame scratch, valid from beginFrame to endFrame. view is the
 	// frame in flight; boxed is its Footprint materialization, filled
-	// lazily by Observation (or up front by the compat wrappers, which
-	// already hold a boxed footprint). st is the dialog state the frame
-	// was resolved to, once, by beginFrame: applySIP's for SIP, the
-	// attributed session's for RTP/RTCP (nil when the flow belongs to no
-	// known session), nil for everything else. Correlators read it and
-	// endFrame touches through it; nobody looks the key up again.
+	// lazily by Observation. st is the dialog state the frame was resolved
+	// to, once, by beginFrame: applySIP's for SIP, the attributed
+	// session's for RTP/RTCP (nil when the flow belongs to no known
+	// session), nil for everything else. Correlators read it and endFrame
+	// touches through it; nobody looks the key up again.
 	view    *FrameView
 	boxed   Footprint
 	session string
@@ -69,12 +68,10 @@ func newSessionContext(cfg GenConfig, trails *TrailStore) *SessionContext {
 // per-frame scratch: the session key every correlator sees, and — for SIP
 // — the one-and-only applySIP application for this sighting, so dialog
 // state moves exactly once no matter how many correlators consume the
-// outcome. boxed may be nil (the hot path); Observation boxes lazily when
-// an event needs the footprint attached. It reports whether the view's
-// protocol is known.
-func (ctx *SessionContext) beginFrame(v *FrameView, boxed Footprint, h RouteHints) bool {
+// outcome. It reports whether the view's protocol is known.
+func (ctx *SessionContext) beginFrame(v *FrameView, h RouteHints) bool {
 	ctx.st, ctx.sipOut = nil, sipOutcome{}
-	ctx.view, ctx.boxed = v, boxed
+	ctx.view, ctx.boxed = v, nil
 	switch v.Proto {
 	case ProtoSIP:
 		ctx.session = v.Msg.CallID()
@@ -93,7 +90,7 @@ func (ctx *SessionContext) beginFrame(v *FrameView, boxed Footprint, h RouteHint
 		} else {
 			ctx.session, ctx.st = ctx.idx.attributeMedia(v.Proto, v.Src, v.Dst)
 		}
-		ctx.trails.Get(ctx.session, v.Proto).AppendView(v)
+		ctx.mediaTrail(v.Proto).AppendView(v)
 	case ProtoAccounting:
 		ctx.session = v.Txn.CallID
 		ctx.trails.Get(ctx.session, ProtoAccounting).AppendView(v)
@@ -104,6 +101,23 @@ func (ctx *SessionContext) beginFrame(v *FrameView, boxed Footprint, h RouteHint
 		return false
 	}
 	return true
+}
+
+// mediaTrail returns the RTP or RTCP trail of the media frame in flight.
+// A flow attributed to a known session finds it on the session's state,
+// resolved through the store once (so a trail that predates the state is
+// picked up) and good for the state's lifetime: trails are only ever
+// dropped together with their session's state, and a restore rebuilds
+// both. Flows no session claims pay the store's keyed lookup per frame.
+func (ctx *SessionContext) mediaTrail(p Protocol) *Trail {
+	if ctx.st == nil {
+		return ctx.trails.Get(ctx.session, p)
+	}
+	cached := &ctx.st.mediaTrails[p-ProtoRTP]
+	if *cached == nil {
+		*cached = ctx.trails.Get(ctx.session, p)
+	}
+	return *cached
 }
 
 // endFrame records session activity for expiry bookkeeping (SIP, RTP and
@@ -129,8 +143,7 @@ func (ctx *SessionContext) Session() string { return ctx.session }
 // Observation returns the boxed Footprint of the frame in flight, for
 // attaching to events. Boxing is lazy and memoized per frame: frames that
 // complete no event never pay a Footprint allocation, and multiple events
-// from one frame share one boxed value (as the boxed pipeline always
-// did).
+// from one frame share one boxed value.
 func (ctx *SessionContext) Observation() Footprint {
 	if ctx.boxed == nil && ctx.view != nil {
 		ctx.boxed = ctx.view.box()

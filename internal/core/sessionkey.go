@@ -54,6 +54,11 @@ type sessionState struct {
 	floodFired     bool
 	guessResponses map[string]struct{}
 	guessFired     bool
+
+	// The session's RTP and RTCP trails, cached by
+	// SessionContext.mediaTrail so a media frame does not hash its Call-ID
+	// into the trail store. Nil until first used; never checkpointed.
+	mediaTrails [2]*Trail
 }
 
 // sessionIndex holds the session table and the SIP transitions that feed

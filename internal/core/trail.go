@@ -1,9 +1,6 @@
 package core
 
-import (
-	"fmt"
-	"time"
-)
+import "fmt"
 
 // Trail is an ordered list of related footprints — the per-session,
 // per-protocol grouping of paper Section 3.1. Cross-protocol detection
@@ -15,12 +12,15 @@ type Trail struct {
 	// Protocol is the single protocol this trail carries.
 	Protocol Protocol
 
-	// entries is a contiguous slab of value-typed frame views. It grows
-	// until the trail's bound, then becomes a ring: head indexes the
-	// oldest entry and appends overwrite in place, so a saturated trail
-	// (the steady state of a long media stream) retains footprints with
-	// zero per-frame allocation and zero copying.
+	// A trail is one contiguous slab, of one of two kinds chosen by its
+	// Protocol: RTP and RTCP trails pack each packet into a 64-byte
+	// mediaSlot (media); SIP, accounting and raw trails keep whole frame
+	// views (entries). The slab grows until the trail's bound, then
+	// becomes a ring: head indexes the oldest entry and appends overwrite
+	// in place, so a saturated trail (the steady state of a long media
+	// stream) retains footprints with zero per-frame allocation.
 	entries []FrameView
+	media   []mediaSlot
 	head    int
 	maxLen  int
 	// restored counts footprints that existed before a checkpoint restore.
@@ -30,115 +30,74 @@ type Trail struct {
 	restored int
 }
 
+// isMedia reports whether the trail stores packed media slots.
+func (t *Trail) isMedia() bool { return t.Protocol == ProtoRTP || t.Protocol == ProtoRTCP }
+
 // AppendView adds a copy of the frame view, evicting the oldest entry
 // when the trail exceeds its bound (memory is the practical limit the
 // paper notes). Restored phantom entries are older than every real one,
 // so they evict first.
 func (t *Trail) AppendView(v *FrameView) {
-	if t.maxLen <= 0 || t.restored+len(t.entries) < t.maxLen {
-		t.entries = append(t.entries, *v)
-		return
-	}
-	if t.restored > 0 {
+	media := t.isMedia()
+	n := len(t.entries) + len(t.media)
+	if t.maxLen > 0 && t.restored+n >= t.maxLen {
+		if t.restored == 0 {
+			// Saturated: overwrite the oldest slot in place.
+			if media {
+				t.media[t.head].pack(v)
+			} else {
+				t.entries[t.head] = *v
+			}
+			t.head++
+			if t.head == n {
+				t.head = 0
+			}
+			return
+		}
 		t.restored--
+	}
+	if !media {
 		t.entries = append(t.entries, *v)
 		return
 	}
-	// Saturated: overwrite the oldest slot in place.
-	t.entries[t.head] = *v
-	t.head++
-	if t.head == len(t.entries) {
-		t.head = 0
+	if n == cap(t.media) {
+		// Double, but never past the bound (n is still below it here):
+		// a saturated ring holds exactly maxLen slots.
+		c := max(2*n, 1)
+		if t.maxLen > 0 {
+			c = min(c, t.maxLen)
+		}
+		t.media = append(make([]mediaSlot, 0, c), t.media...)
 	}
-}
-
-// Append adds a boxed footprint (compat path for tests and callers that
-// still hold Footprint values). Footprint types outside the built-in set
-// are dropped: trails store value-typed views.
-func (t *Trail) Append(f Footprint) {
-	var v FrameView
-	if !viewOf(f, &v) {
-		return
-	}
-	t.AppendView(&v)
+	t.media = t.media[:n+1]
+	t.media[n].pack(v)
 }
 
 // Len returns the number of retained footprints (including restored
 // phantom entries whose bytes were dropped at the last checkpoint).
-func (t *Trail) Len() int { return t.restored + len(t.entries) }
+func (t *Trail) Len() int { return t.restored + len(t.entries) + len(t.media) }
 
 // eachView calls fn on every retained entry in arrival order, stopping
-// early when fn returns false. This is the allocation-free read path; the
-// Footprint-returning accessors below box on demand.
+// early when fn returns false. A media trail's slots are unpacked one at
+// a time into a view that is only valid during the call.
 func (t *Trail) eachView(fn func(v *FrameView) bool) {
-	n := len(t.entries)
+	n := len(t.entries) + len(t.media)
+	var scratch *FrameView
+	if t.isMedia() {
+		scratch = new(FrameView)
+	}
 	for i := 0; i < n; i++ {
-		j := t.head + i
-		if j >= n {
-			j -= n
+		j := (t.head + i) % n
+		v := scratch
+		if v != nil {
+			t.media[j].unpack(v)
+		} else {
+			v = &t.entries[j]
 		}
-		if !fn(&t.entries[j]) {
+		if !fn(v) {
 			return
 		}
 	}
-}
-
-// Footprints returns the retained footprints in arrival order, boxed.
-// This is a materializing (slow-path) accessor for reports, tests and the
-// direct-matching ablation; the detection hot path never calls it.
-func (t *Trail) Footprints() []Footprint {
-	if len(t.entries) == 0 {
-		return nil
-	}
-	out := make([]Footprint, 0, len(t.entries))
-	t.eachView(func(v *FrameView) bool {
-		out = append(out, v.box())
-		return true
-	})
-	return out
-}
-
-// Last returns the most recent footprint, boxed, or nil.
-func (t *Trail) Last() Footprint {
-	n := len(t.entries)
-	if n == 0 {
-		return nil
-	}
-	j := t.head - 1
-	if j < 0 {
-		j = n - 1
-	}
-	return t.entries[j].box()
-}
-
-// Since returns the footprints observed strictly after cutoff, boxed.
-func (t *Trail) Since(cutoff time.Duration) []Footprint {
-	// Entries arrive in time order: count the suffix newer than cutoff
-	// from the back, then box it in order.
-	n := len(t.entries)
-	keep := 0
-	for keep < n {
-		j := t.head - 1 - keep
-		if j < 0 {
-			j += n
-		}
-		if t.entries[j].At <= cutoff {
-			break
-		}
-		keep++
-	}
-	if keep == 0 {
-		return nil
-	}
-	out := make([]Footprint, 0, keep)
-	for i := keep; i > 0; i-- {
-		j := t.head - i
-		if j < 0 {
-			j += n
-		}
-		out = append(out, t.entries[j].box())
-	}
-	return out
 }
 
 // trailKey identifies one trail in the store.

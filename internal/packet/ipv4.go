@@ -43,21 +43,6 @@ func (h *IPv4Header) MoreFragments() bool { return h.Flags&FlagMF != 0 }
 // DontFragment reports whether the DF flag is set.
 func (h *IPv4Header) DontFragment() bool { return h.Flags&FlagDF != 0 }
 
-// checksum16 computes the RFC 1071 internet checksum of b.
-func checksum16(b []byte) uint16 {
-	var sum uint32
-	for i := 0; i+1 < len(b); i += 2 {
-		sum += uint32(binary.BigEndian.Uint16(b[i : i+2]))
-	}
-	if len(b)%2 == 1 {
-		sum += uint32(b[len(b)-1]) << 8
-	}
-	for sum>>16 != 0 {
-		sum = (sum & 0xffff) + (sum >> 16)
-	}
-	return ^uint16(sum)
-}
-
 // MarshalIPv4 serializes header+payload into a full IPv4 packet,
 // computing TotalLen and the header checksum. Src and Dst must be valid
 // IPv4 addresses.

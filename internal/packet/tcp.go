@@ -40,53 +40,11 @@ func (h TCPHeader) SYN() bool { return h.Flags&TCPFlagSYN != 0 }
 // RST reports whether the RST flag is set.
 func (h TCPHeader) RST() bool { return h.Flags&TCPFlagRST != 0 }
 
-// tcpPseudoSum computes the partial checksum of the IPv4 pseudo-header
-// for a TCP segment of segLen bytes (header + payload).
-func tcpPseudoSum(src, dst netip.Addr, segLen int) uint32 {
-	s, d := src.As4(), dst.As4()
-	var sum uint32
-	sum += uint32(binary.BigEndian.Uint16(s[0:2]))
-	sum += uint32(binary.BigEndian.Uint16(s[2:4]))
-	sum += uint32(binary.BigEndian.Uint16(d[0:2]))
-	sum += uint32(binary.BigEndian.Uint16(d[2:4]))
-	sum += uint32(ProtoTCP)
-	sum += uint32(segLen)
-	return sum
-}
-
-// tcpChecksum computes the TCP checksum over the pseudo-header and segment.
+// tcpChecksum computes the TCP checksum over the pseudo-header and
+// segment, reading the segment's own checksum field (bytes 16..17) as
+// zero: it serves marshalling and in-place verification alike.
 func tcpChecksum(src, dst netip.Addr, seg []byte) uint16 {
-	sum := tcpPseudoSum(src, dst, len(seg))
-	for i := 0; i+1 < len(seg); i += 2 {
-		sum += uint32(binary.BigEndian.Uint16(seg[i : i+2]))
-	}
-	if len(seg)%2 == 1 {
-		sum += uint32(seg[len(seg)-1]) << 8
-	}
-	for sum>>16 != 0 {
-		sum = (sum & 0xffff) + (sum >> 16)
-	}
-	return ^uint16(sum)
-}
-
-// verifyTCPChecksum reports whether seg's stored checksum matches the one
-// computed over the pseudo-header and segment. The checksum field (bytes
-// 16..17) is treated as zero while summing, so no scratch copy is needed.
-func verifyTCPChecksum(src, dst netip.Addr, seg []byte, want uint16) bool {
-	sum := tcpPseudoSum(src, dst, len(seg))
-	for i := 0; i+1 < len(seg); i += 2 {
-		if i == 16 {
-			continue
-		}
-		sum += uint32(binary.BigEndian.Uint16(seg[i : i+2]))
-	}
-	if len(seg)%2 == 1 {
-		sum += uint32(seg[len(seg)-1]) << 8
-	}
-	for sum>>16 != 0 {
-		sum = (sum & 0xffff) + (sum >> 16)
-	}
-	return ^uint16(sum) == want
+	return transportChecksum(src, dst, ProtoTCP, seg, 16)
 }
 
 // MarshalTCP serializes a TCP segment (no options) with a valid checksum.
@@ -134,7 +92,7 @@ func PeekTCP(src, dst netip.Addr, buf []byte) (TCPHeader, []byte, error) {
 		return TCPHeader{}, nil, fmt.Errorf("tcp: data offset %d beyond segment of %d bytes", h.DataOffset, len(buf))
 	}
 	if src.Is4() && dst.Is4() {
-		if !verifyTCPChecksum(src, dst, buf, h.Checksum) {
+		if tcpChecksum(src, dst, buf) != h.Checksum {
 			return TCPHeader{}, nil, fmt.Errorf("tcp: bad checksum 0x%04x", h.Checksum)
 		}
 	}

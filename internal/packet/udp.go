@@ -17,32 +17,11 @@ type UDPHeader struct {
 	Checksum uint16
 }
 
-// udpPseudoSum computes the partial checksum of the IPv4 pseudo-header.
-func udpPseudoSum(src, dst netip.Addr, udpLen int) uint32 {
-	s, d := src.As4(), dst.As4()
-	var sum uint32
-	sum += uint32(binary.BigEndian.Uint16(s[0:2]))
-	sum += uint32(binary.BigEndian.Uint16(s[2:4]))
-	sum += uint32(binary.BigEndian.Uint16(d[0:2]))
-	sum += uint32(binary.BigEndian.Uint16(d[2:4]))
-	sum += uint32(ProtoUDP)
-	sum += uint32(udpLen)
-	return sum
-}
-
-// udpChecksum computes the UDP checksum over the pseudo-header and datagram.
+// udpChecksum computes the UDP checksum over the pseudo-header and
+// datagram, reading the datagram's own checksum field (bytes 6..7) as
+// zero: it serves marshalling and in-place verification alike.
 func udpChecksum(src, dst netip.Addr, dgram []byte) uint16 {
-	sum := udpPseudoSum(src, dst, len(dgram))
-	for i := 0; i+1 < len(dgram); i += 2 {
-		sum += uint32(binary.BigEndian.Uint16(dgram[i : i+2]))
-	}
-	if len(dgram)%2 == 1 {
-		sum += uint32(dgram[len(dgram)-1]) << 8
-	}
-	for sum>>16 != 0 {
-		sum = (sum & 0xffff) + (sum >> 16)
-	}
-	c := ^uint16(sum)
+	c := transportChecksum(src, dst, ProtoUDP, dgram, 6)
 	if c == 0 {
 		c = 0xffff // RFC 768: transmitted as all ones when computed as zero
 	}
@@ -65,31 +44,6 @@ func MarshalUDP(src, dst netip.Addr, srcPort, dstPort uint16, payload []byte) ([
 	return buf, nil
 }
 
-// verifyUDPChecksum reports whether dgram's stored checksum matches the
-// one computed over the pseudo-header and datagram. It treats the
-// checksum field (bytes 6..7) as zero while summing, so no scratch copy
-// of the datagram is needed.
-func verifyUDPChecksum(src, dst netip.Addr, dgram []byte, want uint16) bool {
-	sum := udpPseudoSum(src, dst, len(dgram))
-	for i := 0; i+1 < len(dgram); i += 2 {
-		if i == 6 {
-			continue
-		}
-		sum += uint32(binary.BigEndian.Uint16(dgram[i : i+2]))
-	}
-	if len(dgram)%2 == 1 {
-		sum += uint32(dgram[len(dgram)-1]) << 8
-	}
-	for sum>>16 != 0 {
-		sum = (sum & 0xffff) + (sum >> 16)
-	}
-	c := ^uint16(sum)
-	if c == 0 {
-		c = 0xffff
-	}
-	return c == want
-}
-
 // PeekUDP decodes a UDP datagram exactly like UnmarshalUDP — same header
 // validation, same checksum acceptance — but without allocating: the
 // checksum is verified in place. Callers on hot paths (the sharded
@@ -109,7 +63,7 @@ func PeekUDP(src, dst netip.Addr, buf []byte) (UDPHeader, []byte, error) {
 	}
 	dgram := buf[:h.Length]
 	if h.Checksum != 0 && src.Is4() && dst.Is4() {
-		if !verifyUDPChecksum(src, dst, dgram, h.Checksum) {
+		if udpChecksum(src, dst, dgram) != h.Checksum {
 			return UDPHeader{}, nil, fmt.Errorf("udp: bad checksum 0x%04x", h.Checksum)
 		}
 	}
@@ -133,11 +87,7 @@ func UnmarshalUDP(src, dst netip.Addr, buf []byte) (UDPHeader, []byte, error) {
 	}
 	dgram := buf[:h.Length]
 	if h.Checksum != 0 && src.Is4() && dst.Is4() {
-		// Recompute with the checksum field zeroed.
-		tmp := make([]byte, len(dgram))
-		copy(tmp, dgram)
-		tmp[6], tmp[7] = 0, 0
-		if got := udpChecksum(src, dst, tmp); got != h.Checksum {
+		if got := udpChecksum(src, dst, dgram); got != h.Checksum {
 			return UDPHeader{}, nil, fmt.Errorf("udp: bad checksum: got 0x%04x want 0x%04x", h.Checksum, got)
 		}
 	}
