@@ -361,9 +361,9 @@ func BenchmarkHotPath_SIPFrame(b *testing.B) {
 	benchHotPath(b, eng.HandleFrame, buildSIPFrame(b))
 }
 
-// BenchmarkHotPath_ShardedRTPFrame is the sharded counterpart: router
-// classification plus batch shipping to a shard worker. Replaying one
-// immutable frame is safe despite the router retaining shipped frames.
+// BenchmarkHotPath_ShardedRTPFrame is the sharded counterpart: the
+// router's decode and classification plus shipping the packed media slot
+// to a shard worker (the router only borrows the frame).
 func BenchmarkHotPath_ShardedRTPFrame(b *testing.B) {
 	eng := core.NewShardedEngine(core.Config{}, 2)
 	defer eng.Close()

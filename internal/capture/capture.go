@@ -123,6 +123,9 @@ type Reader struct {
 	rec     int   // records returned so far
 	pcap    pcapState
 	ng      pcapngState
+	// hdr is nextSCAP's record-header scratch: a local would escape
+	// through io.ReadFull and cost one allocation per record.
+	hdr [12]byte
 }
 
 // NewReader returns a Reader consuming from r.
@@ -216,8 +219,8 @@ func (r *Reader) nextInto(buf []byte) (Record, error) {
 // nextSCAP decodes one native SCAP record.
 func (r *Reader) nextSCAP(buf []byte) (Record, error) {
 	start := r.off
-	var hdr [12]byte
-	if err := r.readFull(hdr[:]); err != nil {
+	hdr := r.hdr[:]
+	if err := r.readFull(hdr); err != nil {
 		if errors.Is(err, io.EOF) {
 			return Record{}, io.EOF
 		}
@@ -252,8 +255,11 @@ func frameInto(buf []byte, n uint32) []byte {
 // frames, so an implementation that retains frame bytes past its return
 // must copy them first. Both IDS engines' serial paths copy everything
 // they keep (the SIP parser copies bodies, the reassembler copies
-// fragment payloads); the sharded engine's ReplayCapture copies each
-// frame before routing because its router retains frames in flight.
+// fragment payloads), and so does the sharded engine's synchronous
+// router, which decodes the frame before HandleFrame returns and ships
+// its shards the decoded result, never the bytes. Only the sharded
+// engine's ingest lanes decode later, on another goroutine; its
+// ReplayCapture copies each frame on that path.
 type FrameFunc func(at time.Duration, frame []byte)
 
 // Replay streams every remaining record of r into fn in capture order,

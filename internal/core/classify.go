@@ -70,9 +70,10 @@ func ladderOf(correlators []Correlator) classifyLadder {
 
 // decoder is the decode stage's configuration: one correlator registry's
 // port claims and ladder, plus a SIP parser private to the owner (the
-// Distiller, the router, or one ingest lane) so its intern table stays
-// warm. Everything it does is a pure function of the frame bytes, so
-// lanes run it in parallel with the router.
+// Distiller, the router, or one ingest lane — never a shard, which only
+// ever receives decoded results) so its intern table stays warm.
+// Everything it does is a pure function of the frame bytes, so lanes run
+// it in parallel with the router.
 type decoder struct {
 	claimers []Correlator
 	ladder   classifyLadder
@@ -194,49 +195,44 @@ var errUnclassifiable = errors.New("unclassifiable stream chunk")
 // chunk whose SIP claim tunnelSniff already contradicted, so the claimed
 // decoder is not tried at all. On return v.Proto is the content
 // protocol; a reclassified view carries the contradicted claim in
-// PortProto; a raw view (ProtoOther) carries it in OnPort with RawLen,
-// and the returned error is why the claimed decoder rejected the bytes.
+// PortProto; a raw view (ProtoOther) carries it in OnPort with RawLen
+// and, in Reason, why the claimed decoder rejected the bytes.
 //
-// msg says where a SIP message is stored: nil parses into a fresh owned
-// Message (the Distiller, whose trails retain it); otherwise ParseInto
-// reuses msg, which then aliases payload (router scratch, lane batch
-// slot). Fields only trails and correlators read (Malformed, Reason,
-// EmbeddedSIP) are left to Distiller.finish so routing never pays for
-// them. v must arrive reset.
-func (dc *decoder) decode(claimed Protocol, sniffed bool, payload []byte, msg *sip.Message, v *FrameView) error {
+// The view is complete but for Malformed, the one field derived from the
+// decoded result alone (Distiller.account fills it beside the trails):
+// nothing in it aliases payload — a SIP message is parsed into a fresh
+// Message the view owns — so whoever decodes may hand the view to
+// another goroutine and forget the bytes. v must arrive reset.
+func (dc *decoder) decode(claimed Protocol, sniffed bool, payload []byte, v *FrameView) {
 	err := errUnclassifiable
 	if !sniffed {
-		if err = dc.decodeAs(claimed, payload, msg, v); err == nil {
+		if err = dc.decodeAs(claimed, payload, v); err == nil {
 			v.Proto = claimed
-			return nil
+			return
 		}
 	}
 	for _, step := range dc.ladder {
 		if step.proto == claimed || !step.confirm(payload) {
 			continue
 		}
-		if dc.decodeAs(step.proto, payload, msg, v) == nil {
+		if dc.decodeAs(step.proto, payload, v) == nil {
 			v.Proto, v.PortProto = step.proto, claimed
-			return nil
+			return
 		}
 	}
-	v.Proto, v.OnPort, v.RawLen = ProtoOther, claimed, len(payload)
-	return err
+	v.Proto, v.OnPort, v.RawLen, v.Reason = ProtoOther, claimed, len(payload), err.Error()
 }
 
 // decodeAs runs one protocol's full decoder over the payload, straight
 // into the view's fields for that protocol (the media arms peek in
-// place: no packet struct, no copy). A rejected payload leaves the view
-// as it found it.
-func (dc *decoder) decodeAs(proto Protocol, payload []byte, msg *sip.Message, v *FrameView) (err error) {
+// place: no packet struct, no copy; an RTP payload is also sniffed for a
+// smuggled SIP start line while the bytes are at hand). A rejected
+// payload leaves the view as it found it.
+func (dc *decoder) decodeAs(proto Protocol, payload []byte, v *FrameView) (err error) {
 	switch proto {
 	case ProtoSIP:
-		if msg == nil {
-			msg, err = dc.parser.Parse(payload)
-		} else {
-			err = dc.parser.ParseInto(payload, msg)
-		}
-		if err == nil {
+		var msg *sip.Message
+		if msg, err = dc.parser.Parse(payload); err == nil {
 			v.Msg = msg
 		}
 	case ProtoAccounting:
@@ -247,6 +243,8 @@ func (dc *decoder) decodeAs(proto Protocol, payload []byte, msg *sip.Message, v 
 	case ProtoRTP:
 		if err = rtp.PeekHeader(payload, &v.RTP); err != nil {
 			v.RTP = rtp.HeaderView{}
+		} else {
+			v.EmbeddedSIP = rtpPayloadHasSIP(payload, &v.RTP)
 		}
 	case ProtoRTCP:
 		if err = rtp.PeekCompound(payload, &v.RTCP); err != nil {

@@ -36,7 +36,9 @@ type DistillerStats struct {
 // decoding, fragment reassembly, UDP demultiplexing, and protocol
 // classification (paper Section 3.1). The stateless part of that is the
 // shared decode stage (classify.go); the Distiller adds the state —
-// reassembly, stream framing, counters — and the fields trails retain.
+// reassembly, stream framing, counters — and the one field only trails
+// read. A shard's distiller is the counters alone: the sharded router
+// decodes and ships the result, and the shard accounts it (account).
 type Distiller struct {
 	reasm *packet.Reassembler
 	stats DistillerStats
@@ -48,10 +50,9 @@ type Distiller struct {
 	dec decoder
 
 	// frags buffers the raw frames of in-progress fragment groups, as the
-	// sharded router's instance does, so a serial-written portable
-	// checkpoint carries everything a sharded restore needs to ship
-	// completed groups to their shards. nil on standalone and shard-local
-	// distillers (shards receive already-grouped frames).
+	// sharded router's instance does, so a checkpoint reads the same
+	// whichever engine wrote it. nil on standalone and shard-local
+	// distillers.
 	frags fragGroups
 
 	// streams is the stream-transport demux (TCP reassembly + SIP message
@@ -92,8 +93,8 @@ type fragIdent struct {
 }
 
 // fragGroup buffers the original frames of one in-progress fragment
-// stream so the whole datagram can ship to one shard once its session
-// key is known. first mirrors the reassembler's eviction clock.
+// stream: the checkpoint carries them, and the completed datagram
+// accounts for that many. first mirrors the reassembler's eviction clock.
 type fragGroup struct {
 	frames []routedFrame
 	first  time.Duration
@@ -106,10 +107,10 @@ type routedFrame struct {
 }
 
 // fragGroups keeps the raw frames of in-progress fragment streams on
-// exactly the reassembler's buffer lifetimes, so a completed datagram's
-// original frames can ship to a shard (router) or ride a checkpoint
-// (serial engine) as one group. Capacity evictions arrive through the
-// reassembler's OnEvict hook (drop). A nil table buffers nothing.
+// exactly the reassembler's buffer lifetimes, so they ride a checkpoint
+// as one group and a completed datagram knows how many frames it spans.
+// Capacity evictions arrive through the reassembler's OnEvict hook
+// (drop). A nil table buffers nothing.
 type fragGroups map[fragIdent]*fragGroup
 
 func (g fragGroups) drop(id packet.FragID) {
@@ -120,6 +121,9 @@ func (g fragGroups) drop(id packet.FragID) {
 // before every Insert/Expire so the two can never disagree about which
 // stream a fragment belongs to.
 func (g fragGroups) prune(now time.Duration) {
+	if len(g) == 0 {
+		return // the steady state: no map iteration per frame
+	}
 	for k, grp := range g {
 		if now-grp.first > packet.DefaultReassemblyTimeout {
 			delete(g, k)
@@ -135,10 +139,11 @@ func (g fragGroups) expire(r *packet.Reassembler, now time.Duration) {
 }
 
 // insert feeds one fragment to the reassembler and mirrors the outcome:
-// a buffered fragment's frame joins its group (copied when the feeder
-// may reuse the buffer), and the fragment completing a datagram takes
-// the group out, returned for shipping.
-func (g fragGroups) insert(r *packet.Reassembler, iph packet.IPv4Header, body []byte, at time.Duration, frame []byte, copyFrame bool) (full packet.IPv4Header, payload []byte, group []routedFrame, done bool, err error) {
+// a buffered fragment's frame joins its group (copied: the frame is only
+// borrowed from the feeder), and the fragment completing a datagram
+// takes the group out and reports how many frames the datagram spans,
+// itself included.
+func (g fragGroups) insert(r *packet.Reassembler, iph packet.IPv4Header, body []byte, at time.Duration, frame []byte) (full packet.IPv4Header, payload []byte, frames int, done bool, err error) {
 	g.prune(at)
 	full, payload, done, err = r.Insert(iph, body, at)
 	if g == nil {
@@ -149,8 +154,9 @@ func (g fragGroups) insert(r *packet.Reassembler, iph packet.IPv4Header, body []
 	switch {
 	case done:
 		delete(g, key)
+		frames = 1
 		if grp != nil {
-			group = grp.frames
+			frames += len(grp.frames)
 		}
 		return
 	case err != nil:
@@ -166,10 +172,7 @@ func (g fragGroups) insert(r *packet.Reassembler, iph packet.IPv4Header, body []
 		g[key] = grp
 	}
 	if err == nil {
-		if copyFrame {
-			frame = append([]byte(nil), frame...)
-		}
-		grp.frames = append(grp.frames, routedFrame{at: at, frame: frame})
+		grp.frames = append(grp.frames, routedFrame{at: at, frame: append([]byte(nil), frame...)})
 	}
 	return
 }
@@ -177,25 +180,26 @@ func (g fragGroups) insert(r *packet.Reassembler, iph packet.IPv4Header, body []
 // reassemble is the stateful middle of the prelude, shared by the serial
 // Distiller and the synchronous router: a fragment goes through the
 // reassembler — staying preFrag while buffered, becoming a bad preDrop
-// when rejected, or re-entering transport as the completed datagram
-// (whose buffered frames are returned) — and anything else past IPv4
-// decode just advances the reassembly clocks.
-func (dc *decoder) reassemble(r *packet.Reassembler, g fragGroups, at time.Duration, frame []byte, copyFrame bool, p *prelude) (group []routedFrame) {
+// when rejected, or re-entering transport as the completed datagram —
+// and anything else past IPv4 decode just advances the reassembly
+// clocks. It returns how many capture frames the outcome in p spans: the
+// whole group for a completed datagram, else the frame alone.
+func (dc *decoder) reassemble(r *packet.Reassembler, g fragGroups, at time.Duration, frame []byte, p *prelude) (frames int) {
 	switch p.kind {
 	case preDrop:
 	case preFrag:
-		full, body, grp, done, err := g.insert(r, p.ip, p.body, at, frame, copyFrame)
+		full, body, n, done, err := g.insert(r, p.ip, p.body, at, frame)
 		if err != nil {
 			p.kind, p.bad = preDrop, true
 		} else if done {
 			p.ip, p.body = full, body
 			dc.transport(p)
-			return grp
+			return n
 		}
 	default:
 		g.expire(r, at)
 	}
-	return nil
+	return 1
 }
 
 // DistillView processes one frame observed at the given virtual time,
@@ -210,7 +214,7 @@ func (d *Distiller) DistillView(at time.Duration, frame []byte, v *FrameView) bo
 	d.stats.Frames++
 	var p prelude
 	d.dec.prelude(frame, &p)
-	d.dec.reassemble(d.reasm, d.frags, at, frame, true, &p)
+	d.dec.reassemble(d.reasm, d.frags, at, frame, &p)
 	if p.kind == preTCP && d.streams != nil {
 		// Stream transport: complete messages land on the mux queue; the
 		// frame itself produces no immediate footprint.
@@ -223,7 +227,8 @@ func (d *Distiller) DistillView(at time.Duration, frame []byte, v *FrameView) bo
 	switch {
 	case p.kind == preDatagram:
 		v.At, v.Src, v.Dst = at, p.src, p.dst
-		d.finish(v, p.payload, d.dec.decode(p.proto, false, p.payload, nil, v))
+		d.dec.decode(p.proto, false, p.payload, v)
+		d.account(v)
 		return true
 	case p.kind == preFrag:
 		d.stats.Fragments++
@@ -235,24 +240,23 @@ func (d *Distiller) DistillView(at time.Duration, frame []byte, v *FrameView) bo
 	return false
 }
 
-// finish counts a decoded view's terminal from the decode result and
-// fills the fields only trails and correlators read, which the shared
-// decode leaves out so the router never pays for them: the strict SIP
-// format check, the smuggled-SIP sniff of an RTP payload, and the raw
-// reason text (err is decode's return).
-func (d *Distiller) finish(v *FrameView, payload []byte, err error) {
+// account counts a decoded view's terminal and fills the one field the
+// decode stage leaves out because only trails and correlators read it:
+// the strict SIP format check. It needs nothing but the view, so a shard
+// runs it on what the router shipped.
+func (d *Distiller) account(v *FrameView) {
 	var terminal *int
 	switch v.Proto {
 	case ProtoSIP:
 		terminal, v.Malformed = &d.stats.SIP, CheckSIPFormat(v.Msg)
 	case ProtoRTP:
-		terminal, v.EmbeddedSIP = &d.stats.RTP, rtpPayloadHasSIP(payload, &v.RTP)
+		terminal = &d.stats.RTP
 	case ProtoRTCP:
 		terminal = &d.stats.RTCP
 	case ProtoAccounting:
 		terminal = &d.stats.Acct
 	default:
-		terminal, v.Reason = &d.stats.Raw, err.Error()
+		terminal = &d.stats.Raw
 	}
 	if v.PortProto != 0 {
 		terminal = &d.stats.Mismatched
@@ -272,21 +276,21 @@ func (d *Distiller) NextStreamMessage(v *FrameView) bool {
 	if !ok {
 		return false
 	}
-	d.distillStreamMessage(msg.at, msg.src, msg.dst, msg.payload, msg.kind, v)
+	d.stats.StreamMsgs++
+	v.reset()
+	d.dec.decodeStream(&msg, streamFlowKey(msg.src, msg.dst), v)
+	d.account(v)
 	return true
 }
 
-// distillStreamMessage fills v from one stream-extracted message: the
-// serial drain above and the shard-side processing of router-shipped
-// messages. It is the datagram decode with SIP as the claim; a tunnel
-// chunk (media content sniffed on the SIP-claimed stream) arrives with
-// that claim already contradicted.
-func (d *Distiller) distillStreamMessage(at time.Duration, src, dst netip.AddrPort, payload []byte, kind streamKind, v *FrameView) {
-	d.stats.StreamMsgs++
-	v.reset()
-	v.At, v.Src, v.Dst = at, src, dst
-	v.StreamKey = streamFlowKey(src, dst)
-	d.finish(v, payload, d.dec.decode(ProtoSIP, kind == streamKindTunnel, payload, nil, v))
+// decodeStream fills v from one stream-extracted message: the serial
+// drain above and the sharded router's stream arm. It is the datagram
+// decode with SIP as the claim; a tunnel chunk (media content sniffed on
+// the SIP-claimed stream) arrives with that claim already contradicted.
+// v must arrive reset.
+func (dc *decoder) decodeStream(sm *streamMsg, flowKey string, v *FrameView) {
+	v.At, v.Src, v.Dst, v.StreamKey = sm.at, sm.src, sm.dst, flowKey
+	dc.decode(ProtoSIP, sm.kind == streamKindTunnel, sm.payload, v)
 }
 
 // CheckSIPFormat applies the strict well-formedness checks the IDS uses

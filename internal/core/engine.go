@@ -140,7 +140,7 @@ func NewEngine(cfg Config, opts ...EngineOption) *Engine {
 	// Router-state mirrors: the serial engine tracks the sticky routing
 	// keys and in-progress fragment-group frames the sharded router would,
 	// so its portable checkpoints restore at any shard count. Shard-local
-	// engines (newShardEngine) nil both — the router owns that state.
+	// engines (newShardEngine) drop both — the router owns that state.
 	e.gen.sticky = make(map[string]string)
 	e.distiller.frags = make(fragGroups)
 	e.distiller.reasm.OnEvict(e.distiller.frags.drop)
@@ -198,8 +198,8 @@ func (e *Engine) Stats() EngineStats {
 			b.contributeStats(&st)
 		}
 	}
-	st.FragGroupsEvicted = e.distiller.reasm.CapacityEvicted()
-	if e.distiller.streams != nil {
+	if e.distiller.reasm != nil { // a shard's distiller reassembles nothing: the router does
+		st.FragGroupsEvicted = e.distiller.reasm.CapacityEvicted()
 		st.StreamsEvicted = e.distiller.streams.reasm.CapacityEvicted()
 	}
 	st.AlertsEvicted = e.rules.evicted

@@ -1,6 +1,11 @@
 package core
 
-import "fmt"
+import (
+	"fmt"
+	"time"
+
+	"scidive/internal/capture"
+)
 
 // Test-only accessors for the external core_test package.
 
@@ -44,4 +49,19 @@ func (s *ShardedEngine) CheckMediaIndex() error {
 		}
 	}
 	return nil
+}
+
+// ReplayPoisoned is ReplayCapture from a feeder that overwrites its one
+// frame buffer with 0xA5 the moment the engine's feed returns: anything
+// the engine still reads from a borrowed frame after that — in the
+// router, a lane or a shard — decodes differently or not at all.
+func (s *ShardedEngine) ReplayPoisoned(r *capture.Reader) error {
+	feed := s.replayFeed()
+	return capture.Replay(r, func(at time.Duration, frame []byte) {
+		feed(at, frame)
+		frame = frame[:cap(frame)]
+		for i := range frame {
+			frame[i] = 0xA5
+		}
+	})
 }

@@ -15,13 +15,13 @@ package core
 //
 //   - N decode lanes each own an instance of the decode stage
 //     (classify.go) and run that *stateless* per-frame work — the
-//     expensive part — fully in parallel, summarizing each frame into a
-//     small digest.
+//     expensive part — fully in parallel, leaving each datagram's decoded
+//     result in its digest in the form it will travel to a shard.
 //   - One sequencer consumes the digest batches in the exact order the
 //     feeder dealt them and runs only the *stateful* route stage
 //     (directory transitions, hinter verdicts, sticky-key pinning, shard
 //     handoff) under the routing lock, batch-at-a-time — the same stage
-//     the synchronous router runs on the digest it decodes inline.
+//     the synchronous router runs on the result it decodes inline.
 //
 // Determinism argument: the feeder deals whole batches to lanes in strict
 // rotation while holding feedMu, so the global batch order is the arrival
@@ -47,19 +47,21 @@ package core
 // a full shard queue stalls the sequencer, then the lanes, then
 // HandleFrame — exactly the synchronous router's behavior.
 //
-// Steady-state frames allocate nothing: batches come from a fixed
-// recycled pool, digests are written in place, and the lane's parser and
-// message slots are lane-owned. TestSteadyStateAllocs holds the RTP/RTCP
-// path with ingest lanes to 0 allocs/op.
+// Steady-state media frames allocate nothing: batches come from a fixed
+// recycled pool and a media packet's 64-byte slot is packed into its
+// digest in place (TestSteadyStateAllocs holds RTP/RTCP through the lanes
+// to 0 allocs/op). A SIP frame costs what it costs the serial distiller:
+// the owned Message its shard's trail will retain, parsed here, once.
+//
+// A lane decodes on another goroutine than the feeder, so unlike the
+// synchronous router the tier keeps each fed frame until its batch has
+// been sequenced: feeders must not reuse frame buffers.
 
 import (
 	"net/netip"
 	"sync"
 	"sync/atomic"
 	"time"
-
-	"scidive/internal/accounting"
-	"scidive/internal/sip"
 )
 
 const (
@@ -71,9 +73,31 @@ const (
 	ingQueueDepth = 2
 )
 
-// ingDigest is one frame's decode summary — the few scalars the route
-// stage needs from a decoded view — written in place by a lane (or on
-// the synchronous router's stack) and consumed once by the router.
+// decoded is what the decode stage hands the route stage for one
+// datagram, in the form it travels to a shard: an RTP or RTCP packet as
+// its packed slot (msg nil), anything else — SIP, accounting, raw — as an
+// owned view whose hints the route stage fills in. Neither aliases bytes.
+type decoded struct {
+	media mediaSlot
+	msg   *shippedMsg
+}
+
+// decodeDatagram runs decode for a caller that ships the result instead
+// of keeping a view: the router and the lanes.
+func (dc *decoder) decodeDatagram(at time.Duration, src, dst netip.AddrPort, claimed Protocol, payload []byte, d *decoded) {
+	var v FrameView
+	v.At, v.Src, v.Dst = at, src, dst
+	dc.decode(claimed, false, payload, &v)
+	if v.Proto == ProtoRTP || v.Proto == ProtoRTCP {
+		d.media.pack(&v)
+		d.msg = nil
+		return
+	}
+	d.msg = &shippedMsg{view: v}
+}
+
+// ingDigest is one frame's trip through the tier: fed as (at, frame),
+// decoded in place by a lane, consumed once by the sequencer.
 type ingDigest struct {
 	// pre is how far the prelude got, which is exactly what the sequencer
 	// must replay to keep the router's clocks and state serial-identical:
@@ -84,43 +108,20 @@ type ingDigest struct {
 	at       time.Duration
 	frame    []byte
 	src, dst netip.AddrPort
-	// The decode result (preDatagram): the protocol the payload
-	// dispatches under, and ok=false for a raw payload no decoder took.
-	proto  Protocol
-	ok     bool
-	seq    uint16       // RTP sequence number
-	msg    *sip.Message // parsed SIP message (aliases the frame)
-	callID string       // accounting Call-ID
-	start  bool         // accounting START transaction
-}
-
-// digest runs decode for a caller that keeps no view — the router and
-// the lanes, which want a routing decision and not a footprint — and
-// summarizes the result into d.
-func (dc *decoder) digest(claimed Protocol, sniffed bool, payload []byte, msg *sip.Message, d *ingDigest) {
-	var v FrameView
-	dc.decode(claimed, sniffed, payload, msg, &v)
-	d.proto, d.ok = v.dispatchProto(), v.Proto != ProtoOther
-	d.seq, d.msg = v.RTP.Seq, v.Msg
-	d.callID, d.start = v.Txn.CallID, v.Txn.Kind == accounting.TxnStart
+	// The decode result (preDatagram).
+	decoded
 }
 
 // ingBatch carries ingBatchSize consecutive frames from the feeder
-// through one lane to the sequencer. A frame that decodes as SIP parses
-// into the batch's message slot of the same index; the parsed views
-// alias the retained frames, which outlive the batch's trip through the
-// sequencer.
+// through one lane to the sequencer.
 type ingBatch struct {
 	lane int
 	n    int
 	dig  [ingBatchSize]ingDigest
-	msgs [ingBatchSize]sip.Message
 }
 
-// reset clears the frame references of a consumed batch before it
-// returns to the free pool. The SIP message slots keep their internal
-// buffers (that reuse is what makes lane parsing cheap), mirroring the
-// synchronous router's single scratch message.
+// reset clears the frame and message references of a consumed batch
+// before it returns to the free pool.
 func (b *ingBatch) reset() {
 	clear(b.dig[:b.n])
 	b.n = 0
@@ -283,7 +284,7 @@ func (l *ingLane) run() {
 	for m := range l.in {
 		if b := m.batch; b != nil {
 			for i := 0; i < b.n; i++ {
-				l.decodeOne(&b.dig[i], &b.msgs[i])
+				l.decodeOne(&b.dig[i])
 			}
 			l.decoded.Add(uint64(b.n))
 		}
@@ -293,12 +294,12 @@ func (l *ingLane) run() {
 
 // decodeOne runs the decode stage for one frame. Fragments and TCP
 // segments stop at the prelude: what follows for them is stateful.
-func (l *ingLane) decodeOne(d *ingDigest, msg *sip.Message) {
+func (l *ingLane) decodeOne(d *ingDigest) {
 	var p prelude
 	l.dec.prelude(d.frame, &p)
 	if d.pre = p.kind; d.pre == preDatagram {
 		d.src, d.dst = p.src, p.dst
-		l.dec.digest(p.proto, false, p.payload, msg, d)
+		l.dec.decodeDatagram(d.at, p.src, p.dst, p.proto, p.payload, &d.decoded)
 	}
 }
 
@@ -352,7 +353,7 @@ func (s *ShardedEngine) sequenceDigestLocked(idx uint64, d *ingDigest) {
 		// (reassemble's default arm), then a datagram routes.
 		s.frags.expire(s.reasm, d.at)
 		if d.pre == preDatagram {
-			s.shipLocked(idx, d, nil)
+			s.shipLocked(idx, d.at, d.src, d.dst, &d.decoded, 1)
 		}
 	}
 }

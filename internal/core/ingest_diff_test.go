@@ -26,13 +26,14 @@ var (
 // (ingesters × shards) combination on one frame stream.
 func diffIngestRunsCfg(t *testing.T, label string, frames []rec, cfg core.Config, ingCounts, shardCounts []int) {
 	t.Helper()
-	wantAlerts, wantEvents, wantStats := runSerialCfg(frames, cfg)
+	wantAlerts, wantEvents, wantStats, wantDistill := runSerialDistill(frames, cfg)
 	for _, ing := range ingCounts {
 		for _, shards := range shardCounts {
 			icfg := cfg
 			icfg.IngestRouters = ing
-			gotAlerts, gotEvents, gotStats := runShardedCfg(frames, shards, icfg)
+			gotAlerts, gotEvents, gotStats, gotDistill := runShardedDistill(frames, shards, icfg)
 			tag := fmt.Sprintf("%s ingesters=%d shards=%d", label, ing, shards)
+			diffClassification(t, tag, gotDistill, wantDistill)
 			if len(gotEvents) != len(wantEvents) {
 				t.Errorf("%s: %d events, serial has %d", tag, len(gotEvents), len(wantEvents))
 			} else {

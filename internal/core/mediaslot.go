@@ -7,8 +7,9 @@ import (
 	"scidive/internal/rtp"
 )
 
-// mediaSlot is what an RTP or RTCP trail retains of one packet: every
-// field a media FrameView carries, packed into 64 bytes. A G.711 call
+// mediaSlot is what an RTP or RTCP trail retains of one packet, and what
+// the sharded router ships a shard instead of the frame: every field a
+// media FrameView carries, packed into 64 bytes. A G.711 call
 // fills its RTP trail to the default bound within a minute, so the slot
 // — not the 304-byte FrameView union, of which a media view uses a
 // fraction — is what a live call costs in steady state. It holds no

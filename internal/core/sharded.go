@@ -9,6 +9,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"scidive/internal/accounting"
 	"scidive/internal/capture"
 	"scidive/internal/netsim"
 	"scidive/internal/packet"
@@ -16,13 +17,15 @@ import (
 )
 
 // ShardedEngine runs the SCIDIVE pipeline across N worker shards, each
-// owning a private Distiller, TrailStore, EventGenerator and RuleEngine.
-// A single router stage peeks at every frame just deep enough to compute
-// its session key — the same key the serial engine files trails under —
-// and ships the frame to shard hash(key). Session affinity is the load-
-// bearing invariant: a call's SIP dialog, its RTP media, its RTCP control
-// and its accounting records all hash to one shard, so the stateful
-// cross-protocol rules run unchanged inside each shard.
+// owning a private TrailStore, EventGenerator and RuleEngine. A single
+// router stage decodes every frame — the one decode stage (classify.go),
+// run once — computes its session key, the same key the serial engine
+// files trails under, and ships the decoded result to shard hash(key): a
+// media packet as the 64-byte mediaSlot its trail keeps, anything else as
+// an owned view. A shard never sees frame bytes. Session affinity is the
+// load-bearing invariant: a call's SIP dialog, its RTP media, its RTCP
+// control and its accounting records all hash to one shard, so the
+// stateful cross-protocol rules run unchanged inside each shard.
 //
 // State that spans sessions cannot live in a shard. The router therefore
 // keeps its own session directory (a second sessionIndex fed by the same
@@ -54,13 +57,12 @@ import (
 // ShardHealth and raises an ids-overload self-alert — degradation is a
 // detectable event, never silent.
 //
-// HandleFrame may be called from multiple goroutines. The router retains
-// a shipped frame until its shard has processed it, so feeders must not
-// reuse frame buffers (netsim taps allocate per frame; ReplayCapture
-// copies each frame because capture.Replay reuses one buffer — see the
-// capture.FrameFunc aliasing contract). Call Close when done to stop the
-// shard goroutines; Alerts, Events and Stats remain readable after
-// Close.
+// HandleFrame may be called from multiple goroutines. The synchronous
+// router only borrows the frame for the call, copying what it must keep
+// (buffered fragments) as the serial engine does; ingest lanes decode on
+// another goroutine, so with Config.IngestRouters > 1 feeders must not
+// reuse frame buffers. Call Close when done to stop the shard goroutines;
+// Alerts, Events and Stats remain readable after Close.
 type ShardedEngine struct {
 	cfg     Config
 	gen     GenConfig // normalized thresholds for router-side verdicts
@@ -100,13 +102,10 @@ type ShardedEngine struct {
 	// lock-free by Stats).
 	correlators []Correlator
 	// dec is the router's instance of the decode stage (classify.go) over
-	// that registry — the same stage the shard's distiller runs on the
-	// shipped frame, so a reclassified frame routes to the session its
-	// content belongs to. Its SIP messages parse into msg, one reusable
-	// scratch message: routing never retains it, only interned strings
-	// flow into the directory.
+	// that registry: the only decode a synchronously routed frame gets.
+	// The view it produces routes the frame (a reclassified frame goes to
+	// the session its content belongs to) and then ships to the shard.
 	dec     decoder
-	msg     sip.Message
 	sticky  map[string]string // Call-ID -> routing key (pinned on first sighting)
 	pending [][]shardItem
 	// hints is per-frame scratch for the hinter passes: taking the
@@ -152,17 +151,16 @@ type ShardedEngine struct {
 	onEvent func(Event)
 }
 
-// shippedMsg is one stream-extracted SIP message (or tunneled media
-// chunk, see streamKind) bound for a shard, with the router's
-// per-message hints. The payload is copied at ship time: the router's
-// framing buffers recycle on the flow's next segment, while the shard
-// consumes the item asynchronously.
+// shippedMsg is one decoded result bound for a shard that is not a bare
+// media datagram: a SIP, accounting or raw datagram, or one message (or
+// tunneled media chunk) a TCP segment completed, with the router's hints
+// for it. The view is the shard's to keep — the decode stage aliases no
+// payload bytes — and the shard runs it through its pipeline in place.
+// next chains the further messages of the same segment, in stream order.
 type shippedMsg struct {
-	at       time.Duration
-	src, dst netip.AddrPort
-	payload  []byte
-	hints    RouteHints
-	kind     streamKind
+	view  FrameView
+	hints RouteHints
+	next  *shippedMsg
 }
 
 // mergeTag orders shard output globally: frame index, then the event's
@@ -180,8 +178,8 @@ const selfAlertSub = 1 << 30
 type itemKind uint8
 
 const (
-	itemFrame itemKind = iota
-	itemGroup
+	itemMedia itemKind = iota
+	itemFrame
 	itemStream
 	itemBinding
 	itemEvict
@@ -194,31 +192,42 @@ const (
 	itemRestart
 )
 
-// shardItem is one unit of work on a shard's queue: a routed frame (or
-// reassembled fragment group), a replicated binding, a capacity-eviction
-// or expiry broadcast, or a flush/inspect marker.
+// shardItem is one unit of work on a shard's queue. The hot kind,
+// itemMedia (a routed RTP or RTCP datagram), is self-contained: the
+// packed slot plus the three hints a media packet can carry. itemFrame
+// (one non-media datagram) and itemStream (everything one TCP segment
+// completed) hang off msg; the control kinds — a replicated binding, an
+// eviction or expiry broadcast, a flush/inspect/checkpoint marker — off
+// ctl. Nothing in an item or behind msg can hold frame bytes, and a batch
+// of 64 is 8 KB (TestShardItemsCarryNoFrameBytes pins both).
 type shardItem struct {
-	kind    itemKind
+	kind   itemKind
+	hasSeq bool       // itemMedia: RouteHints.HasSeq
+	seq    SeqVerdict // itemMedia: RouteHints.Seq
+	// frames is how many capture frames the item accounts for, in the
+	// routed == processed + shed ledger and the shard's distiller
+	// counters: 1, or a reassembled datagram's whole fragment group. Zero
+	// on control items.
+	frames  uint32
 	idx     uint64
-	at      time.Duration
-	frame   []byte
-	group   []routedFrame
-	msgs    []shippedMsg
-	hints   RouteHints
-	aor     string
+	at      time.Duration // capture time (stamps shed and failure self-alerts; the itemExpire clock)
+	session string        // itemMedia: RouteHints.Session
+	media   mediaSlot     // itemMedia
+	msg     *shippedMsg
+	ctl     *shardCtl
+}
+
+// shardCtl is what a control item carries. Broadcasts share one value
+// across shards (read-only); markers get one each, acked by closing ack.
+type shardCtl struct {
+	aor     string // itemBinding
 	ip      netip.Addr
-	session string
+	session string // itemEvict
 	ack     chan struct{}
-	// snap receives the worker's serialized state (itemSnapshot); restore
-	// carries decoded state to install (itemRestore). Both are checkpoint
-	// markers, acked like flush/inspect.
-	snap    *[]byte
-	restore *workerRestore
-	// rules and dropped carry a live ruleset reload (itemReload): the new
-	// ruleset to install and the shared counter of dropped partial
-	// matches. Acked like flush/inspect.
-	rules   []Rule
-	dropped *atomic.Int64
+	snap    []byte         // itemSnapshot: the worker's serialized state, written before the ack
+	restore *workerRestore // itemRestore: decoded state to install
+	rules   []Rule         // itemReload: the new ruleset, and the shared
+	dropped *atomic.Int64  // counter of dropped partial matches
 }
 
 // Worker health states.
@@ -303,8 +312,8 @@ const (
 
 // shardBatchPool recycles batch slices between the router (which fills
 // them) and the consumer that finishes them — a worker, or the router's
-// own shed path. Returned batches are zeroed first so no frame bytes or
-// fragment groups are retained past processing.
+// own shed path. Returned batches are zeroed first so no shipped message
+// or control value is retained past processing.
 var shardBatchPool = sync.Pool{
 	New: func() any {
 		b := make([]shardItem, 0, shardBatchSize)
@@ -317,7 +326,7 @@ func getBatch() []shardItem {
 	return (*shardBatchPool.Get().(*[]shardItem))[:0]
 }
 
-// putBatch zeroes a finished batch (dropping its frame and group
+// putBatch zeroes a finished batch (dropping its message and control
 // references) and recycles it. Safe on batches that grew past
 // shardBatchSize (markers appended by Flush/Close/TrailCounts).
 func putBatch(b []shardItem) {
@@ -376,9 +385,7 @@ func NewShardedEngine(cfg Config, shards int, opts ...EngineOption) *ShardedEngi
 	s.idx.onCapEvict = func(id string) {
 		s.capSessions.Add(1)
 		delete(s.sticky, id)
-		for i := range s.workers {
-			s.appendItemLocked(i, shardItem{kind: itemEvict, session: id})
-		}
+		s.broadcastLocked(shardItem{kind: itemEvict, ctl: &shardCtl{session: id}})
 	}
 	s.reasm.SetLimit(cfg.Limits.MaxFragGroups)
 	s.reasm.OnEvict(func(id packet.FragID) {
@@ -431,13 +438,11 @@ func (s *ShardedEngine) newShardEngine() *Engine {
 	wcfg.Rules = *s.liveRules.Load()
 	wcfg.Limits = shardLocalLimits(s.correlators, wcfg.Limits)
 	eng := NewEngine(wcfg, s.opts...)
-	// Shard engines never own router-side routing state: the router keeps
-	// the sticky routing keys, buffered fragment groups and the stream
-	// mux, so the serial engine's copies stay nil here (the reassembler's
-	// eviction hook then drops from an orphaned empty table).
+	// Shard engines own neither router-side routing state (the sticky
+	// keys) nor anything that touches frame bytes — the router decodes,
+	// reassembles and frames — so their distiller is its counters alone.
 	eng.gen.sticky = nil
-	eng.distiller.frags = nil
-	eng.distiller.streams = nil
+	eng.distiller = &Distiller{}
 	return eng
 }
 
@@ -526,18 +531,25 @@ func (s *ShardedEngine) AttachTap(n *netsim.Network) {
 }
 
 // ReplayCapture feeds a recorded SCAP capture through the engine. Call
-// Flush (or Alerts/Events, which flush) before reading results. Each
-// frame is copied before routing: capture.Replay reuses one frame buffer
-// and the router retains shipped frames until their shard processes
-// them.
+// Flush (or Alerts/Events, which flush) before reading results.
 func (s *ShardedEngine) ReplayCapture(r *capture.Reader) error {
-	err := capture.Replay(r, func(at time.Duration, frame []byte) {
-		s.HandleFrame(at, append([]byte(nil), frame...))
-	})
-	if err != nil {
+	if err := capture.Replay(r, s.replayFeed()); err != nil {
 		return fmt.Errorf("core: replay: %w", err)
 	}
 	return nil
+}
+
+// replayFeed is HandleFrame for a feeder that reuses one frame buffer,
+// as capture.Replay does. The synchronous router only borrows a frame,
+// so the buffer goes straight in; ingest lanes decode after HandleFrame
+// returns, so on that path each frame is copied first.
+func (s *ShardedEngine) replayFeed() capture.FrameFunc {
+	if s.ing == nil {
+		return s.HandleFrame
+	}
+	return func(at time.Duration, frame []byte) {
+		s.HandleFrame(at, append([]byte(nil), frame...))
+	}
 }
 
 // expireLocked mirrors the serial engine's periodic session sweep: the
@@ -553,9 +565,7 @@ func (s *ShardedEngine) expireLocked(at time.Duration) {
 			}
 		}
 	}
-	for i := range s.workers {
-		s.appendItemLocked(i, shardItem{kind: itemExpire, at: at})
-	}
+	s.broadcastLocked(shardItem{kind: itemExpire, at: at})
 }
 
 // routeLocked is the synchronous router: the ingest lanes' decode run
@@ -567,72 +577,94 @@ func (s *ShardedEngine) expireLocked(at time.Duration) {
 func (s *ShardedEngine) routeLocked(idx uint64, at time.Duration, frame []byte) {
 	var p prelude
 	s.dec.prelude(frame, &p)
-	group := s.dec.reassemble(s.reasm, s.frags, at, frame, false, &p)
+	frames := s.dec.reassemble(s.reasm, s.frags, at, frame, &p)
 	switch p.kind {
 	case preTCP:
 		s.routeStreamLocked(idx, at, &p)
 	case preDatagram:
-		d := ingDigest{at: at, frame: frame, src: p.src, dst: p.dst}
-		s.dec.digest(p.proto, false, p.payload, &s.msg, &d)
-		s.shipLocked(idx, &d, group)
+		var d decoded
+		s.dec.decodeDatagram(at, p.src, p.dst, p.proto, p.payload, &d)
+		s.shipLocked(idx, at, p.src, p.dst, &d, frames)
 	}
 }
 
-// shipLocked routes one decoded datagram and queues its frame — or, for
-// a datagram the reassembler completed, its whole fragment group — on
-// the session's shard with the router's hints.
-func (s *ShardedEngine) shipLocked(idx uint64, d *ingDigest, group []routedFrame) {
-	routeKey, hints := s.dispatchLocked(d, "")
-	shard := shardOf(s.resolveRouteLocked(routeKey), len(s.workers))
-	if group == nil {
-		s.appendItemLocked(shard, shardItem{kind: itemFrame, idx: idx, at: d.at, frame: d.frame, hints: hints})
+// shipLocked routes one decoded datagram and queues it on the session's
+// shard with the router's hints. frames is how many capture frames it
+// took (more than one when the reassembler completed it). A media packet
+// ships inside its item, to the shard its session caches.
+func (s *ShardedEngine) shipLocked(idx uint64, at time.Duration, src, dst netip.AddrPort, d *decoded, frames int) {
+	it := shardItem{kind: itemFrame, idx: idx, at: at, frames: uint32(frames), msg: d.msg}
+	if m := d.msg; m != nil {
+		var routeKey string
+		routeKey, m.hints = s.dispatchLocked(&m.view, "")
+		s.appendItemLocked(shardOf(s.resolveRouteLocked(routeKey), len(s.workers)), &it)
 		return
 	}
-	group = append(group, routedFrame{at: d.at, frame: d.frame})
-	s.appendItemLocked(shard, shardItem{kind: itemGroup, idx: idx, group: group, hints: hints})
+	proto := ProtoRTP
+	if d.media.flags&slotRTCP != 0 {
+		proto = ProtoRTCP
+	}
+	st, h := s.routeMediaLocked(proto, at, src, dst, d.media.seq)
+	it.kind, it.media = itemMedia, d.media
+	it.session, it.hasSeq, it.seq = h.Session, h.HasSeq, h.Seq
+	s.appendItemLocked(s.sessionShardLocked(h.Session, st), &it)
 }
 
-// dispatchLocked is the one stateful route stage: given what the decode
-// stage made of a payload — datagram, framed stream message or tunnel
-// chunk alike — it runs the content protocol's directory transition and
-// hinter passes in global arrival order and returns the routing key and
-// the hints the shard will need. A raw payload (ok=false) dispatches
-// under the protocol its port claimed, as the generator does. flowKey is
-// the carrying TCP flow's routing key, empty for datagrams.
-func (s *ShardedEngine) dispatchLocked(d *ingDigest, flowKey string) (string, RouteHints) {
-	switch d.proto {
-	case ProtoSIP:
-		return s.classifySIPMsgLocked(d.at, d.src, d.dst, d.msg, flowKey)
-	case ProtoAccounting:
-		return s.classifyAcctLocked(d.dst, d.callID, d.start, d.ok), RouteHints{}
-	case ProtoRTP:
-		return s.classifyRTPSeqLocked(d.at, d.src, d.dst, d.seq, d.ok)
-	default: // ProtoRTCP
-		return s.classifyRTCPFlowLocked(d.at, d.src, d.dst, d.ok)
+// sessionShardLocked is shardOf(resolveRouteLocked(key)) for a media
+// flow attributed to st (whose Call-ID key is), computed once per
+// session: a dialog's pin never moves while its state lives, and the
+// cache dies with the state on expiry, eviction and restore. A flow no
+// session claims (st nil) resolves per packet.
+func (s *ShardedEngine) sessionShardLocked(key string, st *sessionState) int {
+	if st != nil && st.routeShard != 0 {
+		return int(st.routeShard) - 1
 	}
+	shard := shardOf(s.resolveRouteLocked(key), len(s.workers))
+	if st != nil {
+		st.routeShard = int32(shard) + 1
+	}
+	return shard
 }
 
-// classifyAcctLocked is the stateful half of accounting classification.
-// ok=false means the transaction did not parse and is filed raw.
-func (s *ShardedEngine) classifyAcctLocked(dst netip.AddrPort, callID string, start, ok bool) string {
-	if !ok {
-		return s.idx.endpointKey('w', "raw:", dst)
+// dispatchLocked is the one stateful route stage for everything but a
+// bare media datagram (routeMediaLocked): given what the decode stage
+// made of a payload — datagram, framed stream message or tunnel chunk
+// alike — it runs the content protocol's directory transition and hinter
+// passes in global arrival order and returns the routing key and the
+// hints the shard will need. A raw view dispatches under the protocol
+// its port claimed, as the generator does. flowKey is the carrying TCP
+// flow's routing key, empty for datagrams.
+func (s *ShardedEngine) dispatchLocked(v *FrameView, flowKey string) (string, RouteHints) {
+	switch p, raw := v.dispatchProto(), v.Proto == ProtoOther; {
+	case raw && p == ProtoRTP:
+		// Garbage on a media port: the serial generator attributes the
+		// event to the session negotiating this endpoint.
+		if st := s.idx.mediaDstSession(v.Dst); st != nil {
+			return st.callID, RouteHints{Session: st.callID}
+		}
+		sess := s.idx.endpointKey('w', "raw:", v.Dst)
+		return sess, RouteHints{Session: sess}
+	case raw:
+		// Undecodable on any other claimed port: filed raw, unattributed.
+		return s.idx.endpointKey('w', "raw:", v.Dst), RouteHints{}
+	case p == ProtoSIP:
+		return s.classifySIPMsgLocked(v.At, v.Src, v.Dst, v.Msg, flowKey)
+	case p == ProtoAccounting:
+		if v.Txn.Kind == accounting.TxnStart {
+			// The generator creates session state for billing STARTs.
+			s.idx.core(v.Txn.CallID)
+		}
+		return v.Txn.CallID, RouteHints{}
+	default:
+		_, h := s.routeMediaLocked(p, v.At, v.Src, v.Dst, v.RTP.Seq)
+		return h.Session, h
 	}
-	if start {
-		// The generator creates session state for billing STARTs.
-		s.idx.core(callID)
-	}
-	return callID
 }
 
 // classifySIPMsgLocked is the stateful half of SIP classification: it
-// takes an already-parsed message (nil for undecodable bytes on a SIP
-// port) and runs the directory transition, hinters, binding replication
-// and sticky-key pinning.
+// takes a parsed message and runs the directory transition, hinters,
+// binding replication and sticky-key pinning.
 func (s *ShardedEngine) classifySIPMsgLocked(at time.Duration, src, dst netip.AddrPort, m *sip.Message, flowKey string) (string, RouteHints) {
-	if m == nil {
-		return s.idx.endpointKey('w', "raw:", dst), RouteHints{}
-	}
 	st, out := s.idx.applySIP(m, at, src)
 	// Hinter correlators judge the sighting against their router-owned
 	// state here, in arrival order, exactly as the serial correlators
@@ -646,9 +678,7 @@ func (s *ShardedEngine) classifySIPMsgLocked(at time.Duration, src, dst netip.Ad
 	if out.regOK && out.bindingIP.IsValid() {
 		// Replicate the binding to every shard, ordered with the frame
 		// stream, so each shard's directory view matches the serial one.
-		for i := range s.workers {
-			s.appendItemLocked(i, shardItem{kind: itemBinding, aor: out.regAOR, ip: out.bindingIP})
-		}
+		s.broadcastLocked(shardItem{kind: itemBinding, ctl: &shardCtl{aor: out.regAOR, ip: out.bindingIP}})
 	}
 	if out.established {
 		for _, c := range s.correlators {
@@ -680,6 +710,7 @@ func (s *ShardedEngine) classifySIPMsgLocked(at time.Duration, src, dst netip.Ad
 			}
 		}
 		s.sticky[st.callID] = routeKey
+		st.routeShard = 0 // a state opened before its pin (billing START) resolved without it
 	}
 	return routeKey, s.hints
 }
@@ -687,12 +718,12 @@ func (s *ShardedEngine) classifySIPMsgLocked(at time.Duration, src, dst netip.Ad
 // routeStreamLocked is the stream-transport arm of the router: a TCP
 // segment feeds the router-owned mux, and everything it completes —
 // framed SIP messages and sniffed tunnel chunks — goes through the same
-// decode and dispatch as a datagram, in arrival order. The results are
-// copied and shipped to the flow's shard as ONE item (the route key of
-// each is ignored: stream order and the merge ordinals of coalesced
-// messages must hold; the hints are kept). TCP frames that complete
-// nothing (handshakes, partial messages, unclaimed ports) ship nothing,
-// exactly the frames the serial engine produces no footprint for.
+// decode and dispatch as a datagram, in arrival order. The decoded views
+// ship to the flow's shard chained on ONE item (the route key of each is
+// ignored: stream order and the merge ordinals of coalesced messages must
+// hold; the hints are kept). TCP frames that complete nothing
+// (handshakes, partial messages, unclaimed ports) ship nothing, exactly
+// the frames the serial engine produces no footprint for.
 func (s *ShardedEngine) routeStreamLocked(idx uint64, at time.Duration, p *prelude) {
 	th, ok := s.dec.segment(p)
 	if !ok {
@@ -705,73 +736,81 @@ func (s *ShardedEngine) routeStreamLocked(idx uint64, at time.Duration, p *prelu
 	}
 	flowKey := streamFlowKey(p.src, p.dst)
 	ship := make([]shippedMsg, len(msgs))
-	for i, sm := range msgs {
-		d := ingDigest{at: sm.at, src: sm.src, dst: sm.dst}
-		s.dec.digest(ProtoSIP, sm.kind == streamKindTunnel, sm.payload, &s.msg, &d)
-		_, hints := s.dispatchLocked(&d, flowKey)
-		ship[i] = shippedMsg{at: sm.at, src: sm.src, dst: sm.dst,
-			payload: append([]byte(nil), sm.payload...), hints: hints, kind: sm.kind}
+	for i := range msgs {
+		m := &ship[i]
+		s.dec.decodeStream(&msgs[i], flowKey, &m.view)
+		_, m.hints = s.dispatchLocked(&m.view, flowKey)
+		if i > 0 {
+			ship[i-1].next = m
+		}
 	}
 	s.appendItemLocked(shardOf(flowKey, len(s.workers)),
-		shardItem{kind: itemStream, idx: idx, at: at, msgs: ship})
+		&shardItem{kind: itemStream, idx: idx, at: at, frames: 1, msg: &ship[0]})
 }
 
-// classifyRTPSeqLocked is the stateful half of RTP classification: only
-// the peeked sequence number (and whether the payload decoded) is needed
-// from the datagram.
-func (s *ShardedEngine) classifyRTPSeqLocked(at time.Duration, src, dst netip.AddrPort, seq uint16, ok bool) (string, RouteHints) {
-	if !ok {
-		// Garbage on a media port: the serial generator attributes the
-		// event to the session negotiating this endpoint.
-		if st := s.idx.mediaDstSession(dst); st != nil {
-			return st.callID, RouteHints{Session: st.callID}
-		}
-		sess := s.idx.endpointKey('w', "raw:", dst)
-		return sess, RouteHints{Session: sess}
-	}
-	session, st := s.idx.attributeMedia(ProtoRTP, src, dst)
-	// The rtp correlator's router instance tracks continuity across all
-	// shards in global frame order and ships the verdict as a hint.
+// routeMediaLocked is the stateful half of media classification: flow
+// attribution against the directory and, for RTP, the continuity verdict
+// of the rtp correlator's router instance, which tracks sequence numbers
+// across all shards in global frame order. It returns the attributed
+// session's state (nil when no session claims the flow) and the hints,
+// whose Session is the routing key.
+func (s *ShardedEngine) routeMediaLocked(proto Protocol, at time.Duration, src, dst netip.AddrPort, seq uint16) (*sessionState, RouteHints) {
+	session, st := s.idx.attributeMedia(proto, src, dst)
 	s.hints = RouteHints{Session: session}
-	for _, c := range s.correlators {
-		if rh, isHinter := c.(rtpHinter); isHinter {
-			rh.rtpHint(at, dst, seq, &s.hints)
+	if proto == ProtoRTP {
+		for _, c := range s.correlators {
+			if rh, isHinter := c.(rtpHinter); isHinter {
+				rh.rtpHint(at, dst, seq, &s.hints)
+			}
 		}
 	}
 	if st != nil {
 		st.lastSeen = at
 	}
-	return session, s.hints
-}
-
-// classifyRTCPFlowLocked is the stateful half of RTCP classification:
-// the compound peek only validates framing, so the lookup needs nothing
-// but the verdict.
-func (s *ShardedEngine) classifyRTCPFlowLocked(at time.Duration, src, dst netip.AddrPort, ok bool) (string, RouteHints) {
-	if !ok {
-		// Undecodable on an RTCP port: filed raw, no session attribution.
-		return s.idx.endpointKey('w', "raw:", dst), RouteHints{}
-	}
-	session, st := s.idx.attributeMedia(ProtoRTCP, src, dst)
-	if st != nil {
-		st.lastSeen = at
-	}
-	return session, RouteHints{Session: session}
+	return st, s.hints
 }
 
 // appendItemLocked queues one item for a shard, flushing the batch when
 // full.
-func (s *ShardedEngine) appendItemLocked(shard int, it shardItem) {
-	w := s.workers[shard]
-	switch it.kind {
-	case itemFrame, itemStream:
-		w.routedF.Add(1)
-	case itemGroup:
-		w.routedF.Add(uint64(len(it.group)))
+func (s *ShardedEngine) appendItemLocked(shard int, it *shardItem) {
+	if it.frames > 0 {
+		s.workers[shard].routedF.Add(uint64(it.frames))
 	}
-	s.pending[shard] = append(s.pending[shard], it)
+	s.pending[shard] = append(s.pending[shard], *it)
 	if len(s.pending[shard]) >= shardBatchSize {
 		s.flushShardLocked(shard)
+	}
+}
+
+// broadcastLocked queues one control item on every shard, ordered with
+// the frame stream. The shards share its ctl read-only.
+func (s *ShardedEngine) broadcastLocked(it shardItem) {
+	for i := range s.workers {
+		s.appendItemLocked(i, &it)
+	}
+}
+
+// markAllLocked enqueues one acked marker per shard behind everything
+// pending — the consistent cut Flush, checkpoints and reloads share — and
+// returns the markers for awaitAll. fill, when non-nil, sets the kind's
+// payload on each shard's marker.
+func (s *ShardedEngine) markAllLocked(kind itemKind, fill func(shard int, c *shardCtl)) []*shardCtl {
+	ctls := make([]*shardCtl, len(s.workers))
+	for i := range s.workers {
+		ctls[i] = &shardCtl{ack: make(chan struct{})}
+		if fill != nil {
+			fill(i, ctls[i])
+		}
+		s.pending[i] = append(s.pending[i], shardItem{kind: kind, ctl: ctls[i]})
+		s.flushShardLocked(i)
+	}
+	return ctls
+}
+
+// awaitAll waits for every shard to ack its marker (see awaitAck).
+func (s *ShardedEngine) awaitAll(ctls []*shardCtl) {
+	for i, c := range ctls {
+		awaitAck(s.workers[i], c.ack)
 	}
 }
 
@@ -845,17 +884,12 @@ func (s *ShardedEngine) shedBatchLocked(shard int, batch []shardItem) {
 // returning the frame count and the timestamp of the last dropped frame.
 func shedItems(items []shardItem) (frames int, at time.Duration) {
 	for i := range items {
-		switch items[i].kind {
-		case itemFrame, itemStream:
-			frames++
-			at = items[i].at
-		case itemGroup:
-			frames += len(items[i].group)
-			if n := len(items[i].group); n > 0 {
-				at = items[i].group[n-1].at
-			}
-		case itemFlush, itemInspect, itemSnapshot, itemRestore, itemReload, itemRestart:
-			close(items[i].ack)
+		it := &items[i]
+		if it.frames > 0 {
+			frames += int(it.frames)
+			at = it.at
+		} else if it.ctl != nil && it.ctl.ack != nil {
+			close(it.ctl.ack)
 		}
 	}
 	return frames, at
@@ -941,17 +975,9 @@ func (s *ShardedEngine) Flush() {
 		s.mu.Unlock()
 		return
 	}
-	acks := make([]chan struct{}, len(s.workers))
-	for i := range s.workers {
-		ack := make(chan struct{})
-		acks[i] = ack
-		s.pending[i] = append(s.pending[i], shardItem{kind: itemFlush, ack: ack})
-		s.flushShardLocked(i)
-	}
+	marks := s.markAllLocked(itemFlush, nil)
 	s.mu.Unlock()
-	for i, ack := range acks {
-		awaitAck(s.workers[i], ack)
-	}
+	s.awaitAll(marks)
 }
 
 // ReloadRules swaps the active ruleset live, at one consistent frame
@@ -977,18 +1003,10 @@ func (s *ShardedEngine) ReloadRules(rules []Rule) (int, error) {
 		return 0, fmt.Errorf("core: reload rules: engine is closed")
 	}
 	var dropped atomic.Int64
-	acks := make([]chan struct{}, len(s.workers))
-	for i := range s.workers {
-		ack := make(chan struct{})
-		acks[i] = ack
-		s.pending[i] = append(s.pending[i], shardItem{kind: itemReload, rules: rules, dropped: &dropped, ack: ack})
-		s.flushShardLocked(i)
-	}
+	marks := s.markAllLocked(itemReload, func(_ int, c *shardCtl) { c.rules, c.dropped = rules, &dropped })
 	s.liveRules.Store(&rules)
 	s.mu.Unlock()
-	for i, ack := range acks {
-		awaitAck(s.workers[i], ack)
-	}
+	s.awaitAll(marks)
 	n := int(dropped.Load())
 	if n > 0 {
 		s.raiseSelf(RuleRuleReload, "rules",
@@ -1024,7 +1042,7 @@ func (s *ShardedEngine) RollingRestart() error {
 		}
 		routedBefore := w.routedF.Load()
 		ack := make(chan struct{})
-		s.pending[i] = append(s.pending[i], shardItem{kind: itemRestart, ack: ack})
+		s.pending[i] = append(s.pending[i], shardItem{kind: itemRestart, ctl: &shardCtl{ack: ack}})
 		s.flushShardLocked(i)
 		s.mu.Unlock()
 		awaitAck(w, ack)
@@ -1135,14 +1153,14 @@ func (s *ShardedEngine) Stats() EngineStats {
 }
 
 // DistillerStats returns the summed classification counters of every
-// shard's distiller (plus any restored checkpoint's folded history). The
-// router drops traffic no correlator claims and frames that fail
-// link/IP/UDP decode before any shard distiller sees them, so Ignored
-// and DecodeError cover only shipped traffic here; the classification
-// counters (SIP/RTP/RTCP/Acct/Raw/Mismatched) account every frame that
-// reached a shard, matching the serial engine's counts for the same
-// input. Like Stats, it reads published snapshots and never blocks on a
-// shard.
+// shard (plus any restored checkpoint's folded history). A shard counts
+// what the router shipped it — each decoded view's terminal and the
+// capture frames behind it — so SIP/RTP/RTCP/Acct/Raw/Mismatched/
+// StreamMsgs match the serial engine's for the same input, Fragments
+// covers completed datagrams only, and what the router drops before
+// decode (unclaimed ports, bad framing, bare TCP segments) appears in no
+// shard's Ignored, DecodeError or Streamed. Like Stats, it reads
+// published snapshots and never blocks on a shard.
 func (s *ShardedEngine) DistillerStats() DistillerStats {
 	var st DistillerStats
 	for _, w := range s.workers {
@@ -1220,17 +1238,9 @@ func (s *ShardedEngine) TrailCounts() (sessions, trails int) {
 	}
 	s.mu.Lock()
 	if !s.closed {
-		acks := make([]chan struct{}, len(s.workers))
-		for i := range s.workers {
-			ack := make(chan struct{})
-			acks[i] = ack
-			s.pending[i] = append(s.pending[i], shardItem{kind: itemInspect, ack: ack})
-			s.flushShardLocked(i)
-		}
+		marks := s.markAllLocked(itemInspect, nil)
 		s.mu.Unlock()
-		for i, ack := range acks {
-			awaitAck(s.workers[i], ack)
-		}
+		s.awaitAll(marks)
 	} else {
 		s.mu.Unlock()
 	}
@@ -1373,9 +1383,6 @@ func (w *shardWorker) run() {
 		pos, failure := w.runBatch(batch)
 		if failure != nil {
 			at := batch[pos].at
-			if pos < len(batch) && batch[pos].kind == itemGroup && len(batch[pos].group) > 0 {
-				at = batch[pos].group[0].at
-			}
 			w.owner.noteShardPanic(w, at, failure)
 			w.publish()
 			n, _ := shedItems(batch[pos:])
@@ -1440,58 +1447,53 @@ func (w *shardWorker) drainBatch(batch []shardItem) {
 func (w *shardWorker) runItem(it *shardItem) {
 	e := w.eng
 	switch it.kind {
-	case itemFrame:
+	case itemMedia, itemFrame, itemStream:
 		w.injectFault()
 		w.sub = 0
-		w.processFrame(it.idx, it.at, it.frame, it.hints)
-		w.processedF.Add(1)
-	case itemGroup:
-		w.injectFault()
-		w.sub = 0
-		for _, fr := range it.group {
-			w.processFrame(it.idx, fr.at, fr.frame, it.hints)
+		if it.kind == itemMedia {
+			it.media.unpack(&e.view)
+			w.process(it, &e.view, RouteHints{Session: it.session, HasSeq: it.hasSeq, Seq: it.seq})
 		}
-		w.processedF.Add(uint64(len(it.group)))
-	case itemStream:
-		w.injectFault()
-		w.sub = 0
-		for _, sm := range it.msgs {
-			w.processStreamMessage(it.idx, sm)
+		// One message for a datagram, or all a TCP segment completed:
+		// w.sub runs on across them, so coalesced messages keep the serial
+		// output order.
+		for m := it.msg; m != nil; m = m.next {
+			w.process(it, &m.view, m.hints)
 		}
-		w.processedF.Add(1)
+		w.processedF.Add(uint64(it.frames))
 	case itemBinding:
-		e.gen.ApplyBinding(it.aor, it.ip)
+		e.gen.ApplyBinding(it.ctl.aor, it.ctl.ip)
 	case itemEvict:
-		e.gen.EvictSession(it.session)
+		e.gen.EvictSession(it.ctl.session)
 	case itemExpire:
 		e.stats.SessionsEvicted += e.gen.ExpireSessions(it.at, e.cfg.SessionTimeout)
 	case itemFlush:
 		w.publish()
-		close(it.ack)
+		close(it.ctl.ack)
 	case itemInspect:
 		w.publish()
 		w.publishTrails()
-		close(it.ack)
+		close(it.ctl.ack)
 	case itemSnapshot:
 		w.publish()
-		*it.snap = w.snapshotWorker()
-		close(it.ack)
+		it.ctl.snap = w.snapshotWorker()
+		close(it.ctl.ack)
 	case itemRestore:
-		w.installRestore(it.restore)
-		close(it.ack)
+		w.installRestore(it.ctl.restore)
+		close(it.ctl.ack)
 	case itemReload:
 		// A warm-restart blob serialized under the old ruleset would
 		// restore stale partial matches with old semantics; drop the
 		// cached blob when the ruleset text actually changed.
-		if FormatRules(e.rules.rules) != FormatRules(it.rules) {
+		if FormatRules(e.rules.rules) != FormatRules(it.ctl.rules) {
 			w.lastEngineSnap = nil
 		}
-		it.dropped.Add(int64(e.rules.reload(it.rules)))
-		e.cfg.Rules = it.rules
-		close(it.ack)
+		it.ctl.dropped.Add(int64(e.rules.reload(it.ctl.rules)))
+		e.cfg.Rules = it.ctl.rules
+		close(it.ctl.ack)
 	case itemRestart:
 		w.rollEngine()
-		close(it.ack)
+		close(it.ctl.ack)
 	}
 }
 
@@ -1512,41 +1514,25 @@ func (w *shardWorker) injectFault() {
 	}
 }
 
-// processFrame is the shard-side pipeline: distill, generate (with the
-// router's hints), and feed rules. Frame counting and expiry cadence are
-// the router's job, so unlike Engine.HandleFrame neither happens here.
-func (w *shardWorker) processFrame(idx uint64, at time.Duration, frame []byte, h RouteHints) {
-	e := w.eng
-	if !e.distiller.DistillView(at, frame, &e.view) {
-		return
+// process is the shard-side pipeline for one decoded view of an item:
+// count what the serial distiller would have (a stream message, or the
+// capture frames behind a datagram — all but the completing one buffered
+// fragments — then the view's terminal, with the SIP format check),
+// generate with the router's hints, and feed rules. Decoding and expiry
+// cadence are the router's job, so unlike Engine.HandleFrame neither
+// happens here.
+func (w *shardWorker) process(it *shardItem, v *FrameView, h RouteHints) {
+	e, idx := w.eng, it.idx
+	if ds := &e.distiller.stats; it.kind == itemStream {
+		ds.StreamMsgs++
+	} else {
+		ds.Frames += int(it.frames)
+		ds.Fragments += int(it.frames) - 1
 	}
+	e.distiller.account(v)
 	e.stats.Footprints++
 	e.evScratch = e.evScratch[:0]
-	e.gen.ProcessView(&e.view, h, &e.evScratch)
-	for _, ev := range e.evScratch {
-		e.stats.Events++
-		w.curTag = mergeTag{idx: idx, sub: w.sub}
-		if e.keepLog {
-			e.logEvent(ev)
-			w.eventTags = append(w.eventTags, w.curTag)
-		}
-		e.stats.Alerts += len(e.rules.Feed(ev))
-		w.sub++
-	}
-}
-
-// processStreamMessage runs one router-extracted SIP message through the
-// shard pipeline. The shard holds no stream state: the message arrives
-// already reassembled and framed, so this is processFrame minus the
-// distillation prelude, with the same merge-tag accounting (w.sub runs
-// continuously across the messages of one item, so coalesced messages
-// keep the serial output order).
-func (w *shardWorker) processStreamMessage(idx uint64, sm shippedMsg) {
-	e := w.eng
-	e.distiller.distillStreamMessage(sm.at, sm.src, sm.dst, sm.payload, sm.kind, &e.view)
-	e.stats.Footprints++
-	e.evScratch = e.evScratch[:0]
-	e.gen.ProcessView(&e.view, sm.hints, &e.evScratch)
+	e.gen.ProcessView(v, h, &e.evScratch)
 	for _, ev := range e.evScratch {
 		e.stats.Events++
 		w.curTag = mergeTag{idx: idx, sub: w.sub}

@@ -49,12 +49,18 @@ func runSerial(frames []rec) ([]core.Alert, []core.Event, core.EngineStats) {
 }
 
 func runSerialCfg(frames []rec, cfg core.Config) ([]core.Alert, []core.Event, core.EngineStats) {
+	alerts, events, stats, _ := runSerialDistill(frames, cfg)
+	return alerts, events, stats
+}
+
+// runSerialDistill is runSerialCfg plus the distiller's counters.
+func runSerialDistill(frames []rec, cfg core.Config) ([]core.Alert, []core.Event, core.EngineStats, core.DistillerStats) {
 	eng := core.NewEngine(cfg, core.WithEventLog())
 	for _, r := range frames {
 		eng.HandleFrame(r.at, r.frame)
 	}
 	mustMediaIndex(eng.CheckMediaIndex())
-	return eng.Alerts(), eng.Events(), eng.Stats()
+	return eng.Alerts(), eng.Events(), eng.Stats(), eng.DistillerStats()
 }
 
 // mustMediaIndex fails the run when an engine's reverse media index has
@@ -72,13 +78,49 @@ func runSharded(frames []rec, shards int) ([]core.Alert, []core.Event, core.Engi
 }
 
 func runShardedCfg(frames []rec, shards int, cfg core.Config) ([]core.Alert, []core.Event, core.EngineStats) {
+	alerts, events, stats, _ := runShardedDistill(frames, shards, cfg)
+	return alerts, events, stats
+}
+
+// runShardedDistill is runShardedCfg plus the shards' summed distiller
+// counters.
+func runShardedDistill(frames []rec, shards int, cfg core.Config) ([]core.Alert, []core.Event, core.EngineStats, core.DistillerStats) {
 	eng := core.NewShardedEngine(cfg, shards, core.WithEventLog())
 	defer eng.Close()
 	for _, r := range frames {
 		eng.HandleFrame(r.at, r.frame)
 	}
 	mustMediaIndex(eng.CheckMediaIndex()) // flushes
-	return eng.Alerts(), eng.Events(), eng.Stats()
+	return eng.Alerts(), eng.Events(), eng.Stats(), eng.DistillerStats()
+}
+
+// diffClassification holds the sharded engine's classification counters
+// to the serial distiller's, field by field. A shard does not decode: it
+// derives them from the result the router (or a lane) shipped, so a view
+// lost, duplicated or re-labelled in the handoff shows up here even when
+// it raises no event. Fragments is the exception the router's position
+// forces: a shard hears of a fragment only when its datagram completes
+// and ships, so the sharded count is the serial one minus the fragments
+// of groups that never did — bounded by it, and tied to the shipped
+// datagrams by the ledger, which must balance on its own.
+func diffClassification(t *testing.T, label string, got, want core.DistillerStats) {
+	t.Helper()
+	for _, f := range []struct {
+		name      string
+		got, want int
+	}{
+		{"SIP", got.SIP, want.SIP}, {"RTP", got.RTP, want.RTP}, {"RTCP", got.RTCP, want.RTCP},
+		{"Acct", got.Acct, want.Acct}, {"Raw", got.Raw, want.Raw}, {"Mismatched", got.Mismatched, want.Mismatched},
+		{"StreamMsgs", got.StreamMsgs, want.StreamMsgs},
+	} {
+		if f.got != f.want {
+			t.Errorf("%s: distiller %s = %d, serial %d\nsharded %+v\nserial  %+v", label, f.name, f.got, f.want, got, want)
+		}
+	}
+	if got.Fragments > want.Fragments {
+		t.Errorf("%s: distiller Fragments = %d, more than the serial engine's %d", label, got.Fragments, want.Fragments)
+	}
+	engineLedger(t, label, got)
 }
 
 // eventKey is the comparable identity of an event (the Footprint pointer
@@ -105,9 +147,10 @@ func diffRuns(t *testing.T, label string, frames []rec) {
 // are intentionally not serial-equivalent and must stay zero.
 func diffRunsCfg(t *testing.T, label string, frames []rec, cfg core.Config) {
 	t.Helper()
-	wantAlerts, wantEvents, wantStats := runSerialCfg(frames, cfg)
+	wantAlerts, wantEvents, wantStats, wantDistill := runSerialDistill(frames, cfg)
 	for _, shards := range diffShardCounts {
-		gotAlerts, gotEvents, gotStats := runShardedCfg(frames, shards, cfg)
+		gotAlerts, gotEvents, gotStats, gotDistill := runShardedDistill(frames, shards, cfg)
+		diffClassification(t, fmt.Sprintf("%s shards=%d", label, shards), gotDistill, wantDistill)
 		if len(gotEvents) != len(wantEvents) {
 			t.Errorf("%s shards=%d: %d events, serial has %d", label, shards, len(gotEvents), len(wantEvents))
 		} else {

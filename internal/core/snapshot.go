@@ -707,7 +707,14 @@ func installSessionIndex(x *sessionIndex, snap indexSnap) {
 
 // --- reassembler ---
 
+// writeReassembly serializes a distiller's fragment reassembler. A shard's
+// distiller has none (the router reassembles) and writes the empty table.
 func writeReassembly(w *snapWriter, reasm *packet.Reassembler) {
+	if reasm == nil {
+		w.u32(0)
+		w.vint(0)
+		return
+	}
 	streams := reasm.ExportStreams()
 	w.u32(uint32(len(streams)))
 	for _, s := range streams {
@@ -1664,12 +1671,12 @@ func (m *streamMux) install(streams []packet.TCPStreamState, framerBufs [][]byte
 // because the failed engine's outputs were already folded into the
 // worker's base.
 func (e *Engine) installSnap(snap *engineSnap, outputs bool) {
+	evicted := 0
 	if outputs {
-		e.stats = snap.stats
-		e.distiller.stats = snap.dstats
-		e.distiller.reasm.ImportStreams(snap.streams, snap.reasmEvicted)
-	} else {
-		e.distiller.reasm.ImportStreams(snap.streams, 0)
+		e.stats, e.distiller.stats, evicted = snap.stats, snap.dstats, snap.reasmEvicted
+	}
+	if e.distiller.reasm != nil { // nil on a shard: the router reassembles
+		e.distiller.reasm.ImportStreams(snap.streams, evicted)
 	}
 	clear(e.trails.trails)
 	for _, t := range snap.trails {

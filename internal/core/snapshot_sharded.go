@@ -138,14 +138,7 @@ func (s *ShardedEngine) Snapshot() ([]byte, error) {
 		s.mu.Unlock()
 		return nil, fmt.Errorf("core: snapshot: engine is closed")
 	}
-	blobs := make([]*[]byte, len(s.workers))
-	acks := make([]chan struct{}, len(s.workers))
-	for i := range s.workers {
-		blobs[i] = new([]byte)
-		acks[i] = make(chan struct{})
-		s.pending[i] = append(s.pending[i], shardItem{kind: itemSnapshot, snap: blobs[i], ack: acks[i]})
-		s.flushShardLocked(i)
-	}
+	marks := s.markAllLocked(itemSnapshot, nil)
 	var w snapWriter
 	writeSnapHeader(&w, s.header())
 	streams := s.reasm.ExportStreams()
@@ -170,9 +163,7 @@ func (s *ShardedEngine) Snapshot() ([]byte, error) {
 	writeFragGroups(&tail, s.frags)
 	writeStreamMux(&tail, s.streams)
 	s.mu.Unlock()
-	for i, ack := range acks {
-		awaitAck(s.workers[i], ack)
-	}
+	s.awaitAll(marks)
 	body := rawEngineBody{
 		stats:           folded,
 		dstats:          s.restoredDstats,
@@ -185,7 +176,7 @@ func (s *ShardedEngine) Snapshot() ([]byte, error) {
 	lastSeen := make(map[string]time.Duration)
 	bestClock := -1
 	for i := range s.workers {
-		blob := *blobs[i]
+		blob := marks[i].snap
 		if blob == nil {
 			// Quarantined or stalled shard: degraded capture (see doc).
 			continue
@@ -490,15 +481,8 @@ func (s *ShardedEngine) RestoreSnapshot(data []byte) error {
 	rst.SeqTrackersEvicted = 0
 	s.restoredStats = rst
 	s.restoredDstats = body.dstats
-	acks := make([]chan struct{}, n)
-	for j, wr := range restores {
-		acks[j] = make(chan struct{})
-		s.pending[j] = append(s.pending[j], shardItem{kind: itemRestore, restore: wr, ack: acks[j]})
-		s.flushShardLocked(j)
-	}
+	marks := s.markAllLocked(itemRestore, func(j int, c *shardCtl) { c.restore = restores[j] })
 	s.mu.Unlock()
-	for j, ack := range acks {
-		awaitAck(s.workers[j], ack)
-	}
+	s.awaitAll(marks)
 	return nil
 }

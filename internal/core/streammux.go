@@ -24,8 +24,8 @@ const (
 // streamMsg is one complete SIP message (or tunneled media chunk)
 // extracted from a TCP stream. The payload aliases the flow framer's (or
 // reassembler's) internal buffer, so it is only valid until that flow's
-// next Push — consumers that retain bytes (the sharded router shipping
-// to a worker) must copy.
+// next Push — both consumers decode it before then (decodeStream), and
+// the decoded view aliases nothing.
 type streamMsg struct {
 	at       time.Duration
 	src, dst netip.AddrPort
@@ -38,7 +38,7 @@ type streamMsg struct {
 // or more complete SIP messages come out on the queue, in stream order.
 // The serial engine's distiller owns one, and the sharded engine's router
 // owns one — shard-local engines hold none (TCP frames never reach a
-// shard; the router ships extracted messages instead), which is what
+// shard; the router ships the decoded messages instead), which is what
 // keeps stream expiry and eviction identical at every shard count.
 type streamMux struct {
 	reasm   *packet.StreamReassembler

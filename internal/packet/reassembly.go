@@ -179,6 +179,9 @@ func (r *Reassembler) Insert(h IPv4Header, payload []byte, now time.Duration) (I
 
 // Expire drops incomplete packets older than the timeout as of now.
 func (r *Reassembler) Expire(now time.Duration) {
+	if len(r.bufs) == 0 {
+		return // the steady state: callers expire on every frame
+	}
 	for k, fb := range r.bufs {
 		if now-fb.first > r.timeout {
 			delete(r.bufs, k)
