@@ -298,9 +298,13 @@ func (dc *decoder) decodeStream(sm *streamMsg, flowKey string, v *FrameView) {
 // list means the message is clean. These catch "carefully crafted"
 // messages that lenient implementations (like the simulated proxy)
 // process anyway — the Section 3.2 exploit vector.
+//
+// A clean message costs no allocation: From and To are read through the
+// message's summary (and stay read for applySIP); the full parsers run
+// only to word a violation.
 func CheckSIPFormat(m *sip.Message) []string {
 	var violations []string
-	for _, hdr := range []string{sip.HdrFrom, sip.HdrTo, sip.HdrCallID, sip.HdrCSeq} {
+	for _, hdr := range [...]string{sip.HdrFrom, sip.HdrTo, sip.HdrCallID, sip.HdrCSeq} {
 		if n := m.Headers.Count(hdr); n > 1 {
 			violations = append(violations, fmt.Sprintf("duplicate %s header (%d occurrences)", hdr, n))
 		}
@@ -311,11 +315,15 @@ func CheckSIPFormat(m *sip.Message) []string {
 				violations = append(violations, fmt.Sprintf("invalid Max-Forwards %q", mf))
 			}
 		}
-		if _, err := m.From(); err != nil {
-			violations = append(violations, "unparseable From: "+err.Error())
+		if _, ok := m.FromRef(); !ok {
+			if _, err := m.From(); err != nil {
+				violations = append(violations, "unparseable From: "+err.Error())
+			}
 		}
-		if _, err := m.To(); err != nil {
-			violations = append(violations, "unparseable To: "+err.Error())
+		if _, ok := m.ToRef(); !ok {
+			if _, err := m.To(); err != nil {
+				violations = append(violations, "unparseable To: "+err.Error())
+			}
 		}
 	}
 	return violations

@@ -353,8 +353,8 @@ func (e *Engine) directByeScan(v *FrameView) {
 			m := tv.Msg
 			switch {
 			case m.IsRequest() && m.Method == sip.MethodInvite:
-				if from, err := m.From(); err == nil && callerTag == "" {
-					callerTag = from.Tag()
+				if from, ok := m.FromRef(); ok && callerTag == "" {
+					callerTag = from.Tag
 				}
 				if media, ok := mediaFromBody(m); ok && !callerMedia.IsValid() {
 					callerMedia = media
@@ -369,8 +369,8 @@ func (e *Engine) directByeScan(v *FrameView) {
 				if !byeSeen {
 					byeSeen = true
 					byeAt = tv.At
-					if from, err := m.From(); err == nil {
-						byeFromCaller = from.Tag() == callerTag
+					if from, ok := m.FromRef(); ok {
+						byeFromCaller = from.Tag == callerTag
 					}
 				}
 			}

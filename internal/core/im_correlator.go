@@ -56,7 +56,7 @@ func (c *imCorrelator) sipRouteKey(m *sip.Message, out sipOutcome, src netip.Add
 	if !isIM(m, out) {
 		return "", false
 	}
-	return "im:" + out.from.URI.AOR(), true
+	return "im:" + out.from.AOR, true
 }
 
 // sipHint judges a MESSAGE against the router-owned source history, in
@@ -65,7 +65,7 @@ func (c *imCorrelator) sipHint(at time.Duration, src, dst netip.AddrPort, m *sip
 	if !isIM(m, out) {
 		return
 	}
-	if mismatch, prev := c.judge(out.from.URI.AOR(), src.Addr(), dst.Addr(), at); mismatch {
+	if mismatch, prev := c.judge(out.from.AOR, src.Addr(), dst.Addr(), at); mismatch {
 		h.IM = IMVerdict{Mismatch: true, PrevIP: prev}
 	}
 	h.HasIM = true
@@ -103,7 +103,7 @@ func (c *imCorrelator) Process(v *FrameView, h RouteHints, ctx *SessionContext, 
 	if !isIM(v.Msg, out) {
 		return
 	}
-	aor := out.from.URI.AOR()
+	aor := out.from.AOR
 	session := "im:" + aor
 	*evs = append(*evs, Event{At: v.At, Type: EvSIPInstantMessage, Session: session,
 		Detail: fmt.Sprintf("from %s via %v", aor, v.Src.Addr()), Footprint: ctx.Observation()})

@@ -116,46 +116,60 @@ func trailTimes(tr *Trail) []time.Duration {
 	return out
 }
 
-// TestMediaTrailRing pins ring order, Len, growth and eviction on a media
-// trail, with and without restored phantom entries, against the frame-view
-// ring a SIP trail of the same bound keeps.
-func TestMediaTrailRing(t *testing.T) {
+// checkPackedRing pins ring order, Len, growth and eviction on a packed
+// trail (media or SIP), with and without restored phantom entries, against
+// the frame-view ring an accounting trail of the same bound keeps. slab
+// reports the packed slab's capacity; first is its first allocation.
+func checkPackedRing(t *testing.T, proto Protocol, slab func(*Trail) int, first int) {
+	t.Helper()
 	const bound = 8
 	for _, restored := range []int{0, 3, bound} {
 		store := NewTrailStore(bound)
-		media, views := store.Get("s", ProtoRTP), store.Get("s", ProtoSIP)
-		media.restored, views.restored = restored, restored
+		packed, views := store.Get("s", proto), store.Get("s", ProtoAccounting)
+		packed.restored, views.restored = restored, restored
 		for i := 1; i <= 3*bound; i++ {
-			v := FrameView{Proto: ProtoRTP, At: time.Duration(i), RTP: rtp.HeaderView{Seq: uint16(i)}}
-			media.AppendView(&v)
+			v := FrameView{Proto: proto, At: time.Duration(i), RTP: rtp.HeaderView{Seq: uint16(i)}}
+			packed.AppendView(&v)
 			views.AppendView(&v)
-			if media.Len() != views.Len() || media.Len() != min(restored+i, bound) {
-				t.Fatalf("restored %d, append %d: media Len %d, view Len %d, want %d",
-					restored, i, media.Len(), views.Len(), min(restored+i, bound))
+			if packed.Len() != views.Len() || packed.Len() != min(restored+i, bound) {
+				t.Fatalf("restored %d, append %d: packed Len %d, view Len %d, want %d",
+					restored, i, packed.Len(), views.Len(), min(restored+i, bound))
 			}
-			got, want := trailTimes(media), trailTimes(views)
+			got, want := trailTimes(packed), trailTimes(views)
 			if !reflect.DeepEqual(got, want) || got[len(got)-1] != time.Duration(i) {
-				t.Fatalf("restored %d, append %d: media holds %v, views hold %v", restored, i, got, want)
+				t.Fatalf("restored %d, append %d: packed trail holds %v, views hold %v", restored, i, got, want)
 			}
-			if cap(media.media) > bound {
+			if slab(packed) > bound {
 				t.Fatalf("restored %d, append %d: ring grew to %d slots past its bound %d",
-					restored, i, cap(media.media), bound)
+					restored, i, slab(packed), bound)
 			}
 		}
-		if len(media.entries) != 0 || len(views.media) != 0 {
-			t.Fatalf("a trail holds both slabs: media.entries %d, views.media %d", len(media.entries), len(views.media))
+		if len(packed.entries) != 0 || len(views.media)+len(views.sip) != 0 ||
+			cap(packed.media)+cap(packed.sip) != slab(packed) {
+			t.Fatalf("a trail holds more than one slab: %v trail entries %d media %d sip %d; view trail media %d sip %d",
+				proto, len(packed.entries), cap(packed.media), cap(packed.sip), len(views.media), len(views.sip))
 		}
-		if cap(media.media) != bound {
-			t.Errorf("restored %d: saturated ring has %d slots, want exactly %d", restored, cap(media.media), bound)
+		if slab(packed) != bound {
+			t.Errorf("restored %d: saturated ring has %d slots, want exactly %d", restored, slab(packed), bound)
 		}
 	}
-	// Unbounded: doubles without a clamp.
-	unbounded := NewTrailStore(0).Get("s", ProtoRTCP)
+	// Unbounded: doubles from the first allocation without a clamp.
+	unbounded := NewTrailStore(0).Get("s", proto)
 	for i := 0; i < 100; i++ {
-		unbounded.AppendView(&FrameView{Proto: ProtoRTCP, At: time.Duration(i)})
+		if i == 1 && slab(unbounded) != first {
+			t.Errorf("first allocation is %d slots, want %d", slab(unbounded), first)
+		}
+		unbounded.AppendView(&FrameView{Proto: proto, At: time.Duration(i)})
 	}
-	if unbounded.Len() != 100 || cap(unbounded.media) != 128 {
-		t.Errorf("unbounded media trail: Len %d cap %d, want 100 and 128", unbounded.Len(), cap(unbounded.media))
+	if unbounded.Len() != 100 || slab(unbounded) != 128 {
+		t.Errorf("unbounded packed trail: Len %d cap %d, want 100 and 128", unbounded.Len(), slab(unbounded))
+	}
+}
+
+// TestMediaTrailRing holds RTP and RTCP trails to checkPackedRing.
+func TestMediaTrailRing(t *testing.T) {
+	for _, proto := range []Protocol{ProtoRTP, ProtoRTCP} {
+		checkPackedRing(t, proto, func(tr *Trail) int { return cap(tr.media) }, mediaSlabFirst)
 	}
 }
 

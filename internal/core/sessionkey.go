@@ -2,6 +2,7 @@ package core
 
 import (
 	"net/netip"
+	"strings"
 	"time"
 
 	"scidive/internal/sip"
@@ -323,7 +324,9 @@ func (x *sessionIndex) mediaDstSession(dst netip.AddrPort) *sessionState {
 // generator turns it into events; the sharded router uses it to maintain
 // the routing directory and replicate cross-session state.
 type sipOutcome struct {
-	from, to sip.Address
+	// from and to are substrings of the message's header values: good for
+	// the frame, cloned by whoever keeps one longer.
+	from, to sip.AddrRef
 	fromToOK bool // request From/To parsed (requests only)
 	cseq     sip.CSeq
 	cseqOK   bool // response CSeq parsed (responses only)
@@ -343,29 +346,32 @@ type sipOutcome struct {
 // applySIP folds one SIP sighting into the session table and reports what
 // changed. This is the single place dialog state transitions happen; it
 // must stay free of event construction so the router can replay it
-// without an EventGenerator.
+// without an EventGenerator. It reads headers through the message's
+// summary, so whichever of format check, router and shard sees a message
+// first pays for the read and the others find it done; what it stores on
+// the session it clones, so a dialog never pins a header value.
 func (x *sessionIndex) applySIP(m *sip.Message, at time.Duration, src netip.AddrPort) (*sessionState, sipOutcome) {
 	st := x.core(m.CallID())
 	var out sipOutcome
 	if m.IsRequest() {
-		from, errF := m.From()
-		to, errT := m.To()
-		if errF != nil || errT != nil {
+		from, okF := m.FromRef()
+		to, okT := m.ToRef()
+		if !okF || !okT {
 			return st, out
 		}
 		out.from, out.to, out.fromToOK = from, to, true
 		switch m.Method {
 		case sip.MethodRegister:
 			st.isRegistration = true
-			x.pendingReg[st.callID] = to.URI.AOR()
+			x.pendingReg[st.callID] = strings.Clone(to.AOR)
 			out.registered = true
 		case sip.MethodInvite:
-			if to.Tag() == "" {
+			if to.Tag == "" {
 				// Dialog-forming INVITE.
 				if st.callerAOR == "" {
-					st.callerAOR = from.URI.AOR()
-					st.calleeAOR = to.URI.AOR()
-					st.callerTag = from.Tag()
+					st.callerAOR = strings.Clone(from.AOR)
+					st.calleeAOR = strings.Clone(to.AOR)
+					st.callerTag = strings.Clone(from.Tag)
 					st.inviteSrcIP = src.Addr()
 					if media, ok := mediaFromBody(m); ok {
 						x.setCallerMedia(st, media)
@@ -381,7 +387,7 @@ func (x *sessionIndex) applySIP(m *sip.Message, at time.Duration, src netip.Addr
 			}
 			st.lastReinviteSeq = cseq.Seq
 			var oldMedia netip.AddrPort
-			if from.Tag() == st.callerTag {
+			if from.Tag == st.callerTag {
 				oldMedia = st.callerMedia
 				if media, ok := mediaFromBody(m); ok {
 					x.setCallerMedia(st, media)
@@ -396,7 +402,7 @@ func (x *sessionIndex) applySIP(m *sip.Message, at time.Duration, src netip.Addr
 			st.reinviteAt = at
 			st.reinviteOldMedia = oldMedia
 			out.reinvite = true
-			out.reinviteMover = from.URI.AOR()
+			out.reinviteMover = from.AOR
 			out.reinviteOld = oldMedia
 		case sip.MethodBye:
 			if st.byeSeen {
@@ -407,7 +413,7 @@ func (x *sessionIndex) applySIP(m *sip.Message, at time.Duration, src netip.Addr
 			// Which party claims to be hanging up? Match by tag, falling back
 			// to AOR for dialogs whose caller tag we never learned.
 			switch {
-			case from.Tag() != "" && from.Tag() == st.callerTag, from.URI.AOR() == st.callerAOR:
+			case from.Tag != "" && from.Tag == st.callerTag, from.AOR == st.callerAOR:
 				st.byeFromMedia = st.callerMedia
 			default:
 				st.byeFromMedia = st.calleeMedia
@@ -433,8 +439,8 @@ func (x *sessionIndex) applySIP(m *sip.Message, at time.Duration, src netip.Addr
 			}
 		}
 	case m.StatusCode == sip.StatusOK && cseq.Method == sip.MethodInvite:
-		if to, err := m.To(); err == nil && st.calleeTag == "" {
-			st.calleeTag = to.Tag()
+		if to, ok := m.ToRef(); ok && st.calleeTag == "" {
+			st.calleeTag = strings.Clone(to.Tag)
 		}
 		if media, ok := mediaFromBody(m); ok && !st.established {
 			x.setCalleeMedia(st, media)

@@ -1,7 +1,8 @@
 package core
 
 import (
-	"fmt"
+	"strconv"
+	"strings"
 
 	"scidive/internal/sip"
 )
@@ -51,7 +52,7 @@ func (c *sipCorrelator) Process(v *FrameView, h RouteHints, ctx *SessionContext,
 		st.badFormat = true
 		*evs = append(*evs, Event{
 			At: v.At, Type: EvSIPBadFormat, Session: st.callID,
-			Detail: fmt.Sprintf("%v", v.Malformed), Footprint: ctx.Observation(),
+			Detail: "[" + strings.Join(v.Malformed, " ") + "]", Footprint: ctx.Observation(),
 		})
 	}
 	if m.IsRequest() {
@@ -69,7 +70,7 @@ func (c *sipCorrelator) requestEvents(v *FrameView, st *sessionState, out sipOut
 	switch m.Method {
 	case sip.MethodRegister:
 		*evs = append(*evs, Event{At: v.At, Type: EvSIPRegister, Session: st.callID,
-			Detail: out.to.URI.AOR(), Footprint: ctx.Observation()})
+			Detail: out.to.AOR, Footprint: ctx.Observation()})
 		if authz := m.Headers.Get(sip.HdrAuthorization); authz != "" {
 			if creds, err := sip.ParseCredentials(authz); err == nil {
 				st.guessResponses[creds.Response] = struct{}{}
@@ -77,8 +78,8 @@ func (c *sipCorrelator) requestEvents(v *FrameView, st *sessionState, out sipOut
 					st.guessFired = true
 					*evs = append(*evs, Event{
 						At: v.At, Type: EvPasswordGuessing, Session: st.callID,
-						Detail: fmt.Sprintf("%d distinct challenge responses for %s from %v",
-							len(st.guessResponses), out.to.URI.AOR(), v.Src),
+						Detail: strconv.Itoa(len(st.guessResponses)) + " distinct challenge responses for " +
+							out.to.AOR + " from " + v.Src.String(),
 						Footprint: ctx.Observation(),
 					})
 				}
@@ -91,12 +92,12 @@ func (c *sipCorrelator) requestEvents(v *FrameView, st *sessionState, out sipOut
 		}
 		if out.reinvite {
 			*evs = append(*evs, Event{At: v.At, Type: EvSIPReinvite, Session: st.callID,
-				Detail: fmt.Sprintf("%s moving media from %v", out.reinviteMover, out.reinviteOld), Footprint: ctx.Observation()})
+				Detail: out.reinviteMover + " moving media from " + out.reinviteOld.String(), Footprint: ctx.Observation()})
 		}
 	case sip.MethodBye:
 		if out.firstBye {
 			*evs = append(*evs, Event{At: v.At, Type: EvSIPBye, Session: st.callID,
-				Detail: out.from.URI.AOR() + " hangs up", Footprint: ctx.Observation()})
+				Detail: out.from.AOR + " hangs up", Footprint: ctx.Observation()})
 		}
 	}
 }
@@ -110,12 +111,12 @@ func (c *sipCorrelator) responseEvents(v *FrameView, st *sessionState, out sipOu
 	case m.StatusCode == sip.StatusUnauthorized:
 		st.challenges++
 		*evs = append(*evs, Event{At: v.At, Type: EvSIPAuthChallenge, Session: st.callID,
-			Detail: fmt.Sprintf("challenge #%d", st.challenges), Footprint: ctx.Observation()})
+			Detail: "challenge #" + strconv.Itoa(st.challenges), Footprint: ctx.Observation()})
 		if st.challenges >= c.cfg.AuthFloodThreshold && !st.floodFired {
 			st.floodFired = true
 			*evs = append(*evs, Event{
 				At: v.At, Type: EvAuthFlood, Session: st.callID,
-				Detail:    fmt.Sprintf("%d unauthorized replies in one session", st.challenges),
+				Detail:    strconv.Itoa(st.challenges) + " unauthorized replies in one session",
 				Footprint: ctx.Observation(),
 			})
 		}
@@ -127,7 +128,7 @@ func (c *sipCorrelator) responseEvents(v *FrameView, st *sessionState, out sipOu
 			Detail: out.regAOR, Footprint: ctx.Observation()})
 	case out.established:
 		*evs = append(*evs, Event{At: v.At, Type: EvSIPCallEstablished, Session: st.callID,
-			Detail:    fmt.Sprintf("%s <-> %s media %v/%v", st.callerAOR, st.calleeAOR, st.callerMedia, st.calleeMedia),
+			Detail:    st.callerAOR + " <-> " + st.calleeAOR + " media " + st.callerMedia.String() + "/" + st.calleeMedia.String(),
 			Footprint: ctx.Observation()})
 		c.checkUnmatchedMedia(v, st, ctx, evs)
 	}
@@ -146,8 +147,8 @@ func (c *sipCorrelator) checkUnmatchedMedia(v *FrameView, st *sessionState, ctx 
 	}
 	*evs = append(*evs, Event{
 		At: v.At, Type: EvRTPUnmatchedMedia, Session: st.callID,
-		Detail: fmt.Sprintf("caller %s registered at %v but negotiated media at %v",
-			st.callerAOR, binding, st.callerMedia),
+		Detail: "caller " + st.callerAOR + " registered at " + binding.String() +
+			" but negotiated media at " + st.callerMedia.String(),
 		Footprint: ctx.Observation(),
 	})
 }

@@ -1,6 +1,12 @@
 package core
 
-import "fmt"
+import (
+	"fmt"
+	"net/netip"
+	"time"
+
+	"scidive/internal/sip"
+)
 
 // Trail is an ordered list of related footprints — the per-session,
 // per-protocol grouping of paper Section 3.1. Cross-protocol detection
@@ -12,15 +18,18 @@ type Trail struct {
 	// Protocol is the single protocol this trail carries.
 	Protocol Protocol
 
-	// A trail is one contiguous slab, of one of two kinds chosen by its
-	// Protocol: RTP and RTCP trails pack each packet into a 64-byte
-	// mediaSlot (media); SIP, accounting and raw trails keep whole frame
-	// views (entries). The slab grows until the trail's bound, then
-	// becomes a ring: head indexes the oldest entry and appends overwrite
-	// in place, so a saturated trail (the steady state of a long media
-	// stream) retains footprints with zero per-frame allocation.
+	// A trail is one contiguous slab, of the kind its Protocol picks:
+	// RTP and RTCP trails pack each packet into a 64-byte pointer-free
+	// mediaSlot (media); SIP trails pack each message into a 128-byte
+	// sipSlot (sip); accounting and raw trails, a handful of entries a
+	// session, keep whole frame views (entries). The slab grows until the
+	// trail's bound, then becomes a ring: head indexes the oldest entry
+	// and appends overwrite in place, so a saturated trail (the steady
+	// state of a long media stream) retains footprints with zero
+	// per-frame allocation.
 	entries []FrameView
 	media   []mediaSlot
+	sip     []sipSlot
 	head    int
 	maxLen  int
 	// restored counts footprints that existed before a checkpoint restore.
@@ -30,68 +39,110 @@ type Trail struct {
 	restored int
 }
 
-// isMedia reports whether the trail stores packed media slots.
-func (t *Trail) isMedia() bool { return t.Protocol == ProtoRTP || t.Protocol == ProtoRTCP }
+// sipSlot is what a SIP trail retains of one message: the view's common
+// fields and its SIP arm, without the 176 bytes of RTP, RTCP, accounting
+// and raw arms a SIP view never fills.
+type sipSlot struct {
+	at        time.Duration
+	src, dst  netip.AddrPort
+	msg       *sip.Message
+	malformed []string
+	streamKey string
+	portProto Protocol
+}
+
+func (s *sipSlot) pack(v *FrameView) {
+	s.at, s.src, s.dst, s.msg = v.At, v.Src, v.Dst, v.Msg
+	s.malformed, s.streamKey, s.portProto = v.Malformed, v.StreamKey, v.PortProto
+}
+
+func (s *sipSlot) unpack(v *FrameView) {
+	*v = FrameView{
+		Proto: ProtoSIP, At: s.at, Src: s.src, Dst: s.dst, Msg: s.msg,
+		Malformed: s.malformed, StreamKey: s.streamKey, PortProto: s.portProto,
+	}
+}
+
+// A packed slab's first allocation. Short dialogs are most SIP trails (an
+// INVITE transaction and a BYE transaction are six messages), so theirs
+// starts at four slots; a media trail is either one stray packet or on
+// its way to the bound, so it starts at one and doubles.
+const (
+	mediaSlabFirst = 1
+	sipSlabFirst   = 4
+)
+
+// grown returns the packed slab s one slot longer: doubled when full
+// (from first), but never past the bound — a saturated ring holds exactly
+// bound slots. The caller checked that len(s) is still below the bound.
+func grown[S any](s []S, first, bound int) []S {
+	n := len(s)
+	if n == cap(s) {
+		c := max(2*n, first)
+		if bound > 0 {
+			c = min(c, bound)
+		}
+		s = append(make([]S, 0, c), s...)
+	}
+	return s[:n+1]
+}
 
 // AppendView adds a copy of the frame view, evicting the oldest entry
 // when the trail exceeds its bound (memory is the practical limit the
 // paper notes). Restored phantom entries are older than every real one,
 // so they evict first.
 func (t *Trail) AppendView(v *FrameView) {
-	media := t.isMedia()
-	n := len(t.entries) + len(t.media)
+	n := len(t.entries) + len(t.media) + len(t.sip)
+	at := n // the slot to write: a new one, or the oldest of a saturated ring
 	if t.maxLen > 0 && t.restored+n >= t.maxLen {
-		if t.restored == 0 {
-			// Saturated: overwrite the oldest slot in place.
-			if media {
-				t.media[t.head].pack(v)
-			} else {
-				t.entries[t.head] = *v
-			}
-			t.head++
-			if t.head == n {
+		if t.restored > 0 {
+			t.restored--
+		} else {
+			at = t.head
+			if t.head++; t.head == n {
 				t.head = 0
 			}
-			return
 		}
-		t.restored--
 	}
-	if !media {
-		t.entries = append(t.entries, *v)
-		return
-	}
-	if n == cap(t.media) {
-		// Double, but never past the bound (n is still below it here):
-		// a saturated ring holds exactly maxLen slots.
-		c := max(2*n, 1)
-		if t.maxLen > 0 {
-			c = min(c, t.maxLen)
+	switch t.Protocol {
+	case ProtoRTP, ProtoRTCP:
+		if at == n {
+			t.media = grown(t.media, mediaSlabFirst, t.maxLen)
 		}
-		t.media = append(make([]mediaSlot, 0, c), t.media...)
+		t.media[at].pack(v)
+	case ProtoSIP:
+		if at == n {
+			t.sip = grown(t.sip, sipSlabFirst, t.maxLen)
+		}
+		t.sip[at].pack(v)
+	default:
+		if at == n {
+			t.entries = append(t.entries, *v)
+		} else {
+			t.entries[at] = *v
+		}
 	}
-	t.media = t.media[:n+1]
-	t.media[n].pack(v)
 }
 
 // Len returns the number of retained footprints (including restored
 // phantom entries whose bytes were dropped at the last checkpoint).
-func (t *Trail) Len() int { return t.restored + len(t.entries) + len(t.media) }
+func (t *Trail) Len() int { return t.restored + len(t.entries) + len(t.media) + len(t.sip) }
 
 // eachView calls fn on every retained entry in arrival order, stopping
-// early when fn returns false. A media trail's slots are unpacked one at
-// a time into a view that is only valid during the call.
+// early when fn returns false. A packed trail's slots are unpacked one
+// at a time into a view that is only valid during the call.
 func (t *Trail) eachView(fn func(v *FrameView) bool) {
-	n := len(t.entries) + len(t.media)
-	var scratch *FrameView
-	if t.isMedia() {
-		scratch = new(FrameView)
-	}
+	n := len(t.entries) + len(t.media) + len(t.sip)
+	var scratch FrameView
 	for i := 0; i < n; i++ {
 		j := (t.head + i) % n
-		v := scratch
-		if v != nil {
+		v := &scratch
+		switch t.Protocol {
+		case ProtoRTP, ProtoRTCP:
 			t.media[j].unpack(v)
-		} else {
+		case ProtoSIP:
+			t.sip[j].unpack(v)
+		default:
 			v = &t.entries[j]
 		}
 		if !fn(v) {

@@ -2,7 +2,6 @@ package sip
 
 import (
 	"fmt"
-	"strconv"
 	"strings"
 )
 
@@ -157,12 +156,20 @@ type headerField struct {
 
 // Headers is an ordered collection of SIP header fields. The zero value
 // is an empty header set ready for use.
+//
+// Fields already in the set are never overwritten in place — Add writes
+// past the end, everything else builds a new slice — so a Headers copied
+// by value keeps reading what it read before, and so does its summary.
 type Headers struct {
 	fields []headerField
+	// sum remembers what FromRef, ToRef and CSeq read (summary.go). Every
+	// method that changes the set zeroes it.
+	sum summary
 }
 
 // Add appends a header field.
 func (h *Headers) Add(name, value string) {
+	h.sum = summary{}
 	h.fields = append(h.fields, headerField{name: CanonicalHeaderName(name), value: value})
 }
 
@@ -175,7 +182,8 @@ func (h *Headers) Set(name, value string) {
 // Del removes all fields with the given name.
 func (h *Headers) Del(name string) {
 	name = CanonicalHeaderName(name)
-	out := h.fields[:0]
+	h.sum = summary{}
+	out := make([]headerField, 0, len(h.fields))
 	for _, f := range h.fields {
 		if f.name != name {
 			out = append(out, f)
@@ -186,13 +194,19 @@ func (h *Headers) Del(name string) {
 
 // Get returns the first value of the named header, or "".
 func (h *Headers) Get(name string) string {
-	name = CanonicalHeaderName(name)
-	for _, f := range h.fields {
-		if f.name == name {
-			return f.value
+	_, v := h.find(CanonicalHeaderName(name))
+	return v
+}
+
+// find returns the index and value of the first field with the canonical
+// name, or -1 and "".
+func (h *Headers) find(name string) (int, string) {
+	for i := range h.fields {
+		if h.fields[i].name == name {
+			return i, h.fields[i].value
 		}
 	}
-	return ""
+	return -1, ""
 }
 
 // Values returns all values of the named header in order.
@@ -220,13 +234,10 @@ func (h *Headers) Count(name string) int {
 	return n
 }
 
-// Has reports whether at least one field with the given name exists.
-func (h *Headers) Has(name string) bool { return h.Get(name) != "" || len(h.Values(name)) > 0 }
-
 // Len returns the number of header fields.
 func (h *Headers) Len() int { return len(h.fields) }
 
-// Clone returns a deep copy.
+// Clone returns a deep copy (which remembers nothing yet).
 func (h *Headers) Clone() Headers {
 	return Headers{fields: append([]headerField(nil), h.fields...)}
 }
@@ -241,6 +252,7 @@ func (h *Headers) Each(fn func(name, value string)) {
 // PrependVia inserts a Via value before existing Via fields (proxy
 // behavior when forwarding a request).
 func (h *Headers) PrependVia(value string) {
+	h.sum = summary{}
 	fields := make([]headerField, 0, len(h.fields)+1)
 	inserted := false
 	for _, f := range h.fields {
@@ -261,7 +273,8 @@ func (h *Headers) PrependVia(value string) {
 func (h *Headers) RemoveFirstVia() {
 	for i, f := range h.fields {
 		if f.name == HdrVia {
-			h.fields = append(h.fields[:i], h.fields[i+1:]...)
+			h.sum = summary{}
+			h.fields = append(h.fields[:i:i], h.fields[i+1:]...)
 			return
 		}
 	}
@@ -291,7 +304,8 @@ func (m *Message) IsResponse() bool { return m.StatusCode != 0 }
 // CallID returns the Call-ID header value.
 func (m *Message) CallID() string { return m.Headers.Get(HdrCallID) }
 
-// From returns the parsed From header.
+// From returns the parsed From header. (The IDS reads FromRef, ToRef and
+// ContactRef instead: same accept set, no Address built.)
 func (m *Message) From() (Address, error) { return ParseAddress(m.Headers.Get(HdrFrom)) }
 
 // To returns the parsed To header.
@@ -309,22 +323,17 @@ type CSeq struct {
 // String serializes the CSeq value.
 func (c CSeq) String() string { return fmt.Sprintf("%d %s", c.Seq, c.Method) }
 
-// CSeq returns the parsed CSeq header.
-func (m *Message) CSeq() (CSeq, error) {
-	return ParseCSeq(m.Headers.Get(HdrCSeq))
-}
-
-// ParseCSeq parses a CSeq header value.
+// ParseCSeq parses a CSeq header value: exactly two whitespace-separated
+// fields, the first a 32-bit decimal number.
 func ParseCSeq(v string) (CSeq, error) {
-	f := strings.Fields(v)
-	if len(f) != 2 {
+	c, shape, ok := scanCSeq(v)
+	switch {
+	case !shape:
 		return CSeq{}, fmt.Errorf("sip: bad CSeq %q", v)
+	case !ok:
+		return CSeq{}, fmt.Errorf("sip: bad CSeq number %q", v[c.numLo:c.numHi])
 	}
-	n, err := strconv.ParseUint(f[0], 10, 32)
-	if err != nil {
-		return CSeq{}, fmt.Errorf("sip: bad CSeq number %q", f[0])
-	}
-	return CSeq{Seq: uint32(n), Method: Method(f[1])}, nil
+	return CSeq{Seq: c.seq, Method: Method(v[c.mLo:c.mHi])}, nil
 }
 
 // Via is a parsed Via header value.

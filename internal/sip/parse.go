@@ -41,32 +41,75 @@ func isToken(s string) bool {
 	return true
 }
 
+// mandatory lists the headers every SIP message must carry, in the
+// order a missing-headers error names them.
+var mandatory = [...]string{HdrVia, HdrFrom, HdrTo, HdrCallID, HdrCSeq}
+
 // validateMandatory checks the headers every SIP message must carry
 // (RFC 3261 section 8.1.1). Messages failing this check are what the
-// paper's "incorrectly formatted SIP message" event refers to.
+// paper's "incorrectly formatted SIP message" event refers to. It runs
+// once per parsed message, so it reads through the allocation-free
+// scanners (summary.go) and asks the full parsers only for error text;
+// the CSeq it reads stays remembered on the message.
 func validateMandatory(m *Message) error {
-	var missing []string
-	for _, hdr := range []string{HdrVia, HdrFrom, HdrTo, HdrCallID, HdrCSeq} {
-		if m.Headers.Get(hdr) == "" {
-			missing = append(missing, hdr)
+	// A header is present when its first field has a value (Get != "").
+	// Bit i of seen and have stands for mandatory[i].
+	var seen, have uint8
+	var via string
+	for i := range m.Headers.fields {
+		f := &m.Headers.fields[i]
+		var bit uint8
+		switch f.name {
+		case HdrVia:
+			bit = 1 << 0
+		case HdrFrom:
+			bit = 1 << 1
+		case HdrTo:
+			bit = 1 << 2
+		case HdrCallID:
+			bit = 1 << 3
+		case HdrCSeq:
+			bit = 1 << 4
+		default:
+			continue
+		}
+		if seen&bit != 0 {
+			continue
+		}
+		seen |= bit
+		if f.value != "" {
+			have |= bit
+		}
+		if bit == 1<<0 {
+			via = f.value
 		}
 	}
-	if len(missing) > 0 {
+	if have != 1<<len(mandatory)-1 {
+		var missing []string
+		for i, hdr := range mandatory {
+			if have&(1<<i) == 0 {
+				missing = append(missing, hdr)
+			}
+		}
 		return fmt.Errorf("sip: missing mandatory headers: %s", strings.Join(missing, ", "))
 	}
-	if _, err := m.CSeq(); err != nil {
+	cseq, err := m.CSeq()
+	if err != nil {
 		return err
 	}
-	if _, err := m.TopVia(); err != nil {
-		return err
+	if !validVia(via) {
+		if _, err := ParseVia(via); err != nil {
+			return err
+		}
 	}
 	if m.IsRequest() {
-		cseq, _ := m.CSeq()
 		if cseq.Method != m.Method {
 			return fmt.Errorf("sip: CSeq method %s does not match request method %s", cseq.Method, m.Method)
 		}
-		if _, err := ParseURI(m.RequestURI); err != nil {
-			return fmt.Errorf("sip: bad request URI: %w", err)
+		if !validURI(m.RequestURI) {
+			if _, err := ParseURI(m.RequestURI); err != nil {
+				return fmt.Errorf("sip: bad request URI: %w", err)
+			}
 		}
 	}
 	return nil

@@ -16,9 +16,9 @@ import (
 // A Parser walks the raw bytes line by line, keeps header names and
 // values as byte-slice views until the moment they are stored, interns
 // the values that repeat across messages of a dialog (Call-ID, From/To
-// with tags, URIs, CSeq), and can parse into a caller-owned Message so
-// a router that only peeks at a message reuses one Message's storage
-// forever.
+// with tags, URIs, CSeq), and sizes the header slice from the header
+// lines it is about to read: a trail retains every Message, so spare
+// capacity is paid for as long as the dialog lives.
 
 // parserInternCap bounds a Parser's intern table. When the table fills
 // (an adversary cycling unique values), it is cleared and re-warms; a
@@ -92,28 +92,13 @@ func (p *Parser) canonName(b []byte) string {
 // are identical to the historical ParseMessage.
 func (p *Parser) Parse(raw []byte) (*Message, error) {
 	m := &Message{}
-	m.Headers.fields = make([]headerField, 0, 12)
-	if err := p.parse(raw, m, true); err != nil {
+	if err := p.parse(raw, m); err != nil {
 		return nil, err
 	}
 	return m, nil
 }
 
-// ParseInto parses a SIP message into m, reusing m's header storage.
-// The body ALIASES raw — the caller must not retain m.Body past raw's
-// lifetime, and must not retain m itself across the next ParseInto. This
-// is the zero-steady-state-allocation form for callers that only inspect
-// a message and move on (the sharded router's classify pass).
-func (p *Parser) ParseInto(raw []byte, m *Message) error {
-	return p.parse(raw, m, false)
-}
-
-func (p *Parser) parse(raw []byte, m *Message, copyBody bool) error {
-	m.Method, m.RequestURI = "", ""
-	m.StatusCode, m.ReasonPhrase = 0, ""
-	m.Headers.fields = m.Headers.fields[:0]
-	m.Body = nil
-
+func (p *Parser) parse(raw []byte, m *Message) error {
 	headerEnd := bytes.Index(raw, sepCRLFCRLF)
 	sepLen := 4
 	if headerEnd < 0 {
@@ -139,6 +124,7 @@ func (p *Parser) parse(raw []byte, m *Message, copyBody bool) error {
 		return err
 	}
 	// Header lines, unfolding continuations.
+	m.Headers.fields = make([]headerField, 0, countHeaderLines(rest))
 	var nameB, valueB []byte
 	havePending, folded := false, false
 	for len(rest) > 0 {
@@ -183,12 +169,22 @@ func (p *Parser) parse(raw []byte, m *Message, copyBody bool) error {
 		}
 		body = body[:cl]
 	}
-	if copyBody && body != nil {
+	if body != nil {
 		m.Body = append(make([]byte, 0, len(body)), body...)
-	} else {
-		m.Body = body
 	}
 	return validateMandatory(m)
+}
+
+// countHeaderLines counts the lines of a header block that start a
+// header field: not empty, not a continuation.
+func countHeaderLines(rest []byte) (n int) {
+	for len(rest) > 0 {
+		var line []byte
+		if line, rest = nextLine(rest); len(line) > 0 && line[0] != ' ' && line[0] != '\t' {
+			n++
+		}
+	}
+	return n
 }
 
 // addHeader stores one unfolded header line. Values of headers that are
