@@ -327,9 +327,8 @@ func buildSIPFrame(b *testing.B) []byte {
 }
 
 // benchHotPath measures the steady-state per-frame cost of a warmed
-// pipeline: the trail ring is saturated (appends overwrite in place) and
-// every pool, interner and session table is populated before the clock
-// starts. Run with -benchmem; RTP and RTCP must report 0 allocs/op, SIP
+// pipeline: every trail count is clamped at its bound and every pool,
+// interner and session table is populated before the clock starts. Run with -benchmem; RTP and RTCP must report 0 allocs/op, SIP
 // its documented budget (see internal/core/allocs_test.go).
 func benchHotPath(b *testing.B, feed func(at time.Duration, frame []byte), frame []byte) {
 	b.Helper()
@@ -466,9 +465,9 @@ func mustAddr(s string) netip.Addr { return netip.MustParseAddr(s) }
 
 // attributionEngine returns a serial engine holding `live` established
 // calls, each with its own pair of media endpoints, plus one caller->callee
-// RTP frame per call. Trails are bounded at 4 entries so a few rounds
-// saturate every ring and the timed loop measures attribution and the
-// fast path, not trail growth.
+// RTP frame per call. Trails are bounded at 4 footprints; a trail is only
+// a clamped count, so the timed loop measures attribution and the fast
+// path.
 func attributionEngine(b *testing.B, live int) (*core.Engine, [][]byte) {
 	b.Helper()
 	eng := core.NewEngine(core.Config{MaxTrailLen: 4})
@@ -515,14 +514,14 @@ func attributionEngine(b *testing.B, live int) (*core.Engine, [][]byte) {
 // the working set is hundreds of MB and ns/op is ~5x live=1, none of it
 // attribution: about a third is the session-expiry sweep (every gcEvery
 // frames it visits all N sessions, i.e. N/4096 visits per frame) and the
-// rest is DRAM misses on the frame, the index buckets, the trail ring and
-// the sequence tracker.
+// rest is DRAM misses on the frame, the index buckets, the trail and the
+// sequence tracker.
 func BenchmarkSessionAttribution(b *testing.B) {
 	for _, live := range []int{1, 1000, 100000} {
 		b.Run(fmt.Sprintf("live=%d", live), func(b *testing.B) {
 			eng, frames := attributionEngine(b, live)
 			at, step := time.Millisecond, time.Microsecond
-			for round := 0; round < 6; round++ { // saturate every trail ring
+			for round := 0; round < 6; round++ { // clamp every trail count
 				for _, f := range frames {
 					eng.HandleFrame(at, f)
 					at += step

@@ -52,14 +52,14 @@ var hotpathProbes = []hotpathProbe{
 		Name:   "engine_rtp",
 		Desc:   "Full serial pipeline per media frame",
 		Before: HotpathMetrics{NsPerOp: 4870, BytesPerOp: 410, AllocsPerOp: 10},
-		// Pooled decode, value-typed trails and caller-owned event scratch:
+		// Pooled decode, counting trails and caller-owned event scratch:
 		// a steady-state media frame must not touch the heap.
 		MaxAllocs: 0,
 		run: func(b *testing.B) {
 			frame := hotpathRTPFrame()
 			eng := core.NewEngine(core.Config{})
-			// Saturate the 4096-entry trail ring so appends overwrite in
-			// place, as in any long-lived media stream.
+			// Warm past the 4096-footprint trail bound, as in any
+			// long-lived media stream.
 			for i := 0; i < 5000; i++ {
 				eng.HandleFrame(time.Duration(i)*20*time.Millisecond, frame)
 			}

@@ -153,14 +153,14 @@ func steadyAllocs(feed func(at time.Duration, frame []byte), frame []byte, warmu
 
 // TestSteadyStateAllocs is the tentpole's enforcement: steady-state
 // media processing performs zero heap allocations per frame, serial and
-// sharded, and SIP stays within its documented budget. The warmup
-// saturates the trail ring (MaxTrailLen entries) so appends overwrite in
-// place.
+// sharded, and SIP stays within its documented budget. The warmup runs
+// past the trail bound (MaxTrailLen), so the timed frames meet trails
+// whose counts are already clamped.
 func TestSteadyStateAllocs(t *testing.T) {
 	rtpFrame := allocRTPFrame(t)
 	rtcpFrame := allocRTCPFrame(t)
 	sipFrame := allocSIPFrame(t)
-	// Past the 4096-entry trail bound, so the ring is saturated.
+	// Past the 4096-footprint trail bound, so every count is clamped.
 	const warmup = 5000
 
 	t.Run("serial", func(t *testing.T) {

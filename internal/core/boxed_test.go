@@ -1,14 +1,10 @@
 package core
 
-import (
-	"time"
-
-	"scidive/internal/rtp"
-)
+import "scidive/internal/rtp"
 
 // Boxed-footprint conveniences for tests that build Footprint values by
-// hand. Production code moves FrameViews only (AppendView, ProcessView,
-// eachView); these are thin adapters over exactly those entry points.
+// hand. Production code moves FrameViews only (AppendView, ProcessView);
+// these are thin adapters over exactly those entry points.
 
 // viewOf projects a boxed footprint into v. It reports false for
 // footprint types the view union does not model.
@@ -61,34 +57,6 @@ func (t *Trail) Append(f Footprint) {
 	if viewOf(f, &v) {
 		t.AppendView(&v)
 	}
-}
-
-// Footprints returns the retained footprints in arrival order, boxed.
-func (t *Trail) Footprints() []Footprint {
-	var out []Footprint
-	t.eachView(func(v *FrameView) bool {
-		out = append(out, v.box())
-		return true
-	})
-	return out
-}
-
-// Last returns the most recent footprint, boxed, or nil.
-func (t *Trail) Last() Footprint {
-	fps := t.Footprints()
-	if len(fps) == 0 {
-		return nil
-	}
-	return fps[len(fps)-1]
-}
-
-// Since returns the footprints observed strictly after cutoff, boxed.
-func (t *Trail) Since(cutoff time.Duration) []Footprint {
-	fps := t.Footprints()
-	for len(fps) > 0 && fps[0].Time() <= cutoff {
-		fps = fps[1:]
-	}
-	return fps
 }
 
 // Process folds one boxed footprint into the generator, returning the

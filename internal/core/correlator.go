@@ -126,7 +126,7 @@ type budgeted interface {
 // (maps in sorted key order), and decodeState reads it back WITHOUT
 // mutating the correlator, returning an install closure. The engine runs
 // every install only after the whole snapshot has decoded cleanly, so a
-// corrupt checkpoint can never leave a correlator half-restored.
+// corrupt checkpoint can never leave a correlator half-reinstated.
 // Correlators whose maps are aliased elsewhere (e.g. the RTP trackers the
 // generator exposes for inspection) must refill them in place.
 type snapshotter interface {

@@ -268,7 +268,7 @@ func SnapshotRuleEngine(re *RuleEngine) []byte {
 // engine's current ruleset and installs the decoded state. Decoding is
 // two-phase like engine restore: nothing is installed unless the whole
 // blob parses cleanly, so a corrupt checkpoint can never leave the
-// aggregator half-restored.
+// aggregator half-reinstated.
 func RestoreRuleEngine(re *RuleEngine, data []byte) error {
 	body, err := openControlFrame(data, aggSnapMagic, aggSnapVersion, "aggregator checkpoint")
 	if err != nil {

@@ -55,8 +55,10 @@ type Config struct {
 	Correlators []Registration
 	// Rules is the ruleset (nil = DefaultRuleset).
 	Rules []Rule
-	// MaxTrailLen bounds per-trail memory (default 4096 footprints; a
-	// media footprint is 64 B, so a long call's RTP trail is 256 KB).
+	// MaxTrailLen clamps each trail's footprint count (default 4096). A
+	// trail is a counter, so the bound costs no memory; the
+	// DirectTrailMatching ablation also keeps at most this many SIP
+	// messages per Call-ID.
 	MaxTrailLen int
 	// SessionTimeout evicts per-session state and trails idle this long
 	// (default 10 minutes; the paper notes memory is the practical bound
@@ -100,6 +102,10 @@ type Engine struct {
 	// touches the heap zero times.
 	view      FrameView
 	evScratch []Event
+
+	// direct is the DirectTrailMatching ablation's literal SIP trail per
+	// Call-ID (nil otherwise): the only trail that keeps messages.
+	direct map[string][]directEntry
 }
 
 // EngineOption customizes engine construction.
@@ -133,6 +139,9 @@ func NewEngine(cfg Config, opts ...EngineOption) *Engine {
 		trails:    trails,
 		gen:       newEventGeneratorFrom(cfg.Gen, trails, correlators),
 		rules:     NewRuleEngine(rules),
+	}
+	if cfg.DirectTrailMatching {
+		e.direct = make(map[string][]directEntry)
 	}
 	e.distiller.reasm.SetLimit(cfg.Limits.MaxFragGroups)
 	e.gen.SetLimits(cfg.Limits)
@@ -211,8 +220,8 @@ func (e *Engine) Stats() EngineStats {
 // (see DistillerStats for the conservation ledger they satisfy).
 func (e *Engine) DistillerStats() DistillerStats { return e.distiller.stats }
 
-// Trails exposes the trail store (read-mostly; used by reports and the
-// direct-matching ablation).
+// Trails exposes the trail store: per-session, per-protocol footprint
+// counts, for reports.
 func (e *Engine) Trails() *TrailStore { return e.trails }
 
 // Generator exposes the event generator (for binding inspection).
@@ -318,14 +327,26 @@ func (e *Engine) ReplayCapture(r *capture.Reader) error {
 
 // --- Direct trail matching (ablation) ---
 
+// directEntry is one SIP message as the ablation's literal trail keeps it:
+// when it was seen and the message itself.
+type directEntry struct {
+	at  time.Duration
+	msg *sip.Message
+}
+
 // handleDirect stores footprints into trails keyed without event-layer
 // session intelligence and scans trails on every media packet. This is
 // the expensive path the paper's Event Generator exists to avoid: "it
 // helps performance by hiding some computationally expensive matching".
+// Every footprint is counted in the engine's trail store, as the event
+// path counts it; SIP messages are also kept whole, per Call-ID, for
+// directByeScan to reread.
 func (e *Engine) handleDirect(v *FrameView) {
 	switch v.Proto {
 	case ProtoSIP:
-		e.trails.Get(v.Msg.CallID(), ProtoSIP).AppendView(v)
+		id := v.Msg.CallID()
+		e.trails.Get(id, ProtoSIP).AppendView(v)
+		e.appendDirect(id, directEntry{at: v.At, msg: v.Msg})
 	case ProtoRTP:
 		e.trails.Get("rtp:"+v.Dst.String(), ProtoRTP).AppendView(v)
 		e.directByeScan(v)
@@ -336,6 +357,17 @@ func (e *Engine) handleDirect(v *FrameView) {
 	}
 }
 
+// appendDirect adds a message to a Call-ID's literal trail, dropping the
+// oldest once the trail holds MaxTrailLen (memory is the practical limit
+// the paper notes).
+func (e *Engine) appendDirect(id string, d directEntry) {
+	list := e.direct[id]
+	if len(list) == e.cfg.MaxTrailLen {
+		list = append(list[:0], list[1:]...)
+	}
+	e.direct[id] = append(list, d)
+}
+
 // directByeScan re-derives, from raw trails, whether this RTP packet is
 // an orphan flow after a BYE: it walks every SIP trail, re-parses SDP
 // bodies to find the session whose media endpoints match, and checks BYE
@@ -343,14 +375,14 @@ func (e *Engine) handleDirect(v *FrameView) {
 // cost.
 func (e *Engine) directByeScan(v *FrameView) {
 	window := e.cfg.Gen.withDefaults().MonitorWindow
-	for _, trail := range e.allSIPTrails() {
+	for session, trail := range e.direct {
 		var callerMedia, calleeMedia netip.AddrPort
 		var byeAt time.Duration
 		var byeSeen bool
 		var byeFromCaller bool
 		var callerTag string
-		trail.eachView(func(tv *FrameView) bool {
-			m := tv.Msg
+		for _, d := range trail {
+			m := d.msg
 			switch {
 			case m.IsRequest() && m.Method == sip.MethodInvite:
 				if from, ok := m.FromRef(); ok && callerTag == "" {
@@ -368,14 +400,13 @@ func (e *Engine) directByeScan(v *FrameView) {
 			case m.IsRequest() && m.Method == sip.MethodBye:
 				if !byeSeen {
 					byeSeen = true
-					byeAt = tv.At
+					byeAt = d.at
 					if from, ok := m.FromRef(); ok {
 						byeFromCaller = from.Tag == callerTag
 					}
 				}
 			}
-			return true
-		})
+		}
 		if !byeSeen {
 			continue
 		}
@@ -386,24 +417,13 @@ func (e *Engine) directByeScan(v *FrameView) {
 		if v.Src == byeMedia && v.At > byeAt && v.At-byeAt <= window {
 			e.stats.Events++
 			ev := Event{
-				At: v.At, Type: EvRTPAfterBye, Session: trail.Session,
+				At: v.At, Type: EvRTPAfterBye, Session: session,
 				Detail:    fmt.Sprintf("direct scan: RTP from %v after BYE", v.Src),
 				Footprint: v.box(),
 			}
 			// Feed both steps so the two-step rule completes.
-			e.stats.Alerts += len(e.rules.Feed(Event{At: byeAt, Type: EvSIPBye, Session: trail.Session}))
+			e.stats.Alerts += len(e.rules.Feed(Event{At: byeAt, Type: EvSIPBye, Session: session}))
 			e.stats.Alerts += len(e.rules.Feed(ev))
 		}
 	}
-}
-
-// allSIPTrails returns every SIP trail in the store.
-func (e *Engine) allSIPTrails() []*Trail {
-	var out []*Trail
-	for k, t := range e.trails.trails {
-		if k.proto == ProtoSIP {
-			out = append(out, t)
-		}
-	}
-	return out
 }

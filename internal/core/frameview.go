@@ -14,9 +14,8 @@ import (
 // pipeline (engine, shard worker) is reused for every frame: the
 // Distiller fills it in place (DistillView), the Event Generator
 // dispatches on Proto/OnPort (ProcessView), correlators read the fields
-// of their protocol, and trails retain a value copy in a contiguous
-// slab (SIP, accounting and raw trails the view itself, RTP and RTCP
-// trails a packed mediaSlot). No per-frame boxing allocation ever happens
+// of their protocol, and the view's trail counts it; nothing keeps the
+// view past the frame. No per-frame boxing allocation ever happens
 // unless an event actually fires and needs a Footprint attached (see
 // SessionContext's lazy Observation).
 //

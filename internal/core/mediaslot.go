@@ -7,15 +7,13 @@ import (
 	"scidive/internal/rtp"
 )
 
-// mediaSlot is what an RTP or RTCP trail retains of one packet, and what
-// the sharded router ships a shard instead of the frame: every field a
-// media FrameView carries, packed into 64 bytes. A G.711 call
-// fills its RTP trail to the default bound within a minute, so the slot
-// — not the 304-byte FrameView union, of which a media view uses a
-// fraction — is what a live call costs in steady state. It holds no
-// pointers, so the collector never scans a media ring. Every decoded
-// packet has valid endpoints; the invalid Addr of a hand-built view reads
-// back as "::".
+// mediaSlot is what the sharded router (or an ingest lane) ships a shard
+// for an RTP or RTCP packet instead of the frame: every field a media
+// FrameView carries, packed into 64 bytes, so a shard batch carries a
+// fraction of the 304-byte FrameView union per packet. It holds no
+// pointers, so the collector never scans a queued batch's media. Every
+// decoded packet has valid endpoints; the invalid Addr of a hand-built
+// view reads back as "::".
 type mediaSlot struct {
 	at                    time.Duration
 	src, dst              [16]byte // As16 form; slotSrc4/slotDst4 tell 10.0.0.1 from ::ffff:10.0.0.1

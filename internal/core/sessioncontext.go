@@ -90,7 +90,7 @@ func (ctx *SessionContext) beginFrame(v *FrameView, h RouteHints) bool {
 		} else {
 			ctx.session, ctx.st = ctx.idx.attributeMedia(v.Proto, v.Src, v.Dst)
 		}
-		ctx.mediaTrail(v.Proto).AppendView(v)
+		ctx.trails.Get(ctx.session, v.Proto).AppendView(v)
 	case ProtoAccounting:
 		ctx.session = v.Txn.CallID
 		ctx.trails.Get(ctx.session, ProtoAccounting).AppendView(v)
@@ -101,23 +101,6 @@ func (ctx *SessionContext) beginFrame(v *FrameView, h RouteHints) bool {
 		return false
 	}
 	return true
-}
-
-// mediaTrail returns the RTP or RTCP trail of the media frame in flight.
-// A flow attributed to a known session finds it on the session's state,
-// resolved through the store once (so a trail that predates the state is
-// picked up) and good for the state's lifetime: trails are only ever
-// dropped together with their session's state, and a restore rebuilds
-// both. Flows no session claims pay the store's keyed lookup per frame.
-func (ctx *SessionContext) mediaTrail(p Protocol) *Trail {
-	if ctx.st == nil {
-		return ctx.trails.Get(ctx.session, p)
-	}
-	cached := &ctx.st.mediaTrails[p-ProtoRTP]
-	if *cached == nil {
-		*cached = ctx.trails.Get(ctx.session, p)
-	}
-	return *cached
 }
 
 // endFrame records session activity for expiry bookkeeping (SIP, RTP and

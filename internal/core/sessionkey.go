@@ -56,16 +56,12 @@ type sessionState struct {
 	guessResponses map[string]struct{}
 	guessFired     bool
 
-	// Derived caches, valid for the state's lifetime and never
-	// checkpointed. routeShard (sharded router's directory only) is 1 + the
-	// shard the dialog's pinned routing key hashes to, 0 until a media
-	// packet first needs it (see sessionShardLocked); it sits in
-	// guessFired's padding, so the state stays in its 352-byte size class.
-	// mediaTrails are the session's RTP and RTCP trails, cached by
-	// SessionContext.mediaTrail so a media frame does not hash its Call-ID
-	// into the trail store; nil until first used.
-	routeShard  int32
-	mediaTrails [2]*Trail
+	// routeShard is a derived cache, valid for the state's lifetime and
+	// never checkpointed (sharded router's directory only): 1 + the shard
+	// the dialog's pinned routing key hashes to, 0 until a media packet
+	// first needs it (see sessionShardLocked). It sits in guessFired's
+	// padding.
+	routeShard int32
 }
 
 // sessionIndex holds the session table and the SIP transitions that feed

@@ -21,8 +21,8 @@ import (
 // router stage decodes every frame — the one decode stage (classify.go),
 // run once — computes its session key, the same key the serial engine
 // files trails under, and ships the decoded result to shard hash(key): a
-// media packet as the 64-byte mediaSlot its trail keeps, anything else as
-// an owned view. A shard never sees frame bytes. Session affinity is the
+// media packet as a packed 64-byte mediaSlot, anything else as an owned
+// view. A shard never sees frame bytes. Session affinity is the
 // load-bearing invariant: a call's SIP dialog, its RTP media, its RTCP
 // control and its accounting records all hash to one shard, so the
 // stateful cross-protocol rules run unchanged inside each shard.
@@ -75,13 +75,13 @@ type ShardedEngine struct {
 	// and rolling restarts), so s.cfg stays immutable after construction.
 	liveRules atomic.Pointer[[]Rule]
 
-	// restoredStats/restoredDstats carry a restored portable checkpoint's
-	// folded counters: Stats folds restoredStats in (with the fields that
+	// resumedStats/resumedDstats carry a reinstated portable checkpoint's
+	// folded counters: Stats folds resumedStats in (with the fields that
 	// live state re-counts zeroed — see RestoreSnapshot) and the next
-	// Snapshot folds restoredDstats into the mined distiller stats.
+	// Snapshot folds resumedDstats into the mined distiller stats.
 	// Written only by RestoreSnapshot, which requires a fresh engine.
-	restoredStats  EngineStats
-	restoredDstats DistillerStats
+	resumedStats  EngineStats
+	resumedDstats DistillerStats
 
 	mu       sync.Mutex // router stage: directory, reassembly, pending batches
 	closed   bool
@@ -280,7 +280,7 @@ type shardWorker struct {
 	trimmedE  int // event-log evictions mirrored into eventTags
 	base      shardResults
 	// lastEngineSnap is the engine-body blob from the most recent
-	// checkpoint (taken or restored), kept for warm restarts: when
+	// checkpoint (taken or reinstated), kept for warm restarts: when
 	// RestartFailedShards replaces a panicked engine, the fresh one is
 	// rehydrated from this instead of starting blind. Worker-private.
 	lastEngineSnap []byte
@@ -1146,14 +1146,14 @@ func (s *ShardedEngine) Stats() EngineStats {
 		st.BatchesShed += int(w.shedBatches.Load())
 	}
 	st.BindingsEvicted = maxBind
-	// Counters carried over from a restored portable checkpoint (fields
+	// Counters carried over from a reinstated portable checkpoint (fields
 	// that live state re-counts arrive zeroed — see RestoreSnapshot).
-	st = addStats(st, s.restoredStats)
+	st = addStats(st, s.resumedStats)
 	return st
 }
 
 // DistillerStats returns the summed classification counters of every
-// shard (plus any restored checkpoint's folded history). A shard counts
+// shard (plus any reinstated checkpoint's folded history). A shard counts
 // what the router shipped it — each decoded view's terminal and the
 // capture frames behind it — so SIP/RTP/RTCP/Acct/Raw/Mismatched/
 // StreamMsgs match the serial engine's for the same input, Fragments
@@ -1168,7 +1168,7 @@ func (s *ShardedEngine) DistillerStats() DistillerStats {
 		st = addDistillerStats(st, w.pub.dstats)
 		w.resMu.Unlock()
 	}
-	return addDistillerStats(st, s.restoredDstats)
+	return addDistillerStats(st, s.resumedDstats)
 }
 
 // ShardHealth reports per-shard liveness and drop accounting. After a

@@ -3,46 +3,32 @@ package core
 import (
 	"bytes"
 	"fmt"
-	"net/netip"
 	"reflect"
 	"runtime"
 	"testing"
 	"time"
-	"unsafe"
 
 	"scidive/internal/sip"
 )
 
-// Tests of the packed SIP trail slot and what a short dialog costs.
+// Tests of what a SIP trail counts, what a short dialog costs and of the
+// DirectTrailMatching ablation's literal SIP trail.
 
-// TestSIPTrailSlotLayout pins the slot at 128 bytes or fewer and holds a
-// SIP trail to the contract a media trail has: what eachView shows is
-// what AppendView was given, ring and phantom entries behave as a
-// frame-view ring's do, a saturated ring is exactly MaxTrailLen slots,
-// and a trail restored mid-dialog converges on the one never restored.
+// TestSIPTrailSlotLayout holds a SIP trail to the contract a media trail
+// has: its Len climbs one per message and stops at MaxTrailLen, and a
+// trail restored mid-dialog converges on the one never restored.
 func TestSIPTrailSlotLayout(t *testing.T) {
-	if size := unsafe.Sizeof(sipSlot{}); size > 128 {
-		t.Errorf("unsafe.Sizeof(sipSlot{}) = %d, want <= 128", size)
-	}
-
-	t.Run("round trip", func(t *testing.T) {
-		want := FrameView{
-			Proto: ProtoSIP, At: 7 * time.Second, Src: egCaller, Dst: netip.MustParseAddrPort("[2001:db8::7]:5060"),
-			Msg: &sip.Message{Method: sip.MethodBye}, Malformed: []string{"duplicate To header (2 occurrences)"},
-			StreamKey: "tcp:flow", PortProto: ProtoRTP,
-		}
-		var slot sipSlot
-		slot.pack(&want)
-		// A dirty destination: unpack must overwrite everything.
-		got := FrameView{Proto: ProtoOther, Reason: "stale", RawLen: 3, OnPort: ProtoRTCP, EmbeddedSIP: true}
-		slot.unpack(&got)
-		if !reflect.DeepEqual(got, want) {
-			t.Errorf("unpack(pack(v)):\n got %+v\nwant %+v", got, want)
-		}
-	})
-
 	t.Run("ring", func(t *testing.T) {
-		checkPackedRing(t, ProtoSIP, func(tr *Trail) int { return cap(tr.sip) }, sipSlabFirst)
+		const bound = 8
+		eng := NewEngine(Config{MaxTrailLen: bound})
+		setup := callSetup(t, "ring@dialog", egCMedia, egBMedia)
+		for i := 1; i <= 3*bound; i++ {
+			eng.HandleFrame(time.Duration(i)*time.Millisecond, setup[i%2])
+			tr := eng.trails.Lookup("ring@dialog", ProtoSIP)
+			if tr == nil || tr.Len() != min(i, bound) {
+				t.Fatalf("message %d: SIP trail %+v, want Len %d", i, tr, min(i, bound))
+			}
+		}
 	})
 
 	// Checkpoint in the middle of a dialog, restore into a fresh engine,
@@ -70,8 +56,8 @@ func TestSIPTrailSlotLayout(t *testing.T) {
 		if err := restored.RestoreSnapshot(snap); err != nil {
 			t.Fatal(err)
 		}
-		if tr := restored.trails.Lookup("mid@dialog", ProtoSIP); tr == nil || tr.restored != 3 || len(tr.sip) != 0 {
-			t.Fatalf("restored SIP trail = %+v, want 3 phantom entries and no slots", tr)
+		if tr := restored.trails.Lookup("mid@dialog", ProtoSIP); tr == nil || tr.Len() != 3 {
+			t.Fatalf("restored SIP trail = %+v, want Len 3", tr)
 		}
 		for i := 0; i < 3*bound; i++ {
 			feed(setup[i%2], orig, restored)
@@ -79,15 +65,8 @@ func TestSIPTrailSlotLayout(t *testing.T) {
 				t.Fatalf("after %d more messages: restored engine holds %v, original %v", i+1, got, want)
 			}
 		}
-		a, b := orig.trails.Lookup("mid@dialog", ProtoSIP), restored.trails.Lookup("mid@dialog", ProtoSIP)
-		if a == nil || a.Len() != bound || cap(a.sip) != bound {
-			t.Fatalf("the dialog's SIP trail did not saturate at %d slots: %+v", bound, a)
-		}
-		if b.restored != 0 || cap(b.sip) != bound {
-			t.Errorf("restored trail: %d phantoms left, %d slots; want 0 and %d", b.restored, cap(b.sip), bound)
-		}
-		if got, want := trailTimes(b), trailTimes(a); !reflect.DeepEqual(got, want) {
-			t.Errorf("restored ring holds %v\noriginal ring holds %v", got, want)
+		if a := orig.trails.Lookup("mid@dialog", ProtoSIP); a == nil || a.Len() != bound {
+			t.Fatalf("the dialog's SIP trail did not saturate at %d: %+v", bound, a)
 		}
 		snapA, errA := orig.Snapshot()
 		snapB, errB := restored.Snapshot()
@@ -136,9 +115,9 @@ func dialogFrames(t *testing.T, callID string) [][]byte {
 
 // TestSIPDialogFootprint is the tier-1 pin on what a finished short call
 // costs while its session lives: 512 six-message dialogs hold at most
-// 4 KB of heap each (measures 3.1 KB; 5.4 KB while trails kept whole
-// frame views and every message twelve header slots), measured the way
-// the benchmark's heap_bytes_per_session is.
+// 2.5 KB of heap each (measures 1.7 KB; 5.2 KB while SIP trails held
+// every *sip.Message of the dialog), measured the way the benchmark's
+// heap_bytes_per_session is.
 func TestSIPDialogFootprint(t *testing.T) {
 	const dialogs = 512
 	var frames [][]byte
@@ -158,14 +137,57 @@ func TestSIPDialogFootprint(t *testing.T) {
 	runtime.GC()
 	runtime.GC()
 	runtime.ReadMemStats(&after)
+	// The input frames stay live across both readings, so what the engine
+	// freed of them cannot offset what it holds.
+	runtime.KeepAlive(frames)
 	perDialog := (int64(after.HeapAlloc) - int64(before.HeapAlloc)) / dialogs
 	t.Logf("heap per six-message dialog: %d B", perDialog)
-	if perDialog > 4000 {
-		t.Errorf("heap per six-message dialog = %d B, want <= 4000", perDialog)
+	if perDialog > 2500 {
+		t.Errorf("heap per six-message dialog = %d B, want <= 2500", perDialog)
 	}
-	tr := eng.trails.Lookup("short0@pin", ProtoSIP)
-	if tr == nil || tr.Len() != 6 || cap(tr.sip) != 8 {
-		t.Fatalf("first dialog's SIP trail: %+v, want 6 messages in 8 slots", tr)
+	if tr := eng.trails.Lookup("short0@pin", ProtoSIP); tr == nil || tr.Len() != 6 {
+		t.Fatalf("first dialog's SIP trail: %+v, want Len 6", tr)
 	}
 	runtime.KeepAlive(eng)
+}
+
+// TestDirectTrailBounded holds the ablation's literal trail to its bound:
+// with MaxTrailLen 4, no Call-ID ever keeps more than its 4 most recent
+// messages, while the trail store still counts each dialog's messages up
+// to the same bound.
+func TestDirectTrailBounded(t *testing.T) {
+	const bound = 4
+	eng := NewEngine(Config{DirectTrailMatching: true, MaxTrailLen: bound})
+	var frames [][]byte
+	for i := 0; i < 3; i++ {
+		frames = append(frames, dialogFrames(t, fmt.Sprintf("direct%d@bound", i))...)
+	}
+	at := time.Duration(0)
+	seen := make(map[string]int)
+	for round := 0; round < 2; round++ {
+		for i, fr := range frames {
+			at += time.Millisecond
+			eng.HandleFrame(at, fr)
+			id := fmt.Sprintf("direct%d@bound", i/6)
+			seen[id]++
+			list := eng.direct[id]
+			if want := min(seen[id], bound); len(list) != want {
+				t.Fatalf("%s after %d messages: literal trail holds %d, want %d", id, seen[id], len(list), want)
+			}
+			if last := list[len(list)-1]; last.at != at || last.msg.CallID() != id {
+				t.Fatalf("%s: newest entry is %v %q, want the message just fed at %v", id, last.at, last.msg.CallID(), at)
+			}
+			for j := 1; j < len(list); j++ {
+				if list[j].at <= list[j-1].at {
+					t.Fatalf("%s: literal trail out of arrival order: %v then %v", id, list[j-1].at, list[j].at)
+				}
+			}
+			if got := eng.trails.Lookup(id, ProtoSIP).Len(); got != min(seen[id], bound) {
+				t.Fatalf("%s: trail store counts %d, want %d", id, got, min(seen[id], bound))
+			}
+		}
+	}
+	if len(eng.direct) != 3 {
+		t.Errorf("literal trails for %d Call-IDs, want 3", len(eng.direct))
+	}
 }

@@ -44,7 +44,7 @@ import (
 // snapshotter capability's two-phase decode) and only if every section
 // decodes cleanly is any engine state mutated. A corrupt, truncated or
 // mismatched checkpoint therefore returns an error and leaves the engine
-// exactly as it was — never partially restored (FuzzSnapshotDecode holds
+// exactly as it was — never partially reinstated (FuzzSnapshotDecode holds
 // the decoder to this).
 
 // Format v6 extends v5 with the cooperative layer: events carry their
@@ -255,7 +255,7 @@ func fnv64(data []byte) uint64 {
 func fnv64String(s string) uint64 { return fnv64([]byte(s)) }
 
 // configFingerprint hashes every configuration knob that shapes detection
-// state, so a checkpoint can only be restored into an engine configured
+// state, so a checkpoint can only be reinstated into an engine configured
 // exactly like the one that wrote it. The correlator selection and the
 // ruleset are bound separately (by name list and by rules hash) so their
 // mismatch errors can be specific.
@@ -462,7 +462,7 @@ func writeEvent(w *snapWriter, ev Event) {
 }
 
 // readEvent decodes an event. The triggering footprint is deliberately
-// not checkpointed (it aliases decoded packet memory); restored events
+// not checkpointed (it aliases decoded packet memory); reinstated events
 // carry a nil Footprint, which nothing downstream of the rule engine
 // reads.
 func readEvent(r *snapReader) Event {
@@ -971,7 +971,7 @@ func readRuleEngine(r *snapReader, rules []Rule) ruleSnap {
 }
 
 // installRuleEngine replaces rule-matching state. With outputs false only
-// the in-progress partial matches are restored (warm shard restart: the
+// the in-progress partial matches are reinstated (warm shard restart: the
 // failed engine's published alerts were already folded into the worker's
 // base, so restoring them here would double-count).
 func installRuleEngine(re *RuleEngine, snap ruleSnap, outputs bool) {
@@ -1277,7 +1277,7 @@ func (e *Engine) decodeSnapBodyBytes(blob []byte) (*engineSnap, error) {
 // ORDER, never the raw clock values — those are geometry-dependent (each
 // shard worker stamps with its own clock), and only the order matters
 // for eviction. The accompanying clock is written as n, so post-restore
-// insertions always age past every restored binding. This is what keeps
+// insertions always age past every reinstated binding. This is what keeps
 // checkpoints of the same logical state byte-identical across engine
 // geometries.
 func canonicalBindingAges(aors []string, age func(aor string) int) map[string]int {
@@ -1665,8 +1665,8 @@ func (m *streamMux) install(streams []packet.TCPStreamState, framerBufs [][]byte
 }
 
 // installSnap installs a fully decoded body. With outputs true everything
-// is restored (process resume); with outputs false only detection state is
-// restored — stats, retained alerts/events, dedup suppression and the
+// is reinstated (process resume); with outputs false only detection state is
+// reinstated — stats, retained alerts/events, dedup suppression and the
 // rule-engine version stay fresh, which is what a warm shard restart needs
 // because the failed engine's outputs were already folded into the
 // worker's base.
@@ -1683,8 +1683,8 @@ func (e *Engine) installSnap(snap *engineSnap, outputs bool) {
 		e.trails.trails[trailKey{session: t.session, proto: t.proto}] = &Trail{
 			Session:  t.session,
 			Protocol: t.proto,
+			n:        t.length,
 			maxLen:   e.trails.MaxTrailLen,
-			restored: t.length,
 		}
 	}
 	installSessionIndex(e.gen.idx, snap.index)
@@ -1778,7 +1778,7 @@ func (e *Engine) RestoreSnapshot(data []byte) error {
 	e.installSnap(snap, true)
 	// The portable stats block is the folded Stats() view, which already
 	// contains the correlator-owned eviction counters; contributeStats
-	// re-adds those from the restored correlator atomics, so zero them in
+	// re-adds those from the reinstated correlator atomics, so zero them in
 	// the base block to count each eviction once.
 	e.stats.IMHistoriesEvicted = 0
 	e.stats.SeqTrackersEvicted = 0

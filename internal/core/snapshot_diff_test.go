@@ -245,8 +245,8 @@ func TestKillRestoreSynthetic(t *testing.T) {
 
 // TestKillRestoreWithLimits checkpoints an engine whose state budgets
 // (session cap, binding cap, IM/RTP tracker caps, frag-group cap) are
-// under pressure, so LRU order, eviction counters and phantom trail
-// lengths all cross the snapshot boundary.
+// under pressure, so LRU order, eviction counters and trail counts all
+// cross the snapshot boundary.
 func TestKillRestoreWithLimits(t *testing.T) {
 	cfg := core.Config{Limits: core.Limits{
 		MaxSessions:    8,

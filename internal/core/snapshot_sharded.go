@@ -76,7 +76,7 @@ func (w *shardWorker) snapshotWorker() []byte {
 // installRestore installs one shard's slice of a portable checkpoint
 // (runs on the worker goroutine; the channel send that delivered it
 // orders the install before any post-restore work). Decode already
-// validated everything, so this cannot fail. The restored outputs carry
+// validated everything, so this cannot fail. The reinstated outputs carry
 // position tags (frame 0, global ordinal) so the merged streams reproduce
 // the capture-time order ahead of anything the resumed run appends.
 func (w *shardWorker) installRestore(p *workerRestore) {
@@ -166,7 +166,7 @@ func (s *ShardedEngine) Snapshot() ([]byte, error) {
 	s.awaitAll(marks)
 	body := rawEngineBody{
 		stats:           folded,
-		dstats:          s.restoredDstats,
+		dstats:          s.resumedDstats,
 		streams:         streams,
 		reasmEvicted:    folded.FragGroupsEvicted,
 		evictedSessions: folded.SessionsCapEvicted,
@@ -227,7 +227,7 @@ func (s *ShardedEngine) Snapshot() ([]byte, error) {
 	// O(1) eviction arithmetic hold after a serial restore. The version is
 	// a deterministic function of the same counters (every raise bumps it
 	// once, suppressed repeats included), so re-snapshotting an idle
-	// restored engine reproduces it.
+	// reinstated engine reproduces it.
 	body.rules.alerts = alerts
 	body.rules.dedupBase = folded.AlertsEvicted
 	body.rules.evicted = folded.AlertsEvicted
@@ -306,7 +306,7 @@ func (s *ShardedEngine) RestoreSnapshot(data []byte) error {
 	for j := range shards {
 		// Bindings are replicated in full to every shard, as the router
 		// replicates live registrations. Stats and eviction counters stay
-		// zero: the folded history lives in restoredStats below, and the
+		// zero: the folded history lives in resumedStats below, and the
 		// shards re-count only what happens after the resume.
 		shards[j].bindings = body.bindings
 		shards[j].bindingIPs = body.bindingIPs
@@ -464,11 +464,11 @@ func (s *ShardedEngine) RestoreSnapshot(data []byte) error {
 	}
 	s.selfSeq = len(selfAlerts)
 	s.selfMu.Unlock()
-	// restoredStats carries the folded history for the counters the live
+	// resumedStats carries the folded history for the counters the live
 	// pipeline will NOT re-count. Counters that live state re-derives —
 	// the frame clock, the router-side cap atomics stored above, the
 	// shard-failure atomics, and the correlator-owned eviction counters
-	// contributeStats re-adds from the restored atomics — are zeroed so
+	// contributeStats re-adds from the reinstated atomics — are zeroed so
 	// each count happens exactly once.
 	rst := body.stats
 	rst.Frames = 0
@@ -479,8 +479,8 @@ func (s *ShardedEngine) RestoreSnapshot(data []byte) error {
 	rst.ShardsRestarted = 0
 	rst.IMHistoriesEvicted = 0
 	rst.SeqTrackersEvicted = 0
-	s.restoredStats = rst
-	s.restoredDstats = body.dstats
+	s.resumedStats = rst
+	s.resumedDstats = body.dstats
 	marks := s.markAllLocked(itemRestore, func(j int, c *shardCtl) { c.restore = restores[j] })
 	s.mu.Unlock()
 	s.awaitAll(marks)

@@ -1,155 +1,37 @@
 package core
 
-import (
-	"fmt"
-	"net/netip"
-	"time"
+import "fmt"
 
-	"scidive/internal/sip"
-)
-
-// Trail is an ordered list of related footprints — the per-session,
-// per-protocol grouping of paper Section 3.1. Cross-protocol detection
-// keeps multiple trails per session (a SIP trail, an RTP trail, an
-// accounting trail) under the same session key.
+// Trail is the per-session, per-protocol grouping of paper Section 3.1.
+// Cross-protocol detection keeps multiple trails per session (a SIP trail,
+// an RTP trail, an accounting trail) under the same session key.
+//
+// The correlators in the Event Generator consume each footprint as it
+// arrives and keep whatever they need on the session's state, so nothing
+// ever reads a footprint back out of a trail: a trail counts what it has
+// seen, clamped to its bound, and that count is all a checkpoint carries.
+// The DirectTrailMatching ablation, which does reread raw footprints,
+// keeps its own list (engine.go).
 type Trail struct {
 	// Session is the correlation key shared by all trails of one session.
 	Session string
 	// Protocol is the single protocol this trail carries.
 	Protocol Protocol
 
-	// A trail is one contiguous slab, of the kind its Protocol picks:
-	// RTP and RTCP trails pack each packet into a 64-byte pointer-free
-	// mediaSlot (media); SIP trails pack each message into a 128-byte
-	// sipSlot (sip); accounting and raw trails, a handful of entries a
-	// session, keep whole frame views (entries). The slab grows until the
-	// trail's bound, then becomes a ring: head indexes the oldest entry
-	// and appends overwrite in place, so a saturated trail (the steady
-	// state of a long media stream) retains footprints with zero
-	// per-frame allocation.
-	entries []FrameView
-	media   []mediaSlot
-	sip     []sipSlot
-	head    int
-	maxLen  int
-	// restored counts footprints that existed before a checkpoint restore.
-	// Their bytes are deliberately not checkpointed (the event layer never
-	// rereads trail contents); only the length survives, so Len and the
-	// eviction bound behave as if they were still present.
-	restored int
+	n      int
+	maxLen int
 }
 
-// sipSlot is what a SIP trail retains of one message: the view's common
-// fields and its SIP arm, without the 176 bytes of RTP, RTCP, accounting
-// and raw arms a SIP view never fills.
-type sipSlot struct {
-	at        time.Duration
-	src, dst  netip.AddrPort
-	msg       *sip.Message
-	malformed []string
-	streamKey string
-	portProto Protocol
-}
-
-func (s *sipSlot) pack(v *FrameView) {
-	s.at, s.src, s.dst, s.msg = v.At, v.Src, v.Dst, v.Msg
-	s.malformed, s.streamKey, s.portProto = v.Malformed, v.StreamKey, v.PortProto
-}
-
-func (s *sipSlot) unpack(v *FrameView) {
-	*v = FrameView{
-		Proto: ProtoSIP, At: s.at, Src: s.src, Dst: s.dst, Msg: s.msg,
-		Malformed: s.malformed, StreamKey: s.streamKey, PortProto: s.portProto,
+// AppendView counts one more footprint, up to the trail's bound. A count
+// already at or past the bound stays put.
+func (t *Trail) AppendView(*FrameView) {
+	if t.maxLen == 0 || t.n < t.maxLen {
+		t.n++
 	}
 }
 
-// A packed slab's first allocation. Short dialogs are most SIP trails (an
-// INVITE transaction and a BYE transaction are six messages), so theirs
-// starts at four slots; a media trail is either one stray packet or on
-// its way to the bound, so it starts at one and doubles.
-const (
-	mediaSlabFirst = 1
-	sipSlabFirst   = 4
-)
-
-// grown returns the packed slab s one slot longer: doubled when full
-// (from first), but never past the bound — a saturated ring holds exactly
-// bound slots. The caller checked that len(s) is still below the bound.
-func grown[S any](s []S, first, bound int) []S {
-	n := len(s)
-	if n == cap(s) {
-		c := max(2*n, first)
-		if bound > 0 {
-			c = min(c, bound)
-		}
-		s = append(make([]S, 0, c), s...)
-	}
-	return s[:n+1]
-}
-
-// AppendView adds a copy of the frame view, evicting the oldest entry
-// when the trail exceeds its bound (memory is the practical limit the
-// paper notes). Restored phantom entries are older than every real one,
-// so they evict first.
-func (t *Trail) AppendView(v *FrameView) {
-	n := len(t.entries) + len(t.media) + len(t.sip)
-	at := n // the slot to write: a new one, or the oldest of a saturated ring
-	if t.maxLen > 0 && t.restored+n >= t.maxLen {
-		if t.restored > 0 {
-			t.restored--
-		} else {
-			at = t.head
-			if t.head++; t.head == n {
-				t.head = 0
-			}
-		}
-	}
-	switch t.Protocol {
-	case ProtoRTP, ProtoRTCP:
-		if at == n {
-			t.media = grown(t.media, mediaSlabFirst, t.maxLen)
-		}
-		t.media[at].pack(v)
-	case ProtoSIP:
-		if at == n {
-			t.sip = grown(t.sip, sipSlabFirst, t.maxLen)
-		}
-		t.sip[at].pack(v)
-	default:
-		if at == n {
-			t.entries = append(t.entries, *v)
-		} else {
-			t.entries[at] = *v
-		}
-	}
-}
-
-// Len returns the number of retained footprints (including restored
-// phantom entries whose bytes were dropped at the last checkpoint).
-func (t *Trail) Len() int { return t.restored + len(t.entries) + len(t.media) + len(t.sip) }
-
-// eachView calls fn on every retained entry in arrival order, stopping
-// early when fn returns false. A packed trail's slots are unpacked one
-// at a time into a view that is only valid during the call.
-func (t *Trail) eachView(fn func(v *FrameView) bool) {
-	n := len(t.entries) + len(t.media) + len(t.sip)
-	var scratch FrameView
-	for i := 0; i < n; i++ {
-		j := (t.head + i) % n
-		v := &scratch
-		switch t.Protocol {
-		case ProtoRTP, ProtoRTCP:
-			t.media[j].unpack(v)
-		case ProtoSIP:
-			t.sip[j].unpack(v)
-		default:
-			v = &t.entries[j]
-		}
-		if !fn(v) {
-			return
-		}
-	}
-}
+// Len returns the number of footprints the trail accounts for.
+func (t *Trail) Len() int { return t.n }
 
 // trailKey identifies one trail in the store.
 type trailKey struct {
@@ -160,12 +42,12 @@ type trailKey struct {
 // TrailStore holds all live trails indexed by session and protocol.
 type TrailStore struct {
 	trails map[trailKey]*Trail
-	// MaxTrailLen bounds each trail's retained footprints (0 = unbounded).
+	// MaxTrailLen bounds each trail's count (0 = unbounded).
 	MaxTrailLen int
 }
 
-// NewTrailStore returns an empty store. maxTrailLen bounds per-trail
-// memory (0 = unbounded).
+// NewTrailStore returns an empty store. maxTrailLen bounds each trail's
+// count (0 = unbounded).
 func NewTrailStore(maxTrailLen int) *TrailStore {
 	return &TrailStore{trails: make(map[trailKey]*Trail), MaxTrailLen: maxTrailLen}
 }

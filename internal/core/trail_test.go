@@ -9,59 +9,67 @@ func rtpFp(at time.Duration) *RTPFootprint {
 	return &RTPFootprint{FootprintBase: FootprintBase{At: at}}
 }
 
+// TestTrailAppendAndOrder appends to an unbounded trail: each append
+// advances Len by exactly one, and Get keeps handing back the same trail
+// for the same session and protocol.
 func TestTrailAppendAndOrder(t *testing.T) {
 	s := NewTrailStore(0)
 	tr := s.Get("call-1", ProtoRTP)
+	if tr.Session != "call-1" || tr.Protocol != ProtoRTP || tr.Len() != 0 {
+		t.Fatalf("new trail = %+v, want an empty call-1 RTP trail", tr)
+	}
 	for i := 0; i < 10; i++ {
-		tr.Append(rtpFp(time.Duration(i) * time.Millisecond))
+		s.Get("call-1", ProtoRTP).Append(rtpFp(time.Duration(i) * time.Millisecond))
+		if tr.Len() != i+1 {
+			t.Fatalf("after append %d: Len = %d, want %d", i, tr.Len(), i+1)
+		}
 	}
-	if tr.Len() != 10 {
-		t.Fatalf("Len = %d", tr.Len())
+	if got := s.Lookup("call-1", ProtoRTP); got != tr {
+		t.Errorf("Lookup returned %p, want the trail Get created (%p)", got, tr)
 	}
-	if tr.Last().Time() != 9*time.Millisecond {
-		t.Errorf("Last at %v", tr.Last().Time())
-	}
-	fps := tr.Footprints()
-	for i := 1; i < len(fps); i++ {
-		if fps[i].Time() < fps[i-1].Time() {
-			t.Fatal("footprints out of order")
+}
+
+// TestTrailBounded runs a trail far past its store's bound: Len stops at
+// the bound, and every trail of the store shares that bound.
+func TestTrailBounded(t *testing.T) {
+	s := NewTrailStore(5)
+	for _, proto := range []Protocol{ProtoSIP, ProtoRTP, ProtoRTCP, ProtoAccounting} {
+		tr := s.Get("call-1", proto)
+		for i := 0; i < 20; i++ {
+			tr.Append(rtpFp(time.Duration(i) * time.Millisecond))
+			if want := min(i+1, 5); tr.Len() != want {
+				t.Fatalf("%v trail after %d appends: Len = %d, want %d", proto, i+1, tr.Len(), want)
+			}
 		}
 	}
 }
 
-func TestTrailBounded(t *testing.T) {
-	s := NewTrailStore(5)
-	tr := s.Get("call-1", ProtoRTP)
-	for i := 0; i < 20; i++ {
-		tr.Append(rtpFp(time.Duration(i) * time.Millisecond))
-	}
-	if tr.Len() != 5 {
-		t.Fatalf("bounded trail Len = %d, want 5", tr.Len())
-	}
-	// The retained footprints are the most recent.
-	if got := tr.Footprints()[0].Time(); got != 15*time.Millisecond {
-		t.Errorf("oldest retained = %v, want 15ms", got)
-	}
-}
-
-func TestTrailSince(t *testing.T) {
-	s := NewTrailStore(0)
-	tr := s.Get("c", ProtoRTP)
-	for i := 0; i < 10; i++ {
-		tr.Append(rtpFp(time.Duration(i) * time.Second))
-	}
-	got := tr.Since(6 * time.Second)
-	if len(got) != 3 {
-		t.Fatalf("Since(6s) = %d footprints, want 3 (7,8,9)", len(got))
-	}
-	if got[0].Time() != 7*time.Second {
-		t.Errorf("first = %v", got[0].Time())
-	}
-	if n := len(tr.Since(100 * time.Second)); n != 0 {
-		t.Errorf("Since(100s) = %d", n)
-	}
-	if n := len(tr.Since(-time.Second)); n != 10 {
-		t.Errorf("Since(-1s) = %d", n)
+// TestTrailCounter holds the counter to the arithmetic of the ring it
+// replaced: a ring of real entries behind a run of phantom entries left by
+// a checkpoint restore, where an append past the bound retires a phantom
+// first and then overwrites the oldest real entry. Len is phantoms + real.
+func TestTrailCounter(t *testing.T) {
+	const bound = 5
+	for _, maxLen := range []int{0, bound} {
+		for _, start := range []int{0, 3, bound, bound + 2} {
+			tr := NewTrailStore(maxLen).Get("s", ProtoRTP)
+			tr.n = start // what installSnap sets from a checkpoint
+			phantoms, kept := start, 0
+			for i := 1; i <= 3*bound; i++ {
+				switch {
+				case maxLen == 0 || phantoms+kept < maxLen:
+					kept++
+				case phantoms > 0:
+					phantoms--
+					kept++
+				}
+				tr.AppendView(&FrameView{Proto: ProtoRTP, At: time.Duration(i)})
+				if tr.Len() != phantoms+kept {
+					t.Fatalf("maxLen %d, start %d, append %d: Len %d, ring arithmetic %d",
+						maxLen, start, i, tr.Len(), phantoms+kept)
+				}
+			}
+		}
 	}
 }
 
@@ -87,13 +95,6 @@ func TestTrailStoreSessionGrouping(t *testing.T) {
 	s.Drop("call-1")
 	if s.Trails() != 1 || s.Sessions() != 1 {
 		t.Errorf("after Drop: %v", s)
-	}
-}
-
-func TestTrailEmptyLast(t *testing.T) {
-	s := NewTrailStore(0)
-	if s.Get("x", ProtoSIP).Last() != nil {
-		t.Error("empty trail Last != nil")
 	}
 }
 

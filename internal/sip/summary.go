@@ -96,6 +96,9 @@ func scanURI(v string, lo, hi int, a *addrScan) bool {
 	case at == 0:
 		return false // empty user part
 	case at > 0:
+		if strings.ContainsAny(v[p:p+at], "<>") {
+			return false
+		}
 		p += at + 1
 	}
 	hpHi := hi
@@ -112,7 +115,7 @@ func scanURI(v string, lo, hi int, a *addrScan) bool {
 			return false
 		}
 	}
-	return a.hostHi > a.hostLo
+	return a.hostHi > a.hostLo && !strings.ContainsAny(v[a.hostLo:a.hostHi], ":<>")
 }
 
 // validPort reports whether strconv.ParseUint(s, 10, 16) would succeed.

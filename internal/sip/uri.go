@@ -32,6 +32,9 @@ func ParseURI(s string) (URI, error) {
 		if u.User == "" {
 			return URI{}, fmt.Errorf("sip: uri %q: empty user part", s)
 		}
+		if strings.ContainsAny(u.User, "<>") {
+			return URI{}, fmt.Errorf("sip: uri %q: bad user part %q", s, u.User)
+		}
 	}
 	hostport := rest
 	if semi := strings.IndexByte(rest, ';'); semi >= 0 {
@@ -48,6 +51,13 @@ func ParseURI(s string) (URI, error) {
 	}
 	if host == "" {
 		return URI{}, fmt.Errorf("sip: uri %q: empty host", s)
+	}
+	// RFC 3261 §25.1: a host is a hostname or an IPv4 address (IPv6
+	// references are not supported), so a ':' left after the port split,
+	// or an angle bracket, is not one. Either would render a URI that
+	// does not parse back, as would an angle bracket in the user part.
+	if strings.ContainsAny(host, ":<>") {
+		return URI{}, fmt.Errorf("sip: uri %q: bad host %q", s, host)
 	}
 	u.Host, u.Port = host, port
 	return u, nil

@@ -36,6 +36,10 @@ func TestParseURI(t *testing.T) {
 		{name: "empty host", in: "sip:user@", wantErr: true},
 		{name: "bad port", in: "sip:a@b:99999", wantErr: true},
 		{name: "empty param name", in: "sip:a@b;=v", wantErr: true},
+		// Hosts that would render a URI that does not parse back.
+		{name: "colon host", in: "sip:::0", wantErr: true},
+		{name: "angle bracket host", in: "sip:>0", wantErr: true},
+		{name: "angle bracket user", in: "sip:>@0", wantErr: true},
 	}
 	for _, tt := range tests {
 		t.Run(tt.name, func(t *testing.T) {
@@ -134,6 +138,9 @@ func TestParseAddress(t *testing.T) {
 		},
 		{name: "unbalanced brackets", in: ">sip:x@y<", wantErr: true},
 		{name: "bad inner uri", in: "<mailto:x@y>", wantErr: true},
+		// Bare addr-specs whose name-addr rendering would not parse back.
+		{name: "angle bracket host", in: "sip:>0", wantErr: true},
+		{name: "angle bracket user", in: "sip:>@0", wantErr: true},
 	}
 	for _, tt := range tests {
 		t.Run(tt.name, func(t *testing.T) {
