@@ -360,6 +360,59 @@ func BenchmarkHotPath_SIPFrame(b *testing.B) {
 	benchHotPath(b, eng.HandleFrame, buildSIPFrame(b))
 }
 
+// BenchmarkHotPath_SIPDialogs is the SIP hot path when nothing repeats:
+// one frame per op, cycling through 4096 prebuilt dialogs (INVITE and
+// 200 with SDP, ACK, BYE), each with its own Call-ID, tags, branches and
+// media ports. BenchmarkHotPath_SIPFrame replays one frame, so any cache
+// of header values always hits there; here none can. One full cycle runs
+// before the clock starts, so every dialog's session is live.
+func BenchmarkHotPath_SIPDialogs(b *testing.B) {
+	const dialogs = 4096
+	ids := sip.NewIDGen(rand.New(rand.NewSource(1)))
+	caller, callee := mustAddr("10.0.0.1"), mustAddr("10.0.0.2")
+	frames := make([][]byte, 0, 4*dialogs)
+	for i := 0; i < dialogs; i++ {
+		a := sip.Address{URI: sip.URI{User: fmt.Sprintf("alice%d", i), Host: "pbx"}}.WithTag(ids.Tag())
+		bob := sip.Address{URI: sip.URI{User: fmt.Sprintf("bob%d", i), Host: "pbx"}}
+		bTag, callID := ids.Tag(), ids.CallID("pbx")
+		port := uint16(20000 + 2*(i%20000))
+		request := func(method sip.Method, seq uint32, to sip.Address, body []byte) *sip.Message {
+			spec := sip.RequestSpec{
+				Method: method, RequestURI: bob.URI.String(), From: a, To: to, CallID: callID,
+				CSeq: sip.CSeq{Seq: seq, Method: method},
+				Via:  sip.Via{Transport: "UDP", SentBy: "10.0.0.1", Params: map[string]string{"branch": ids.Branch()}},
+				Body: body,
+			}
+			if body != nil {
+				spec.BodyType = "application/sdp"
+			}
+			return sip.NewRequest(spec)
+		}
+		inv := request(sip.MethodInvite, 1, bob, sdp.NewAudioSession("caller", caller, port).Marshal())
+		ok := sip.NewResponse(inv, sip.StatusOK, bTag)
+		ok.Headers.Add(sip.HdrContentType, "application/sdp")
+		ok.Body = sdp.NewAudioSession("callee", callee, port).Marshal()
+		ack := request(sip.MethodAck, 1, bob.WithTag(bTag), nil)
+		bye := request(sip.MethodBye, 2, bob.WithTag(bTag), nil)
+		frames = append(frames,
+			buildUDPFrameBetween(b, netip.AddrPortFrom(caller, 5060), netip.AddrPortFrom(callee, 5060), inv.Marshal()),
+			buildUDPFrameBetween(b, netip.AddrPortFrom(callee, 5060), netip.AddrPortFrom(caller, 5060), ok.Marshal()),
+			buildUDPFrameBetween(b, netip.AddrPortFrom(caller, 5060), netip.AddrPortFrom(callee, 5060), ack.Marshal()),
+			buildUDPFrameBetween(b, netip.AddrPortFrom(caller, 5060), netip.AddrPortFrom(callee, 5060), bye.Marshal()))
+	}
+	eng := core.NewEngine(core.Config{})
+	at, step := time.Duration(0), time.Millisecond
+	for _, fr := range frames {
+		eng.HandleFrame(at, fr)
+		at += step
+	}
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		eng.HandleFrame(at, frames[i%len(frames)])
+		at += step
+	}
+}
+
 // BenchmarkHotPath_ShardedRTPFrame is the sharded counterpart: the
 // router's decode and classification plus shipping the packed media slot
 // to a shard worker (the router only borrows the frame).

@@ -17,13 +17,14 @@ import (
 // sipSteadyStateAllocBudget is the documented per-frame allocation
 // budget for steady-state SIP traffic (a retransmitted in-dialog
 // INVITE; measures 4 as of this writing, so the budget is that plus 2).
-// SIP cannot be zero-alloc: the parsed Message outlives the frame (it is
-// retained by the session trail), so each frame pays for the Message,
-// its exactly sized header storage, the body copy and the one header
-// value the parser does not intern (Via: its branch is unique per
-// message). Everything after the parse — mandatory-header validation, the
-// format check, applySIP, the trail append — reads headers through the
-// message's summary and allocates nothing (it was 17 while each of those
+// SIP cannot be zero-alloc: the parsed Message may outlive the frame (an
+// event's footprint carries it), so each frame pays for the Message, its
+// exactly sized header storage, the one copy of the header block that
+// every value is a substring of, and the body copy. The count no longer
+// depends on whether a frame repeats earlier values: nothing is interned.
+// Everything after the parse — mandatory-header validation, the format
+// check, applySIP, the SDP endpoint scan, the trail count — reads the
+// message in place and allocates nothing (it was 17 while each of those
 // re-parsed From, To and CSeq into maps). Raising this number is a
 // hot-path regression; lowering it is a win — update the comment either
 // way.
@@ -31,10 +32,10 @@ const sipSteadyStateAllocBudget = 6
 
 // shardedSIPSteadyStateAllocBudget is the same frame through the sharded
 // engine (measures 5, 5.1 under the race detector): the serial 4 — the
-// Message is parsed once, by the router or a lane, its summary read once,
-// and the shard's trail keeps that one — plus the shipping envelope. It
-// was 21 while the router directory's applySIP and the shard's each
-// parsed the addresses again.
+// Message is parsed once, by the router or a lane, and its summary read
+// once for router and shard alike — plus the shipping envelope. It was 21
+// while the router directory's applySIP and the shard's each parsed the
+// addresses again.
 const shardedSIPSteadyStateAllocBudget = 7
 
 // allocFrame builds one UDP frame carrying payload between fixed hosts.

@@ -69,19 +69,18 @@ func ladderOf(correlators []Correlator) classifyLadder {
 }
 
 // decoder is the decode stage's configuration: one correlator registry's
-// port claims and ladder, plus a SIP parser private to the owner (the
-// Distiller, the router, or one ingest lane — never a shard, which only
-// ever receives decoded results) so its intern table stays warm.
-// Everything it does is a pure function of the frame bytes, so lanes run
-// it in parallel with the router.
+// port claims and ladder. Its owner is the Distiller, the router or one
+// ingest lane — never a shard, which only ever receives decoded results.
+// Everything it does is a pure function of the frame bytes (the SIP
+// parser keeps no state either), so lanes run it in parallel with the
+// router.
 type decoder struct {
 	claimers []Correlator
 	ladder   classifyLadder
-	parser   *sip.Parser
 }
 
 func newDecoder(correlators []Correlator) decoder {
-	return decoder{claimers: correlators, ladder: ladderOf(correlators), parser: sip.NewParser()}
+	return decoder{claimers: correlators, ladder: ladderOf(correlators)}
 }
 
 // preludeKind is what the protocol-independent prelude made of a frame,
@@ -232,7 +231,7 @@ func (dc *decoder) decodeAs(proto Protocol, payload []byte, v *FrameView) (err e
 	switch proto {
 	case ProtoSIP:
 		var msg *sip.Message
-		if msg, err = dc.parser.Parse(payload); err == nil {
+		if msg, err = sip.ParseMessage(payload); err == nil {
 			v.Msg = msg
 		}
 	case ProtoAccounting:

@@ -44,9 +44,7 @@ type Distiller struct {
 	stats DistillerStats
 
 	// dec is the decode stage over the correlator set whose port claims
-	// drive classification, with the distiller-owned SIP parser: one per
-	// pipeline keeps its intern table warm across every message the
-	// pipeline sees.
+	// drive classification.
 	dec decoder
 
 	// frags buffers the raw frames of in-progress fragment groups, as the

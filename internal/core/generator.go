@@ -4,6 +4,7 @@ import (
 	"net/netip"
 	"time"
 
+	"scidive/internal/sdp"
 	"scidive/internal/sip"
 )
 
@@ -273,12 +274,5 @@ func (g *EventGenerator) ProcessView(v *FrameView, h RouteHints, evs *[]Event) {
 
 // mediaFromBody extracts the audio endpoint from a message's SDP body.
 func mediaFromBody(m *sip.Message) (netip.AddrPort, bool) {
-	if len(m.Body) == 0 {
-		return netip.AddrPort{}, false
-	}
-	sess, err := parseSDP(m.Body)
-	if err != nil {
-		return netip.AddrPort{}, false
-	}
-	return sess.MediaEndpoint("audio")
+	return sdp.MediaEndpointOf(m.Body, "audio")
 }

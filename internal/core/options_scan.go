@@ -209,7 +209,7 @@ func (c *optionsScanCorrelator) Process(v *FrameView, h RouteHints, ctx *Session
 		r = &optionsScanRecord{start: v.At, dialogs: make(map[string]struct{})}
 		c.sources[src] = r
 	}
-	r.dialogs[v.Msg.CallID()] = struct{}{}
+	addClone(r.dialogs, v.Msg.CallID())
 	r.last = v.At
 	if r.fired || len(r.dialogs) < optionsScanThreshold {
 		return

@@ -74,9 +74,11 @@ func (ctx *SessionContext) beginFrame(v *FrameView, h RouteHints) bool {
 	ctx.view, ctx.boxed = v, nil
 	switch v.Proto {
 	case ProtoSIP:
-		ctx.session = v.Msg.CallID()
-		ctx.trails.Get(ctx.session, ProtoSIP).AppendView(v)
+		// The trail is keyed by the session's own copy of the Call-ID, so
+		// the two share one string and neither keeps the message alive.
 		ctx.st, ctx.sipOut = ctx.idx.applySIP(v.Msg, v.At, v.Src)
+		ctx.session = ctx.st.callID
+		ctx.trails.Get(ctx.session, ProtoSIP).AppendView(v)
 		if ctx.sipOut.established {
 			for _, o := range ctx.observers {
 				o.onEstablished(ctx.st)

@@ -53,7 +53,7 @@ type sessionState struct {
 	isRegistration bool
 	challenges     int
 	floodFired     bool
-	guessResponses map[string]struct{}
+	guessResponses map[string]struct{} // nil until the first credentials
 	guessFired     bool
 
 	// routeShard is a derived cache, valid for the state's lifetime and
@@ -128,17 +128,27 @@ func (x *sessionIndex) endpointKey(kind byte, prefix string, ap netip.AddrPort) 
 	return s
 }
 
-// core returns the state for a Call-ID, creating it if needed.
+// core returns the state for a Call-ID, creating it if needed. A new
+// state keeps its own copy of the Call-ID, which is also the table's key
+// and every trail's: callID may be a substring of a message.
 func (x *sessionIndex) core(callID string) *sessionState {
 	st, ok := x.sessions[callID]
 	if !ok {
 		if x.maxSessions > 0 && len(x.sessions) >= x.maxSessions {
 			x.evictLRU()
 		}
-		st = &sessionState{callID: callID, guessResponses: make(map[string]struct{})}
-		x.sessions[callID] = st
+		st = &sessionState{callID: strings.Clone(callID)}
+		x.sessions[st.callID] = st
 	}
 	return st
+}
+
+// addClone adds a copy of s to set unless set already holds s: a set
+// outlives the frame, and s may be a substring of a message.
+func addClone(set map[string]struct{}, s string) {
+	if _, ok := set[s]; !ok {
+		set[strings.Clone(s)] = struct{}{}
+	}
 }
 
 // evictLRU drops the least-recently-touched session (ties broken by the
@@ -428,8 +438,8 @@ func (x *sessionIndex) applySIP(m *sip.Message, at time.Duration, src netip.Addr
 		if aor, ok := x.pendingReg[st.callID]; ok {
 			out.regOK = true
 			out.regAOR = aor
-			if contact, err := m.Contact(); err == nil {
-				if ip, err2 := netip.ParseAddr(contact.URI.Host); err2 == nil {
+			if contact, ok := m.ContactRef(); ok {
+				if ip, err := netip.ParseAddr(contact.Host); err == nil {
 					out.bindingIP = ip
 				}
 			}

@@ -69,11 +69,16 @@ func (c *sipCorrelator) requestEvents(v *FrameView, st *sessionState, out sipOut
 	m := v.Msg
 	switch m.Method {
 	case sip.MethodRegister:
+		// Stored values outlive the frame, so they are copies, not
+		// substrings of the message's header text.
 		*evs = append(*evs, Event{At: v.At, Type: EvSIPRegister, Session: st.callID,
-			Detail: out.to.AOR, Footprint: ctx.Observation()})
+			Detail: strings.Clone(out.to.AOR), Footprint: ctx.Observation()})
 		if authz := m.Headers.Get(sip.HdrAuthorization); authz != "" {
 			if creds, err := sip.ParseCredentials(authz); err == nil {
-				st.guessResponses[creds.Response] = struct{}{}
+				if st.guessResponses == nil {
+					st.guessResponses = make(map[string]struct{})
+				}
+				addClone(st.guessResponses, creds.Response)
 				if len(st.guessResponses) >= c.cfg.GuessThreshold && !st.guessFired {
 					st.guessFired = true
 					*evs = append(*evs, Event{

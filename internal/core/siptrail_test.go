@@ -7,6 +7,7 @@ import (
 	"runtime"
 	"testing"
 	"time"
+	"unsafe"
 
 	"scidive/internal/sip"
 )
@@ -190,4 +191,113 @@ func TestDirectTrailBounded(t *testing.T) {
 	if len(eng.direct) != 3 {
 		t.Errorf("literal trails for %d Call-IDs, want 3", len(eng.direct))
 	}
+}
+
+// TestStoredKeysDoNotPinMessages: a parsed message's header values are
+// substrings of one copy of its header block, so a value stored past the
+// frame would keep that whole block alive for as long as the store. After
+// a registration with credentials, a call, an OPTIONS probe and a hangup,
+// no session key, trail key, options-scan dialog, guessed response or
+// REGISTER event detail may point into any message's header block.
+func TestStoredKeysDoNotPinMessages(t *testing.T) {
+	alice, _ := sip.ParseAddress("<sip:alice@10.0.0.10>;tag=r1")
+	aliceAOR, _ := sip.ParseAddress("<sip:alice@10.0.0.10>")
+	contact, _ := sip.ParseAddress("<sip:alice@10.0.0.1:5060>")
+	via := sip.Via{Transport: "UDP", SentBy: "10.0.0.1:5060", Params: map[string]string{"branch": sip.MagicBranchPrefix + "pin"}}
+	reg := sip.NewRequest(sip.RequestSpec{
+		Method: sip.MethodRegister, RequestURI: "sip:10.0.0.10", From: alice, To: aliceAOR, CallID: "reg@pin",
+		CSeq: sip.CSeq{Seq: 1, Method: sip.MethodRegister}, Via: via, Contact: &contact,
+	})
+	reg.Headers.Add(sip.HdrAuthorization, sip.Credentials{
+		Username: "alice", Realm: "pin", Nonce: "n1", URI: "sip:10.0.0.10", Response: "0123456789abcdef",
+	}.String())
+	regOK := sip.NewResponse(reg, sip.StatusOK, "")
+	regOK.Headers.Add(sip.HdrContact, contact.String())
+	probe := sip.NewRequest(sip.RequestSpec{
+		Method: sip.MethodOptions, RequestURI: "sip:bob@10.0.0.10", From: alice, To: aliceAOR, CallID: "probe@pin",
+		CSeq: sip.CSeq{Seq: 1, Method: sip.MethodOptions}, Via: via,
+	})
+	frames := append([][]byte{
+		udpFrame(t, egCaller, egCallee, reg.Marshal()),
+		udpFrame(t, egCallee, egCaller, regOK.Marshal()),
+		udpFrame(t, egCaller, egCallee, probe.Marshal()),
+	}, dialogFrames(t, "call@pin")...)
+
+	eng := NewEngine(Config{}, WithEventLog())
+	type block struct{ lo, hi uintptr }
+	var blocks []block
+	var msgs []*sip.Message
+	for i, fr := range frames {
+		eng.HandleFrame(time.Duration(i+1)*time.Millisecond, fr)
+		m := eng.view.Msg
+		if m == nil {
+			t.Fatalf("frame %d did not parse as SIP", i)
+		}
+		// The header block starts at the start line, whose fields give the
+		// offset; these messages re-marshal to their wire bytes, which give
+		// its length.
+		var lo uintptr
+		if m.IsRequest() {
+			lo = uintptr(unsafe.Pointer(unsafe.StringData(m.RequestURI))) - uintptr(len(m.Method)+1)
+		} else {
+			lo = uintptr(unsafe.Pointer(unsafe.StringData(m.ReasonPhrase))) - uintptr(len("SIP/2.0 200 "))
+		}
+		b := block{lo, lo + uintptr(bytes.Index(m.Marshal(), []byte("\r\n\r\n")))}
+		if p := uintptr(unsafe.Pointer(unsafe.StringData(m.CallID()))); p < b.lo || p >= b.hi {
+			t.Fatalf("frame %d: the Call-ID is not a substring of the header block", i)
+		}
+		blocks, msgs = append(blocks, b), append(msgs, m)
+	}
+	pinned := func(what, s string) {
+		t.Helper()
+		p := uintptr(unsafe.Pointer(unsafe.StringData(s)))
+		for i, b := range blocks {
+			if s != "" && p >= b.lo && p < b.hi {
+				t.Errorf("%s %q points into message %d's header block", what, s, i)
+			}
+		}
+	}
+
+	g := eng.gen
+	var guesses, dialogs int
+	for id, st := range g.idx.sessions {
+		pinned("session key", id)
+		pinned("session Call-ID", st.callID)
+		for _, s := range []string{st.callerAOR, st.calleeAOR, st.callerTag, st.calleeTag} {
+			pinned("session field", s)
+		}
+		for r := range st.guessResponses {
+			pinned("guessed response", r)
+			guesses++
+		}
+	}
+	for k, tr := range eng.trails.trails {
+		pinned("trail key", k.session)
+		pinned("trail session", tr.Session)
+	}
+	for _, c := range g.correlators {
+		if scan, ok := c.(*optionsScanCorrelator); ok {
+			for _, r := range scan.sources {
+				for d := range r.dialogs {
+					pinned("options-scan dialog", d)
+					dialogs++
+				}
+			}
+		}
+	}
+	for aor := range g.bindings {
+		pinned("binding", aor)
+	}
+	registers := 0
+	for _, ev := range eng.Events() {
+		if ev.Type == EvSIPRegister {
+			pinned("REGISTER detail", ev.Detail)
+			registers++
+		}
+	}
+	if guesses != 1 || dialogs != 1 || registers != 1 || len(g.bindings) != 1 || len(g.idx.sessions) != 3 {
+		t.Fatalf("nothing to check: %d guesses, %d probed dialogs, %d REGISTER events, %d bindings, %d sessions",
+			guesses, dialogs, registers, len(g.bindings), len(g.idx.sessions))
+	}
+	runtime.KeepAlive(msgs)
 }

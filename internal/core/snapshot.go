@@ -692,9 +692,11 @@ func installSessionIndex(x *sessionIndex, snap indexSnap) {
 	for _, s := range snap.sessions {
 		st := new(sessionState)
 		*st = s.st
-		st.guessResponses = make(map[string]struct{}, len(s.guessResponses))
-		for _, g := range s.guessResponses {
-			st.guessResponses[g] = struct{}{}
+		if len(s.guessResponses) > 0 {
+			st.guessResponses = make(map[string]struct{}, len(s.guessResponses))
+			for _, g := range s.guessResponses {
+				st.guessResponses[g] = struct{}{}
+			}
 		}
 		x.sessions[st.callID] = st
 		x.indexMedia(st, st.callerMedia)

@@ -10,6 +10,9 @@ import (
 	"net/netip"
 	"strconv"
 	"strings"
+	"unicode"
+	"unicode/utf8"
+	"unsafe"
 )
 
 // Origin is the o= line.
@@ -177,6 +180,126 @@ func Parse(body []byte) (*Session, error) {
 		return nil, fmt.Errorf("sdp: missing v= line")
 	}
 	return s, nil
+}
+
+// MediaEndpointOf reports what Parse(body) and then MediaEndpoint(mediaType)
+// would, false wherever Parse fails, in one pass over the body and without
+// allocating for a well-formed one. Every line is checked as Parse checks
+// it; only the session connection and the first mediaType section's port
+// and connection are kept.
+func MediaEndpointOf(body []byte, mediaType string) (netip.AddrPort, bool) {
+	// A string view of body for strconv and netip, which keep nothing of
+	// their input on success; the errors that would are dropped on the
+	// spot, and the view itself never outlives this call.
+	s := unsafe.String(unsafe.SliceData(body), len(body))
+	var (
+		sessConn, mediaConn netip.Addr // the last c= of each section; zero when none
+		port                uint16
+		sawVersion          bool
+		inMedia             bool // past the first m= line
+		found, inTarget     bool // the first mediaType section was seen; it is the current one
+		f                   [7]string
+	)
+	for more := true; more; {
+		var line string
+		line, s, more = strings.Cut(s, "\n")
+		line = strings.TrimRight(line, "\r")
+		if line == "" {
+			continue
+		}
+		if len(line) < 2 || line[1] != '=' {
+			return netip.AddrPort{}, false
+		}
+		val := line[2:]
+		switch line[0] {
+		case 'v':
+			if _, err := strconv.Atoi(val); err != nil {
+				return netip.AddrPort{}, false
+			}
+			sawVersion = true
+		case 'o':
+			if fields(val, &f) != 6 || !isUint(f[1], 64) || !isUint(f[2], 64) || f[3] != "IN" || f[4] != "IP4" {
+				return netip.AddrPort{}, false
+			}
+			if _, err := netip.ParseAddr(f[5]); err != nil {
+				return netip.AddrPort{}, false
+			}
+		case 'c':
+			if fields(val, &f) != 3 || f[0] != "IN" || f[1] != "IP4" {
+				return netip.AddrPort{}, false
+			}
+			addr, err := netip.ParseAddr(f[2])
+			switch {
+			case err != nil:
+				return netip.AddrPort{}, false
+			case !inMedia:
+				sessConn = addr
+			case inTarget:
+				mediaConn = addr
+			}
+		case 'm':
+			if fields(val, &f) < 4 {
+				return netip.AddrPort{}, false
+			}
+			p, err := strconv.ParseUint(f[1], 10, 16)
+			if err != nil {
+				return netip.AddrPort{}, false
+			}
+			inMedia = true
+			inTarget = !found && f[0] == mediaType
+			if inTarget {
+				found, port = true, uint16(p)
+			}
+		}
+	}
+	conn := mediaConn
+	if !conn.IsValid() {
+		conn = sessConn
+	}
+	if !sawVersion || !found || !conn.IsValid() {
+		return netip.AddrPort{}, false
+	}
+	return netip.AddrPortFrom(conn, port), true
+}
+
+// isUint reports whether strconv.ParseUint(s, 10, bits) succeeds.
+func isUint(s string, bits int) bool {
+	_, err := strconv.ParseUint(s, 10, bits)
+	return err == nil
+}
+
+// fields splits v as strings.Fields does into f, returning how many
+// fields there are, counting no further than len(f).
+func fields(v string, f *[7]string) int {
+	n := 0
+	for i := 0; n < len(f); n++ {
+		for i < len(v) {
+			r, w := rune(v[i]), 1
+			if r >= utf8.RuneSelf {
+				r, w = utf8.DecodeRuneInString(v[i:])
+			}
+			if !unicode.IsSpace(r) {
+				break
+			}
+			i += w
+		}
+		if i == len(v) {
+			return n
+		}
+		lo := i
+		for i < len(v) {
+			r, w := rune(v[i]), 1
+			if r >= utf8.RuneSelf {
+				r, w = utf8.DecodeRuneInString(v[i:])
+			}
+			if unicode.IsSpace(r) {
+				break
+			}
+			i += w
+		}
+		f[n] = v[lo:i]
+	}
+	return n
 }
 
 func parseOrigin(val string) (Origin, error) {

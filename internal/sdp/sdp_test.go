@@ -152,3 +152,55 @@ func TestParseToleratesLFOnly(t *testing.T) {
 		t.Error("audio endpoint not found in LF-only body")
 	}
 }
+
+// parseThenEndpoint is what MediaEndpointOf is held to: the full parse,
+// then the endpoint lookup, false wherever the parse fails.
+func parseThenEndpoint(body []byte, mediaType string) (netip.AddrPort, bool) {
+	s, err := Parse(body)
+	if err != nil {
+		return netip.AddrPort{}, false
+	}
+	return s.MediaEndpoint(mediaType)
+}
+
+// FuzzMediaEndpointMatchesParse holds the one-pass endpoint scan to the
+// full parser: for any body and media type it reports what Parse then
+// MediaEndpoint report.
+func FuzzMediaEndpointMatchesParse(f *testing.F) {
+	for _, body := range []string{
+		string(NewAudioSession("alice", netip.MustParseAddr("10.0.0.1"), 40000).Marshal()),
+		"v=0\r\no=bob 2890844527 2890844527 IN IP4 10.0.0.2\r\ns=-\r\nc=IN IP4 10.0.0.2\r\nb=AS:64\r\nt=0 0\r\n" +
+			"a=sendrecv\r\nm=audio 49172 RTP/AVP 0 8 97\r\na=rtpmap:0 PCMU/8000\r\nm=video 51372 RTP/AVP 31\r\nc=IN IP4 10.0.0.3\r\n",
+		"v=0\no=a 1 1 IN IP4 10.0.0.1\ns=x\nc=IN IP4 10.0.0.1\nm=audio 4000 RTP/AVP 0\n",
+		"v=0\r\nm=audio 1 RTP/AVP 0\r\nc=IN IP4 10.0.0.9\r\nc=IN IP4 10.0.0.8\r\nm=audio 2 RTP/AVP 0\r\nc=IN IP4 10.0.0.7\r\n",
+		"v=0\r\nc=IN IP4 10.0.0.1\r\nc=IN IP4 10.0.0.2\r\nm=video 5 RTP/AVP 0\r\nc=IN IP4 10.0.0.3\r\nm=audio 6 RTP/AVP 0\r\n",
+		"v=0\r\nm=audio 1 RTP/AVP 0\r\n", "v=0\r\nc=IN IP4 ::1\r\nm=audio 65535 x y\r\n", "v=+0\r\r\r\nc=IN IP4 1.2.3.4\r\nm=audio  7 a b\r\n",
+		"v=0\r\no=a 1 1 IN IP4 10.0.0.1 extra\r\n", "v=0\r\nm=audio 65536 RTP/AVP 0\r\n", "v=0\r\nxyz\r\n", "", "s=call\r\n",
+		"v=0\r\nc=IN IP4 fe80::1%eth0\r\nm=audio 9 RTP/AVP 0\r\n", "v=0\r\nc=IN IP4 1.2.3.4\r\nm=audio 9 RTP/AVP 0\r\nm=audio 9 RTP/AVP 0\r\nm=\r\n",
+	} {
+		f.Add([]byte(body), "audio")
+	}
+	f.Add([]byte("v=0\r\nc=IN IP4 1.2.3.4\r\nm=video 9 RTP/AVP 0\r\n"), "video")
+	f.Fuzz(func(t *testing.T, body []byte, mediaType string) {
+		want, wantOK := parseThenEndpoint(body, mediaType)
+		got, gotOK := MediaEndpointOf(body, mediaType)
+		if got != want || gotOK != wantOK {
+			t.Fatalf("MediaEndpointOf(%q, %q) = %v, %v; Parse then MediaEndpoint: %v, %v", body, mediaType, got, gotOK, want, wantOK)
+		}
+	})
+}
+
+// TestMediaEndpointOfDoesNotAllocate pins the point of the scan: an
+// offer's endpoint costs no allocation.
+func TestMediaEndpointOfDoesNotAllocate(t *testing.T) {
+	body := []byte("v=0\r\no=bob 2890844527 2890844527 IN IP4 10.0.0.2\r\ns=-\r\nc=IN IP4 10.0.0.2\r\nt=0 0\r\n" +
+		"m=audio 49172 RTP/AVP 0 8 97\r\na=rtpmap:0 PCMU/8000\r\nc=IN IP4 10.0.0.5\r\nm=video 51372 RTP/AVP 31\r\n")
+	want := netip.MustParseAddrPort("10.0.0.5:49172")
+	if n := testing.AllocsPerRun(200, func() {
+		if got, ok := MediaEndpointOf(body, "audio"); !ok || got != want {
+			t.Fatalf("MediaEndpointOf = %v, %v; want %v", got, ok, want)
+		}
+	}); n != 0 {
+		t.Errorf("MediaEndpointOf: %.0f allocs, want 0", n)
+	}
+}

@@ -38,9 +38,9 @@ func FuzzParseMessage(f *testing.F) {
 }
 
 // FuzzParserReuse proves a recycled Parser never leaks state between
-// messages: one long-lived parser (its intern table and fold buffer
-// accumulating across every fuzz input) must produce exactly the result
-// a fresh parser does — same error text, same Message.
+// messages: one long-lived parser, used for every fuzz input, must
+// produce exactly the result a fresh parser does — same error text, same
+// Message, header storage sized exactly.
 func FuzzParserReuse(f *testing.F) {
 	f.Add([]byte("INVITE sip:bob@example.com SIP/2.0\r\nVia: SIP/2.0/UDP h;branch=z9hG4bK1\r\nFrom: <sip:a@x>;tag=1\r\nTo: <sip:b@y>\r\nCall-ID: fz@x\r\nCSeq: 1 INVITE\r\n\r\nbody"))
 	f.Add([]byte("SIP/2.0 401 Unauthorized\r\nVia: SIP/2.0/UDP h\r\nFrom: <sip:a@x>\r\nTo: <sip:b@y>;tag=2\r\nCall-ID: fz@x\r\nCSeq: 1 REGISTER\r\nWWW-Authenticate: Digest realm=\"r\", nonce=\"n\"\r\n\r\n"))
@@ -185,6 +185,142 @@ func FuzzParseAddress(f *testing.F) {
 		}
 		if _, err := ParseAddress(a.String()); err != nil {
 			t.Fatalf("canonical form %q of %q does not re-parse: %v", a.String(), s, err)
+		}
+	})
+}
+
+// caseVariants returns every ASCII case spelling of name.
+func caseVariants(name string) []string {
+	lower := strings.ToLower(name)
+	var letters []int
+	for i := 0; i < len(lower); i++ {
+		if 'a' <= lower[i] && lower[i] <= 'z' {
+			letters = append(letters, i)
+		}
+	}
+	out := make([]string, 0, 1<<len(letters))
+	for mask := 0; mask < 1<<len(letters); mask++ {
+		b := []byte(lower)
+		for j, i := range letters {
+			if mask>>j&1 == 1 {
+				b[i] -= 'a' - 'A'
+			}
+		}
+		out = append(out, string(b))
+	}
+	return out
+}
+
+// knownNameSpellings is every ASCII case of every known header name and
+// compact form.
+func knownNameSpellings() []string {
+	var all []string
+	for id := hdrVia; id < numHdrIDs; id++ {
+		all = append(all, caseVariants(hdrNames[id])...)
+	}
+	for c := range refCompactForms {
+		all = append(all, caseVariants(c)...)
+	}
+	return all
+}
+
+// TestCanonicalHeaderNameMatchesReference: every spelling of a known name,
+// and a few that only the folding code resolves, canonicalize as they did
+// through the name map, and a field stored under the spelling reports
+// that name.
+func TestCanonicalHeaderNameMatchesReference(t *testing.T) {
+	odd := []string{"Via ", " via", "\tCSeq", "K", "\u212a" /* Kelvin sign */, "x-custom-header", "", "-", "a--b", "\u0130", "Call\rID", "CALL-id ", "Ca\u017f"}
+	for _, name := range append(knownNameSpellings(), odd...) {
+		want := refCanonicalHeaderName(name)
+		if got := CanonicalHeaderName(name); got != want {
+			t.Errorf("CanonicalHeaderName(%q) = %q, the name map read %q", name, got, want)
+		}
+		id, canon := headerKey(name)
+		f := makeField(id, canon, "v")
+		if f.name() != want || f.value() != "v" {
+			t.Errorf("field stored as %q holds (%q, %q), want (%q, %q)", name, f.name(), f.value(), want, "v")
+		}
+	}
+}
+
+// FuzzParseMatchesReference holds the parser to the frozen copy of its
+// predecessor (refparser_test.go): the same accept set and error text,
+// and for an accepted message the same start line, body and header
+// sequence, read back through Each, Get and Count. One reference parser
+// serves every input, so its intern table is as warm as it ever was.
+func FuzzParseMatchesReference(f *testing.F) {
+	for _, e := range TortureCorpus() {
+		f.Add(e.Raw)
+	}
+	f.Add(sampleInvite().Marshal())
+	f.Add(NewResponse(sampleInvite(), StatusOK, "t2").Marshal())
+	const base = "INVITE sip:b@h SIP/2.0\r\nVia: SIP/2.0/UDP h;branch=z9hG4bK1\r\nFrom: <sip:a@x>;tag=1\r\nTo: <sip:b@h>\r\nCall-ID: c@x\r\nCSeq: 1 INVITE\r\n"
+	for _, seed := range []string{
+		"OPTIONS sip:b@h SIP/2.0\r\nVia :SIP/2.0/UDP h\r\nFrom: <sip:a@x>\r\nTo: <sip:b@h>\r\nCall-ID: c\r\nCSeq: 1 OPTIONS\r\n\r\n",
+		"OPTIONS sip:b@h SIP/2.0\r\nVia : SIP/2.0/UDP h\r\nf :<sip:a@x>\r\nTo: <sip:b@h>\r\nCall-ID: c\r\nCSeq: 1 OPTIONS\r\n\r\n",
+		base + "\u212a: x\r\n\r\n",
+		base + "\u212a: x\r\nSupported: y\r\nk: z\r\n\r\n",
+		base + "Subject: folded\r\n continuation\r\n\t and more  \r\nX-Custom: a\r\n  b\r\n\r\n",
+		"INVITE sip:b@h SIP/2.0\r\nVia: SIP/2.0/UDP h;\r\n branch=z9hG4bK1\r\nFrom: <sip:a@x>;\r\n\ttag=1\r\nTo: <sip:b@h>\r\nCall-ID: c@x\r\nCSeq: 1\r\n INVITE\r\n\r\n",
+		"INVITE sip:b@h SIP/2.0\n\nVia: SIP/2.0/UDP h\r\nFrom: <sip:a@x>\r\nTo: <sip:b@h>\r\nCall-ID: c\r\nCSeq: 1 INVITE\r\n\r\nbody",
+		"INVITE sip:b@h SIP/2.0\nVia: SIP/2.0/UDP h\nFrom: <sip:a@x>\nTo: <sip:b@h>\nCall-ID: c\nCSeq: 1 INVITE\nl: 2\n\nbody\r\n\r\n",
+		"SIP/2.0 200 \r\n" + base[len("INVITE sip:b@h SIP/2.0\r\n"):] + "\r\n",
+		"SIP/2.0 180\r\n" + base[len("INVITE sip:b@h SIP/2.0\r\n"):] + "Content-Length: 3\r\n\r\nabcdef",
+		base + "Max-Forwards: 70\r\nX-Unknown-Header: v\r\nx-unknown-header:  w \r\n\r\n",
+	} {
+		f.Add([]byte(seed))
+	}
+	// Every ASCII case of every known name and compact form, as extra
+	// header lines after a valid message, 1024 to a seed.
+	spellings := knownNameSpellings()
+	for len(spellings) > 0 {
+		n := min(len(spellings), 1024)
+		var b strings.Builder
+		b.WriteString(base)
+		for _, name := range spellings[:n] {
+			b.WriteString(name + ": 0\r\n")
+		}
+		b.WriteString("\r\n")
+		f.Add([]byte(b.String()))
+		spellings = spellings[n:]
+	}
+	ref := newRefParser()
+	f.Fuzz(func(t *testing.T, raw []byte) {
+		want, wantErr := ref.parse(raw)
+		got, gotErr := NewParser().Parse(raw)
+		switch {
+		case (wantErr == nil) != (gotErr == nil):
+			t.Fatalf("parser error %v, reference error %v\ninput: %q", gotErr, wantErr, raw)
+		case wantErr != nil:
+			if gotErr.Error() != wantErr.Error() {
+				t.Fatalf("parser error %q, reference error %q\ninput: %q", gotErr, wantErr, raw)
+			}
+			return
+		}
+		if got.Method != want.method || got.RequestURI != want.requestURI ||
+			got.StatusCode != want.statusCode || got.ReasonPhrase != want.reasonPhrase {
+			t.Fatalf("start line %q %q %d %q, reference %q %q %d %q\ninput: %q", got.Method, got.RequestURI, got.StatusCode,
+				got.ReasonPhrase, want.method, want.requestURI, want.statusCode, want.reasonPhrase, raw)
+		}
+		if !bytes.Equal(got.Body, want.body) || (got.Body == nil) != (want.body == nil) {
+			t.Fatalf("body %q, reference %q\ninput: %q", got.Body, want.body, raw)
+		}
+		var fields []refField
+		got.Headers.Each(func(name, value string) { fields = append(fields, refField{name, value}) })
+		if !reflect.DeepEqual(fields, want.fields) {
+			t.Fatalf("headers %q\nreference %q\ninput: %q", fields, want.fields, raw)
+		}
+		// A lookup canonicalizes its argument, as it always did (for a name
+		// whose canonical form is not canonical itself, even a stored name).
+		counts := make(map[string]int)
+		for _, fld := range want.fields {
+			counts[fld.name]++
+		}
+		for name := range counts {
+			key := refCanonicalHeaderName(name)
+			if v, c := got.Headers.Get(name), got.Headers.Count(name); v != want.get(key) || c != counts[key] {
+				t.Fatalf("Get/Count(%q) = %q/%d, reference %q/%d\ninput: %q", name, v, c, want.get(key), counts[key], raw)
+			}
 		}
 	})
 }

@@ -83,51 +83,120 @@ const (
 	HdrUserAgent     = "User-Agent"
 )
 
-// compactForms maps RFC 3261 compact header names to canonical names.
-var compactForms = map[string]string{
-	"v": HdrVia,
-	"f": HdrFrom,
-	"t": HdrTo,
-	"i": HdrCallID,
-	"m": HdrContact,
-	"c": HdrContentType,
-	"l": HdrContentLength,
-	"s": "Subject",
-	"k": "Supported",
-	"e": "Content-Encoding",
+// hdrID names one of the headers the IDS reads and the simulators write,
+// so a stored field and a lookup compare a byte, not a string. hdrOther
+// is every other name; such a field keeps its canonical name as text.
+type hdrID uint8
+
+const (
+	hdrOther hdrID = iota
+	hdrVia
+	hdrFrom
+	hdrTo
+	hdrCallID
+	hdrCSeq
+	hdrContact
+	hdrMaxForwards
+	hdrContentType
+	hdrContentLength
+	hdrExpires
+	hdrWWWAuth
+	hdrAuthorization
+	hdrRoute
+	hdrRecordRoute
+	hdrUserAgent
+	hdrSubject
+	hdrSupported
+	hdrContentEncoding
+	numHdrIDs
+)
+
+// hdrNames is each known header's canonical name.
+var hdrNames = [numHdrIDs]string{
+	hdrVia: HdrVia, hdrFrom: HdrFrom, hdrTo: HdrTo, hdrCallID: HdrCallID,
+	hdrCSeq: HdrCSeq, hdrContact: HdrContact, hdrMaxForwards: HdrMaxForwards,
+	hdrContentType: HdrContentType, hdrContentLength: HdrContentLength,
+	hdrExpires: HdrExpires, hdrWWWAuth: HdrWWWAuth, hdrAuthorization: HdrAuthorization,
+	hdrRoute: HdrRoute, hdrRecordRoute: HdrRecordRoute, hdrUserAgent: HdrUserAgent,
+	hdrSubject: "Subject", hdrSupported: "Supported", hdrContentEncoding: "Content-Encoding",
 }
 
-// canonNames resolves the header-name spellings seen in practice
-// (canonical, all-lowercase, and compact forms) without allocating; every
-// Headers accessor canonicalizes, so this lookup keeps Get/Add off the
-// heap on the hot path. Unlisted spellings fall back to the folding code.
-var canonNames = map[string]string{}
+// compactIDs maps each RFC 3261 compact header name, lowercase, to its ID.
+var compactIDs = [256]hdrID{
+	'v': hdrVia, 'f': hdrFrom, 't': hdrTo, 'i': hdrCallID, 'm': hdrContact,
+	'c': hdrContentType, 'l': hdrContentLength, 's': hdrSubject, 'k': hdrSupported, 'e': hdrContentEncoding,
+}
+
+// hdrsByLen lists the known IDs by the length of their name.
+var hdrsByLen [len("Content-Encoding") + 1][]hdrID
 
 func init() {
-	for _, n := range []string{
-		HdrVia, HdrFrom, HdrTo, HdrCallID, HdrCSeq, HdrContact,
-		HdrMaxForwards, HdrContentType, HdrContentLength, HdrExpires,
-		HdrWWWAuth, HdrAuthorization, HdrRoute, HdrRecordRoute,
-		HdrUserAgent, "Subject", "Supported", "Content-Encoding",
-	} {
-		canonNames[n] = n
-		canonNames[strings.ToLower(n)] = n
+	for id := hdrVia; id < numHdrIDs; id++ {
+		n := len(hdrNames[id])
+		hdrsByLen[n] = append(hdrsByLen[n], id)
 	}
-	for c, full := range compactForms {
-		canonNames[c] = full
-		canonNames[strings.ToUpper(c)] = full
+}
+
+// lookupHeader resolves a known header name, in any ASCII case, or a
+// compact form to its ID, and anything else to hdrOther. Every spelling
+// it resolves canonicalizes to hdrNames[id]; the rest (a name with
+// surrounding space, a non-ASCII case fold) is left to
+// CanonicalHeaderName's folding code.
+func lookupHeader(name string) hdrID {
+	if len(name) == 1 {
+		return compactIDs[lowerASCII(name[0])]
 	}
+	if len(name) >= len(hdrsByLen) {
+		return hdrOther
+	}
+next:
+	for _, id := range hdrsByLen[len(name)] {
+		known := hdrNames[id]
+		for i := 0; i < len(name); i++ {
+			if lowerASCII(name[i]) != lowerASCII(known[i]) {
+				continue next
+			}
+		}
+		return id
+	}
+	return hdrOther
+}
+
+func lowerASCII(c byte) byte {
+	if 'A' <= c && c <= 'Z' {
+		return c + 'a' - 'A'
+	}
+	return c
+}
+
+// headerKey resolves a header name to what a field of that name stores:
+// a known ID, or hdrOther and the canonical name.
+func headerKey(name string) (hdrID, string) {
+	if id := lookupHeader(name); id != hdrOther {
+		return id, ""
+	}
+	canon := foldHeaderName(name)
+	if id := lookupHeader(canon); id != hdrOther {
+		return id, ""
+	}
+	return hdrOther, canon
 }
 
 // CanonicalHeaderName normalizes a header name: compact forms expand and
 // case is folded to the usual SIP capitalization.
 func CanonicalHeaderName(name string) string {
-	if full, ok := canonNames[name]; ok {
-		return full
+	if id := lookupHeader(name); id != hdrOther {
+		return hdrNames[id]
 	}
+	return foldHeaderName(name)
+}
+
+// foldHeaderName is CanonicalHeaderName for a name lookupHeader does not
+// resolve.
+func foldHeaderName(name string) string {
 	lower := strings.ToLower(strings.TrimSpace(name))
-	if full, ok := compactForms[lower]; ok {
-		return full
+	if len(lower) == 1 && compactIDs[lower[0]] != hdrOther {
+		return hdrNames[compactIDs[lower[0]]]
 	}
 	// Special cases whose canonical form is not Title-Case-By-Dash.
 	switch lower {
@@ -148,10 +217,35 @@ func CanonicalHeaderName(name string) string {
 	return strings.Join(parts, "-")
 }
 
-// headerField is one header line.
+// headerField is one header line in 24 bytes. For a known header, text
+// is the value; for any other, the canonical name followed by the value.
 type headerField struct {
-	name  string // canonical
-	value string
+	text    string
+	id      hdrID
+	nameLen uint32 // hdrOther only: the length of the name in text
+}
+
+// makeField builds the field a header of the given key and value stores.
+func makeField(id hdrID, canon, value string) headerField {
+	if id != hdrOther {
+		return headerField{text: value, id: id}
+	}
+	return headerField{text: canon + value, nameLen: uint32(len(canon))}
+}
+
+func (f *headerField) name() string {
+	if f.id != hdrOther {
+		return hdrNames[f.id]
+	}
+	return f.text[:f.nameLen]
+}
+
+func (f *headerField) value() string { return f.text[f.nameLen:] }
+
+// is reports whether the field carries the header headerKey resolved to
+// id and canon.
+func (f *headerField) is(id hdrID, canon string) bool {
+	return f.id == id && (id != hdrOther || f.text[:f.nameLen] == canon)
 }
 
 // Headers is an ordered collection of SIP header fields. The zero value
@@ -170,7 +264,8 @@ type Headers struct {
 // Add appends a header field.
 func (h *Headers) Add(name, value string) {
 	h.sum = summary{}
-	h.fields = append(h.fields, headerField{name: CanonicalHeaderName(name), value: value})
+	id, canon := headerKey(name)
+	h.fields = append(h.fields, makeField(id, canon, value))
 }
 
 // Set replaces all fields with the given name by a single field.
@@ -181,11 +276,11 @@ func (h *Headers) Set(name, value string) {
 
 // Del removes all fields with the given name.
 func (h *Headers) Del(name string) {
-	name = CanonicalHeaderName(name)
+	id, canon := headerKey(name)
 	h.sum = summary{}
 	out := make([]headerField, 0, len(h.fields))
 	for _, f := range h.fields {
-		if f.name != name {
+		if !f.is(id, canon) {
 			out = append(out, f)
 		}
 	}
@@ -194,16 +289,22 @@ func (h *Headers) Del(name string) {
 
 // Get returns the first value of the named header, or "".
 func (h *Headers) Get(name string) string {
-	_, v := h.find(CanonicalHeaderName(name))
+	_, v := h.find(headerKey(name))
 	return v
 }
 
-// find returns the index and value of the first field with the canonical
-// name, or -1 and "".
-func (h *Headers) find(name string) (int, string) {
+// get is Get for a known header.
+func (h *Headers) get(id hdrID) string {
+	_, v := h.find(id, "")
+	return v
+}
+
+// find returns the index and value of the first field carrying the
+// header headerKey resolved to id and canon, or -1 and "".
+func (h *Headers) find(id hdrID, canon string) (int, string) {
 	for i := range h.fields {
-		if h.fields[i].name == name {
-			return i, h.fields[i].value
+		if f := &h.fields[i]; f.is(id, canon) {
+			return i, f.value()
 		}
 	}
 	return -1, ""
@@ -211,11 +312,11 @@ func (h *Headers) find(name string) (int, string) {
 
 // Values returns all values of the named header in order.
 func (h *Headers) Values(name string) []string {
-	name = CanonicalHeaderName(name)
+	id, canon := headerKey(name)
 	var vals []string
-	for _, f := range h.fields {
-		if f.name == name {
-			vals = append(vals, f.value)
+	for i := range h.fields {
+		if f := &h.fields[i]; f.is(id, canon) {
+			vals = append(vals, f.value())
 		}
 	}
 	return vals
@@ -224,10 +325,10 @@ func (h *Headers) Values(name string) []string {
 // Count returns how many fields carry the given name, without
 // materializing their values (the allocation-free form of len(Values)).
 func (h *Headers) Count(name string) int {
-	name = CanonicalHeaderName(name)
+	id, canon := headerKey(name)
 	n := 0
-	for _, f := range h.fields {
-		if f.name == name {
+	for i := range h.fields {
+		if h.fields[i].is(id, canon) {
 			n++
 		}
 	}
@@ -244,8 +345,9 @@ func (h *Headers) Clone() Headers {
 
 // Each calls fn for every field in order.
 func (h *Headers) Each(fn func(name, value string)) {
-	for _, f := range h.fields {
-		fn(f.name, f.value)
+	for i := range h.fields {
+		f := &h.fields[i]
+		fn(f.name(), f.value())
 	}
 }
 
@@ -253,17 +355,18 @@ func (h *Headers) Each(fn func(name, value string)) {
 // behavior when forwarding a request).
 func (h *Headers) PrependVia(value string) {
 	h.sum = summary{}
+	via := headerField{text: value, id: hdrVia}
 	fields := make([]headerField, 0, len(h.fields)+1)
 	inserted := false
 	for _, f := range h.fields {
-		if !inserted && f.name == HdrVia {
-			fields = append(fields, headerField{name: HdrVia, value: value})
+		if !inserted && f.id == hdrVia {
+			fields = append(fields, via)
 			inserted = true
 		}
 		fields = append(fields, f)
 	}
 	if !inserted {
-		fields = append([]headerField{{name: HdrVia, value: value}}, fields...)
+		fields = append([]headerField{via}, fields...)
 	}
 	h.fields = fields
 }
@@ -272,7 +375,7 @@ func (h *Headers) PrependVia(value string) {
 // forwarding a response).
 func (h *Headers) RemoveFirstVia() {
 	for i, f := range h.fields {
-		if f.name == HdrVia {
+		if f.id == hdrVia {
 			h.sum = summary{}
 			h.fields = append(h.fields[:i:i], h.fields[i+1:]...)
 			return
@@ -302,17 +405,17 @@ func (m *Message) IsRequest() bool { return m.Method != "" && m.StatusCode == 0 
 func (m *Message) IsResponse() bool { return m.StatusCode != 0 }
 
 // CallID returns the Call-ID header value.
-func (m *Message) CallID() string { return m.Headers.Get(HdrCallID) }
+func (m *Message) CallID() string { return m.Headers.get(hdrCallID) }
 
 // From returns the parsed From header. (The IDS reads FromRef, ToRef and
 // ContactRef instead: same accept set, no Address built.)
-func (m *Message) From() (Address, error) { return ParseAddress(m.Headers.Get(HdrFrom)) }
+func (m *Message) From() (Address, error) { return ParseAddress(m.Headers.get(hdrFrom)) }
 
 // To returns the parsed To header.
-func (m *Message) To() (Address, error) { return ParseAddress(m.Headers.Get(HdrTo)) }
+func (m *Message) To() (Address, error) { return ParseAddress(m.Headers.get(hdrTo)) }
 
 // Contact returns the parsed first Contact header.
-func (m *Message) Contact() (Address, error) { return ParseAddress(m.Headers.Get(HdrContact)) }
+func (m *Message) Contact() (Address, error) { return ParseAddress(m.Headers.get(hdrContact)) }
 
 // CSeq is a parsed CSeq header.
 type CSeq struct {
@@ -378,7 +481,7 @@ func (v Via) Branch() string { return v.Params["branch"] }
 
 // TopVia returns the parsed first Via header of the message.
 func (m *Message) TopVia() (Via, error) {
-	return ParseVia(m.Headers.Get(HdrVia))
+	return ParseVia(m.Headers.get(hdrVia))
 }
 
 // Marshal serializes the message with a correct Content-Length.

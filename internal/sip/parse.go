@@ -5,21 +5,14 @@ import (
 	"strings"
 )
 
-// crlf is the SIP line terminator; bare LF is tolerated on input.
-var crlf = []byte("\r\n")
-
 // ParseMessage parses a SIP request or response from raw bytes. Header
 // line folding (continuation lines beginning with space or tab) is
 // unfolded. When Content-Length is present the body is truncated or
 // validated against it; when absent the remainder of the buffer is the
-// body. Nothing in the returned Message aliases raw (the body is
-// copied), so the caller may recycle raw immediately.
-//
-// ParseMessage borrows a pooled Parser; callers parsing in a loop should
-// hold their own Parser (see Parser) to keep its intern table warm.
+// body. Nothing in the returned Message aliases raw (the header block
+// and the body are copied), so the caller may recycle raw immediately.
 func ParseMessage(raw []byte) (*Message, error) {
-	p := AcquireParser()
-	defer ReleaseParser(p)
+	var p Parser
 	return p.Parse(raw)
 }
 
@@ -59,16 +52,16 @@ func validateMandatory(m *Message) error {
 	for i := range m.Headers.fields {
 		f := &m.Headers.fields[i]
 		var bit uint8
-		switch f.name {
-		case HdrVia:
+		switch f.id {
+		case hdrVia:
 			bit = 1 << 0
-		case HdrFrom:
+		case hdrFrom:
 			bit = 1 << 1
-		case HdrTo:
+		case hdrTo:
 			bit = 1 << 2
-		case HdrCallID:
+		case hdrCallID:
 			bit = 1 << 3
-		case HdrCSeq:
+		case hdrCSeq:
 			bit = 1 << 4
 		default:
 			continue
@@ -77,11 +70,11 @@ func validateMandatory(m *Message) error {
 			continue
 		}
 		seen |= bit
-		if f.value != "" {
+		if f.text != "" {
 			have |= bit
 		}
 		if bit == 1<<0 {
-			via = f.value
+			via = f.text
 		}
 	}
 	if have != 1<<len(mandatory)-1 {

@@ -5,25 +5,18 @@ import (
 	"fmt"
 	"strconv"
 	"strings"
-	"sync"
 )
 
-// This file is the allocation-lean SIP parser behind ParseMessage. The
-// naive parser materialized a [][]byte line list, converted every header
-// line to a fresh string, and grew the header slice from nil on every
-// message; on the detection hot path that churn dominated per-frame cost
-// (the sipgo parser demonstrates the pooled-parser idiom this follows).
-// A Parser walks the raw bytes line by line, keeps header names and
-// values as byte-slice views until the moment they are stored, interns
-// the values that repeat across messages of a dialog (Call-ID, From/To
-// with tags, URIs, CSeq), and sizes the header slice from the header
-// lines it is about to read: a trail retains every Message, so spare
-// capacity is paid for as long as the dialog lives.
-
-// parserInternCap bounds a Parser's intern table. When the table fills
-// (an adversary cycling unique values), it is cleared and re-warms; a
-// cleared table only costs fresh string copies, never correctness.
-const parserInternCap = 4096
+// This file is the SIP parser behind ParseMessage. A message costs one
+// walk over its header block and no map lookup. The start line is checked
+// on the raw bytes; then the block is converted to one string the Message
+// owns, and the start-line fields and every header value are substrings
+// of it (a folded value, rebuilt from its lines, is the only other copy).
+// Header names resolve to a small ID by length and an ASCII case fold
+// (message.go), so stored fields and lookups compare IDs, and the header
+// slice is sized exactly once the walk is done. A header value
+// kept beyond the message keeps the whole block alive: whoever stores one
+// clones it.
 
 // sepCRLFCRLF and sepLFLF are the header/body separators.
 var (
@@ -33,63 +26,19 @@ var (
 	respPrefix  = []byte("SIP/2.0 ")
 )
 
-// Parser is a reusable SIP message parser. It is not safe for concurrent
-// use; either own one per goroutine (a Distiller owns one) or borrow from
-// the package pool via AcquireParser/ReleaseParser. The zero value is
-// ready to use.
-type Parser struct {
-	intern map[string]string
-	fold   []byte // scratch for unfolding header continuation lines
-}
+// Parser is a SIP message parser. It keeps nothing between messages, so
+// the zero value is ready to use and one Parser may serve any number of
+// goroutines.
+type Parser struct{}
 
-// NewParser returns a Parser with a warm-ready intern table.
-func NewParser() *Parser {
-	return &Parser{intern: make(map[string]string, 64)}
-}
-
-var parserPool = sync.Pool{New: func() any { return NewParser() }}
-
-// AcquireParser borrows a Parser from the package pool.
-func AcquireParser() *Parser { return parserPool.Get().(*Parser) }
-
-// ReleaseParser returns a Parser to the package pool. The parser's intern
-// table survives, which is the point: values that repeat across messages
-// (Call-ID, URIs, tags) are shared instead of re-copied.
-func ReleaseParser(p *Parser) { parserPool.Put(p) }
-
-// str interns b: repeated values return the same string with no copy.
-func (p *Parser) str(b []byte) string {
-	if len(b) == 0 {
-		return ""
-	}
-	if p.intern == nil {
-		p.intern = make(map[string]string, 64)
-	}
-	if s, ok := p.intern[string(b)]; ok { // no-alloc map lookup
-		return s
-	}
-	if len(p.intern) >= parserInternCap {
-		clear(p.intern)
-	}
-	s := string(b)
-	p.intern[s] = s
-	return s
-}
-
-// canonName canonicalizes a header name held as bytes, allocation-free
-// for every spelling in the canonNames table.
-func (p *Parser) canonName(b []byte) string {
-	if full, ok := canonNames[string(b)]; ok { // no-alloc map lookup
-		return full
-	}
-	return CanonicalHeaderName(p.str(b))
-}
+// NewParser returns a Parser.
+func NewParser() *Parser { return &Parser{} }
 
 // Parse parses a SIP message into a freshly allocated Message the caller
-// owns and may retain indefinitely. Unlike the raw input, nothing in the
-// returned Message aliases raw: the body is copied and header values are
-// interned copies. Semantics (accepted inputs, field values, error text)
-// are identical to the historical ParseMessage.
+// owns and may retain indefinitely. Nothing in the returned Message
+// aliases raw: the header block and the body are copied. Semantics
+// (accepted inputs, field values, error text) are identical to the
+// historical ParseMessage.
 func (p *Parser) Parse(raw []byte) (*Message, error) {
 	m := &Message{}
 	if err := p.parse(raw, m); err != nil {
@@ -115,51 +64,24 @@ func (p *Parser) parse(raw []byte, m *Message) error {
 	if len(head) == 0 {
 		return fmt.Errorf("sip: empty message")
 	}
-	// Start line.
 	first, rest := nextLine(head)
 	if len(bytes.TrimSpace(first)) == 0 {
 		return fmt.Errorf("sip: empty message")
 	}
-	if err := p.parseStartLineBytes(m, first); err != nil {
+	code, lo, hi, err := scanStartLine(first)
+	if err != nil {
 		return err
 	}
-	// Header lines, unfolding continuations.
-	m.Headers.fields = make([]headerField, 0, countHeaderLines(rest))
-	var nameB, valueB []byte
-	havePending, folded := false, false
-	for len(rest) > 0 {
-		var line []byte
-		line, rest = nextLine(rest)
-		if len(line) == 0 {
-			continue
-		}
-		if line[0] == ' ' || line[0] == '\t' {
-			if !havePending {
-				return fmt.Errorf("sip: continuation line %q without preceding header", line)
-			}
-			if !folded {
-				p.fold = append(p.fold[:0], valueB...)
-				folded = true
-			}
-			p.fold = append(p.fold, ' ')
-			p.fold = append(p.fold, bytes.TrimSpace(line)...)
-			valueB = p.fold
-			continue
-		}
-		if havePending {
-			p.addHeader(&m.Headers, nameB, valueB)
-		}
-		colon := bytes.IndexByte(line, ':')
-		if colon <= 0 {
-			return fmt.Errorf("sip: malformed header line %q", line)
-		}
-		nameB, valueB = line[:colon], line[colon+1:]
-		havePending, folded = true, false
+	text := string(head)
+	if code != 0 {
+		m.StatusCode, m.ReasonPhrase = code, text[lo:hi]
+	} else {
+		m.Method, m.RequestURI = methodOf(text[:lo]), text[lo+1:hi]
 	}
-	if havePending {
-		p.addHeader(&m.Headers, nameB, valueB)
+	if err := parseHeaders(&m.Headers, text[len(head)-len(rest):]); err != nil {
+		return err
 	}
-	if clv := m.Headers.Get(HdrContentLength); clv != "" {
+	if clv := m.Headers.get(hdrContentLength); clv != "" {
 		cl, err := strconv.Atoi(strings.TrimSpace(clv))
 		if err != nil || cl < 0 {
 			return fmt.Errorf("sip: bad Content-Length %q", clv)
@@ -175,32 +97,57 @@ func (p *Parser) parse(raw []byte, m *Message) error {
 	return validateMandatory(m)
 }
 
-// countHeaderLines counts the lines of a header block that start a
-// header field: not empty, not a continuation.
-func countHeaderLines(rest []byte) (n int) {
-	for len(rest) > 0 {
-		var line []byte
-		if line, rest = nextLine(rest); len(line) > 0 && line[0] != ' ' && line[0] != '\t' {
-			n++
+// parseHeaders reads the header lines after the start line into h,
+// unfolding continuations, in one walk: the fields collect in a stack
+// buffer and are copied once into storage of exactly their number (a
+// retained message should not carry spare capacity).
+func parseHeaders(h *Headers, rest string) error {
+	var buf [32]headerField
+	fields := buf[:0]
+	var name, value string
+	var fold []byte // the value being unfolded, when folded
+	pending, folded := false, false
+	add := func() {
+		v := strings.TrimSpace(value)
+		if folded {
+			v = string(bytes.TrimSpace(fold))
 		}
+		id, canon := headerKey(name)
+		fields = append(fields, makeField(id, canon, v))
 	}
-	return n
-}
-
-// addHeader stores one unfolded header line. Values of headers that are
-// unique per message by construction (Via branches, auth nonces) are
-// copied fresh; everything else is interned because dialogs repeat them.
-func (p *Parser) addHeader(h *Headers, nameB, valueB []byte) {
-	name := p.canonName(nameB)
-	trimmed := bytes.TrimSpace(valueB)
-	var value string
-	switch name {
-	case HdrVia, HdrAuthorization, HdrWWWAuth:
-		value = string(trimmed)
-	default:
-		value = p.str(trimmed)
+	for len(rest) > 0 {
+		var line string
+		line, rest = cutLine(rest)
+		if len(line) == 0 {
+			continue
+		}
+		if line[0] == ' ' || line[0] == '\t' {
+			if !pending {
+				return fmt.Errorf("sip: continuation line %q without preceding header", line)
+			}
+			if !folded {
+				fold = append(fold[:0], value...)
+				folded = true
+			}
+			fold = append(fold, ' ')
+			fold = append(fold, strings.TrimSpace(line)...)
+			continue
+		}
+		if pending {
+			add()
+		}
+		colon := strings.IndexByte(line, ':')
+		if colon <= 0 {
+			return fmt.Errorf("sip: malformed header line %q", line)
+		}
+		name, value = line[:colon], line[colon+1:]
+		pending, folded = true, false
 	}
-	h.fields = append(h.fields, headerField{name: name, value: value})
+	if pending {
+		add()
+	}
+	h.fields = append(make([]headerField, 0, len(fields)), fields...)
+	return nil
 }
 
 // nextLine cuts the first line (CRLF or LF terminated, terminator and
@@ -217,47 +164,75 @@ func nextLine(b []byte) (line, rest []byte) {
 	return line, b[i+1:]
 }
 
-// parseStartLineBytes is parseStartLine operating on a byte view.
-func (p *Parser) parseStartLineBytes(m *Message, line []byte) error {
+// cutLine is nextLine for a string.
+func cutLine(s string) (line, rest string) {
+	i := strings.IndexByte(s, '\n')
+	if i < 0 {
+		return s, ""
+	}
+	line = s[:i]
+	if n := len(line); n > 0 && line[n-1] == '\r' {
+		line = line[:n-1]
+	}
+	return line, s[i+1:]
+}
+
+// scanStartLine checks a start line and says where its fields lie: for a
+// response, the status code and the reason phrase at line[lo:hi]; for a
+// request, code 0, the method at line[:lo] and the request-URI at
+// line[lo+1:hi].
+func scanStartLine(line []byte) (code, lo, hi int, err error) {
 	if bytes.HasPrefix(line, respPrefix) {
 		rest := line[len(respPrefix):]
 		sp := bytes.IndexByte(rest, ' ')
-		codeB, reasonB := rest, []byte(nil)
+		codeB := rest
+		lo = len(line)
 		if sp >= 0 {
-			codeB, reasonB = rest[:sp], rest[sp+1:]
+			codeB, lo = rest[:sp], len(respPrefix)+sp+1
 		}
-		code, err := atoiBytes(codeB)
+		code, err = atoiBytes(codeB)
 		if err != nil || code < 100 || code > 699 {
-			return fmt.Errorf("sip: bad status code %q", codeB)
+			return 0, 0, 0, fmt.Errorf("sip: bad status code %q", codeB)
 		}
-		m.StatusCode = code
-		m.ReasonPhrase = p.str(reasonB)
-		return nil
+		return code, lo, len(line), nil
 	}
 	// Request line: METHOD SP Request-URI SP SIP/2.0 (the historical
 	// SplitN(line, " ", 3) shape: exactly two separating spaces).
 	i1 := bytes.IndexByte(line, ' ')
 	if i1 < 0 {
-		return fmt.Errorf("sip: bad start line %q", line)
+		return 0, 0, 0, fmt.Errorf("sip: bad start line %q", line)
 	}
 	rest := line[i1+1:]
 	i2 := bytes.IndexByte(rest, ' ')
 	if i2 < 0 {
-		return fmt.Errorf("sip: bad start line %q", line)
+		return 0, 0, 0, fmt.Errorf("sip: bad start line %q", line)
 	}
 	f0, f1, f2 := line[:i1], rest[:i2], rest[i2+1:]
 	if !bytes.Equal(f2, sipVersion) {
-		return fmt.Errorf("sip: bad start line %q", line)
+		return 0, 0, 0, fmt.Errorf("sip: bad start line %q", line)
 	}
 	if len(f0) == 0 || len(f1) == 0 {
-		return fmt.Errorf("sip: bad start line %q", line)
+		return 0, 0, 0, fmt.Errorf("sip: bad start line %q", line)
 	}
 	if !isTokenBytes(f0) {
-		return fmt.Errorf("sip: method %q is not a valid token", f0)
+		return 0, 0, 0, fmt.Errorf("sip: method %q is not a valid token", f0)
 	}
-	m.Method = Method(p.str(f0))
-	m.RequestURI = p.str(f1)
-	return nil
+	return 0, i1, i1 + 1 + i2, nil
+}
+
+// knownMethods are the methods a parsed message names by the package
+// constant rather than by a substring of its header block.
+var knownMethods = [...]Method{
+	MethodInvite, MethodAck, MethodBye, MethodRegister, MethodOptions, MethodCancel, MethodMessage,
+}
+
+func methodOf(s string) Method {
+	for _, m := range knownMethods {
+		if string(m) == s {
+			return m
+		}
+	}
+	return Method(s)
 }
 
 // atoiBytes is strconv.Atoi for a byte view, matching its accept set for

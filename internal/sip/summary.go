@@ -267,26 +267,26 @@ type summary struct {
 }
 
 // remembered returns the value of the field a ref points at, or false
-// when nothing usable is remembered. The name and length checks only
+// when nothing usable is remembered. The ID and length checks only
 // matter to a Headers whose storage was shared by value copy and then
 // appended to through both copies; they turn that into a fresh read.
-func (h *Headers) remembered(ref uint16, name string, end uint16) (string, bool) {
+func (h *Headers) remembered(ref uint16, id hdrID, end uint16) (string, bool) {
 	i := int(ref&^refBad) - 1
-	if i < 0 || i >= len(h.fields) || h.fields[i].name != name || int(end) > len(h.fields[i].value) {
+	if i < 0 || i >= len(h.fields) || h.fields[i].id != id || int(end) > len(h.fields[i].text) {
 		return "", false
 	}
-	return h.fields[i].value, true
+	return h.fields[i].text, true
 }
 
-// addrRef reads the named address header through its memo.
-func (h *Headers) addrRef(name string, memo *addrMemo) (AddrRef, bool) {
+// addrRef reads the given address header through its memo.
+func (h *Headers) addrRef(id hdrID, memo *addrMemo) (AddrRef, bool) {
 	if memo.ref == refBad {
 		return AddrRef{}, false
 	}
-	if v, ok := h.remembered(memo.ref, name, max(memo.hostEnd, memo.tagEnd)); ok {
+	if v, ok := h.remembered(memo.ref, id, max(memo.hostEnd, memo.tagEnd)); ok {
 		return AddrRef{AOR: v[memo.aorOff:memo.hostEnd], Host: v[memo.hostOff:memo.hostEnd], Tag: v[memo.tagOff:memo.tagEnd]}, true
 	}
-	i, v := h.find(name)
+	i, v := h.find(id, "")
 	a, ok := scanAddress(v)
 	switch {
 	case !ok:
@@ -306,15 +306,15 @@ func (h *Headers) addrRef(name string, memo *addrMemo) (AddrRef, bool) {
 // false where From() would fail. The first call reads the header and
 // remembers the result on the message (so it is a write: not for
 // concurrent use on a message still being read for the first time).
-func (m *Message) FromRef() (AddrRef, bool) { return m.Headers.addrRef(HdrFrom, &m.Headers.sum.from) }
+func (m *Message) FromRef() (AddrRef, bool) { return m.Headers.addrRef(hdrFrom, &m.Headers.sum.from) }
 
 // ToRef is FromRef for the To header.
-func (m *Message) ToRef() (AddrRef, bool) { return m.Headers.addrRef(HdrTo, &m.Headers.sum.to) }
+func (m *Message) ToRef() (AddrRef, bool) { return m.Headers.addrRef(hdrTo, &m.Headers.sum.to) }
 
 // ContactRef is FromRef for the first Contact header, read on every
 // call: only a registration's 200 OK is ever asked for it.
 func (m *Message) ContactRef() (AddrRef, bool) {
-	v := m.Headers.Get(HdrContact)
+	v := m.Headers.get(hdrContact)
 	a, ok := scanAddress(v)
 	if !ok {
 		return AddrRef{}, false
@@ -328,10 +328,10 @@ func (m *Message) CSeq() (CSeq, error) {
 	h := &m.Headers
 	s := &h.sum
 	if s.cseqRef != refBad {
-		if v, ok := h.remembered(s.cseqRef, HdrCSeq, s.cseqEnd); ok {
+		if v, ok := h.remembered(s.cseqRef, hdrCSeq, s.cseqEnd); ok {
 			return CSeq{Seq: s.cseq, Method: Method(v[s.cseqOff:s.cseqEnd])}, nil
 		}
-		i, v := h.find(HdrCSeq)
+		i, v := h.find(hdrCSeq, "")
 		c, _, ok := scanCSeq(v)
 		if ok {
 			if i <= maxRefIx && len(v) <= maxSpan {
@@ -341,5 +341,5 @@ func (m *Message) CSeq() (CSeq, error) {
 		}
 		s.cseqRef = refBad
 	}
-	return ParseCSeq(h.Get(HdrCSeq))
+	return ParseCSeq(h.get(hdrCSeq))
 }

@@ -1,15 +1,17 @@
 package sip
 
 import (
+	"fmt"
 	"strings"
 	"testing"
 	"unsafe"
 )
 
-// TestMessageStaysSmall pins what a retained message costs: every SIP
-// trail entry and every retained event's footprint keeps its *Message,
-// so the summary has to stay a few integers (memoizing parsed Addresses,
-// or strings, made the signalling benchmark's heap larger, not smaller).
+// TestMessageStaysSmall pins what a retained message costs: a retained
+// event's footprint keeps its *Message (every benign BYE opens a rule
+// partial that holds one), so the summary has to stay a few integers and
+// a header field 24 bytes (memoizing parsed Addresses, or strings, and
+// 32-byte fields each made the signalling benchmark's heap larger).
 func TestMessageStaysSmall(t *testing.T) {
 	if size := unsafe.Sizeof(Message{}); size > 160 {
 		t.Errorf("unsafe.Sizeof(Message{}) = %d, want <= 160", size)
@@ -17,12 +19,44 @@ func TestMessageStaysSmall(t *testing.T) {
 	if size := unsafe.Sizeof(summary{}); size > 40 {
 		t.Errorf("unsafe.Sizeof(summary{}) = %d, want <= 40", size)
 	}
+	if size := unsafe.Sizeof(headerField{}); size > 24 {
+		t.Errorf("unsafe.Sizeof(headerField{}) = %d, want <= 24", size)
+	}
 	m, err := ParseMessage(sampleInvite().Marshal())
 	if err != nil {
 		t.Fatal(err)
 	}
 	if n := m.Headers.Len(); cap(m.Headers.fields) != n {
 		t.Errorf("parsed message keeps %d header fields in %d slots", n, cap(m.Headers.fields))
+	}
+}
+
+// TestParsedMessageOwnsItsText: the header values are substrings of one
+// copy the message owns, never of the input, so overwriting the input
+// after the parse changes nothing the message reads.
+func TestParsedMessageOwnsItsText(t *testing.T) {
+	raw := []byte("NEWFANGLED sip:bob@10.0.0.2 SIP/2.0\r\nVia: SIP/2.0/UDP 10.0.0.1:5060;branch=z9hG4bKa\r\n" +
+		"From: \"Alice\" <sip:alice@10.0.0.1>;tag=1\r\nTo: <sip:bob@10.0.0.2>\r\nCall-ID: own@x\r\nCSeq: 1 NEWFANGLED\r\n" +
+		"X-Extra: one\r\n two\r\nContent-Length: 5\r\n\r\nv=0\r\n")
+	read := func(m *Message) string {
+		var b strings.Builder
+		fmt.Fprintf(&b, "%s %s %d %q %q|", m.Method, m.RequestURI, m.StatusCode, m.ReasonPhrase, m.Body)
+		m.Headers.Each(func(name, value string) { b.WriteString(name + ": " + value + "|") })
+		return b.String()
+	}
+	m, err := ParseMessage(raw)
+	if err != nil {
+		t.Fatal(err)
+	}
+	before := read(m)
+	if !strings.Contains(before, "X-Extra: one two|") {
+		t.Fatalf("folded header not read: %s", before)
+	}
+	for i := range raw {
+		raw[i] = '#'
+	}
+	if after := read(m); after != before {
+		t.Errorf("overwriting the input changed the message:\nbefore %s\nafter  %s", before, after)
 	}
 }
 
