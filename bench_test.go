@@ -422,6 +422,29 @@ func BenchmarkHotPath_ShardedRTPFrame(b *testing.B) {
 	benchHotPath(b, eng.HandleFrame, buildRTPFrame(b))
 }
 
+// BenchmarkHotPath_ShardedRTPFlows is the sharded media hot path when
+// no flow repeats back to back: one frame per op, cycling the two-way RTP
+// of 1024 established calls (2048 flows), so the router's per-flow state —
+// its directory, sequence trackers and flow memo — is a working set rather
+// than one warm cache line, as it is in BenchmarkHotPath_ShardedRTPFrame.
+// Two full cycles run before the clock starts.
+func BenchmarkHotPath_ShardedRTPFlows(b *testing.B) {
+	eng := core.NewShardedEngine(core.Config{}, 2)
+	defer eng.Close()
+	frames := establishCalls(b, 1024, true, eng.HandleFrame)
+	at, step := time.Millisecond, time.Microsecond
+	for i := 0; i < 2*len(frames); i++ {
+		eng.HandleFrame(at, frames[i%len(frames)])
+		at += step
+	}
+	b.SetBytes(int64(len(frames[0])))
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		eng.HandleFrame(at, frames[i%len(frames)])
+		at += step
+	}
+}
+
 // BenchmarkAblation_Reassembly compares SIP distillation with and without
 // IP fragmentation on the wire.
 func BenchmarkAblation_Reassembly(b *testing.B) {
@@ -524,6 +547,15 @@ func mustAddr(s string) netip.Addr { return netip.MustParseAddr(s) }
 func attributionEngine(b *testing.B, live int) (*core.Engine, [][]byte) {
 	b.Helper()
 	eng := core.NewEngine(core.Config{MaxTrailLen: 4})
+	return eng, establishCalls(b, live, false, eng.HandleFrame)
+}
+
+// establishCalls sets up `live` established calls through feed, each with
+// its own pair of media endpoints, and returns their RTP frames: one
+// caller->callee frame per call and, when twoWay, then one callee->caller
+// frame per call.
+func establishCalls(b *testing.B, live int, twoWay bool, feed func(time.Duration, []byte)) [][]byte {
+	b.Helper()
 	pkt := rtp.Packet{
 		Header:  rtp.Header{PayloadType: rtp.PayloadTypePCMU, Seq: 100, Timestamp: 16000, SSRC: 7},
 		Payload: make([]byte, 160),
@@ -532,7 +564,7 @@ func attributionEngine(b *testing.B, live int) (*core.Engine, [][]byte) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	rtpFrames := make([][]byte, live)
+	rtpFrames := make([][]byte, live, 2*live)
 	for i := 0; i < live; i++ {
 		caller := netip.AddrFrom4([4]byte{10, 1 + byte(i>>16), byte(i >> 8), byte(i)})
 		callee := netip.AddrFrom4([4]byte{10, 101 + byte(i>>16), byte(i >> 8), byte(i)})
@@ -552,11 +584,14 @@ func attributionEngine(b *testing.B, live int) (*core.Engine, [][]byte) {
 		ok.Headers.Add(sip.HdrContentType, "application/sdp")
 		ok.Body = sdp.NewAudioSession("callee", callee, calleeMedia.Port()).Marshal()
 		signalling := netip.AddrPortFrom(caller, sip.DefaultPort)
-		eng.HandleFrame(0, buildUDPFrameBetween(b, signalling, netip.AddrPortFrom(callee, sip.DefaultPort), inv.Marshal()))
-		eng.HandleFrame(0, buildUDPFrameBetween(b, netip.AddrPortFrom(callee, sip.DefaultPort), signalling, ok.Marshal()))
+		feed(0, buildUDPFrameBetween(b, signalling, netip.AddrPortFrom(callee, sip.DefaultPort), inv.Marshal()))
+		feed(0, buildUDPFrameBetween(b, netip.AddrPortFrom(callee, sip.DefaultPort), signalling, ok.Marshal()))
 		rtpFrames[i] = buildUDPFrameBetween(b, callerMedia, calleeMedia, media)
+		if twoWay {
+			rtpFrames = append(rtpFrames, buildUDPFrameBetween(b, calleeMedia, callerMedia, media))
+		}
 	}
-	return eng, rtpFrames
+	return rtpFrames
 }
 
 // BenchmarkSessionAttribution is the concurrent-session axis of the hot

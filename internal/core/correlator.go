@@ -181,12 +181,6 @@ type sipHinter interface {
 	sipHint(at time.Duration, src, dst netip.AddrPort, m *sip.Message, out sipOutcome, h *RouteHints)
 }
 
-// rtpHinter is sipHinter's RTP analogue (sequence continuity per
-// destination endpoint, which spans sessions and therefore shards).
-type rtpHinter interface {
-	rtpHint(at time.Duration, dst netip.AddrPort, seq uint16, h *RouteHints)
-}
-
 // claimPortOf classifies a datagram against a correlator set, returning
 // the first claim in registry order.
 func claimPortOf(correlators []Correlator, srcPort, dstPort uint16) (Protocol, bool) {

@@ -31,14 +31,20 @@ func (e *Engine) StreamMuxBuffered() bool {
 func (e *Engine) CheckMediaIndex() error { return checkMediaIndex(e.gen.idx) }
 
 // CheckMediaIndex runs checkMediaIndex on the router directory and on
-// every shard's table. It flushes first, so the shard tables are read at
-// rest; quarantined shards are skipped.
+// every shard's table, and checkFlowMemo on the router's flow memo. It
+// flushes first, so the shard tables are read at rest; quarantined shards
+// are skipped.
 func (s *ShardedEngine) CheckMediaIndex() error {
 	s.Flush()
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if err := checkMediaIndex(s.idx); err != nil {
 		return fmt.Errorf("router directory: %w", err)
+	}
+	if err := checkFlowMemo(&s.memo, s.idx, s.rtp, func(key string) int {
+		return shardOf(s.resolveRouteLocked(key), len(s.workers))
+	}); err != nil {
+		return fmt.Errorf("router flow memo: %w", err)
 	}
 	for _, w := range s.workers {
 		if w.state.Load() != stateHealthy {

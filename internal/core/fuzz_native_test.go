@@ -270,6 +270,12 @@ func FuzzShardedDivergence(f *testing.F) {
 		if ss, gs := serial.Stats(), sharded.Stats(); ss != gs {
 			t.Fatalf("stats diverged: serial %+v, sharded %+v", ss, gs)
 		}
+		if err := serial.CheckMediaIndex(); err != nil {
+			t.Fatalf("serial: %v", err)
+		}
+		if err := sharded.CheckMediaIndex(); err != nil {
+			t.Fatalf("sharded: %v", err)
+		}
 	})
 }
 
@@ -333,6 +339,9 @@ func FuzzIngestHandoff(f *testing.F) {
 				t.Fatalf("lane %d ledger broken after flush: fed %d, sequenced %d",
 					h.Ingester, h.FramesFed, h.FramesSequenced)
 			}
+		}
+		if err := parallel.CheckMediaIndex(); err != nil {
+			t.Fatalf("parallel: %v", err)
 		}
 	})
 }

@@ -49,6 +49,7 @@ func TestReloadUnchangedSerialDifferential(t *testing.T) {
 			}
 			eng.HandleFrame(r.at, r.frame)
 		}
+		mustMediaIndex(eng.CheckMediaIndex())
 		compareToBaseline(t, name+" serial reload-vs-static", eng.Alerts(), eng.Events(), eng.Stats(),
 			wantAlerts, wantEvents, wantStats)
 	}
@@ -79,7 +80,7 @@ func TestReloadUnchangedShardedDifferential(t *testing.T) {
 			}
 			eng.HandleFrame(r.at, r.frame)
 		}
-		eng.Flush()
+		mustMediaIndex(eng.CheckMediaIndex()) // flushes
 		for _, h := range eng.ShardHealth() {
 			if h.FramesRouted != h.FramesProcessed+h.FramesShed {
 				t.Errorf("shards=%d ingest=%d: shard %d ledger does not reconcile after reloads: routed=%d processed=%d shed=%d",

@@ -39,7 +39,7 @@ func TestRollingRestartContinuity(t *testing.T) {
 			for _, r := range frames[k:] {
 				eng.HandleFrame(r.at, r.frame)
 			}
-			eng.Flush()
+			mustMediaIndex(eng.CheckMediaIndex()) // flushes
 			got := eng.Stats()
 			// The uninterrupted baseline has ShardsRestarted == 0; the sweep
 			// must account exactly one warm restart per shard and nothing else
@@ -83,7 +83,7 @@ func TestRollingRestartRepeated(t *testing.T) {
 		}
 		eng.HandleFrame(r.at, r.frame)
 	}
-	eng.Flush()
+	mustMediaIndex(eng.CheckMediaIndex()) // flushes
 	got := eng.Stats()
 	if want := len(points) * shards; got.ShardsRestarted != want {
 		t.Errorf("ShardsRestarted = %d, want %d (%d sweeps × %d shards)", got.ShardsRestarted, want, len(points), shards)

@@ -18,8 +18,9 @@ import (
 //
 // The continuity trackers span sessions (they are keyed by endpoint), so
 // in sharded mode they are router-owned: the router's instance computes
-// the verdict in global frame order (rtpHint) and the shard instances
-// consume it from RouteHints, leaving their own maps untouched.
+// the verdict in global frame order (track, or advance on a tracker its
+// flow memo cached) and the shard instances consume it from RouteHints,
+// leaving their own maps untouched.
 type rtpCorrelator struct {
 	cfg    GenConfig
 	limits Limits
@@ -27,6 +28,10 @@ type rtpCorrelator struct {
 	// evicted is atomic: the sharded router reads it for lock-free stats
 	// while the routing lock is held elsewhere.
 	evicted atomic.Uint64
+	// epoch counts removals from seqs: a tracker pointer the router's
+	// flow memo (flowmemo.go) caches is seqs[dst] while the epoch it was
+	// filled at is current. Inserts leave existing pointers valid.
+	epoch uint64
 }
 
 func newRTPCorrelator() *rtpCorrelator {
@@ -65,8 +70,16 @@ func (c *rtpCorrelator) seqTrackers() map[netip.AddrPort]*seqTrack { return c.se
 // session's endpoints: RTP sequence numbers restart at a random value, so
 // stale trackers from earlier calls must not carry over.
 func (c *rtpCorrelator) onEstablished(st *sessionState) {
-	delete(c.seqs, st.callerMedia)
-	delete(c.seqs, st.calleeMedia)
+	c.forget(st.callerMedia)
+	c.forget(st.calleeMedia)
+}
+
+// forget drops the tracker for one endpoint, if there is one.
+func (c *rtpCorrelator) forget(ep netip.AddrPort) {
+	if _, ok := c.seqs[ep]; ok {
+		delete(c.seqs, ep)
+		c.epoch++
+	}
 }
 
 // onExpire sweeps trackers for media endpoints of dead sessions. They are
@@ -74,51 +87,44 @@ func (c *rtpCorrelator) onEstablished(st *sessionState) {
 // when the session table empties. The map is cleared in place — the
 // generator aliases it.
 func (c *rtpCorrelator) onExpire(now time.Duration, sessionsRemaining int) {
-	if sessionsRemaining == 0 {
+	if sessionsRemaining == 0 && len(c.seqs) > 0 {
 		clear(c.seqs)
+		c.epoch++
 	}
 }
 
 // track folds one packet into the continuity tracker for its destination,
-// returning the verdict. The serial correlator and the sharded router's
-// instance (via rtpHint) run exactly this, so verdicts and evictions
-// match packet for packet.
-func (c *rtpCorrelator) track(at time.Duration, dst netip.AddrPort, seq uint16) SeqVerdict {
-	var v SeqVerdict
+// returning the verdict and the tracker. The serial correlator and the
+// sharded router's instance run exactly this, so verdicts and evictions
+// match packet for packet; the router's flow memo keeps the tracker and
+// runs advance on it until the epoch moves.
+func (c *rtpCorrelator) track(at time.Duration, dst netip.AddrPort, seq uint16) (SeqVerdict, *seqTrack) {
 	tr, ok := c.seqs[dst]
 	if !ok {
 		if c.limits.MaxSeqTrackers > 0 && len(c.seqs) >= c.limits.MaxSeqTrackers {
 			if evictStalestSeq(c.seqs) {
 				c.evicted.Add(1)
+				c.epoch++
 			}
 		}
 		tr = &seqTrack{}
 		c.seqs[dst] = tr
-		v.NewFlow = true
 	}
-	if tr.primed {
-		v.Prev = tr.last
-		if d := rtp.SeqDiff(tr.last, seq); d > c.cfg.SeqJumpThreshold || d < -c.cfg.SeqJumpThreshold {
-			v.Jump = true
-		}
-	}
-	if every := c.cfg.RTPActivityEvery; every > 0 {
-		if v.NewFlow || at-tr.lastAct >= every {
-			v.Activity = true
-			tr.lastAct = at
-		}
-	}
-	tr.primed = true
-	tr.last = seq
-	tr.at = at
-	return v
+	return c.advance(tr, !ok, at, seq), tr
 }
 
-// rtpHint computes the continuity verdict at the router, in global frame
-// order, against the router-owned trackers.
-func (c *rtpCorrelator) rtpHint(at time.Duration, dst netip.AddrPort, seq uint16, h *RouteHints) {
-	h.Seq = c.track(at, dst, seq)
-	h.HasSeq = true
+// advance folds one packet into a tracker that is seqs[dst]; newFlow says
+// track just made it. It fits the inlining budget, so neither track nor
+// the flow memo's hit path pays a call for it.
+func (c *rtpCorrelator) advance(tr *seqTrack, newFlow bool, at time.Duration, seq uint16) (v SeqVerdict) {
+	if tr.primed {
+		v.Prev, v.Jump = tr.last, abs(rtp.SeqDiff(tr.last, seq)) > c.cfg.SeqJumpThreshold
+	}
+	if every := c.cfg.RTPActivityEvery; every > 0 && (newFlow || at-tr.lastAct >= every) {
+		v.Activity, tr.lastAct = true, at
+	}
+	v.NewFlow, tr.primed, tr.last, tr.at = newFlow, true, seq, at
+	return v
 }
 
 func (c *rtpCorrelator) Process(v *FrameView, h RouteHints, ctx *SessionContext, evs *[]Event) {
@@ -151,7 +157,7 @@ func (c *rtpCorrelator) processRTP(v *FrameView, h RouteHints, ctx *SessionConte
 	session := ctx.Session()
 	sv := h.Seq
 	if !h.HasSeq {
-		sv = c.track(v.At, v.Dst, v.RTP.Seq)
+		sv, _ = c.track(v.At, v.Dst, v.RTP.Seq)
 	}
 	if sv.NewFlow {
 		*evs = append(*evs, Event{At: v.At, Type: EvRTPNewFlow, Session: session,
@@ -284,6 +290,7 @@ func (c *rtpCorrelator) decodeState(r *snapReader) (func(), error) {
 			*tr = e.tr
 			c.seqs[e.key] = tr
 		}
+		c.epoch++
 		c.evicted.Store(evicted)
 	}, nil
 }

@@ -90,7 +90,7 @@ func (ctx *SessionContext) beginFrame(v *FrameView, h RouteHints) bool {
 			// shard only resolves the key against its own table.
 			ctx.session, ctx.st = h.Session, ctx.idx.sessions[h.Session]
 		} else {
-			ctx.session, ctx.st = ctx.idx.attributeMedia(v.Proto, v.Src, v.Dst)
+			ctx.session, ctx.st, _ = ctx.idx.attributeMedia(v.Proto, v.Src, v.Dst)
 		}
 		ctx.trails.Get(ctx.session, v.Proto).AppendView(v)
 	case ProtoAccounting:

@@ -59,7 +59,7 @@ type sessionState struct {
 	// routeShard is a derived cache, valid for the state's lifetime and
 	// never checkpointed (sharded router's directory only): 1 + the shard
 	// the dialog's pinned routing key hashes to, 0 until a media packet
-	// first needs it (see sessionShardLocked). It sits in guessFired's
+	// first needs it (see mediaShardLocked). It sits in guessFired's
 	// padding.
 	routeShard int32
 }
@@ -91,6 +91,12 @@ type sessionIndex struct {
 	// victim's trails and count the eviction.
 	maxSessions int
 	onCapEvict  func(id string)
+
+	// epoch counts inserts into and removals from sessions and byMedia,
+	// the only changes that can move a sole attribution (see
+	// attributeMedia); the sharded router's flow memo (flowmemo.go) keeps
+	// an answer only while the epoch it was filled at is current.
+	epoch uint64
 }
 
 // newSessionIndex returns an empty index.
@@ -139,6 +145,7 @@ func (x *sessionIndex) core(callID string) *sessionState {
 		}
 		st = &sessionState{callID: strings.Clone(callID)}
 		x.sessions[st.callID] = st
+		x.epoch++ // a Call-ID can spell a fallback key ("rtp:<ep>")
 	}
 	return st
 }
@@ -179,6 +186,7 @@ func (x *sessionIndex) dropSession(id string, st *sessionState) {
 	delete(x.pendingReg, id)
 	x.unindexMedia(st, st.callerMedia)
 	x.unindexMedia(st, st.calleeMedia)
+	x.epoch++
 }
 
 // expire drops per-session state for sessions idle longer than timeout as
@@ -203,12 +211,14 @@ func (x *sessionIndex) indexMedia(st *sessionState, media netip.AddrPort) {
 		return
 	}
 	x.byMedia[media] = append(x.byMedia[media], st)
+	x.epoch++
 }
 
 func (x *sessionIndex) unindexMedia(st *sessionState, media netip.AddrPort) {
 	if !media.IsValid() {
 		return
 	}
+	x.epoch++
 	list := x.byMedia[media]
 	for i, cand := range list {
 		if cand == st {
@@ -253,41 +263,56 @@ func (x *sessionIndex) setCalleeMedia(st *sessionState, media netip.AddrPort) {
 // The serial engine and the sharded router both attribute here (shards
 // take the router's key as a hint), so trails are keyed identically by
 // construction.
-func (x *sessionIndex) attributeMedia(proto Protocol, src, dst netip.AddrPort) (string, *sessionState) {
-	var key string
+//
+// sole reports that at most one distinct session holds either endpoint
+// (after the RTCP port shift). flowSessionLess only ranks two or more
+// candidates, so a sole answer stays right until sessions or byMedia
+// change — which bumps epoch — and the router's flow memo keeps only
+// sole answers. The serial engine ignores it.
+func (x *sessionIndex) attributeMedia(proto Protocol, src, dst netip.AddrPort) (key string, st *sessionState, sole bool) {
 	if proto == ProtoRTCP {
-		if st := x.rtcpFlowSession(src, dst); st != nil {
-			return st.callID, st
+		if st, sole = x.rtcpFlowSession(src, dst); st != nil {
+			return st.callID, st, sole
 		}
 		key = x.endpointKey('c', "rtcp:", dst)
 	} else {
-		if st := x.flowSession(src, dst); st != nil {
-			return st.callID, st
+		if st, sole = x.flowSession(src, dst); st != nil {
+			return st.callID, st, sole
 		}
 		key = x.endpointKey('r', "rtp:", dst)
 	}
-	return key, x.sessions[key]
+	return key, x.sessions[key], true
 }
 
 // flowSession maps a media flow to the SIP session that negotiated either
-// endpoint (nil when none has). Sessions whose media is still unknown
-// (zero-valued) have no byMedia entry, so never match. Consecutive calls
-// frequently renegotiate the same media ports, so among candidates the
-// live (not torn down), most recently active session wins; ties break on
-// the session id for determinism.
-func (x *sessionIndex) flowSession(src, dst netip.AddrPort) *sessionState {
-	return bestFlowSession(bestFlowSession(nil, x.byMedia[dst]), x.byMedia[src])
+// endpoint (nil when none has), and reports whether it was the only
+// candidate. Sessions whose media is still unknown (zero-valued) have no
+// byMedia entry, so never match. Consecutive calls frequently renegotiate
+// the same media ports, so among candidates the live (not torn down),
+// most recently active session wins; ties break on the session id for
+// determinism.
+func (x *sessionIndex) flowSession(src, dst netip.AddrPort) (*sessionState, bool) {
+	best, sole := bestFlowSession(nil, true, x.byMedia[dst])
+	return bestFlowSession(best, sole, x.byMedia[src])
 }
 
 // bestFlowSession returns the best of best and cands under
-// flowSessionLess.
-func bestFlowSession(best *sessionState, cands []*sessionState) *sessionState {
+// flowSessionLess, and sole unless cands holds a session other than the
+// best so far. A session listed twice is one candidate: flowSessionLess
+// never prefers a session to itself.
+func bestFlowSession(best *sessionState, sole bool, cands []*sessionState) (*sessionState, bool) {
 	for _, st := range cands {
-		if best == nil || flowSessionLess(best, st) {
+		switch {
+		case best == nil:
 			best = st
+		case st != best:
+			sole = false
+			if flowSessionLess(best, st) {
+				best = st
+			}
 		}
 	}
-	return best
+	return best, sole
 }
 
 // flowSessionLess reports whether candidate b should replace the current
@@ -307,8 +332,8 @@ func flowSessionLess(a, b *sessionState) bool {
 }
 
 // rtcpFlowSession maps an RTCP flow (media port + 1 by convention) to its
-// session.
-func (x *sessionIndex) rtcpFlowSession(src, dst netip.AddrPort) *sessionState {
+// session, as flowSession does.
+func (x *sessionIndex) rtcpFlowSession(src, dst netip.AddrPort) (*sessionState, bool) {
 	down := func(ap netip.AddrPort) netip.AddrPort {
 		if !ap.IsValid() || ap.Port() == 0 {
 			return ap
@@ -322,7 +347,8 @@ func (x *sessionIndex) rtcpFlowSession(src, dst netip.AddrPort) *sessionState {
 // when none negotiated it), picking the best candidate under
 // flowSessionLess.
 func (x *sessionIndex) mediaDstSession(dst netip.AddrPort) *sessionState {
-	return bestFlowSession(nil, x.byMedia[dst])
+	st, _ := bestFlowSession(nil, true, x.byMedia[dst])
+	return st
 }
 
 // sipOutcome reports which attribution-relevant transitions one SIP

@@ -15,26 +15,29 @@ import (
 // the O(#sessions) scan it replaced lives on here as the reference the
 // index is held to: same candidates, same flowSessionLess order, no index.
 
-// scanFlowSession is the reference for sessionIndex.flowSession.
-func scanFlowSession(x *sessionIndex, src, dst netip.AddrPort) string {
+// scanFlowSession is the reference for sessionIndex.flowSession: the best
+// matching session, and whether it was the only one.
+func scanFlowSession(x *sessionIndex, src, dst netip.AddrPort) (string, bool) {
 	match := func(negotiated, ep netip.AddrPort) bool {
 		return negotiated.IsValid() && ep.IsValid() && negotiated == ep
 	}
 	var best *sessionState
+	matched := 0
 	for _, st := range x.sessions {
 		if !(match(st.callerMedia, dst) || match(st.calleeMedia, dst) ||
 			match(st.callerMedia, src) || match(st.calleeMedia, src)) {
 			continue
 		}
+		matched++
 		if best == nil || flowSessionLess(best, st) {
 			best = st
 		}
 	}
-	return sessionID(best)
+	return sessionID(best), matched <= 1
 }
 
 // scanRTCPFlowSession is the reference for sessionIndex.rtcpFlowSession.
-func scanRTCPFlowSession(x *sessionIndex, src, dst netip.AddrPort) string {
+func scanRTCPFlowSession(x *sessionIndex, src, dst netip.AddrPort) (string, bool) {
 	down := func(ap netip.AddrPort) netip.AddrPort {
 		if !ap.IsValid() || ap.Port() == 0 {
 			return ap
@@ -67,6 +70,9 @@ func sessionID(st *sessionState) string {
 	}
 	return st.callID
 }
+
+// flowID is sessionID for flowSession's two results.
+func flowID(st *sessionState, sole bool) (string, bool) { return sessionID(st), sole }
 
 // checkMediaIndex verifies the reverse media index against the session
 // table it is derived from: every byMedia pointer is a live session that
@@ -119,7 +125,12 @@ func checkMediaIndex(x *sessionIndex) error {
 
 // attrWorld drives one EventGenerator through seeded SIP/RTP/RTCP
 // interleavings over a deliberately tiny endpoint pool, so consecutive and
-// concurrent calls keep colliding on the same media endpoints.
+// concurrent calls keep colliding on the same media endpoints. Beside the
+// generator's table it runs the sharded router's media route stage: a
+// flow memo with a router-style rtp correlator (memo, rc), and a
+// memo-less twin (twin: attributeMedia and track on every packet). Both
+// correlators hear what the router's instance hears: establishments and
+// expiry sweeps.
 type attrWorld struct {
 	t     *testing.T
 	rng   *rand.Rand
@@ -128,18 +139,31 @@ type attrWorld struct {
 	next  int
 	calls []*attrCall
 	eps   []netip.AddrPort
+
+	memo     flowMemo
+	rc, twin *rtpCorrelator
 }
 
 type attrCall struct {
 	id       string
+	tag      string // tag and branch stem (the id, unless it is an address)
 	invite   *sip.Message
 	answered bool
 	cseq     uint32
 }
 
-func newAttrWorld(t *testing.T, seed int64, maxSessions int) *attrWorld {
-	w := &attrWorld{t: t, rng: rand.New(rand.NewSource(seed)), g: newGen()}
-	w.g.SetLimits(Limits{MaxSessions: maxSessions})
+func newAttrWorld(t *testing.T, seed int64, maxSessions, maxSeqTrackers int) *attrWorld {
+	w := &attrWorld{t: t, rng: rand.New(rand.NewSource(seed)), g: newGen(),
+		rc: newRTPCorrelator(), twin: newRTPCorrelator()}
+	limits := Limits{MaxSessions: maxSessions, MaxSeqTrackers: maxSeqTrackers}
+	w.g.SetLimits(limits)
+	cfg := w.g.cfg
+	cfg.RTPActivityEvery = 100 * time.Millisecond // every verdict field moves
+	for _, rc := range []*rtpCorrelator{w.rc, w.twin} {
+		rc.configure(cfg)
+		rc.setLimits(limits)
+		w.g.ctx.observers = append(w.g.ctx.observers, rc)
+	}
 	for host := 1; host <= 3; host++ {
 		// Port 0 is a legal SDP answer ("stream refused") and the one port
 		// the RTCP port-1 convention must leave alone.
@@ -167,19 +191,19 @@ func (w *attrWorld) sip(src, dst netip.AddrPort, m *sip.Message) {
 // request builds a request of call c. inDialog adds the To tag, which is
 // what separates a re-INVITE from a dialog-forming INVITE.
 func (w *attrWorld) request(c *attrCall, method sip.Method, fromCaller, inDialog bool, body []byte) *sip.Message {
-	from, to := `<sip:alice@d>;tag=a`+c.id, `<sip:bob@d>`
+	from, to := `<sip:alice@d>;tag=a`+c.tag, `<sip:bob@d>`
 	if inDialog {
-		to += ";tag=b" + c.id
+		to += ";tag=b" + c.tag
 	}
 	if !fromCaller {
-		from, to = `<sip:bob@d>;tag=b`+c.id, `<sip:alice@d>;tag=a`+c.id
+		from, to = `<sip:bob@d>;tag=b`+c.tag, `<sip:alice@d>;tag=a`+c.tag
 	}
 	c.cseq++
 	spec := sip.RequestSpec{
 		Method: method, RequestURI: "sip:peer@d",
 		From: mustAddr2(w.t, from), To: mustAddr2(w.t, to), CallID: c.id,
 		CSeq: sip.CSeq{Seq: c.cseq, Method: method},
-		Via:  sip.Via{Transport: "UDP", SentBy: "10.0.0.1:5060", Params: map[string]string{"branch": sip.MagicBranchPrefix + c.id}},
+		Via:  sip.Via{Transport: "UDP", SentBy: "10.0.0.1:5060", Params: map[string]string{"branch": sip.MagicBranchPrefix + c.tag}},
 	}
 	if body != nil {
 		spec.Body, spec.BodyType = body, "application/sdp"
@@ -188,9 +212,24 @@ func (w *attrWorld) request(c *attrCall, method sip.Method, fromCaller, inDialog
 }
 
 func (w *attrWorld) invite() {
-	c := &attrCall{id: fmt.Sprintf("c%03d@attr", w.next)}
+	id := fmt.Sprintf("c%03d@attr", w.next)
+	w.dial(&attrCall{id: id, tag: id}, sdpAt(w.ep()))
+}
+
+// fallbackInvite opens a dialog whose Call-ID spells an endpoint's
+// fallback key ("rtp:<ep>" / "rtcp:<ep>") and that negotiates no media:
+// unattributed flows toward the endpoint now resolve to its state.
+func (w *attrWorld) fallbackInvite() {
+	prefix := "rtp:"
+	if w.rng.Intn(2) == 0 {
+		prefix = "rtcp:"
+	}
+	w.dial(&attrCall{id: prefix + w.ep().String(), tag: fmt.Sprintf("f%03d", w.next)}, nil)
+}
+
+func (w *attrWorld) dial(c *attrCall, body []byte) {
 	w.next++
-	c.invite = w.request(c, sip.MethodInvite, true, false, sdpAt(w.ep()))
+	c.invite = w.request(c, sip.MethodInvite, true, false, body)
 	w.calls = append(w.calls, c)
 	w.sip(egCaller, egCallee, c.invite)
 }
@@ -203,7 +242,7 @@ func (w *attrWorld) pick() *attrCall {
 }
 
 func (w *attrWorld) answer(c *attrCall) {
-	resp := sip.NewResponse(c.invite, sip.StatusOK, "b"+c.id)
+	resp := sip.NewResponse(c.invite, sip.StatusOK, "b"+c.tag)
 	resp.Headers.Add(sip.HdrContentType, "application/sdp")
 	resp.Body = sdpAt(w.ep())
 	if w.rng.Intn(4) == 0 {
@@ -214,6 +253,14 @@ func (w *attrWorld) answer(c *attrCall) {
 	}
 	c.answered = true
 	w.sip(egCallee, egCaller, resp)
+}
+
+// answerNoMedia is a 200 without SDP: it establishes the dialog (the rtp
+// correlators forget the caller media's tracker) and leaves every
+// endpoint where it was, so the session index does not change.
+func (w *attrWorld) answerNoMedia(c *attrCall) {
+	c.answered = true
+	w.sip(egCallee, egCaller, sip.NewResponse(c.invite, sip.StatusOK, "b"+c.tag))
 }
 
 func (w *attrWorld) media(proto Protocol) {
@@ -238,29 +285,59 @@ func (w *attrWorld) snapshotRestore() {
 	installSessionIndex(w.g.idx, snap)
 }
 
+// seqRestore round-trips both correlators' trackers through a checkpoint
+// on their own: every tracker is a new object afterwards.
+func (w *attrWorld) seqRestore() {
+	for _, rc := range []*rtpCorrelator{w.rc, w.twin} {
+		var sw snapWriter
+		rc.snapshotState(&sw)
+		install, err := rc.decodeState(&snapReader{buf: sw.buf})
+		if err != nil {
+			w.t.Fatalf("tracker round trip: %v", err)
+		}
+		install()
+	}
+}
+
+// expire is the router's sweep: the session table, then the rtp
+// correlators when it evicted something.
+func (w *attrWorld) expire() {
+	w.tick()
+	if w.g.ExpireSessions(w.now, time.Duration(100+w.rng.Intn(400))*time.Millisecond) > 0 {
+		for _, rc := range []*rtpCorrelator{w.rc, w.twin} {
+			rc.onExpire(w.now, len(w.g.sessions))
+		}
+	}
+}
+
 func (w *attrWorld) step() {
 	c := w.pick()
-	switch op := w.rng.Intn(20); {
+	switch op := w.rng.Intn(23); {
 	case op < 4 || c == nil:
 		w.invite()
 	case op < 7:
 		w.answer(c)
-	case op < 9:
+	case op < 8:
+		w.answerNoMedia(c)
+	case op < 10:
 		// Re-INVITE: either party moves its media.
 		w.sip(egCaller, egCallee, w.request(c, sip.MethodInvite, w.rng.Intn(2) == 0, true, sdpAt(w.ep())))
-	case op < 11:
+	case op < 12:
 		w.sip(egCaller, egCallee, w.request(c, sip.MethodBye, w.rng.Intn(2) == 0, true, nil))
-	case op < 14:
+	case op < 15:
 		w.media(ProtoRTP)
-	case op < 16:
-		w.media(ProtoRTCP)
 	case op < 17:
-		w.tick()
-		w.g.ExpireSessions(w.now, time.Duration(100+w.rng.Intn(400))*time.Millisecond)
+		w.media(ProtoRTCP)
 	case op < 18:
+		w.expire()
+	case op < 19:
 		w.g.EvictSession(c.id)
-	default:
+	case op < 20:
+		w.fallbackInvite()
+	case op < 22:
 		w.snapshotRestore()
+	default:
+		w.seqRestore()
 	}
 }
 
@@ -279,34 +356,120 @@ func (w *attrWorld) check(label string) {
 			w.t.Fatalf("%s: mediaDstSession(%v) = %q, scan says %q", label, dst, got, want)
 		}
 		for _, src := range probes {
-			if got, want := sessionID(x.flowSession(src, dst)), scanFlowSession(x, src, dst); got != want {
-				w.t.Fatalf("%s: flowSession(%v, %v) = %q, scan says %q", label, src, dst, got, want)
+			got, gotSole := flowID(x.flowSession(src, dst))
+			if want, wantSole := scanFlowSession(x, src, dst); got != want || gotSole != wantSole {
+				w.t.Fatalf("%s: flowSession(%v, %v) = %q sole %v, scan says %q sole %v", label, src, dst, got, gotSole, want, wantSole)
 			}
-			if got, want := sessionID(x.rtcpFlowSession(src, dst)), scanRTCPFlowSession(x, src, dst); got != want {
-				w.t.Fatalf("%s: rtcpFlowSession(%v, %v) = %q, scan says %q", label, src, dst, got, want)
+			got, gotSole = flowID(x.rtcpFlowSession(src, dst))
+			if want, wantSole := scanRTCPFlowSession(x, src, dst); got != want || gotSole != wantSole {
+				w.t.Fatalf("%s: rtcpFlowSession(%v, %v) = %q sole %v, scan says %q sole %v", label, src, dst, got, gotSole, want, wantSole)
 			}
 		}
+	}
+	w.checkMemo(label, probes)
+}
+
+// routed is one media packet's answer from the route stage.
+type routed struct {
+	key string
+	st  *sessionState
+	h   RouteHints
+}
+
+// checkMemo routes every (src, dst) pair of the pool, RTP and RTCP,
+// through the memo and through the memo-less twin and requires the same
+// session, state and hints — the whole SeqVerdict — packet for packet.
+// The memo must also agree with an uncached attribution before the sweep
+// (what the step changed) and after it (what the sweep filled). Each
+// sweep touches the sessions it attributes, so both start from the same
+// lastSeen values, which are put back afterwards: probing leaves the
+// world's expiry order alone, and a memo answer must not depend on them.
+func (w *attrWorld) checkMemo(label string, probes []netip.AddrPort) {
+	x := w.g.idx
+	if err := checkFlowMemo(&w.memo, x, w.rc, nil); err != nil {
+		w.t.Fatalf("%s: after the step: %v", label, err)
+	}
+	lastSeen := make(map[*sessionState]time.Duration, len(x.sessions))
+	for _, st := range x.sessions {
+		lastSeen[st] = st.lastSeen
+	}
+	type packet struct {
+		proto    Protocol
+		src, dst netip.AddrPort
+		seq      uint16
+	}
+	var pkts []packet
+	for _, proto := range []Protocol{ProtoRTP, ProtoRTCP} {
+		for _, src := range probes {
+			for _, dst := range probes {
+				pkts = append(pkts, packet{proto, src, dst, uint16(w.rng.Intn(1 << 16))})
+			}
+		}
+	}
+	sweep := func(route func(p packet) routed) []routed {
+		out := make([]routed, len(pkts))
+		for i, p := range pkts {
+			out[i] = route(p)
+		}
+		for st, at := range lastSeen {
+			st.lastSeen = at
+		}
+		return out
+	}
+	got := sweep(func(p packet) routed {
+		sl, sv, hasSeq := w.memo.route(x, w.rc, p.proto, w.now, p.src, p.dst, p.seq)
+		return routed{sl.key, sl.st, RouteHints{Session: sl.key, HasSeq: hasSeq, Seq: sv}}
+	})
+	want := sweep(func(p packet) routed {
+		key, st, _ := x.attributeMedia(p.proto, p.src, p.dst)
+		r := routed{key: key, st: st, h: RouteHints{Session: key}}
+		if p.proto == ProtoRTP {
+			r.h.Seq, _ = w.twin.track(w.now, p.dst, p.seq)
+			r.h.HasSeq = true
+		}
+		if st != nil {
+			st.lastSeen = w.now
+		}
+		return r
+	})
+	for i := range pkts {
+		if got[i] != want[i] {
+			p := pkts[i]
+			w.t.Fatalf("%s: %v %v -> %v seq %d: memo routes %q (%p) %+v, twin %q (%p) %+v", label,
+				p.proto, p.src, p.dst, p.seq, got[i].key, got[i].st, got[i].h, want[i].key, want[i].st, want[i].h)
+		}
+	}
+	if err := checkFlowMemo(&w.memo, x, w.rc, nil); err != nil {
+		w.t.Fatalf("%s: after the sweep: %v", label, err)
 	}
 }
 
 // TestMediaIndexEquivalentToScan is the index ≡ scan property: after every
-// step of a seeded interleaving of INVITEs, answers, re-INVITEs, BYEs,
-// media, expiry, LRU eviction under MaxSessions, EvictSession and snapshot
-// restore, the index answers every attribution query exactly as the scan
-// does and satisfies checkMediaIndex.
+// step of a seeded interleaving of INVITEs, answers (with and without
+// media), re-INVITEs, BYEs, media, expiry, LRU eviction under MaxSessions,
+// EvictSession, dialogs whose Call-ID spells a fallback key, and snapshot
+// restore of the index or the RTP trackers, the index answers every
+// attribution query exactly as the scan does and satisfies
+// checkMediaIndex — and the sharded router's flow memo routes every flow
+// of the pool exactly as its memo-less twin, with trackers evicted under
+// MaxSeqTrackers ∈ {2, 4} on some seeds.
 func TestMediaIndexEquivalentToScan(t *testing.T) {
 	for seed := int64(1); seed <= 12; seed++ {
 		maxSessions := 0
 		if seed%2 == 0 {
 			maxSessions = 4
 		}
-		w := newAttrWorld(t, seed, maxSessions)
+		maxSeqTrackers := []int{0, 2, 4}[seed%3]
+		w := newAttrWorld(t, seed, maxSessions, maxSeqTrackers)
 		for i := 0; i < 400; i++ {
 			w.step()
-			w.check(fmt.Sprintf("seed %d cap %d step %d", seed, maxSessions, i))
+			w.check(fmt.Sprintf("seed %d cap %d/%d step %d", seed, maxSessions, maxSeqTrackers, i))
 		}
 		if maxSessions > 0 && w.g.ctx.evictedSessions == 0 {
 			t.Errorf("seed %d: MaxSessions=%d never evicted; the sweep does not cover evictLRU", seed, maxSessions)
+		}
+		if maxSeqTrackers > 0 && w.rc.evicted.Load() == 0 {
+			t.Errorf("seed %d: MaxSeqTrackers=%d never evicted; the sweep does not cover evictStalestSeq", seed, maxSeqTrackers)
 		}
 	}
 }
@@ -323,11 +486,11 @@ func TestFlowAttributionOrder(t *testing.T) {
 	}
 	add("old-but-live", time.Second, false)
 	add("recent-but-torn-down", 9*time.Second, true)
-	if got := sessionID(x.flowSession(egCMedia, egBMedia)); got != "old-but-live" {
+	if got, _ := flowID(x.flowSession(egCMedia, egBMedia)); got != "old-but-live" {
 		t.Errorf("live vs torn-down: attributed to %q", got)
 	}
 	add("newer-live", 2*time.Second, false)
-	if got := sessionID(x.flowSession(egBMedia, egCMedia)); got != "newer-live" {
+	if got, _ := flowID(x.flowSession(egBMedia, egCMedia)); got != "newer-live" {
 		t.Errorf("lastSeen recency (matched on src): attributed to %q", got)
 	}
 	add("z-tie", 2*time.Second, false)

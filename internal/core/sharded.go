@@ -30,8 +30,8 @@ import (
 // State that spans sessions cannot live in a shard. The router therefore
 // keeps its own session directory (a second sessionIndex fed by the same
 // applySIP transitions the shards run) for media-flow attribution, owns
-// its own instances of the protocol correlators — the hinter correlators
-// (rtp's sequence-continuity trackers, im's source histories) judge every
+// its own instances of the protocol correlators — rtp's sequence-continuity
+// trackers and the sip hinters' state (im's source histories) judge every
 // frame here in global arrival order and ship verdicts to the shards as
 // RouteHints — and replicates registration bindings to every shard via
 // ordered control messages. Port classification, sticky routing keys and
@@ -108,10 +108,15 @@ type ShardedEngine struct {
 	dec     decoder
 	sticky  map[string]string // Call-ID -> routing key (pinned on first sighting)
 	pending [][]shardItem
-	// hints is per-frame scratch for the hinter passes: taking the
+	// hints is per-frame scratch for the sipHinter pass: taking the
 	// address of a local RouteHints forces a heap escape through the
-	// hinter interfaces, so classification reuses this field instead.
+	// interface, so SIP classification reuses this field instead.
 	hints RouteHints
+	// rtp is the router's rtp correlator instance (nil when the registry
+	// has none): its trackers make the RTP continuity verdicts.
+	rtp *rtpCorrelator
+	// memo is the media route stage's fast path (flowmemo.go).
+	memo flowMemo
 
 	frames           atomic.Uint64
 	framesAfterClose atomic.Uint64
@@ -377,6 +382,9 @@ func NewShardedEngine(cfg Config, shards int, opts ...EngineOption) *ShardedEngi
 		if b, ok := c.(budgeted); ok {
 			b.setLimits(cfg.Limits)
 		}
+		if rc, ok := c.(*rtpCorrelator); ok && s.rtp == nil {
+			s.rtp = rc
+		}
 	}
 	// The router enforces the global caps itself; session evictions are
 	// broadcast so shard tables drop the same victim at the same stream
@@ -604,30 +612,18 @@ func (s *ShardedEngine) shipLocked(idx uint64, at time.Duration, src, dst netip.
 	if d.media.flags&slotRTCP != 0 {
 		proto = ProtoRTCP
 	}
-	st, h := s.routeMediaLocked(proto, at, src, dst, d.media.seq)
+	// The stateful half of media classification: flow attribution against
+	// the directory and, for RTP, the continuity verdict of the rtp
+	// correlator's router instance, which tracks sequence numbers across
+	// all shards in global frame order — one memo probe for a steady flow.
+	sl, sv, hasSeq := s.memo.route(s.idx, s.rtp, proto, at, src, dst, d.media.seq)
 	it.kind, it.media = itemMedia, d.media
-	it.session, it.hasSeq, it.seq = h.Session, h.HasSeq, h.Seq
-	s.appendItemLocked(s.sessionShardLocked(h.Session, st), &it)
-}
-
-// sessionShardLocked is shardOf(resolveRouteLocked(key)) for a media
-// flow attributed to st (whose Call-ID key is), computed once per
-// session: a dialog's pin never moves while its state lives, and the
-// cache dies with the state on expiry, eviction and restore. A flow no
-// session claims (st nil) resolves per packet.
-func (s *ShardedEngine) sessionShardLocked(key string, st *sessionState) int {
-	if st != nil && st.routeShard != 0 {
-		return int(st.routeShard) - 1
-	}
-	shard := shardOf(s.resolveRouteLocked(key), len(s.workers))
-	if st != nil {
-		st.routeShard = int32(shard) + 1
-	}
-	return shard
+	it.session, it.hasSeq, it.seq = sl.key, hasSeq, sv
+	s.appendItemLocked(s.mediaShardLocked(sl), &it)
 }
 
 // dispatchLocked is the one stateful route stage for everything but a
-// bare media datagram (routeMediaLocked): given what the decode stage
+// bare media datagram (shipLocked): given what the decode stage
 // made of a payload — datagram, framed stream message or tunnel chunk
 // alike — it runs the content protocol's directory transition and hinter
 // passes in global arrival order and returns the routing key and the
@@ -656,8 +652,8 @@ func (s *ShardedEngine) dispatchLocked(v *FrameView, flowKey string) (string, Ro
 		}
 		return v.Txn.CallID, RouteHints{}
 	default:
-		_, h := s.routeMediaLocked(p, v.At, v.Src, v.Dst, v.RTP.Seq)
-		return h.Session, h
+		sl, sv, hasSeq := s.memo.route(s.idx, s.rtp, p, v.At, v.Src, v.Dst, v.RTP.Seq)
+		return sl.key, RouteHints{Session: sl.key, HasSeq: hasSeq, Seq: sv}
 	}
 }
 
@@ -748,26 +744,21 @@ func (s *ShardedEngine) routeStreamLocked(idx uint64, at time.Duration, p *prelu
 		&shardItem{kind: itemStream, idx: idx, at: at, frames: 1, msg: &ship[0]})
 }
 
-// routeMediaLocked is the stateful half of media classification: flow
-// attribution against the directory and, for RTP, the continuity verdict
-// of the rtp correlator's router instance, which tracks sequence numbers
-// across all shards in global frame order. It returns the attributed
-// session's state (nil when no session claims the flow) and the hints,
-// whose Session is the routing key.
-func (s *ShardedEngine) routeMediaLocked(proto Protocol, at time.Duration, src, dst netip.AddrPort, seq uint16) (*sessionState, RouteHints) {
-	session, st := s.idx.attributeMedia(proto, src, dst)
-	s.hints = RouteHints{Session: session}
-	if proto == ProtoRTP {
-		for _, c := range s.correlators {
-			if rh, isHinter := c.(rtpHinter); isHinter {
-				rh.rtpHint(at, dst, seq, &s.hints)
-			}
-		}
+// mediaShardLocked is shardOf(resolveRouteLocked(key)) for a routed media
+// flow, computed once and cached: on the claiming session's state (a
+// dialog's pin never moves while its state lives, and the cache dies
+// with the state on expiry, eviction and restore), or on the memo slot
+// of a flow no session claims (see flowSlot.shard). An unclaimed flow the
+// memo does not keep resolves per packet.
+func (s *ShardedEngine) mediaShardLocked(sl *flowSlot) int {
+	cache := &sl.shard
+	if sl.st != nil {
+		cache = &sl.st.routeShard
 	}
-	if st != nil {
-		st.lastSeen = at
+	if *cache == 0 {
+		*cache = int32(shardOf(s.resolveRouteLocked(sl.key), len(s.workers))) + 1
 	}
-	return st, s.hints
+	return int(*cache) - 1
 }
 
 // appendItemLocked queues one item for a shard, flushing the batch when

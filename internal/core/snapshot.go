@@ -689,6 +689,7 @@ func installSessionIndex(x *sessionIndex, snap indexSnap) {
 	clear(x.sessions)
 	clear(x.pendingReg)
 	clear(x.byMedia)
+	x.epoch++
 	for _, s := range snap.sessions {
 		st := new(sessionState)
 		*st = s.st

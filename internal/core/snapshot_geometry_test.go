@@ -97,6 +97,7 @@ func resumeAt(t *testing.T, snap []byte, frames []rec, k int, g geometry, cfg co
 		for _, r := range frames[k:] {
 			eng.HandleFrame(r.at, r.frame)
 		}
+		mustMediaIndex(eng.CheckMediaIndex())
 		return eng.Alerts(), eng.Events(), eng.Stats()
 	}
 	gcfg := cfg
@@ -109,7 +110,7 @@ func resumeAt(t *testing.T, snap []byte, frames []rec, k int, g geometry, cfg co
 	for _, r := range frames[k:] {
 		eng.HandleFrame(r.at, r.frame)
 	}
-	eng.Flush()
+	mustMediaIndex(eng.CheckMediaIndex()) // flushes
 	for _, h := range eng.ShardHealth() {
 		if h.FramesRouted != h.FramesProcessed+h.FramesShed {
 			t.Errorf("%v shard %d ledger does not reconcile after cross-geometry restore: routed=%d processed=%d shed=%d",
