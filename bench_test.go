@@ -15,6 +15,7 @@
 package scidive_test
 
 import (
+	"bytes"
 	"fmt"
 	"math/rand"
 	"testing"
@@ -410,6 +411,110 @@ func BenchmarkHotPath_SIPDialogs(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		eng.HandleFrame(at, frames[i%len(frames)])
 		at += step
+	}
+}
+
+// BenchmarkHotPath_TCPTrunk is the stream arm's hot path: the serial
+// engine over one SIP trunk (a TCP connection, both directions) carrying
+// 256 dialogs (INVITE and 200 with SDP, ACK, BYE). In turn, a message
+// rides whole in one segment, split mid-header across two, or coalesced
+// with the next message its direction sends. Each cycle opens with a SYN
+// per direction, so the prebuilt segments replay as a fresh connection
+// on the same 4-tuple. One op is one segment: ns/op and allocs/op are
+// per segment. Two cycles run before the clock starts.
+func BenchmarkHotPath_TCPTrunk(b *testing.B) {
+	const dialogs = 256
+	ids := sip.NewIDGen(rand.New(rand.NewSource(1)))
+	caller, callee := netip.AddrPortFrom(mustAddr("10.0.0.1"), 5060), netip.AddrPortFrom(mustAddr("10.0.0.2"), 5060)
+	type direction struct {
+		src, dst netip.AddrPort
+		seq      uint32
+		held     []byte // a message waiting to be coalesced with the next
+	}
+	up := &direction{src: caller, dst: callee, seq: 1000}
+	down := &direction{src: callee, dst: caller, seq: 9000}
+	var segs [][]byte
+	segment := func(d *direction, flags uint8, payload []byte) {
+		frames, err := packet.BuildTCPFrames(packet.TCPFrameSpec{
+			SrcIP: d.src.Addr(), DstIP: d.dst.Addr(), SrcPort: d.src.Port(), DstPort: d.dst.Port(),
+			Seq: d.seq, Flags: flags, IPID: uint16(len(segs)), Payload: payload,
+		}, 0)
+		if err != nil {
+			b.Fatal(err)
+		}
+		d.seq += uint32(len(payload))
+		segs = append(segs, frames...)
+	}
+	for _, d := range []*direction{up, down} {
+		segment(d, packet.TCPFlagSYN, nil)
+		d.seq++
+	}
+	sent := 0
+	send := func(d *direction, m *sip.Message) {
+		raw := m.Marshal()
+		sent++
+		switch sent % 3 {
+		case 0:
+			segment(d, packet.TCPFlagACK, append(d.held, raw...))
+			d.held = nil
+		case 1:
+			if d.held != nil {
+				segment(d, packet.TCPFlagACK, d.held)
+				d.held = nil
+			}
+			cut := bytes.Index(raw, []byte("\r\n\r\n")) / 2
+			segment(d, packet.TCPFlagACK, raw[:cut])
+			segment(d, packet.TCPFlagACK, raw[cut:])
+		default:
+			d.held = append(d.held, raw...)
+		}
+	}
+	for i := 0; i < dialogs; i++ {
+		a := sip.Address{URI: sip.URI{User: fmt.Sprintf("alice%d", i), Host: "pbx"}}.WithTag(ids.Tag())
+		bob := sip.Address{URI: sip.URI{User: fmt.Sprintf("bob%d", i), Host: "pbx"}}
+		bTag, callID := ids.CallID("pbx"), ids.CallID("pbx")
+		port := uint16(20000 + 2*i)
+		request := func(method sip.Method, seq uint32, to sip.Address, body []byte) *sip.Message {
+			spec := sip.RequestSpec{
+				Method: method, RequestURI: bob.URI.String(), From: a, To: to, CallID: callID,
+				CSeq: sip.CSeq{Seq: seq, Method: method},
+				Via:  sip.Via{Transport: "TCP", SentBy: "10.0.0.1", Params: map[string]string{"branch": ids.Branch()}},
+				Body: body,
+			}
+			if body != nil {
+				spec.BodyType = "application/sdp"
+			}
+			return sip.NewRequest(spec)
+		}
+		inv := request(sip.MethodInvite, 1, bob, sdp.NewAudioSession("caller", caller.Addr(), port).Marshal())
+		ok := sip.NewResponse(inv, sip.StatusOK, bTag)
+		ok.Headers.Add(sip.HdrContentType, "application/sdp")
+		ok.Body = sdp.NewAudioSession("callee", callee.Addr(), port).Marshal()
+		send(up, inv)
+		send(down, ok)
+		send(up, request(sip.MethodAck, 1, bob.WithTag(bTag), nil))
+		send(up, request(sip.MethodBye, 2, bob.WithTag(bTag), nil))
+	}
+	for _, d := range []*direction{up, down} {
+		if d.held != nil {
+			segment(d, packet.TCPFlagACK, d.held)
+		}
+	}
+	eng := core.NewEngine(core.Config{})
+	at, step := time.Duration(0), time.Millisecond
+	for i := 0; i < 2*len(segs); i++ {
+		eng.HandleFrame(at, segs[i%len(segs)])
+		at += step
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		eng.HandleFrame(at, segs[i%len(segs)])
+		at += step
+	}
+	b.StopTimer()
+	if st := eng.DistillerStats(); st.StreamMsgs == 0 || st.Raw != 0 {
+		b.Fatalf("trunk framed %d messages, %d raw", st.StreamMsgs, st.Raw)
 	}
 }
 

@@ -188,6 +188,31 @@ func (dc *decoder) segment(p *prelude) (th packet.TCPHeader, ok bool) {
 // instead of a dropped frame.
 var errUnclassifiable = errors.New("unclassifiable stream chunk")
 
+// reject is why a decoder refused a payload, kept as a value: the media
+// peeks' and the SIP start line's refusals are codes and numbers, and
+// only an error from deeper in a SIP message or an accounting record is
+// already worded. At most one field is set. Wording costs a fmt call, so
+// only decode's raw fall-through does it (text): a payload the ladder
+// reclassifies never pays for a reason nobody reads.
+type reject struct {
+	rtp rtp.Reject
+	sip sip.Reject
+	err error
+}
+
+func (r *reject) ok() bool { return r.rtp.OK() && r.sip.OK() && r.err == nil }
+
+// text words the refusal of payload.
+func (r *reject) text(payload []byte) string {
+	switch {
+	case r.err != nil:
+		return r.err.Error()
+	case !r.rtp.OK():
+		return r.rtp.Error()
+	}
+	return r.sip.Text(payload)
+}
+
 // decode turns a claimed protocol plus payload into a decoded view: the
 // claimed decoder first, then the ladder in registry order skipping the
 // claim (its decoder already said no), then raw. sniffed marks a stream
@@ -195,7 +220,8 @@ var errUnclassifiable = errors.New("unclassifiable stream chunk")
 // decoder is not tried at all. On return v.Proto is the content
 // protocol; a reclassified view carries the contradicted claim in
 // PortProto; a raw view (ProtoOther) carries it in OnPort with RawLen
-// and, in Reason, why the claimed decoder rejected the bytes.
+// and, in Reason, why the claimed decoder rejected the bytes — the one
+// place a rejection is worded.
 //
 // The view is complete but for Malformed, the one field derived from the
 // decoded result alone (Distiller.account fills it beside the trails):
@@ -203,9 +229,9 @@ var errUnclassifiable = errors.New("unclassifiable stream chunk")
 // Message the view owns — so whoever decodes may hand the view to
 // another goroutine and forget the bytes. v must arrive reset.
 func (dc *decoder) decode(claimed Protocol, sniffed bool, payload []byte, v *FrameView) {
-	err := errUnclassifiable
+	rej := reject{err: errUnclassifiable}
 	if !sniffed {
-		if err = dc.decodeAs(claimed, payload, v); err == nil {
+		if rej = dc.decodeAs(claimed, payload, v); rej.ok() {
 			v.Proto = claimed
 			return
 		}
@@ -214,12 +240,12 @@ func (dc *decoder) decode(claimed Protocol, sniffed bool, payload []byte, v *Fra
 		if step.proto == claimed || !step.confirm(payload) {
 			continue
 		}
-		if dc.decodeAs(step.proto, payload, v) == nil {
+		if r := dc.decodeAs(step.proto, payload, v); r.ok() {
 			v.Proto, v.PortProto = step.proto, claimed
 			return
 		}
 	}
-	v.Proto, v.OnPort, v.RawLen, v.Reason = ProtoOther, claimed, len(payload), err.Error()
+	v.Proto, v.OnPort, v.RawLen, v.Reason = ProtoOther, claimed, len(payload), rej.text(payload)
 }
 
 // decodeAs runs one protocol's full decoder over the payload, straight
@@ -227,32 +253,32 @@ func (dc *decoder) decode(claimed Protocol, sniffed bool, payload []byte, v *Fra
 // place: no packet struct, no copy; an RTP payload is also sniffed for a
 // smuggled SIP start line while the bytes are at hand). A rejected
 // payload leaves the view as it found it.
-func (dc *decoder) decodeAs(proto Protocol, payload []byte, v *FrameView) (err error) {
+func (dc *decoder) decodeAs(proto Protocol, payload []byte, v *FrameView) (r reject) {
 	switch proto {
 	case ProtoSIP:
 		var msg *sip.Message
-		if msg, err = sip.ParseMessage(payload); err == nil {
+		if msg, r.sip = sip.Decode(payload); r.sip.OK() {
 			v.Msg = msg
 		}
 	case ProtoAccounting:
 		var txn accounting.Txn
-		if txn, err = accounting.ParseTxn(payload); err == nil {
+		if txn, r.err = accounting.ParseTxn(payload); r.err == nil {
 			v.Txn = txn
 		}
 	case ProtoRTP:
-		if err = rtp.PeekHeader(payload, &v.RTP); err != nil {
+		if r.rtp = rtp.CheckHeader(payload, &v.RTP); !r.rtp.OK() {
 			v.RTP = rtp.HeaderView{}
 		} else {
 			v.EmbeddedSIP = rtpPayloadHasSIP(payload, &v.RTP)
 		}
 	case ProtoRTCP:
-		if err = rtp.PeekCompound(payload, &v.RTCP); err != nil {
+		if r.rtp = rtp.CheckCompound(payload, &v.RTCP); !r.rtp.OK() {
 			v.RTCP = rtp.CompoundView{}
 		}
 	default:
-		err = errUnclassifiable
+		r.err = errUnclassifiable
 	}
-	return err
+	return r
 }
 
 // sniffLineMax bounds the start-line scan: a SIP start line longer than
@@ -317,10 +343,10 @@ const (
 // conflict range, and the SSRC is nonzero (every real stream in this
 // simulation — and almost every real implementation — picks a random
 // nonzero SSRC, while zeroed garbage trivially passes the version
-// check). Stack-local scratch; never allocates.
+// check). Stack-local scratch and a reject value; never allocates.
 func confirmRTPContent(payload []byte) bool {
 	var hv rtp.HeaderView
-	if rtp.PeekHeader(payload, &hv) != nil {
+	if !rtp.CheckHeader(payload, &hv).OK() {
 		return false
 	}
 	if hv.PayloadType >= rtcpConflictPTLo && hv.PayloadType <= rtcpConflictPTHi {
@@ -334,7 +360,7 @@ func confirmRTPContent(payload []byte) bool {
 // lengths tiling the buffer exactly) is already a strong content check.
 func confirmRTCPContent(payload []byte) bool {
 	var cv rtp.CompoundView
-	return rtp.PeekCompound(payload, &cv) == nil
+	return rtp.CheckCompound(payload, &cv).OK()
 }
 
 // rtpPayloadHasSIP reports whether a successfully decoded RTP packet's

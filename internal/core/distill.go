@@ -108,30 +108,55 @@ type routedFrame struct {
 // exactly the reassembler's buffer lifetimes, so they ride a checkpoint
 // as one group and a completed datagram knows how many frames it spans.
 // Capacity evictions arrive through the reassembler's OnEvict hook
-// (drop). A nil table buffers nothing.
-type fragGroups map[fragIdent]*fragGroup
+// (drop). The zero value, with no table, buffers nothing.
+type fragGroups struct {
+	groups map[fragIdent]*fragGroup
+	// floor is a lower bound on every group's first, kept as the
+	// reassembler keeps its own: prune ranges over the groups only once
+	// some group can have timed out.
+	floor time.Duration
+}
 
-func (g fragGroups) drop(id packet.FragID) {
-	delete(g, fragIdent{src: id.Src, dst: id.Dst, proto: id.Proto, id: id.ID})
+func newFragGroups() fragGroups {
+	return fragGroups{groups: make(map[fragIdent]*fragGroup)}
+}
+
+func (g *fragGroups) drop(id packet.FragID) {
+	delete(g.groups, fragIdent{src: id.Src, dst: id.Dst, proto: id.Proto, id: id.ID})
 }
 
 // prune drops groups on the reassembler's expiry schedule. It runs
 // before every Insert/Expire so the two can never disagree about which
 // stream a fragment belongs to.
-func (g fragGroups) prune(now time.Duration) {
-	if len(g) == 0 {
+func (g *fragGroups) prune(now time.Duration) {
+	if len(g.groups) == 0 || now-g.floor <= packet.DefaultReassemblyTimeout {
 		return // the steady state: no map iteration per frame
 	}
-	for k, grp := range g {
+	floor := now
+	for k, grp := range g.groups {
 		if now-grp.first > packet.DefaultReassemblyTimeout {
-			delete(g, k)
+			delete(g.groups, k)
+		} else {
+			floor = min(floor, grp.first)
 		}
+	}
+	g.floor = floor
+}
+
+// install replaces the groups with a checkpoint's.
+func (g *fragGroups) install(idents []fragIdent, firsts []time.Duration, frames [][]routedFrame) {
+	clear(g.groups)
+	for i, id := range idents {
+		if i == 0 || firsts[i] < g.floor {
+			g.floor = firsts[i]
+		}
+		g.groups[id] = &fragGroup{first: firsts[i], frames: frames[i]}
 	}
 }
 
 // expire advances both expiry clocks past a frame that carries no
 // fragment.
-func (g fragGroups) expire(r *packet.Reassembler, now time.Duration) {
+func (g *fragGroups) expire(r *packet.Reassembler, now time.Duration) {
 	g.prune(now)
 	r.Expire(now)
 }
@@ -141,17 +166,17 @@ func (g fragGroups) expire(r *packet.Reassembler, now time.Duration) {
 // borrowed from the feeder), and the fragment completing a datagram
 // takes the group out and reports how many frames the datagram spans,
 // itself included.
-func (g fragGroups) insert(r *packet.Reassembler, iph packet.IPv4Header, body []byte, at time.Duration, frame []byte) (full packet.IPv4Header, payload []byte, frames int, done bool, err error) {
+func (g *fragGroups) insert(r *packet.Reassembler, iph packet.IPv4Header, body []byte, at time.Duration, frame []byte) (full packet.IPv4Header, payload []byte, frames int, done bool, err error) {
 	g.prune(at)
 	full, payload, done, err = r.Insert(iph, body, at)
-	if g == nil {
+	if g.groups == nil {
 		return
 	}
 	key := fragIdent{src: iph.Src, dst: iph.Dst, proto: iph.Protocol, id: iph.ID}
-	grp := g[key]
+	grp := g.groups[key]
 	switch {
 	case done:
-		delete(g, key)
+		delete(g.groups, key)
 		frames = 1
 		if grp != nil {
 			frames += len(grp.frames)
@@ -166,8 +191,11 @@ func (g fragGroups) insert(r *packet.Reassembler, iph packet.IPv4Header, body []
 		}
 	}
 	if grp == nil {
+		if len(g.groups) == 0 || at < g.floor {
+			g.floor = at
+		}
 		grp = &fragGroup{first: at}
-		g[key] = grp
+		g.groups[key] = grp
 	}
 	if err == nil {
 		grp.frames = append(grp.frames, routedFrame{at: at, frame: append([]byte(nil), frame...)})
@@ -182,7 +210,7 @@ func (g fragGroups) insert(r *packet.Reassembler, iph packet.IPv4Header, body []
 // and anything else past IPv4 decode just advances the reassembly
 // clocks. It returns how many capture frames the outcome in p spans: the
 // whole group for a completed datagram, else the frame alone.
-func (dc *decoder) reassemble(r *packet.Reassembler, g fragGroups, at time.Duration, frame []byte, p *prelude) (frames int) {
+func (dc *decoder) reassemble(r *packet.Reassembler, g *fragGroups, at time.Duration, frame []byte, p *prelude) (frames int) {
 	switch p.kind {
 	case preDrop:
 	case preFrag:
@@ -212,7 +240,7 @@ func (d *Distiller) DistillView(at time.Duration, frame []byte, v *FrameView) bo
 	d.stats.Frames++
 	var p prelude
 	d.dec.prelude(frame, &p)
-	d.dec.reassemble(d.reasm, d.frags, at, frame, &p)
+	d.dec.reassemble(d.reasm, &d.frags, at, frame, &p)
 	if p.kind == preTCP && d.streams != nil {
 		// Stream transport: complete messages land on the mux queue; the
 		// frame itself produces no immediate footprint.
@@ -276,7 +304,7 @@ func (d *Distiller) NextStreamMessage(v *FrameView) bool {
 	}
 	d.stats.StreamMsgs++
 	v.reset()
-	d.dec.decodeStream(&msg, streamFlowKey(msg.src, msg.dst), v)
+	d.dec.decodeStream(&msg, v)
 	d.account(v)
 	return true
 }
@@ -286,8 +314,8 @@ func (d *Distiller) NextStreamMessage(v *FrameView) bool {
 // decode with SIP as the claim; a tunnel chunk (media content sniffed on
 // the SIP-claimed stream) arrives with that claim already contradicted.
 // v must arrive reset.
-func (dc *decoder) decodeStream(sm *streamMsg, flowKey string, v *FrameView) {
-	v.At, v.Src, v.Dst, v.StreamKey = sm.at, sm.src, sm.dst, flowKey
+func (dc *decoder) decodeStream(sm *streamMsg, v *FrameView) {
+	v.At, v.Src, v.Dst, v.StreamKey = sm.at, sm.src, sm.dst, sm.key
 	dc.decode(ProtoSIP, sm.kind == streamKindTunnel, sm.payload, v)
 }
 

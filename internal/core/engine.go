@@ -151,7 +151,7 @@ func NewEngine(cfg Config, opts ...EngineOption) *Engine {
 	// so its portable checkpoints restore at any shard count. Shard-local
 	// engines (newShardEngine) drop both — the router owns that state.
 	e.gen.sticky = make(map[string]string)
-	e.distiller.frags = make(fragGroups)
+	e.distiller.frags = newFragGroups()
 	e.distiller.reasm.OnEvict(e.distiller.frags.drop)
 	// Stream-transport demux (serial engine only, like sticky/frags above:
 	// the sharded router owns the only mux at shard counts > 0). Capacity

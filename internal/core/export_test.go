@@ -19,8 +19,8 @@ func (e *Engine) StreamMuxBuffered() bool {
 	if m == nil {
 		return false
 	}
-	for _, fr := range m.framers {
-		if len(fr.State()) > 0 {
+	for _, dir := range m.dirs {
+		if dir.framer.PendingBytes() > 0 {
 			return true
 		}
 	}

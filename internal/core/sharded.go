@@ -367,7 +367,7 @@ func NewShardedEngine(cfg Config, shards int, opts ...EngineOption) *ShardedEngi
 		opts:        opts,
 		idx:         newSessionIndex(),
 		reasm:       packet.NewReassembler(0),
-		frags:       make(fragGroups),
+		frags:       newFragGroups(),
 		correlators: buildCorrelators(cfg.Correlators, cfg.Gen.withDefaults()),
 		sticky:      make(map[string]string),
 		selfDedup:   make(map[string]int),
@@ -585,7 +585,7 @@ func (s *ShardedEngine) expireLocked(at time.Duration) {
 func (s *ShardedEngine) routeLocked(idx uint64, at time.Duration, frame []byte) {
 	var p prelude
 	s.dec.prelude(frame, &p)
-	frames := s.dec.reassemble(s.reasm, s.frags, at, frame, &p)
+	frames := s.dec.reassemble(s.reasm, &s.frags, at, frame, &p)
 	switch p.kind {
 	case preTCP:
 		s.routeStreamLocked(idx, at, &p)
@@ -730,11 +730,11 @@ func (s *ShardedEngine) routeStreamLocked(idx uint64, at time.Duration, p *prelu
 	if len(msgs) == 0 {
 		return
 	}
-	flowKey := streamFlowKey(p.src, p.dst)
+	flowKey := msgs[0].key
 	ship := make([]shippedMsg, len(msgs))
 	for i := range msgs {
 		m := &ship[i]
-		s.dec.decodeStream(&msgs[i], flowKey, &m.view)
+		s.dec.decodeStream(&msgs[i], &m.view)
 		_, m.hints = s.dispatchLocked(&m.view, flowKey)
 		if i > 0 {
 			ship[i-1].next = m

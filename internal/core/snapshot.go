@@ -11,7 +11,6 @@ import (
 	"time"
 
 	"scidive/internal/packet"
-	"scidive/internal/sip"
 )
 
 // This file implements deterministic checkpoint/restore for the stateful
@@ -1621,8 +1620,8 @@ func writeStreamMux(w *snapWriter, m *streamMux) {
 			w.u32(sg.Seq)
 			w.bytes(sg.Data)
 		}
-		if fr := m.framers[st.ID]; fr != nil {
-			w.bytes(fr.State())
+		if dir := m.dirs[st.ID]; dir != nil {
+			w.bytes(dir.framer.State())
 		} else {
 			w.bytes(nil)
 		}
@@ -1658,11 +1657,11 @@ func readStreamMux(r *snapReader) (streams []packet.TCPStreamState, framerBufs [
 // framing state carry over.
 func (m *streamMux) install(streams []packet.TCPStreamState, framerBufs [][]byte, evicted int) {
 	m.reasm.ImportStreams(streams, evicted)
-	clear(m.framers)
+	clear(m.dirs)
 	for i, st := range streams {
-		fr := new(sip.StreamFramer)
-		fr.SetState(framerBufs[i])
-		m.framers[st.ID] = fr
+		dir := newStreamDir(st.ID)
+		dir.framer.SetState(framerBufs[i])
+		m.dirs[st.ID] = dir
 	}
 	m.queue, m.qhead = m.queue[:0], 0
 }
@@ -1740,7 +1739,7 @@ func (e *Engine) Snapshot() ([]byte, error) {
 	writeSnapHeader(&w, e.header())
 	e.writeSnapBodyWithStats(&w, e.Stats())
 	writeSticky(&w, e.gen.sticky)
-	writeFragGroups(&w, e.distiller.frags)
+	writeFragGroups(&w, e.distiller.frags.groups)
 	writeStreamMux(&w, e.distiller.streams)
 	w.u64(fnv64(w.buf))
 	return w.buf, nil
@@ -1789,10 +1788,7 @@ func (e *Engine) RestoreSnapshot(data []byte) error {
 	for i, id := range stickyKeys {
 		e.gen.sticky[id] = stickyVals[i]
 	}
-	clear(e.distiller.frags)
-	for i, id := range fragIdents {
-		e.distiller.frags[id] = &fragGroup{first: fragFirsts[i], frames: fragFrames[i]}
-	}
+	e.distiller.frags.install(fragIdents, fragFirsts, fragFrames)
 	if e.distiller.streams != nil {
 		e.distiller.streams.install(tcpStreams, framerBufs, tcpEvicted)
 	}

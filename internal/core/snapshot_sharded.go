@@ -160,7 +160,7 @@ func (s *ShardedEngine) Snapshot() ([]byte, error) {
 	}
 	var tail snapWriter
 	writeSticky(&tail, s.sticky)
-	writeFragGroups(&tail, s.frags)
+	writeFragGroups(&tail, s.frags.groups)
 	writeStreamMux(&tail, s.streams)
 	s.mu.Unlock()
 	s.awaitAll(marks)
@@ -438,10 +438,7 @@ func (s *ShardedEngine) RestoreSnapshot(data []byte) error {
 	s.frames.Store(h.frames)
 	installSessionIndex(s.idx, body.index)
 	s.reasm.ImportStreams(body.streams, body.reasmEvicted)
-	clear(s.frags)
-	for i, id := range fragIdents {
-		s.frags[id] = &fragGroup{first: fragFirsts[i], frames: fragFrames[i]}
-	}
+	s.frags.install(fragIdents, fragFirsts, fragFrames)
 	s.streams.install(tcpStreams, framerBufs, tcpEvicted)
 	for _, install := range routerInstalls {
 		install()

@@ -25,12 +25,25 @@ const (
 // extracted from a TCP stream. The payload aliases the flow framer's (or
 // reassembler's) internal buffer, so it is only valid until that flow's
 // next Push — both consumers decode it before then (decodeStream), and
-// the decoded view aliases nothing.
+// the decoded view aliases nothing. key is the flow's routing key
+// (streamFlowKey), worded once per stream direction.
 type streamMsg struct {
 	at       time.Duration
 	src, dst netip.AddrPort
 	payload  []byte
+	key      string
 	kind     streamKind
+}
+
+// streamDir is the mux's state for one stream direction: its SIP framer
+// and the flow's routing key, worded when the direction is first seen.
+type streamDir struct {
+	framer sip.StreamFramer
+	key    string
+}
+
+func newStreamDir(id packet.StreamID) *streamDir {
+	return &streamDir{key: streamFlowKey(id.Src, id.Dst)}
 }
 
 // streamMux is the stream-transport demux: a TCP stream reassembler plus
@@ -41,10 +54,10 @@ type streamMsg struct {
 // shard; the router ships the decoded messages instead), which is what
 // keeps stream expiry and eviction identical at every shard count.
 type streamMux struct {
-	reasm   *packet.StreamReassembler
-	framers map[packet.StreamID]*sip.StreamFramer
-	queue   []streamMsg
-	qhead   int // consumed prefix of queue, reset when it empties
+	reasm *packet.StreamReassembler
+	dirs  map[packet.StreamID]*streamDir
+	queue []streamMsg
+	qhead int // consumed prefix of queue, reset when it empties
 
 	// now is the current push's clock, captured so the reassembler's
 	// eviction callback can stamp self-alerts with the eviction time.
@@ -61,20 +74,20 @@ type streamMux struct {
 
 func newStreamMux() *streamMux {
 	m := &streamMux{
-		reasm:   packet.NewStreamReassembler(0),
-		framers: make(map[packet.StreamID]*sip.StreamFramer),
+		reasm: packet.NewStreamReassembler(0),
+		dirs:  make(map[packet.StreamID]*streamDir),
 	}
 	// Reassembler teardown (capacity eviction or idle expiry) discards the
 	// direction's framing buffer too: a stream that lost reassembly state
 	// mid-message can never complete that message.
 	m.reasm.OnEvict(func(id packet.StreamID) {
-		delete(m.framers, id)
+		delete(m.dirs, id)
 		if m.onEvict != nil {
 			m.onEvict(id, m.now)
 		}
 	})
 	m.reasm.OnExpire(func(id packet.StreamID) {
-		delete(m.framers, id)
+		delete(m.dirs, id)
 	})
 	return m
 }
@@ -87,24 +100,24 @@ func (m *streamMux) push(at time.Duration, src, dst netip.AddrPort, h packet.TCP
 		m.queue, m.qhead = m.queue[:0], 0
 	}
 	id := packet.StreamID{Src: src, Dst: dst}
-	fr := m.framers[id]
-	if fr == nil {
-		fr = new(sip.StreamFramer)
-		m.framers[id] = fr
+	dir := m.dirs[id]
+	if dir == nil {
+		dir = newStreamDir(id)
+		m.dirs[id] = dir
 	}
 	closed := m.reasm.Push(id, h, payload, at, func(b []byte) {
-		if m.sniff != nil && fr.PendingBytes() == 0 {
+		if m.sniff != nil && dir.framer.PendingBytes() == 0 {
 			if _, ok := m.sniff(b); ok {
-				m.queue = append(m.queue, streamMsg{at: at, src: src, dst: dst, payload: b, kind: streamKindTunnel})
+				m.queue = append(m.queue, streamMsg{at: at, src: src, dst: dst, payload: b, key: dir.key, kind: streamKindTunnel})
 				return
 			}
 		}
-		fr.Push(b, func(msg []byte) {
-			m.queue = append(m.queue, streamMsg{at: at, src: src, dst: dst, payload: msg})
+		dir.framer.Push(b, func(msg []byte) {
+			m.queue = append(m.queue, streamMsg{at: at, src: src, dst: dst, payload: msg, key: dir.key})
 		})
 	})
 	if closed {
-		delete(m.framers, id)
+		delete(m.dirs, id)
 	}
 }
 

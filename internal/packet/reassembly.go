@@ -63,6 +63,12 @@ type Reassembler struct {
 	limit   int // max incomplete streams retained; 0 means unbounded
 	evicted int // streams dropped to respect limit (not timeouts)
 	onEvict func(FragID)
+
+	// floor is a lower bound on every buffered stream's first arrival, so
+	// Expire only ranges over the table once now has passed it by the
+	// timeout. A new stream lowers it (capture time can step back) or, in
+	// an empty table, sets it; a scan raises it to the exact minimum.
+	floor time.Duration
 }
 
 // DefaultReassemblyTimeout is how long an incomplete packet is retained.
@@ -137,6 +143,9 @@ func (r *Reassembler) Insert(h IPv4Header, payload []byte, now time.Duration) (I
 		if r.limit > 0 && len(r.bufs) >= r.limit {
 			r.evictOldest(key)
 		}
+		if len(r.bufs) == 0 || now < r.floor {
+			r.floor = now
+		}
 		fb = &fragBuf{totalLen: -1, first: now}
 		r.bufs[key] = fb
 	}
@@ -178,15 +187,21 @@ func (r *Reassembler) Insert(h IPv4Header, payload []byte, now time.Duration) (I
 }
 
 // Expire drops incomplete packets older than the timeout as of now.
+// Callers expire on every frame, so until some packet can be that old it
+// costs one comparison.
 func (r *Reassembler) Expire(now time.Duration) {
-	if len(r.bufs) == 0 {
-		return // the steady state: callers expire on every frame
+	if len(r.bufs) == 0 || now-r.floor <= r.timeout {
+		return
 	}
+	floor := now
 	for k, fb := range r.bufs {
 		if now-fb.first > r.timeout {
 			delete(r.bufs, k)
+		} else {
+			floor = min(floor, fb.first)
 		}
 	}
+	r.floor = floor
 }
 
 // FragStream is the exported state of one incomplete fragment stream, used
@@ -228,7 +243,11 @@ func (r *Reassembler) ExportStreams() []FragStream {
 // set to evicted so restored stats reconcile.
 func (r *Reassembler) ImportStreams(streams []FragStream, evicted int) {
 	clear(r.bufs)
-	for _, st := range streams {
+	r.floor = 0
+	for i, st := range streams {
+		if i == 0 || st.First < r.floor {
+			r.floor = st.First
+		}
 		k := fragKey{src: st.ID.Src, dst: st.ID.Dst, proto: st.ID.Proto, id: st.ID.ID}
 		r.bufs[k] = &fragBuf{
 			data:     append([]byte(nil), st.Data...),

@@ -68,6 +68,12 @@ type StreamReassembler struct {
 	evicted  int // streams dropped to respect limit (not timeouts)
 	onEvict  func(StreamID)
 	onExpire func(StreamID)
+
+	// floor is a lower bound on every tracked stream's last activity, so
+	// Expire only ranges over the table once now has passed it by the
+	// timeout. Every activity lowers it (capture time can step back), and
+	// a scan raises it to the exact minimum.
+	floor time.Duration
 }
 
 // NewStreamReassembler returns a StreamReassembler that discards streams
@@ -124,16 +130,24 @@ func (r *StreamReassembler) evictOldest(keep StreamID) {
 	}
 }
 
-// Expire drops streams idle longer than the timeout as of now.
+// Expire drops streams idle longer than the timeout as of now. It costs
+// one comparison until some stream can have gone idle that long.
 func (r *StreamReassembler) Expire(now time.Duration) {
+	if now-r.floor <= r.timeout {
+		return
+	}
+	floor := now
 	for k, st := range r.streams {
 		if now-st.last > r.timeout {
 			delete(r.streams, k)
 			if r.onExpire != nil {
 				r.onExpire(k)
 			}
+		} else {
+			floor = min(floor, st.last)
 		}
 	}
+	r.floor = floor
 }
 
 // Push feeds one TCP segment into the stream identified by id. In-order
@@ -176,6 +190,7 @@ func (r *StreamReassembler) Push(id StreamID, h TCPHeader, payload []byte, now t
 		st.pendingBytes = 0
 	}
 	st.last = now
+	r.floor = min(r.floor, now)
 	seq := h.Seq
 	if h.SYN() {
 		seq++ // SYN occupies one sequence number
@@ -328,7 +343,11 @@ func (r *StreamReassembler) ExportStreams() []TCPStreamState {
 // is sanitized rather than trusted.
 func (r *StreamReassembler) ImportStreams(streams []TCPStreamState, evicted int) {
 	clear(r.streams)
-	for _, es := range streams {
+	r.floor = 0
+	for i, es := range streams {
+		if i == 0 || es.Last < r.floor {
+			r.floor = es.Last
+		}
 		st := &streamState{
 			next: es.Next, fin: es.Fin, finSeq: es.FinSeq,
 			first: es.First, last: es.Last,

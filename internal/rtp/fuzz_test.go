@@ -7,11 +7,13 @@ import (
 )
 
 // FuzzPeekMatchesUnmarshal holds the allocation-free peek decoders to the
-// full decoders they stand in for on the detection hot path: PeekHeader ≡
-// Unmarshal and PeekCompound ≡ UnmarshalCompound accept and reject
-// exactly the same buffers, with the same error text (a raw footprint's
-// reason reaches event details), the same header fields and payload
-// length, and the same packet count and BYE verdict. Seeded with the
+// full decoders they stand in for on the detection hot path: CheckHeader ≡
+// Unmarshal and CheckCompound ≡ UnmarshalCompound accept and reject
+// exactly the same buffers, the reject value renders the same error text
+// (a raw footprint's reason reaches event details), and they yield the
+// same header fields and payload length, and the same packet count and
+// BYE verdict. PeekHeader and PeekCompound are their reject values as
+// errors. Seeded with the
 // shapes the classifier meets at the wrong port: the SIP torture corpus,
 // RTP tunnelled over a signalling port, SIP smuggled in an RTP payload,
 // RTCP misread as RTP, padding and CSRC edge cases.
@@ -48,12 +50,16 @@ func FuzzPeekMatchesUnmarshal(f *testing.F) {
 	f.Fuzz(func(t *testing.T, buf []byte) {
 		var hv HeaderView
 		pkt, uerr := Unmarshal(buf)
-		switch perr := PeekHeader(buf, &hv); {
-		case (perr == nil) != (uerr == nil):
-			t.Fatalf("RTP accept/reject differs: PeekHeader %v, Unmarshal %v", perr, uerr)
-		case perr != nil:
-			if perr.Error() != uerr.Error() {
-				t.Fatalf("RTP error text differs: PeekHeader %q, Unmarshal %q", perr, uerr)
+		rej := CheckHeader(buf, &hv)
+		if perr := PeekHeader(buf, &hv); (perr == nil) != rej.OK() || (perr != nil && perr.Error() != rej.Error()) {
+			t.Fatalf("PeekHeader %v disagrees with its own reject value %v", perr, rej)
+		}
+		switch {
+		case rej.OK() != (uerr == nil):
+			t.Fatalf("RTP accept/reject differs: CheckHeader %v, Unmarshal %v", rej, uerr)
+		case !rej.OK():
+			if rej.Error() != uerr.Error() {
+				t.Fatalf("RTP error text differs: CheckHeader %q, Unmarshal %q", rej.Error(), uerr)
 			}
 		default:
 			h := pkt.Header
@@ -68,12 +74,16 @@ func FuzzPeekMatchesUnmarshal(f *testing.F) {
 
 		var cv CompoundView
 		pkts, uerr := UnmarshalCompound(buf)
-		switch perr := PeekCompound(buf, &cv); {
-		case (perr == nil) != (uerr == nil):
-			t.Fatalf("RTCP accept/reject differs: PeekCompound %v, UnmarshalCompound %v", perr, uerr)
-		case perr != nil:
-			if perr.Error() != uerr.Error() {
-				t.Fatalf("RTCP error text differs: PeekCompound %q, UnmarshalCompound %q", perr, uerr)
+		rej = CheckCompound(buf, &cv)
+		if perr := PeekCompound(buf, &cv); (perr == nil) != rej.OK() || (perr != nil && perr.Error() != rej.Error()) {
+			t.Fatalf("PeekCompound %v disagrees with its own reject value %v", perr, rej)
+		}
+		switch {
+		case rej.OK() != (uerr == nil):
+			t.Fatalf("RTCP accept/reject differs: CheckCompound %v, UnmarshalCompound %v", rej, uerr)
+		case !rej.OK():
+			if rej.Error() != uerr.Error() {
+				t.Fatalf("RTCP error text differs: CheckCompound %q, UnmarshalCompound %q", rej.Error(), uerr)
 			}
 		default:
 			hasBye := false

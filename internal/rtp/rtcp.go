@@ -189,54 +189,60 @@ type CompoundView struct {
 // header, length, and body-layout checks), so a buffer is accepted by one
 // iff it is accepted by the other; errors carry the same text.
 func PeekCompound(buf []byte, v *CompoundView) error {
+	return CheckCompound(buf, v).asError()
+}
+
+// CheckCompound is PeekCompound with the refusal kept as a value, so a
+// rejected buffer costs no allocation either.
+func CheckCompound(buf []byte, v *CompoundView) Reject {
 	v.Packets, v.HasBye = 0, false
 	for len(buf) > 0 {
 		if len(buf) < 4 {
-			return fmt.Errorf("rtcp: trailing %d bytes shorter than header", len(buf))
+			return Reject{code: rejectRTCPTrailing, a: len(buf)}
 		}
 		if ver := buf[0] >> 6; ver != Version {
-			return fmt.Errorf("rtcp: bad version %d", ver)
+			return Reject{code: rejectRTCPVersion, a: int(ver)}
 		}
 		count := int(buf[0] & 0x1f)
 		pt := buf[1]
 		length := (int(binary.BigEndian.Uint16(buf[2:4])) + 1) * 4
 		if length > len(buf) {
-			return fmt.Errorf("rtcp: packet length %d exceeds buffer of %d", length, len(buf))
+			return Reject{code: rejectRTCPLength, a: length, b: len(buf)}
 		}
 		body := buf[4:length]
 		switch pt {
 		case RTCPSenderReport:
 			if len(body) < 24+reportBlockLen*count {
-				return fmt.Errorf("rtcp: SR too short for %d blocks", count)
+				return Reject{code: rejectRTCPSR, a: count}
 			}
 		case RTCPReceiverReport:
 			if len(body) < 4+reportBlockLen*count {
-				return fmt.Errorf("rtcp: RR too short for %d blocks", count)
+				return Reject{code: rejectRTCPRR, a: count}
 			}
 		case RTCPSourceDesc:
 			if len(body) < 6 || body[4] != 1 {
-				return fmt.Errorf("rtcp: unsupported SDES layout")
+				return Reject{code: rejectRTCPSDESLayout}
 			}
 			if n := int(body[5]); len(body) < 6+n {
-				return fmt.Errorf("rtcp: SDES CNAME overruns packet")
+				return Reject{code: rejectRTCPSDESOverrun}
 			}
 		case RTCPBye:
 			if len(body) < 4*count {
-				return fmt.Errorf("rtcp: BYE too short for %d SSRCs", count)
+				return Reject{code: rejectRTCPByeShort, a: count}
 			}
 			if rest := body[4*count:]; len(rest) > 0 {
 				if n := int(rest[0]); len(rest) < 1+n {
-					return fmt.Errorf("rtcp: BYE reason overruns packet")
+					return Reject{code: rejectRTCPByeOverrun}
 				}
 			}
 			v.HasBye = true
 		default:
-			return fmt.Errorf("rtcp: unknown packet type %d", pt)
+			return Reject{code: rejectRTCPType, a: int(pt)}
 		}
 		v.Packets++
 		buf = buf[length:]
 	}
-	return nil
+	return Reject{}
 }
 
 // UnmarshalCompound parses a compound RTCP datagram.

@@ -120,11 +120,17 @@ type HeaderView struct {
 // count), so a buffer is accepted by one iff it is accepted by the other;
 // errors carry the same text. Nothing in v aliases buf.
 func PeekHeader(buf []byte, v *HeaderView) error {
+	return CheckHeader(buf, v).asError()
+}
+
+// CheckHeader is PeekHeader with the refusal kept as a value, so a
+// rejected buffer costs no allocation either.
+func CheckHeader(buf []byte, v *HeaderView) Reject {
 	if len(buf) < HeaderLen {
-		return fmt.Errorf("rtp: packet of %d bytes shorter than header", len(buf))
+		return Reject{code: rejectRTPShort, a: len(buf)}
 	}
 	if ver := buf[0] >> 6; ver != Version {
-		return fmt.Errorf("rtp: bad version %d", ver)
+		return Reject{code: rejectRTPVersion, a: int(ver)}
 	}
 	v.Padding = buf[0]&(1<<5) != 0
 	v.Extension = buf[0]&(1<<4) != 0
@@ -136,19 +142,19 @@ func PeekHeader(buf []byte, v *HeaderView) error {
 	v.SSRC = binary.BigEndian.Uint32(buf[8:12])
 	end := HeaderLen + 4*cc
 	if len(buf) < end {
-		return fmt.Errorf("rtp: packet of %d bytes too short for %d CSRCs", len(buf), cc)
+		return Reject{code: rejectRTPCSRCs, a: len(buf), b: cc}
 	}
 	v.CSRCCount = cc
 	payload := buf[end:]
 	if v.Padding && len(payload) > 0 {
 		pad := int(payload[len(payload)-1])
 		if pad == 0 || pad > len(payload) {
-			return fmt.Errorf("rtp: bad padding count %d", pad)
+			return Reject{code: rejectRTPPadding, a: pad}
 		}
 		payload = payload[:len(payload)-pad]
 	}
 	v.PayloadLen = len(payload)
-	return nil
+	return Reject{}
 }
 
 // SeqLess reports whether a precedes b in wrap-aware RFC 1982 order.

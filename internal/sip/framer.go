@@ -61,7 +61,7 @@ func (f *StreamFramer) Push(data []byte, emit func(msg []byte)) {
 		if len(rest) == 0 {
 			return
 		}
-		headerEnd, sepLen := findSeparator(rest)
+		headerEnd, sepLen, cl, ok := scanHead(rest)
 		if headerEnd < 0 {
 			if len(rest) > framerMaxHeader {
 				f.dropped++
@@ -69,7 +69,6 @@ func (f *StreamFramer) Push(data []byte, emit func(msg []byte)) {
 			}
 			return
 		}
-		cl, ok := scanContentLength(rest[:headerEnd])
 		if !ok || headerEnd+sepLen+cl > framerMaxMessage {
 			// Unframeable at this position; drop through the separator
 			// and re-synchronize.
@@ -86,51 +85,60 @@ func (f *StreamFramer) Push(data []byte, emit func(msg []byte)) {
 	}
 }
 
-// findSeparator locates the earliest header/body separator, returning its
-// offset and length, or (-1, 0) when none is present yet.
-func findSeparator(b []byte) (int, int) {
-	iCRLF := bytes.Index(b, sepCRLFCRLF)
-	iLF := bytes.Index(b, sepLFLF)
-	switch {
-	case iCRLF < 0 && iLF < 0:
-		return -1, 0
-	case iCRLF < 0 || (iLF >= 0 && iLF < iCRLF):
-		return iLF, len(sepLFLF)
-	default:
-		return iCRLF, len(sepCRLFCRLF)
+// scanHead walks a buffered message's lines once, up to the earliest
+// header/body separator ("\r\n\r\n" or "\n\n"), so a body is never
+// scanned. It returns the separator's offset and length, or (-1, 0) while
+// none has arrived, and the first Content-Length (canonical or compact
+// "l") among the header lines: (0, true) when there is none — a
+// zero-length body, matching the parser — and (0, false) when its value
+// is unusable for framing (negative, non-numeric, or folded beyond
+// recognition).
+func scanHead(b []byte) (headerEnd, sepLen, cl int, ok bool) {
+	cl, ok = 0, true
+	found := false
+	for start := 0; ; {
+		i := bytes.IndexByte(b[start:], '\n')
+		if i < 0 {
+			return -1, 0, 0, false
+		}
+		i += start
+		// A separator is found at its first LF: "\n\n" starts there,
+		// "\r\n\r\n" one byte before, and the line ends where it starts.
+		end := i
+		switch {
+		case i+1 < len(b) && b[i+1] == '\n':
+			headerEnd, sepLen = i, 2
+		case i > 0 && b[i-1] == '\r' && i+2 < len(b) && b[i+1] == '\r' && b[i+2] == '\n':
+			headerEnd, sepLen, end = i-1, 4, i-1
+		}
+		if !found {
+			cl, ok, found = contentLength(b[start:end])
+		}
+		if sepLen > 0 {
+			return headerEnd, sepLen, cl, ok
+		}
+		start = i + 1
 	}
 }
 
-// scanContentLength extracts the first Content-Length (canonical or
-// compact "l") value from a raw header block. It returns (0, true) when
-// the header is absent — a zero-length body, matching the parser — and
-// (0, false) when a value is present but unusable for framing (negative,
-// non-numeric, or folded beyond recognition).
-func scanContentLength(head []byte) (int, bool) {
-	for len(head) > 0 {
-		line := head
-		if i := bytes.IndexByte(head, '\n'); i >= 0 {
-			line = head[:i]
-			head = head[i+1:]
-		} else {
-			head = nil
-		}
-		line = bytes.TrimRight(line, "\r")
-		colon := bytes.IndexByte(line, ':')
-		if colon <= 0 {
-			continue
-		}
-		name := strings.TrimSpace(string(line[:colon]))
-		if !strings.EqualFold(name, HdrContentLength) && !strings.EqualFold(name, "l") {
-			continue
-		}
-		cl, err := strconv.Atoi(strings.TrimSpace(string(line[colon+1:])))
-		if err != nil || cl < 0 {
-			return 0, false
-		}
-		return cl, true
+// contentLength reads one header line: whether it is a Content-Length,
+// and if so its value's framing verdict. Names resolve through the
+// parser's header IDs; only a name of one of the two lengths is looked up.
+func contentLength(line []byte) (cl int, ok, is bool) {
+	line = bytes.TrimRight(line, "\r")
+	colon := bytes.IndexByte(line, ':')
+	if colon <= 0 {
+		return 0, true, false
 	}
-	return 0, true
+	name := bytes.TrimSpace(line[:colon])
+	if (len(name) != 1 && len(name) != len(HdrContentLength)) || lookupHeader(string(name)) != hdrContentLength {
+		return 0, true, false
+	}
+	cl, err := strconv.Atoi(strings.TrimSpace(string(line[colon+1:])))
+	if err != nil || cl < 0 {
+		return 0, false, true
+	}
+	return cl, true, true
 }
 
 // State returns the framer's buffered bytes (the incomplete message

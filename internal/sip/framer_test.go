@@ -3,6 +3,7 @@ package sip
 import (
 	"bytes"
 	"fmt"
+	"strconv"
 	"strings"
 	"testing"
 )
@@ -154,14 +155,82 @@ func TestFramerStateRoundTrip(t *testing.T) {
 // FuzzSIPStreamFramer checks split-invariance: a stream of well-formed
 // messages framed at arbitrary split points yields exactly the original
 // messages, byte for byte, regardless of where the cuts fall.
+// refFindSeparator and refScanContentLength are the framer's two scans
+// as they were before scanHead folded them into one walk: the earliest
+// of two full separator searches, then a pass over the header block that
+// trims and case-folds every name.
+func refFindSeparator(b []byte) (int, int) {
+	iCRLF := bytes.Index(b, []byte("\r\n\r\n"))
+	iLF := bytes.Index(b, []byte("\n\n"))
+	switch {
+	case iCRLF < 0 && iLF < 0:
+		return -1, 0
+	case iCRLF < 0 || (iLF >= 0 && iLF < iCRLF):
+		return iLF, 2
+	default:
+		return iCRLF, 4
+	}
+}
+
+func refScanContentLength(head []byte) (int, bool) {
+	for len(head) > 0 {
+		line := head
+		if i := bytes.IndexByte(head, '\n'); i >= 0 {
+			line = head[:i]
+			head = head[i+1:]
+		} else {
+			head = nil
+		}
+		line = bytes.TrimRight(line, "\r")
+		colon := bytes.IndexByte(line, ':')
+		if colon <= 0 {
+			continue
+		}
+		name := strings.TrimSpace(string(line[:colon]))
+		if !strings.EqualFold(name, HdrContentLength) && !strings.EqualFold(name, "l") {
+			continue
+		}
+		cl, err := strconv.Atoi(strings.TrimSpace(string(line[colon+1:])))
+		if err != nil || cl < 0 {
+			return 0, false
+		}
+		return cl, true
+	}
+	return 0, true
+}
+
+// checkScanHead holds scanHead to the two scans it replaced.
+func checkScanHead(t *testing.T, b []byte) {
+	t.Helper()
+	end, sep, cl, ok := scanHead(b)
+	wantEnd, wantSep := refFindSeparator(b)
+	if end != wantEnd || sep != wantSep {
+		t.Fatalf("scanHead(%q) separator at %d+%d, reference %d+%d", b, end, sep, wantEnd, wantSep)
+	}
+	if end < 0 {
+		return
+	}
+	if wantCL, wantOK := refScanContentLength(b[:end]); cl != wantCL || ok != wantOK {
+		t.Fatalf("scanHead(%q) Content-Length %d/%v, reference %d/%v", b, cl, ok, wantCL, wantOK)
+	}
+}
+
+// FuzzSIPStreamFramer frames three messages cut at two fuzzed points and
+// requires them back verbatim; the fuzzed bytes also go through scanHead
+// on their own, against the two scans it replaced.
 func FuzzSIPStreamFramer(f *testing.F) {
 	f.Add([]byte("abc"), uint16(10), uint16(40))
 	f.Add([]byte("v=0\r\n"), uint16(1), uint16(3))
 	f.Add([]byte(""), uint16(0), uint16(999))
+	f.Add([]byte("X: 1\r\r\n\r\n"), uint16(0), uint16(0))
+	f.Add([]byte("A\n\r\nl : 7\nB\n\nbody"), uint16(0), uint16(0))
+	f.Add([]byte("Content-Length: -1\r\nl: 3\r\n\r\n"), uint16(0), uint16(0))
+	f.Add([]byte(" content-LENGTH :12\n\r\n\r\n"), uint16(0), uint16(0))
 	f.Fuzz(func(t *testing.T, body []byte, cut1, cut2 uint16) {
 		if len(body) > 1024 {
 			body = body[:1024]
 		}
+		checkScanHead(t, body)
 		msgs := []string{
 			framerMsg("f1@test", string(body)),
 			framerMsg("f2@test", ""),

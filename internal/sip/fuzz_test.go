@@ -286,41 +286,90 @@ func FuzzParseMatchesReference(f *testing.F) {
 	}
 	ref := newRefParser()
 	f.Fuzz(func(t *testing.T, raw []byte) {
-		want, wantErr := ref.parse(raw)
 		got, gotErr := NewParser().Parse(raw)
-		switch {
-		case (wantErr == nil) != (gotErr == nil):
-			t.Fatalf("parser error %v, reference error %v\ninput: %q", gotErr, wantErr, raw)
-		case wantErr != nil:
-			if gotErr.Error() != wantErr.Error() {
-				t.Fatalf("parser error %q, reference error %q\ninput: %q", gotErr, wantErr, raw)
-			}
+		matchReference(t, ref, raw, got, gotErr)
+	})
+}
+
+// matchReference fails t unless a parse of raw came out as the frozen
+// reference parser says it should: the same error text, or the same
+// start line, body and header sequence, read back through Each, Get and
+// Count.
+func matchReference(t *testing.T, ref *refParser, raw []byte, got *Message, gotErr error) {
+	t.Helper()
+	want, wantErr := ref.parse(raw)
+	switch {
+	case (wantErr == nil) != (gotErr == nil):
+		t.Fatalf("parser error %v, reference error %v\ninput: %q", gotErr, wantErr, raw)
+	case wantErr != nil:
+		if gotErr.Error() != wantErr.Error() {
+			t.Fatalf("parser error %q, reference error %q\ninput: %q", gotErr, wantErr, raw)
+		}
+		return
+	}
+	if got.Method != want.method || got.RequestURI != want.requestURI ||
+		got.StatusCode != want.statusCode || got.ReasonPhrase != want.reasonPhrase {
+		t.Fatalf("start line %q %q %d %q, reference %q %q %d %q\ninput: %q", got.Method, got.RequestURI, got.StatusCode,
+			got.ReasonPhrase, want.method, want.requestURI, want.statusCode, want.reasonPhrase, raw)
+	}
+	if !bytes.Equal(got.Body, want.body) || (got.Body == nil) != (want.body == nil) {
+		t.Fatalf("body %q, reference %q\ninput: %q", got.Body, want.body, raw)
+	}
+	var fields []refField
+	got.Headers.Each(func(name, value string) { fields = append(fields, refField{name, value}) })
+	if !reflect.DeepEqual(fields, want.fields) {
+		t.Fatalf("headers %q\nreference %q\ninput: %q", fields, want.fields, raw)
+	}
+	// A lookup canonicalizes its argument, as it always did (for a name
+	// whose canonical form is not canonical itself, even a stored name).
+	counts := make(map[string]int)
+	for _, fld := range want.fields {
+		counts[fld.name]++
+	}
+	for name := range counts {
+		key := refCanonicalHeaderName(name)
+		if v, c := got.Headers.Get(name), got.Headers.Count(name); v != want.get(key) || c != counts[key] {
+			t.Fatalf("Get/Count(%q) = %q/%d, reference %q/%d\ninput: %q", name, v, c, want.get(key), counts[key], raw)
+		}
+	}
+}
+
+// FuzzStartLineRejectMatchesParse holds the check Decode makes before it
+// allocates a Message (checkHead) to the parse it gates: whenever the
+// check refuses, ParseMessage refuses with the identical text and Decode
+// hands back that same value; whenever it accepts, the parse comes out as
+// the frozen reference parser's does. Seeded with what reaches a SIP port
+// that is not SIP — media, keep-alives, binary start lines — beside the
+// torture corpus.
+func FuzzStartLineRejectMatchesParse(f *testing.F) {
+	for _, e := range TortureCorpus() {
+		f.Add(e.Raw)
+	}
+	f.Add(sampleInvite().Marshal())
+	for _, seed := range []string{
+		"", "\r\n", "\r\n\r\n", "\n\n", " \t\r\nINVITE sip:b@h SIP/2.0\r\n\r\n",
+		"\x80\x00\x23\x28\x00\x00\x10\x00\xde\xad\x00\x01media \r\n\r\n",
+		"\x81\xc9\x00\x01\x00\x00\x00\x07",
+		"SIP/2.0 99 Too Low\r\n\r\n", "SIP/2.0 +200\r\n\r\n", "SIP/2.0 \r\n", "SIP/2.0 180",
+		"INVITE  sip:b@h SIP/2.0\r\n\r\n", "INV@TE sip:b@h SIP/2.0\r\n\r\n", "INVITE sip:b@h SIP/2.1\r\n",
+		"INVITE sip:b@h SIP/2.0\n\nbody\r\n\r\n", "BYE sip:b@h SIP/2.0 extra\r\n\r\n",
+	} {
+		f.Add([]byte(seed))
+	}
+	ref := newRefParser()
+	f.Fuzz(func(t *testing.T, raw []byte) {
+		var h head
+		rej := checkHead(raw, &h)
+		got, gotErr := ParseMessage(raw)
+		if rej.OK() {
+			matchReference(t, ref, raw, got, gotErr)
 			return
 		}
-		if got.Method != want.method || got.RequestURI != want.requestURI ||
-			got.StatusCode != want.statusCode || got.ReasonPhrase != want.reasonPhrase {
-			t.Fatalf("start line %q %q %d %q, reference %q %q %d %q\ninput: %q", got.Method, got.RequestURI, got.StatusCode,
-				got.ReasonPhrase, want.method, want.requestURI, want.statusCode, want.reasonPhrase, raw)
+		if gotErr == nil || gotErr.Error() != rej.Text(raw) {
+			t.Fatalf("pre-allocation check refused with %q, ParseMessage returned %v\ninput: %q", rej.Text(raw), gotErr, raw)
 		}
-		if !bytes.Equal(got.Body, want.body) || (got.Body == nil) != (want.body == nil) {
-			t.Fatalf("body %q, reference %q\ninput: %q", got.Body, want.body, raw)
-		}
-		var fields []refField
-		got.Headers.Each(func(name, value string) { fields = append(fields, refField{name, value}) })
-		if !reflect.DeepEqual(fields, want.fields) {
-			t.Fatalf("headers %q\nreference %q\ninput: %q", fields, want.fields, raw)
-		}
-		// A lookup canonicalizes its argument, as it always did (for a name
-		// whose canonical form is not canonical itself, even a stored name).
-		counts := make(map[string]int)
-		for _, fld := range want.fields {
-			counts[fld.name]++
-		}
-		for name := range counts {
-			key := refCanonicalHeaderName(name)
-			if v, c := got.Headers.Get(name), got.Headers.Count(name); v != want.get(key) || c != counts[key] {
-				t.Fatalf("Get/Count(%q) = %q/%d, reference %q/%d\ninput: %q", name, v, c, want.get(key), counts[key], raw)
-			}
+		if m, dr := Decode(raw); m != nil || dr != rej {
+			t.Fatalf("Decode returned (%v, %+v), the check refused with %+v\ninput: %q", m, dr, rej, raw)
 		}
 	})
 }

@@ -2,6 +2,7 @@ package sip
 
 import (
 	"bytes"
+	"errors"
 	"fmt"
 	"strconv"
 	"strings"
@@ -9,7 +10,8 @@ import (
 
 // This file is the SIP parser behind ParseMessage. A message costs one
 // walk over its header block and no map lookup. The start line is checked
-// on the raw bytes; then the block is converted to one string the Message
+// on the raw bytes before the Message is allocated, and a refusal there is
+// a value (Reject); then the block is converted to one string the Message
 // owns, and the start-line fields and every header value are substrings
 // of it (a folded value, rebuilt from its lines, is the only other copy).
 // Header names resolve to a small ID by length and an ASCII case fold
@@ -40,47 +42,128 @@ func NewParser() *Parser { return &Parser{} }
 // (accepted inputs, field values, error text) are identical to the
 // historical ParseMessage.
 func (p *Parser) Parse(raw []byte) (*Message, error) {
-	m := &Message{}
-	if err := p.parse(raw, m); err != nil {
-		return nil, err
-	}
-	return m, nil
+	m, r := Decode(raw)
+	return m, r.Err(raw)
 }
 
-func (p *Parser) parse(raw []byte, m *Message) error {
+// Decode is Parse with the refusal kept as a value. The start line is
+// checked on the raw bytes before the Message is allocated, so a payload
+// that is not SIP at all — binary media at a SIP port — costs no
+// allocation, and its Reject is worded only if someone asks.
+func Decode(raw []byte) (*Message, Reject) {
+	var h head
+	if r := checkHead(raw, &h); !r.OK() {
+		return nil, r
+	}
+	m := &Message{}
+	if err := parse(&h, m); err != nil {
+		return nil, Reject{err: err}
+	}
+	return m, Reject{}
+}
+
+// Reject is why Decode refused a message. The empty-message and
+// start-line refusals are a code and the offsets of the bytes their text
+// quotes; a refusal from past the start line, which only malformed SIP
+// reaches, arrives already worded.
+type Reject struct {
+	code   rejectCode
+	lo, hi int // the quoted bytes are raw[lo:hi]
+	err    error
+}
+
+type rejectCode uint8
+
+const (
+	rejectNone rejectCode = iota
+	rejectEmpty
+	rejectStartLine
+	rejectStatusCode
+	rejectMethod
+)
+
+// rejectFormats words each start-line code around the bytes it quotes.
+var rejectFormats = [...]string{
+	rejectStartLine:  "sip: bad start line %q",
+	rejectStatusCode: "sip: bad status code %q",
+	rejectMethod:     "sip: method %q is not a valid token",
+}
+
+// OK reports whether the message was accepted.
+func (r Reject) OK() bool { return r.code == rejectNone && r.err == nil }
+
+// Text words the refusal exactly as Parse's error does; raw must be the
+// bytes Decode refused.
+func (r Reject) Text(raw []byte) string {
+	switch r.code {
+	case rejectNone:
+		if r.err == nil {
+			return ""
+		}
+		return r.err.Error()
+	case rejectEmpty:
+		return "sip: empty message"
+	}
+	return fmt.Sprintf(rejectFormats[r.code], raw[r.lo:r.hi])
+}
+
+// Err is the refusal as the error Parse returns, nil when r accepts.
+func (r Reject) Err(raw []byte) error {
+	if r.code == rejectNone {
+		return r.err
+	}
+	return errors.New(r.Text(raw))
+}
+
+// head is what checkHead learns from a message's raw bytes before
+// anything is allocated: the header block (start line included), the
+// body after the separator (nil when there is none), where the first
+// header line starts in the block, and where the start line's fields lie
+// (scanStartLine).
+type head struct {
+	block, body  []byte
+	rest         int
+	code, lo, hi int
+}
+
+// checkHead finds the header/body separator — the one scan for it a
+// parse makes — and checks the start line.
+func checkHead(raw []byte, h *head) Reject {
 	headerEnd := bytes.Index(raw, sepCRLFCRLF)
 	sepLen := 4
 	if headerEnd < 0 {
 		headerEnd = bytes.Index(raw, sepLFLF)
 		sepLen = 2
 	}
-	var head, body []byte
-	if headerEnd < 0 {
-		head = raw
-	} else {
-		head = raw[:headerEnd]
-		body = raw[headerEnd+sepLen:]
+	h.block, h.body = raw, nil
+	if headerEnd >= 0 {
+		h.block, h.body = raw[:headerEnd], raw[headerEnd+sepLen:]
 	}
-	if len(head) == 0 {
-		return fmt.Errorf("sip: empty message")
+	if len(h.block) == 0 {
+		return Reject{code: rejectEmpty}
 	}
-	first, rest := nextLine(head)
+	first, rest := nextLine(h.block)
 	if len(bytes.TrimSpace(first)) == 0 {
-		return fmt.Errorf("sip: empty message")
+		return Reject{code: rejectEmpty}
 	}
-	code, lo, hi, err := scanStartLine(first)
-	if err != nil {
-		return err
-	}
-	text := string(head)
-	if code != 0 {
-		m.StatusCode, m.ReasonPhrase = code, text[lo:hi]
+	h.rest = len(h.block) - len(rest)
+	var r Reject
+	h.code, h.lo, h.hi, r = scanStartLine(first)
+	return r
+}
+
+// parse fills m from a message whose head checkHead accepted.
+func parse(h *head, m *Message) error {
+	text := string(h.block)
+	if h.code != 0 {
+		m.StatusCode, m.ReasonPhrase = h.code, text[h.lo:h.hi]
 	} else {
-		m.Method, m.RequestURI = methodOf(text[:lo]), text[lo+1:hi]
+		m.Method, m.RequestURI = methodOf(text[:h.lo]), text[h.lo+1:h.hi]
 	}
-	if err := parseHeaders(&m.Headers, text[len(head)-len(rest):]); err != nil {
+	if err := parseHeaders(&m.Headers, text[h.rest:]); err != nil {
 		return err
 	}
+	body := h.body
 	if clv := m.Headers.get(hdrContentLength); clv != "" {
 		cl, err := strconv.Atoi(strings.TrimSpace(clv))
 		if err != nil || cl < 0 {
@@ -180,44 +263,42 @@ func cutLine(s string) (line, rest string) {
 // scanStartLine checks a start line and says where its fields lie: for a
 // response, the status code and the reason phrase at line[lo:hi]; for a
 // request, code 0, the method at line[:lo] and the request-URI at
-// line[lo+1:hi].
-func scanStartLine(line []byte) (code, lo, hi int, err error) {
+// line[lo+1:hi]. The line starts the message, so the offsets a Reject
+// carries index the message too.
+func scanStartLine(line []byte) (code, lo, hi int, r Reject) {
 	if bytes.HasPrefix(line, respPrefix) {
 		rest := line[len(respPrefix):]
 		sp := bytes.IndexByte(rest, ' ')
-		codeB := rest
-		lo = len(line)
+		codeEnd := len(line)
 		if sp >= 0 {
-			codeB, lo = rest[:sp], len(respPrefix)+sp+1
+			codeEnd = len(respPrefix) + sp
 		}
-		code, err = atoiBytes(codeB)
+		code, err := atoiBytes(line[len(respPrefix):codeEnd])
 		if err != nil || code < 100 || code > 699 {
-			return 0, 0, 0, fmt.Errorf("sip: bad status code %q", codeB)
+			return 0, 0, 0, Reject{code: rejectStatusCode, lo: len(respPrefix), hi: codeEnd}
 		}
-		return code, lo, len(line), nil
+		return code, min(codeEnd+1, len(line)), len(line), Reject{}
 	}
 	// Request line: METHOD SP Request-URI SP SIP/2.0 (the historical
 	// SplitN(line, " ", 3) shape: exactly two separating spaces).
+	bad := Reject{code: rejectStartLine, hi: len(line)}
 	i1 := bytes.IndexByte(line, ' ')
 	if i1 < 0 {
-		return 0, 0, 0, fmt.Errorf("sip: bad start line %q", line)
+		return 0, 0, 0, bad
 	}
 	rest := line[i1+1:]
 	i2 := bytes.IndexByte(rest, ' ')
 	if i2 < 0 {
-		return 0, 0, 0, fmt.Errorf("sip: bad start line %q", line)
+		return 0, 0, 0, bad
 	}
 	f0, f1, f2 := line[:i1], rest[:i2], rest[i2+1:]
-	if !bytes.Equal(f2, sipVersion) {
-		return 0, 0, 0, fmt.Errorf("sip: bad start line %q", line)
-	}
-	if len(f0) == 0 || len(f1) == 0 {
-		return 0, 0, 0, fmt.Errorf("sip: bad start line %q", line)
+	if !bytes.Equal(f2, sipVersion) || len(f0) == 0 || len(f1) == 0 {
+		return 0, 0, 0, bad
 	}
 	if !isTokenBytes(f0) {
-		return 0, 0, 0, fmt.Errorf("sip: method %q is not a valid token", f0)
+		return 0, 0, 0, Reject{code: rejectMethod, hi: i1}
 	}
-	return 0, i1, i1 + 1 + i2, nil
+	return 0, i1, i1 + 1 + i2, Reject{}
 }
 
 // knownMethods are the methods a parsed message names by the package
