@@ -203,18 +203,19 @@ func BenchmarkAblation_EventLayer(b *testing.B) {
 }
 
 // BenchmarkAblation_DirectMatching measures the same workload with the
-// event layer bypassed: rules re-scan raw trails on every media packet.
-// The gap versus BenchmarkAblation_EventLayer is what the Event Generator
-// abstraction buys (paper Section 3.1).
+// event layer taken out (experiments.DirectMatcher): rules re-scan raw
+// trails on every media packet. The gap versus
+// BenchmarkAblation_EventLayer is what the Event Generator abstraction
+// buys (paper Section 3.1).
 func BenchmarkAblation_DirectMatching(b *testing.B) {
 	frames := recordedWorkload(b)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		eng := core.NewEngine(core.Config{DirectTrailMatching: true})
+		m := experiments.NewDirectMatcher(0)
 		for _, f := range frames {
-			eng.HandleFrame(f.at, f.frame)
+			m.HandleFrame(f.at, f.frame)
 		}
-		if len(eng.AlertsFor(core.RuleByeAttack)) != 1 {
+		if len(m.AlertsFor(core.RuleByeAttack)) != 1 {
 			b.Fatal("direct-matching engine missed the attack")
 		}
 	}

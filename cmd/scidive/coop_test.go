@@ -116,11 +116,10 @@ func TestProbeAggregateCLI(t *testing.T) {
 func TestProbeFlagValidation(t *testing.T) {
 	var buf strings.Builder
 	for _, args := range [][]string{
-		{"-scenario", "bye", "-probe", "edge"},                                                    // no -digest-out
-		{"-scenario", "bye", "-digest-out", "x.dig"},                                              // no -probe
-		{"-scenario", "bye", "-export", "sip-bye"},                                                // no -probe
-		{"-scenario", "bye", "-probe", "edge", "-digest-out", "x.dig", "-shards", "2"},            // sharded
-		{"-scenario", "bye", "-probe", "edge", "-digest-out", "x.dig", "-shards", "1", "-direct"}, // ablation
+		{"-scenario", "bye", "-probe", "edge"},                                         // no -digest-out
+		{"-scenario", "bye", "-digest-out", "x.dig"},                                   // no -probe
+		{"-scenario", "bye", "-export", "sip-bye"},                                     // no -probe
+		{"-scenario", "bye", "-probe", "edge", "-digest-out", "x.dig", "-shards", "2"}, // sharded
 		{"-scenario", "bye", "-probe", "edge", "-digest-out", "x.dig", "-shards", "1", "-export", "bogus"},
 		{"-aggregate", "-scenario", "bye"}, // mode mix
 		{"-aggregate"},                     // no files

@@ -4,7 +4,7 @@
 //
 // Usage:
 //
-//	scidive -in bye.scap [-events] [-window 1s] [-direct] [-rules FILE] [-json] [-shards N] [-ingest N]
+//	scidive -in bye.scap [-events] [-window 1s] [-rules FILE] [-json] [-shards N] [-ingest N]
 //	scidive -scenario bye [-seed 7] [-limits sessions=4096,frags=64] [-shed 5ms] [-stall 2s] [-restart-shards]
 //	scidive -scenario bye [-correlators sip,rtp,rtcp]   (subset of protocol correlators; -correlators help lists them)
 //	scidive -in bye.scap -checkpoint ids.ckpt [-checkpoint-every 1000]   (crash recovery: checkpoint detection state)
@@ -72,7 +72,6 @@ func run(args []string, out io.Writer) error {
 	showEvents := fs.Bool("events", false, "print every generated event")
 	window := fs.Duration("window", time.Second, "orphan-flow monitoring window m")
 	rtpActivityEvery := fs.Duration("rtp-activity-every", 0, "emit per-session rtp-activity liveness heartbeats at this cadence (0 = off); media-gateway probes export them for cross-point rules")
-	direct := fs.Bool("direct", false, "bypass the event layer (direct trail matching ablation)")
 	rulesPath := fs.String("rules", "", "ruleset file in the rule description language (default: built-in rules)")
 	jsonOut := fs.Bool("json", false, "emit alerts as JSON lines instead of text")
 	scenarioName := fs.String("scenario", "", "run a live simulated scenario instead of reading a capture")
@@ -132,19 +131,6 @@ func run(args []string, out io.Writer) error {
 	if *probePoint != "" && *shards > 1 {
 		return fmt.Errorf("-probe needs the serial engine for a deterministic digest stream; use -shards 1")
 	}
-	if *probePoint != "" && *direct {
-		return fmt.Errorf("-probe cannot be combined with -direct: the direct-matching ablation bypasses the event layer probes export")
-	}
-	if *direct && *shards > 1 {
-		// The GOMAXPROCS default is a convenience, not a request: only a
-		// -shards the user typed conflicts with the serial-only ablation.
-		explicit := false
-		fs.Visit(func(f *flag.Flag) { explicit = explicit || f.Name == "shards" })
-		if explicit {
-			return fmt.Errorf("-direct is a serial-engine ablation; use -shards 1")
-		}
-		*shards = 1
-	}
 	if *ingest < 1 {
 		return fmt.Errorf("-ingest must be at least 1")
 	}
@@ -157,14 +143,8 @@ func run(args []string, out io.Writer) error {
 	if *reloadEvery < 0 {
 		return fmt.Errorf("-reload-rules must be non-negative")
 	}
-	if *reloadEvery > 0 && *direct {
-		return fmt.Errorf("-reload-rules cannot be combined with -direct: the direct-matching ablation bypasses the rule engine")
-	}
 	if *checkpointEvery > 0 && *checkpointPath == "" {
 		return fmt.Errorf("-checkpoint-every requires -checkpoint")
-	}
-	if *direct && (*checkpointPath != "" || *resumePath != "") {
-		return fmt.Errorf("-direct cannot be checkpointed or resumed: the direct-matching ablation rereads raw trail contents that checkpoints drop")
 	}
 	var f *os.File
 	if *inPath != "" {
@@ -188,12 +168,11 @@ func run(args []string, out io.Writer) error {
 	limits.StallTimeout = *stall
 	limits.RestartFailedShards = *restartShards
 	cfg := core.Config{
-		Gen:                 core.GenConfig{MonitorWindow: *window, RTPActivityEvery: *rtpActivityEvery},
-		Rules:               rules,
-		DirectTrailMatching: *direct,
-		Limits:              limits,
-		Correlators:         correlators,
-		IngestRouters:       *ingest,
+		Gen:           core.GenConfig{MonitorWindow: *window, RTPActivityEvery: *rtpActivityEvery},
+		Rules:         rules,
+		Limits:        limits,
+		Correlators:   correlators,
+		IngestRouters: *ingest,
 	}
 	var eng idsEngine
 	var sessionCount func() (sessions, trails int)
@@ -262,29 +241,25 @@ func run(args []string, out io.Writer) error {
 	// SIGHUP triggers a live reload at any point in the replay; ReloadRules
 	// is safe against concurrent frame delivery, so the watcher calls it
 	// directly. It is stopped before results print so the reload notice
-	// cannot interleave with the alert listing. The -direct ablation
-	// bypasses the rule engine and takes no watcher.
-	stopHUP := func() {}
-	if !*direct {
-		sighup := make(chan os.Signal, 1)
-		signal.Notify(sighup, syscall.SIGHUP)
-		hupDone := make(chan struct{})
-		go func() {
-			defer close(hupDone)
-			for range sighup {
-				reloadRules()
-			}
-		}()
-		var hupOnce sync.Once
-		stopHUP = func() {
-			hupOnce.Do(func() {
-				signal.Stop(sighup)
-				close(sighup)
-				<-hupDone
-			})
+	// cannot interleave with the alert listing.
+	sighup := make(chan os.Signal, 1)
+	signal.Notify(sighup, syscall.SIGHUP)
+	hupDone := make(chan struct{})
+	go func() {
+		defer close(hupDone)
+		for range sighup {
+			reloadRules()
 		}
-		defer stopHUP()
+	}()
+	var hupOnce sync.Once
+	stopHUP := func() {
+		hupOnce.Do(func() {
+			signal.Stop(sighup)
+			close(sighup)
+			<-hupDone
+		})
 	}
+	defer stopHUP()
 	writeCkpt := func() error {
 		snap, err := eng.Snapshot()
 		if err != nil {

@@ -113,7 +113,7 @@ func TestReplayBenignIsQuiet(t *testing.T) {
 	}
 }
 
-func TestReplayWithEventsAndDirect(t *testing.T) {
+func TestReplayWithEvents(t *testing.T) {
 	path := writeScenarioCapture(t, "bye", 7)
 	var buf strings.Builder
 	if err := run([]string{"-in", path, "-events"}, &buf); err != nil {
@@ -122,21 +122,6 @@ func TestReplayWithEventsAndDirect(t *testing.T) {
 	if !strings.Contains(buf.String(), "=== events ===") ||
 		!strings.Contains(buf.String(), "sip-bye") {
 		t.Error("event log missing")
-	}
-	buf.Reset()
-	if err := run([]string{"-in", path, "-direct"}, &buf); err != nil {
-		t.Fatalf("run -direct: %v", err)
-	}
-	if !strings.Contains(buf.String(), "bye-attack") {
-		t.Error("direct mode missed the attack")
-	}
-	// The implicit -shards default (GOMAXPROCS) yields to -direct on any
-	// host; a -shards the user typed does not.
-	if err := run([]string{"-in", path, "-shards", "2", "-direct"}, &buf); err == nil {
-		t.Error("explicit -shards 2 with -direct accepted")
-	}
-	if err := run([]string{"-in", path, "-shards", "1", "-direct"}, &buf); err != nil {
-		t.Errorf("explicit -shards 1 with -direct: %v", err)
 	}
 }
 
@@ -156,11 +141,6 @@ func TestReplaySharded(t *testing.T) {
 	}
 	if !strings.Contains(sharded.String(), "bye-attack") {
 		t.Error("sharded replay missed the attack")
-	}
-	// The direct-matching ablation has no sharded mode.
-	var buf strings.Builder
-	if err := run([]string{"-in", path, "-direct", "-shards", "4"}, &buf); err == nil {
-		t.Error("-direct with -shards 4 accepted")
 	}
 }
 
@@ -561,7 +541,6 @@ func TestResumeMismatchCLI(t *testing.T) {
 
 	// Flag-combination errors surface before any engine runs.
 	expectErr([]string{"-in", full, "-checkpoint-every", "3"}, "-checkpoint-every requires -checkpoint")
-	expectErr([]string{"-in", full, "-direct", "-shards", "1", "-resume", ckpt}, "-direct")
 	expectErr([]string{"-in", full, "-shards", "2", "-resume", filepath.Join(t.TempDir(), "missing.ckpt")})
 
 	// A corrupt checkpoint file is rejected with the checksum error.

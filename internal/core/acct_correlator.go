@@ -37,32 +37,32 @@ func (c *acctCorrelator) Process(v *FrameView, h RouteHints, ctx *SessionContext
 		st := ctx.OpenSession(txn.CallID)
 		st.acctStart = true
 		*evs = append(*evs, Event{At: v.At, Type: EvAcctStart, Session: txn.CallID,
-			Detail: fmt.Sprintf("%s -> %s from %v", txn.From, txn.To, txn.FromIP), Footprint: ctx.Observation()})
+			Detail: fmt.Sprintf("%s -> %s from %v", txn.From, txn.To, txn.FromIP)})
 		// The Section 3.2 check: the billed caller must have initiated the
 		// call from their registered location.
 		binding, registered := ctx.Binding(txn.From)
 		switch {
 		case !registered, !st.established && st.callerAOR == "":
-			c.unmatchedAcct(v, st, ctx, evs,
+			c.unmatchedAcct(v, st, evs,
 				fmt.Sprintf("billing START for %s with no matching registration/call setup", txn.From))
 		case txn.FromIP != binding:
-			c.unmatchedAcct(v, st, ctx, evs,
+			c.unmatchedAcct(v, st, evs,
 				fmt.Sprintf("billing START for %s from %v but %s is registered at %v",
 					txn.From, txn.FromIP, txn.From, binding))
 		case st.inviteSrcIP.IsValid() && st.inviteSrcIP != binding:
-			c.unmatchedAcct(v, st, ctx, evs,
+			c.unmatchedAcct(v, st, evs,
 				fmt.Sprintf("INVITE for billed call came from %v, not %s's registered %v",
 					st.inviteSrcIP, txn.From, binding))
 		}
 	case accounting.TxnStop:
-		*evs = append(*evs, Event{At: v.At, Type: EvAcctStop, Session: txn.CallID, Footprint: ctx.Observation()})
+		*evs = append(*evs, Event{At: v.At, Type: EvAcctStop, Session: txn.CallID})
 	}
 }
 
-func (c *acctCorrelator) unmatchedAcct(v *FrameView, st *sessionState, ctx *SessionContext, evs *[]Event, detail string) {
+func (c *acctCorrelator) unmatchedAcct(v *FrameView, st *sessionState, evs *[]Event, detail string) {
 	if st.unmatchedOnce {
 		return
 	}
 	st.unmatchedOnce = true
-	*evs = append(*evs, Event{At: v.At, Type: EvAcctUnmatched, Session: st.callID, Detail: detail, Footprint: ctx.Observation()})
+	*evs = append(*evs, Event{At: v.At, Type: EvAcctUnmatched, Session: st.callID, Detail: detail})
 }

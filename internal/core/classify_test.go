@@ -84,27 +84,24 @@ func TestClassifyCounterPinning(t *testing.T) {
 }
 
 // TestReclassifiedFootprintShape pins what a reclassified frame looks
-// like downstream: the footprint carries the content protocol's decoded
-// fields with PortProto recording the contradicted port claim — in the
-// view and in the boxed footprint an event would attach.
+// like downstream: the view carries the content protocol's decoded
+// fields with PortProto recording the contradicted port claim.
 func TestReclassifiedFootprintShape(t *testing.T) {
 	d := NewDistiller()
 	v := distillOne(t, d, time.Second, frameFor(t, 5060, 5060, rtpBytes(t), 0)[0], ProtoRTP)
-	rf := v.box().(*RTPFootprint)
-	if v.PortProto != ProtoSIP || rf.PortProto != ProtoSIP {
-		t.Errorf("PortProto = %v (boxed %v), want ProtoSIP", v.PortProto, rf.PortProto)
+	if v.PortProto != ProtoSIP {
+		t.Errorf("PortProto = %v, want ProtoSIP", v.PortProto)
 	}
-	if rf.Header.SSRC != 0xC0FFEE01 {
-		t.Errorf("SSRC = %#x; reclassified decode lost the header", rf.Header.SSRC)
+	if v.RTP.SSRC != 0xC0FFEE01 {
+		t.Errorf("SSRC = %#x; reclassified decode lost the header", v.RTP.SSRC)
 	}
 
 	v = distillOne(t, d, 2*time.Second, frameFor(t, 40666, 40000, sipBytes(t), 0)[0], ProtoSIP)
-	sf := v.box().(*SIPFootprint)
-	if v.PortProto != ProtoRTP || sf.PortProto != ProtoRTP {
-		t.Errorf("PortProto = %v (boxed %v), want ProtoRTP", v.PortProto, sf.PortProto)
+	if v.PortProto != ProtoRTP {
+		t.Errorf("PortProto = %v, want ProtoRTP", v.PortProto)
 	}
-	if sf.Msg.CallID() != "dist@test" {
-		t.Errorf("Call-ID = %q; reclassified parse lost the message", sf.Msg.CallID())
+	if v.Msg.CallID() != "dist@test" {
+		t.Errorf("Call-ID = %q; reclassified parse lost the message", v.Msg.CallID())
 	}
 }
 

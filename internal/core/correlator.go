@@ -27,9 +27,9 @@ import (
 // caller-owned scratch slice that makes the steady-state hot path
 // allocation-free. Correlators run in registry order; within one frame,
 // the event stream is the concatenation of each correlator's appends in
-// that order. Events that need the observation attached use
-// ctx.Observation(), which boxes the view lazily (only frames that
-// actually produce events pay for a Footprint allocation).
+// that order. An event carries strings, never the view: whatever of the
+// frame it reports is copied into its Detail, so nothing the correlators
+// emit keeps the frame's memory alive.
 type Correlator interface {
 	// Name identifies the module (CLI -correlators selection, docs).
 	Name() string

@@ -269,26 +269,6 @@ func TestDetectsBillingFraud(t *testing.T) {
 	}
 }
 
-func TestDirectTrailMatchingDetectsByeAttack(t *testing.T) {
-	// Ablation: the event layer off, rules scan raw trails. Detection
-	// still works; the benchmark measures the cost difference.
-	tb, eng := deploy(t, scenario.Config{Seed: 110}, core.Config{DirectTrailMatching: true})
-	if err := tb.RegisterAll(); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := tb.EstablishCall(); err != nil {
-		t.Fatal(err)
-	}
-	tb.Run(2 * time.Second)
-	d := tb.Sniffer.ConfirmedDialog()
-	if d == nil {
-		t.Fatal("no sniffed dialog")
-	}
-	tb.Sim.Schedule(0, func() { _ = tb.Attacker.ForgedBye(d, true) })
-	tb.Run(2 * time.Second)
-	mustAlert(t, eng, core.RuleByeAttack)
-}
-
 func TestMonitorWindowBoundsDetection(t *testing.T) {
 	// With a very small monitoring window m, the orphan flow arrives too
 	// late and the attack is missed — the Pm trade-off of Section 4.3.

@@ -233,8 +233,8 @@ func (dc *decoder) reassemble(r *packet.Reassembler, g *fragGroups, at time.Dura
 // frame produced no footprint (a non-final fragment, a TCP segment,
 // undecodable below UDP, or outside the monitored ports). Media frames
 // (RTP/RTCP) are projected through the rtp package's peek decoders and
-// never materialize packet structs; SIP frames allocate one Message
-// (trails retain it — the documented per-SIP-frame budget).
+// never materialize packet structs; SIP frames allocate one Message,
+// which lives only as long as the view points to it.
 func (d *Distiller) DistillView(at time.Duration, frame []byte, v *FrameView) bool {
 	v.reset()
 	d.stats.Frames++

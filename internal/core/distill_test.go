@@ -66,9 +66,7 @@ func TestDistillSIP(t *testing.T) {
 	if len(v.Malformed) != 0 {
 		t.Errorf("clean message flagged: %v", v.Malformed)
 	}
-	// The boxed form (what an event carries) reports the same flow.
-	src, dst := v.box().(*SIPFootprint).Flow()
-	if src.Port() != 5060 || dst.Port() != 5060 || src.Addr() != dSrcIP {
+	if src, dst := v.Src, v.Dst; src.Port() != 5060 || dst.Port() != 5060 || src.Addr() != dSrcIP {
 		t.Errorf("flow = %v -> %v", src, dst)
 	}
 	if d.Stats().SIP != 1 {

@@ -2,13 +2,11 @@ package core
 
 import (
 	"fmt"
-	"net/netip"
 	"time"
 
 	"scidive/internal/capture"
 	"scidive/internal/netsim"
 	"scidive/internal/packet"
-	"scidive/internal/sip"
 )
 
 // EngineStats counts end-to-end IDS activity. The overload and eviction
@@ -56,19 +54,12 @@ type Config struct {
 	// Rules is the ruleset (nil = DefaultRuleset).
 	Rules []Rule
 	// MaxTrailLen clamps each trail's footprint count (default 4096). A
-	// trail is a counter, so the bound costs no memory; the
-	// DirectTrailMatching ablation also keeps at most this many SIP
-	// messages per Call-ID.
+	// trail is a counter, so the bound costs no memory.
 	MaxTrailLen int
 	// SessionTimeout evicts per-session state and trails idle this long
 	// (default 10 minutes; the paper notes memory is the practical bound
 	// on how far apart correlated packets may be).
 	SessionTimeout time.Duration
-	// DirectTrailMatching is the ablation mode of DESIGN.md: bypass the
-	// event layer and run rules as raw trail scans on every packet. Only
-	// the BYE-attack rule is implemented in this mode; it exists to
-	// measure what the event abstraction buys (paper Section 3.1).
-	DirectTrailMatching bool
 	// Limits is the state budget (zero value = unbounded, the historic
 	// behavior).
 	Limits Limits
@@ -102,10 +93,6 @@ type Engine struct {
 	// touches the heap zero times.
 	view      FrameView
 	evScratch []Event
-
-	// direct is the DirectTrailMatching ablation's literal SIP trail per
-	// Call-ID (nil otherwise): the only trail that keeps messages.
-	direct map[string][]directEntry
 }
 
 // EngineOption customizes engine construction.
@@ -139,9 +126,6 @@ func NewEngine(cfg Config, opts ...EngineOption) *Engine {
 		trails:    trails,
 		gen:       newEventGeneratorFrom(cfg.Gen, trails, correlators),
 		rules:     NewRuleEngine(rules),
-	}
-	if cfg.DirectTrailMatching {
-		e.direct = make(map[string][]directEntry)
 	}
 	e.distiller.reasm.SetLimit(cfg.Limits.MaxFragGroups)
 	e.gen.SetLimits(cfg.Limits)
@@ -276,14 +260,10 @@ func (e *Engine) HandleFrame(at time.Duration, frame []byte) {
 	}
 }
 
-// processView runs the distilled view through matching — directly against
-// trails in the ablation mode, through the event generator otherwise.
+// processView runs the distilled view through the event generator and
+// feeds the events it completes to the rule engine.
 func (e *Engine) processView() {
 	e.stats.Footprints++
-	if e.cfg.DirectTrailMatching {
-		e.handleDirect(&e.view)
-		return
-	}
 	e.evScratch = e.evScratch[:0]
 	e.gen.ProcessView(&e.view, RouteHints{}, &e.evScratch)
 	for _, ev := range e.evScratch {
@@ -323,107 +303,4 @@ func (e *Engine) ReplayCapture(r *capture.Reader) error {
 		return fmt.Errorf("core: replay: %w", err)
 	}
 	return nil
-}
-
-// --- Direct trail matching (ablation) ---
-
-// directEntry is one SIP message as the ablation's literal trail keeps it:
-// when it was seen and the message itself.
-type directEntry struct {
-	at  time.Duration
-	msg *sip.Message
-}
-
-// handleDirect stores footprints into trails keyed without event-layer
-// session intelligence and scans trails on every media packet. This is
-// the expensive path the paper's Event Generator exists to avoid: "it
-// helps performance by hiding some computationally expensive matching".
-// Every footprint is counted in the engine's trail store, as the event
-// path counts it; SIP messages are also kept whole, per Call-ID, for
-// directByeScan to reread.
-func (e *Engine) handleDirect(v *FrameView) {
-	switch v.Proto {
-	case ProtoSIP:
-		id := v.Msg.CallID()
-		e.trails.Get(id, ProtoSIP).AppendView(v)
-		e.appendDirect(id, directEntry{at: v.At, msg: v.Msg})
-	case ProtoRTP:
-		e.trails.Get("rtp:"+v.Dst.String(), ProtoRTP).AppendView(v)
-		e.directByeScan(v)
-	case ProtoAccounting:
-		e.trails.Get(v.Txn.CallID, ProtoAccounting).AppendView(v)
-	case ProtoRTCP:
-		e.trails.Get("rtcp:"+v.Dst.String(), ProtoRTCP).AppendView(v)
-	}
-}
-
-// appendDirect adds a message to a Call-ID's literal trail, dropping the
-// oldest once the trail holds MaxTrailLen (memory is the practical limit
-// the paper notes).
-func (e *Engine) appendDirect(id string, d directEntry) {
-	list := e.direct[id]
-	if len(list) == e.cfg.MaxTrailLen {
-		list = append(list[:0], list[1:]...)
-	}
-	e.direct[id] = append(list, d)
-}
-
-// directByeScan re-derives, from raw trails, whether this RTP packet is
-// an orphan flow after a BYE: it walks every SIP trail, re-parses SDP
-// bodies to find the session whose media endpoints match, and checks BYE
-// timing. Equivalent detection to the event path, at per-packet scan
-// cost.
-func (e *Engine) directByeScan(v *FrameView) {
-	window := e.cfg.Gen.withDefaults().MonitorWindow
-	for session, trail := range e.direct {
-		var callerMedia, calleeMedia netip.AddrPort
-		var byeAt time.Duration
-		var byeSeen bool
-		var byeFromCaller bool
-		var callerTag string
-		for _, d := range trail {
-			m := d.msg
-			switch {
-			case m.IsRequest() && m.Method == sip.MethodInvite:
-				if from, ok := m.FromRef(); ok && callerTag == "" {
-					callerTag = from.Tag
-				}
-				if media, ok := mediaFromBody(m); ok && !callerMedia.IsValid() {
-					callerMedia = media
-				}
-			case m.IsResponse() && m.StatusCode == sip.StatusOK:
-				if cseq, err := m.CSeq(); err == nil && cseq.Method == sip.MethodInvite {
-					if media, ok := mediaFromBody(m); ok && !calleeMedia.IsValid() {
-						calleeMedia = media
-					}
-				}
-			case m.IsRequest() && m.Method == sip.MethodBye:
-				if !byeSeen {
-					byeSeen = true
-					byeAt = d.at
-					if from, ok := m.FromRef(); ok {
-						byeFromCaller = from.Tag == callerTag
-					}
-				}
-			}
-		}
-		if !byeSeen {
-			continue
-		}
-		byeMedia := calleeMedia
-		if byeFromCaller {
-			byeMedia = callerMedia
-		}
-		if v.Src == byeMedia && v.At > byeAt && v.At-byeAt <= window {
-			e.stats.Events++
-			ev := Event{
-				At: v.At, Type: EvRTPAfterBye, Session: session,
-				Detail:    fmt.Sprintf("direct scan: RTP from %v after BYE", v.Src),
-				Footprint: v.box(),
-			}
-			// Feed both steps so the two-step rule completes.
-			e.stats.Alerts += len(e.rules.Feed(Event{At: byeAt, Type: EvSIPBye, Session: session}))
-			e.stats.Alerts += len(e.rules.Feed(ev))
-		}
-	}
 }

@@ -30,7 +30,6 @@ func (c *evasionCorrelator) Process(v *FrameView, h RouteHints, ctx *SessionCont
 			At: v.At, Type: EvProtocolMismatch, Session: ctx.Session(),
 			Detail: fmt.Sprintf("%s content on a %s-claimed port (%v->%v)",
 				v.Proto, v.PortProto, v.Src, v.Dst),
-			Footprint: ctx.Observation(),
 		})
 	}
 	var shape string
@@ -46,7 +45,6 @@ func (c *evasionCorrelator) Process(v *FrameView, h RouteHints, ctx *SessionCont
 	}
 	*evs = append(*evs, Event{
 		At: v.At, Type: EvEvasionSuspect, Session: ctx.Session(),
-		Detail:    fmt.Sprintf("%s (%v->%v)", shape, v.Src, v.Dst),
-		Footprint: ctx.Observation(),
+		Detail: fmt.Sprintf("%s (%v->%v)", shape, v.Src, v.Dst),
 	})
 }

@@ -116,7 +116,11 @@ func (t EventType) String() string {
 }
 
 // Event is one Event Generator output: a concentrated observation that
-// may encapsulate state accumulated from many footprints.
+// may encapsulate state accumulated from many footprints. It is a flat,
+// comparable value: it holds strings the generator owns, never the frame
+// or decoded message that completed it, so a retained event (the event
+// log, a rule's partial match, an alert's witnesses) pins no packet
+// memory.
 type Event struct {
 	At      time.Duration
 	Type    EventType
@@ -128,9 +132,6 @@ type Event struct {
 	// specific vantage (the DSL's "@point" qualifier). Not part of the
 	// log format: String() and the golden event streams ignore it.
 	Point string
-	// Footprint is the observation that completed the event (may be nil
-	// for purely state-derived events).
-	Footprint Footprint
 }
 
 // String formats the event for logs: "[%8.3fs] %-20s session=%s %s",

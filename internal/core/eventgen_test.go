@@ -25,19 +25,23 @@ func newGen() *EventGenerator {
 	return NewEventGenerator(GenConfig{}, NewTrailStore(0))
 }
 
+// Process folds one hand-built view into the generator, returning the
+// events it completes.
+func (g *EventGenerator) Process(v *FrameView) []Event {
+	var events []Event
+	g.ProcessView(v, RouteHints{}, &events)
+	return events
+}
+
 // sipFp builds a SIP footprint.
-func sipFp(t *testing.T, at time.Duration, src, dst netip.AddrPort, m *sip.Message) *SIPFootprint {
+func sipFp(t *testing.T, at time.Duration, src, dst netip.AddrPort, m *sip.Message) *FrameView {
 	t.Helper()
 	// Round-trip for realism (and Content-Length correctness).
 	parsed, err := sip.ParseMessage(m.Marshal())
 	if err != nil {
 		t.Fatalf("synthetic message invalid: %v", err)
 	}
-	return &SIPFootprint{
-		FootprintBase: FootprintBase{At: at, Src: src, Dst: dst},
-		Msg:           parsed,
-		Malformed:     CheckSIPFormat(parsed),
-	}
+	return &FrameView{Proto: ProtoSIP, At: at, Src: src, Dst: dst, Msg: parsed, Malformed: CheckSIPFormat(parsed)}
 }
 
 // egInvite builds a dialog-forming INVITE with SDP at callerMedia.
@@ -88,12 +92,8 @@ func establish(t *testing.T, g *EventGenerator, callID string) {
 }
 
 // rtpAt builds an RTP footprint.
-func rtpAt(at time.Duration, src, dst netip.AddrPort, seq uint16) *RTPFootprint {
-	return &RTPFootprint{
-		FootprintBase: FootprintBase{At: at, Src: src, Dst: dst},
-		Header:        rtp.Header{Seq: seq, SSRC: 7},
-		PayloadLen:    160,
-	}
+func rtpAt(at time.Duration, src, dst netip.AddrPort, seq uint16) *FrameView {
+	return &FrameView{Proto: ProtoRTP, At: at, Src: src, Dst: dst, RTP: rtp.HeaderView{Seq: seq, SSRC: 7, PayloadLen: 160}}
 }
 
 func eventsOf(events []Event, typ EventType) []Event {
@@ -202,8 +202,8 @@ func TestGenAcctUnmatchedVariants(t *testing.T) {
 		g.Process(sipFp(t, time.Millisecond, egCallee, egCaller, ok))
 	}
 	acct := func(g *EventGenerator, callID string, ip netip.Addr) []Event {
-		return g.Process(&AcctFootprint{
-			FootprintBase: FootprintBase{At: time.Second, Src: egCallee, Dst: netip.MustParseAddrPort("10.0.0.20:7009")},
+		return g.Process(&FrameView{
+			Proto: ProtoAccounting, At: time.Second, Src: egCallee, Dst: netip.MustParseAddrPort("10.0.0.20:7009"),
 			Txn: accounting.Txn{
 				Kind: accounting.TxnStart, CallID: callID,
 				From: "alice@10.0.0.10", To: "bob@10.0.0.10", FromIP: ip,

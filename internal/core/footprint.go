@@ -1,21 +1,12 @@
 // Package core implements the SCIDIVE intrusion detection architecture:
 // the Distiller that turns raw network frames into protocol-dependent
-// Footprints, the Trails that group footprints per session and protocol,
-// the stateful Event Generator that concentrates footprints into Events,
+// footprints (FrameView, a per-frame value nothing keeps past the frame),
+// the Trails that count footprints per session and protocol, the
+// stateful Event Generator that concentrates footprints into Events,
 // and the Rule Matching Engine that raises Alerts from event sequences —
 // including cross-protocol sequences spanning SIP, RTP, and accounting
 // traffic.
 package core
-
-import (
-	"fmt"
-	"net/netip"
-	"time"
-
-	"scidive/internal/accounting"
-	"scidive/internal/rtp"
-	"scidive/internal/sip"
-)
 
 // Protocol identifies the protocol a footprint was distilled from.
 type Protocol int
@@ -56,100 +47,3 @@ func (p Protocol) String() string {
 		return "UNKNOWN"
 	}
 }
-
-// Footprint is a protocol-dependent information unit distilled from one
-// packet (paper Section 3.1).
-type Footprint interface {
-	// Proto returns the protocol this footprint belongs to.
-	Proto() Protocol
-	// Time returns when the packet was observed.
-	Time() time.Duration
-	// Flow returns the transport-level source and destination.
-	Flow() (src, dst netip.AddrPort)
-}
-
-// FootprintBase carries the fields common to all footprints. PortProto
-// is nonzero only on reclassified footprints: the protocol the port
-// claimed before content confirmation overrode it (see classify.go).
-type FootprintBase struct {
-	At        time.Duration
-	Src       netip.AddrPort
-	Dst       netip.AddrPort
-	PortProto Protocol
-}
-
-// Time implements Footprint.
-func (b FootprintBase) Time() time.Duration { return b.At }
-
-// Flow implements Footprint.
-func (b FootprintBase) Flow() (netip.AddrPort, netip.AddrPort) { return b.Src, b.Dst }
-
-// SIPFootprint is a decoded SIP message observation. Malformed holds
-// format violations the IDS's strict checker found even when the message
-// was parseable enough to process (e.g. duplicate From headers).
-type SIPFootprint struct {
-	FootprintBase
-	Msg       *sip.Message
-	Malformed []string
-}
-
-// Proto implements Footprint.
-func (*SIPFootprint) Proto() Protocol { return ProtoSIP }
-
-// String summarizes the footprint for logs.
-func (f *SIPFootprint) String() string {
-	return fmt.Sprintf("SIP %s %v->%v", f.Msg, f.Src, f.Dst)
-}
-
-// RTPFootprint is one observed RTP packet (header only; payload is
-// dropped after distillation to bound memory). EmbeddedSIP flags a
-// media payload that begins with a SIP start line — the
-// SIP-smuggled-in-RTP evasion.
-type RTPFootprint struct {
-	FootprintBase
-	Header      rtp.Header
-	PayloadLen  int
-	EmbeddedSIP bool
-}
-
-// Proto implements Footprint.
-func (*RTPFootprint) Proto() Protocol { return ProtoRTP }
-
-// RTCPFootprint is one observed RTCP compound packet.
-type RTCPFootprint struct {
-	FootprintBase
-	Packets []rtp.RTCPPacket
-}
-
-// Proto implements Footprint.
-func (*RTCPFootprint) Proto() Protocol { return ProtoRTCP }
-
-// AcctFootprint is one observed accounting transaction.
-type AcctFootprint struct {
-	FootprintBase
-	Txn accounting.Txn
-}
-
-// Proto implements Footprint.
-func (*AcctFootprint) Proto() Protocol { return ProtoAccounting }
-
-// RawFootprint is a packet on a monitored VoIP port that decoded as none
-// of the expected protocols — e.g. the garbage bytes of the RTP attack.
-type RawFootprint struct {
-	FootprintBase
-	OnPort Protocol // the protocol expected on this port
-	Reason string   // why decoding failed
-	Len    int
-}
-
-// Proto implements Footprint.
-func (*RawFootprint) Proto() Protocol { return ProtoOther }
-
-// Compile-time interface checks.
-var (
-	_ Footprint = (*SIPFootprint)(nil)
-	_ Footprint = (*RTPFootprint)(nil)
-	_ Footprint = (*RTCPFootprint)(nil)
-	_ Footprint = (*AcctFootprint)(nil)
-	_ Footprint = (*RawFootprint)(nil)
-)

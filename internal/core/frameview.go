@@ -9,15 +9,13 @@ import (
 	"scidive/internal/sip"
 )
 
-// FrameView is the value-typed union of all footprint kinds, the hot
-// path's replacement for the interface-typed Footprint. One FrameView per
+// FrameView is the footprint of paper Section 3.1: the value-typed union
+// of every protocol's per-packet information unit. One FrameView per
 // pipeline (engine, shard worker) is reused for every frame: the
 // Distiller fills it in place (DistillView), the Event Generator
 // dispatches on Proto/OnPort (ProcessView), correlators read the fields
 // of their protocol, and the view's trail counts it; nothing keeps the
-// view past the frame. No per-frame boxing allocation ever happens
-// unless an event actually fires and needs a Footprint attached (see
-// SessionContext's lazy Observation).
+// view, or anything it points to, past the frame.
 //
 // Field validity follows Proto: Msg/Malformed for ProtoSIP, RTP for
 // ProtoRTP, RTCP for ProtoRTCP, Txn for ProtoAccounting, and
@@ -76,40 +74,4 @@ func (v *FrameView) dispatchProto() Protocol {
 		return v.OnPort
 	}
 	return v.Proto
-}
-
-// box materializes the boxed Footprint equivalent of the view. This is
-// the slow path, and the one boxing site: taken only when an event fires
-// and needs its footprint attached. RTCP packet bodies are not retained
-// by views, so a boxed RTCPFootprint carries a nil Packets slice; nothing
-// downstream of distillation rereads the bodies.
-func (v *FrameView) box() Footprint {
-	base := FootprintBase{At: v.At, Src: v.Src, Dst: v.Dst, PortProto: v.PortProto}
-	switch v.Proto {
-	case ProtoSIP:
-		return &SIPFootprint{FootprintBase: base, Msg: v.Msg, Malformed: v.Malformed}
-	case ProtoRTP:
-		return &RTPFootprint{
-			FootprintBase: base,
-			Header: rtp.Header{
-				Padding:     v.RTP.Padding,
-				Extension:   v.RTP.Extension,
-				Marker:      v.RTP.Marker,
-				PayloadType: v.RTP.PayloadType,
-				Seq:         v.RTP.Seq,
-				Timestamp:   v.RTP.Timestamp,
-				SSRC:        v.RTP.SSRC,
-			},
-			PayloadLen:  v.RTP.PayloadLen,
-			EmbeddedSIP: v.EmbeddedSIP,
-		}
-	case ProtoRTCP:
-		return &RTCPFootprint{FootprintBase: base}
-	case ProtoAccounting:
-		return &AcctFootprint{FootprintBase: base, Txn: v.Txn}
-	case ProtoOther:
-		return &RawFootprint{FootprintBase: base, OnPort: v.OnPort, Reason: v.Reason, Len: v.RawLen}
-	default:
-		return nil
-	}
 }

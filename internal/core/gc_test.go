@@ -14,12 +14,12 @@ func TestExpireSessionsEvictsIdleState(t *testing.T) {
 	// Two sessions: one active recently, one long idle.
 	for i, call := range []string{"old@x", "fresh@x"} {
 		at := time.Duration(i) * time.Hour
-		fp := &RTPFootprint{FootprintBase: FootprintBase{At: at}}
+		fp := &FrameView{Proto: ProtoRTP, At: at}
 		g.Process(fp)
 		// Force session state to exist by naming the session via SIP:
 		st := g.session(call)
 		st.lastSeen = at
-		trails.Get(call, ProtoSIP).Append(fp)
+		trails.Get(call, ProtoSIP).AppendView(fp)
 	}
 	if got := g.ExpireSessions(90*time.Minute, 45*time.Minute); got != 1 {
 		t.Fatalf("evicted %d sessions, want 1", got)

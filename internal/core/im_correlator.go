@@ -106,7 +106,7 @@ func (c *imCorrelator) Process(v *FrameView, h RouteHints, ctx *SessionContext, 
 	aor := out.from.AOR
 	session := "im:" + aor
 	*evs = append(*evs, Event{At: v.At, Type: EvSIPInstantMessage, Session: session,
-		Detail: fmt.Sprintf("from %s via %v", aor, v.Src.Addr()), Footprint: ctx.Observation()})
+		Detail: fmt.Sprintf("from %s via %v", aor, v.Src.Addr())})
 	mismatch, prev := false, netip.Addr{}
 	if h.HasIM {
 		// The router already judged this MESSAGE against the global source
@@ -120,7 +120,6 @@ func (c *imCorrelator) Process(v *FrameView, h RouteHints, ctx *SessionContext, 
 			At: v.At, Type: EvIMSourceMismatch, Session: session,
 			Detail: fmt.Sprintf("IM claiming %s came from %v; recent messages to %v came from %v",
 				aor, v.Src.Addr(), v.Dst.Addr(), prev),
-			Footprint: ctx.Observation(),
 		})
 	}
 }

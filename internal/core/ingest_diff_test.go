@@ -38,8 +38,8 @@ func diffIngestRunsCfg(t *testing.T, label string, frames []rec, cfg core.Config
 				t.Errorf("%s: %d events, serial has %d", tag, len(gotEvents), len(wantEvents))
 			} else {
 				for i := range wantEvents {
-					if eventKey(gotEvents[i]) != eventKey(wantEvents[i]) {
-						t.Errorf("%s: event %d = %s, want %s", tag, i, eventKey(gotEvents[i]), eventKey(wantEvents[i]))
+					if gotEvents[i] != wantEvents[i] {
+						t.Errorf("%s: event %d = %+v, want %+v", tag, i, gotEvents[i], wantEvents[i])
 						break
 					}
 				}

@@ -17,7 +17,7 @@ func TestSessionCapEvictsLRU(t *testing.T) {
 	g.SetLimits(Limits{MaxSessions: 3})
 	for i, id := range []string{"a@x", "b@x", "c@x"} {
 		g.session(id).lastSeen = time.Duration(i+1) * time.Second
-		trails.Get(id, ProtoSIP).Append(&RTPFootprint{})
+		trails.Get(id, ProtoSIP).AppendView(&FrameView{})
 	}
 	g.session("d@x") // at cap: must evict a@x, the least recently touched
 	if _, ok := g.sessions["a@x"]; ok {

@@ -219,6 +219,5 @@ func (c *optionsScanCorrelator) Process(v *FrameView, h RouteHints, ctx *Session
 		At: v.At, Type: EvOptionsScan, Session: "scan:" + src.String(),
 		Detail: fmt.Sprintf("%d distinct dialogs probed by OPTIONS from %v within %v",
 			len(r.dialogs), src, v.At-r.start),
-		Footprint: ctx.Observation(),
 	})
 }

@@ -148,8 +148,7 @@ func (c *rtpCorrelator) garbageEvent(v *FrameView, h RouteHints, ctx *SessionCon
 	}
 	*evs = append(*evs, Event{
 		At: v.At, Type: EvRTPGarbage, Session: eventSession,
-		Detail:    fmt.Sprintf("undecodable %d bytes on RTP port from %v: %s", v.RawLen, v.Src, v.Reason),
-		Footprint: ctx.Observation(),
+		Detail: fmt.Sprintf("undecodable %d bytes on RTP port from %v: %s", v.RawLen, v.Src, v.Reason),
 	})
 }
 
@@ -161,7 +160,7 @@ func (c *rtpCorrelator) processRTP(v *FrameView, h RouteHints, ctx *SessionConte
 	}
 	if sv.NewFlow {
 		*evs = append(*evs, Event{At: v.At, Type: EvRTPNewFlow, Session: session,
-			Detail: fmt.Sprintf("%v -> %v ssrc=%08x", v.Src, v.Dst, v.RTP.SSRC), Footprint: ctx.Observation()})
+			Detail: fmt.Sprintf("%v -> %v ssrc=%08x", v.Src, v.Dst, v.RTP.SSRC)})
 	}
 	if sv.Jump {
 		d := rtp.SeqDiff(sv.Prev, v.RTP.Seq)
@@ -169,7 +168,6 @@ func (c *rtpCorrelator) processRTP(v *FrameView, h RouteHints, ctx *SessionConte
 			At: v.At, Type: EvRTPSeqJump, Session: session,
 			Detail: fmt.Sprintf("seq %d -> %d (|Δ|=%d > %d) at %v",
 				sv.Prev, v.RTP.Seq, abs(d), c.cfg.SeqJumpThreshold, v.Dst),
-			Footprint: ctx.Observation(),
 		})
 	}
 	st := ctx.SessionState()
@@ -182,7 +180,7 @@ func (c *rtpCorrelator) processRTP(v *FrameView, h RouteHints, ctx *SessionConte
 	// report the last in-flight packets as the call still being up.
 	if sv.Activity && !(st != nil && st.byeSeen) {
 		*evs = append(*evs, Event{At: v.At, Type: EvRTPActivity, Session: session,
-			Detail: fmt.Sprintf("media flowing to %v", v.Dst), Footprint: ctx.Observation()})
+			Detail: fmt.Sprintf("media flowing to %v", v.Dst)})
 	}
 	if st == nil {
 		return
@@ -200,8 +198,7 @@ func (c *rtpCorrelator) checkSessionRTP(v *FrameView, st *sessionState, ctx *Ses
 		v.At > st.byeAt && v.At-st.byeAt <= c.cfg.MonitorWindow {
 		*evs = append(*evs, Event{
 			At: v.At, Type: EvRTPAfterBye, Session: st.callID,
-			Detail:    fmt.Sprintf("RTP from %v %.1fms after its BYE", v.Src, (v.At-st.byeAt).Seconds()*1000),
-			Footprint: ctx.Observation(),
+			Detail: fmt.Sprintf("RTP from %v %.1fms after its BYE", v.Src, (v.At-st.byeAt).Seconds()*1000),
 		})
 	}
 	// Orphan flow after REINVITE (Figure 7 rule): traffic still arriving
@@ -214,7 +211,6 @@ func (c *rtpCorrelator) checkSessionRTP(v *FrameView, st *sessionState, ctx *Ses
 			At: v.At, Type: EvRTPAfterReinvite, Session: st.callID,
 			Detail: fmt.Sprintf("RTP still arriving from old media address %v %.1fms after REINVITE",
 				v.Src, (v.At-st.reinviteAt).Seconds()*1000),
-			Footprint: ctx.Observation(),
 		})
 	}
 	// Source legitimacy (Figure 8 rule): media to a negotiated endpoint
@@ -230,8 +226,7 @@ func (c *rtpCorrelator) checkSessionRTP(v *FrameView, st *sessionState, ctx *Ses
 		if expected.IsValid() && v.Src.Addr() != expected.Addr() {
 			*evs = append(*evs, Event{
 				At: v.At, Type: EvRTPBadSource, Session: st.callID,
-				Detail:    fmt.Sprintf("media to %v from %v; session negotiated %v", v.Dst, v.Src, expected),
-				Footprint: ctx.Observation(),
+				Detail: fmt.Sprintf("media to %v from %v; session negotiated %v", v.Dst, v.Src, expected),
 			})
 		}
 	}

@@ -39,15 +39,12 @@ type SessionContext struct {
 	// by beginFrame the moment applySIP reports a session established.
 	observers []establishObserver
 
-	// Per-frame scratch, valid from beginFrame to endFrame. view is the
-	// frame in flight; boxed is its Footprint materialization, filled
-	// lazily by Observation. st is the dialog state the frame was resolved
-	// to, once, by beginFrame: applySIP's for SIP, the attributed
-	// session's for RTP/RTCP (nil when the flow belongs to no known
-	// session), nil for everything else. Correlators read it and endFrame
-	// touches through it; nobody looks the key up again.
-	view    *FrameView
-	boxed   Footprint
+	// Per-frame scratch, valid from beginFrame to endFrame. st is the
+	// dialog state the frame was resolved to, once, by beginFrame:
+	// applySIP's for SIP, the attributed session's for RTP/RTCP (nil when
+	// the flow belongs to no known session), nil for everything else.
+	// Correlators read it and endFrame touches through it; nobody looks
+	// the key up again.
 	session string
 	st      *sessionState
 	sipOut  sipOutcome
@@ -71,7 +68,6 @@ func newSessionContext(cfg GenConfig, trails *TrailStore) *SessionContext {
 // outcome. It reports whether the view's protocol is known.
 func (ctx *SessionContext) beginFrame(v *FrameView, h RouteHints) bool {
 	ctx.st, ctx.sipOut = nil, sipOutcome{}
-	ctx.view, ctx.boxed = v, nil
 	switch v.Proto {
 	case ProtoSIP:
 		// The trail is keyed by the session's own copy of the Call-ID, so
@@ -112,7 +108,6 @@ func (ctx *SessionContext) endFrame(at time.Duration) {
 	if ctx.st != nil {
 		ctx.st.lastSeen = at
 	}
-	ctx.view, ctx.boxed = nil, nil
 }
 
 // Config returns the normalized generator configuration.
@@ -125,19 +120,8 @@ func (ctx *SessionContext) Budget() Limits { return ctx.limits }
 // processed.
 func (ctx *SessionContext) Session() string { return ctx.session }
 
-// Observation returns the boxed Footprint of the frame in flight, for
-// attaching to events. Boxing is lazy and memoized per frame: frames that
-// complete no event never pay a Footprint allocation, and multiple events
-// from one frame share one boxed value.
-func (ctx *SessionContext) Observation() Footprint {
-	if ctx.boxed == nil && ctx.view != nil {
-		ctx.boxed = ctx.view.box()
-	}
-	return ctx.boxed
-}
-
 // SIP returns the memoized dialog state and transition outcome of the SIP
-// footprint being processed. Only meaningful while a SIPFootprint is in
+// footprint being processed. Only meaningful while a SIP view is in
 // flight.
 func (ctx *SessionContext) SIP() (st *sessionState, out sipOutcome) {
 	return ctx.st, ctx.sipOut
@@ -218,6 +202,5 @@ func (ctx *SessionContext) CheckPendingRTCPBye(st *sessionState, now time.Durati
 		At: now, Type: EvRTCPSpoofedBye, Session: st.callID,
 		Detail: fmt.Sprintf("RTCP BYE at %v with no SIP BYE after %v; media control and call signaling disagree",
 			st.rtcpByeAt, ctx.cfg.ReinviteGrace),
-		Footprint: ctx.Observation(),
 	})
 }

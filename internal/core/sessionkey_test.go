@@ -267,11 +267,11 @@ func (w *attrWorld) media(proto Protocol) {
 	src, dst := w.ep(), w.ep()
 	w.tick()
 	if proto == ProtoRTCP {
-		w.g.Process(&RTCPFootprint{FootprintBase: FootprintBase{At: w.now, Src: src, Dst: dst}})
+		w.g.Process(&FrameView{Proto: ProtoRTCP, At: w.now, Src: src, Dst: dst})
 		return
 	}
-	w.g.Process(&RTPFootprint{FootprintBase: FootprintBase{At: w.now, Src: src, Dst: dst},
-		Header: rtp.Header{Seq: uint16(w.rng.Intn(1 << 16)), SSRC: 7}})
+	w.g.Process(&FrameView{Proto: ProtoRTP, At: w.now, Src: src, Dst: dst,
+		RTP: rtp.HeaderView{Seq: uint16(w.rng.Intn(1 << 16)), SSRC: 7}})
 }
 
 func (w *attrWorld) snapshotRestore() {
@@ -506,10 +506,10 @@ func TestFlowAttributionOrder(t *testing.T) {
 func TestFallbackKeyCollidingCallID(t *testing.T) {
 	for _, tc := range []struct {
 		key string
-		fp  Footprint
+		fp  *FrameView
 	}{
 		{"rtp:" + egBMedia.String(), rtpAt(time.Second, egEvil, egBMedia, 1)},
-		{"rtcp:" + egBMedia.String(), &RTCPFootprint{FootprintBase: FootprintBase{At: time.Second, Src: egEvil, Dst: egBMedia}}},
+		{"rtcp:" + egBMedia.String(), &FrameView{Proto: ProtoRTCP, At: time.Second, Src: egEvil, Dst: egBMedia}},
 	} {
 		g := newGen()
 		inv := egInvite(t, tc.key)
@@ -524,7 +524,7 @@ func TestFallbackKeyCollidingCallID(t *testing.T) {
 		if st.lastSeen != time.Second {
 			t.Errorf("%s: colliding dialog not touched by fallback-keyed media (lastSeen %v)", tc.key, st.lastSeen)
 		}
-		if g.trails.Lookup(tc.key, tc.fp.Proto()) == nil {
+		if g.trails.Lookup(tc.key, tc.fp.Proto) == nil {
 			t.Errorf("%s: media not filed under the fallback key", tc.key)
 		}
 	}

@@ -342,12 +342,7 @@ func putBatch(b []shardItem) {
 
 // NewShardedEngine builds a sharded IDS instance. shards <= 0 uses
 // runtime.GOMAXPROCS(0). The configuration is shared by every shard.
-// DirectTrailMatching is a single-store ablation and is not supported
-// sharded.
 func NewShardedEngine(cfg Config, shards int, opts ...EngineOption) *ShardedEngine {
-	if cfg.DirectTrailMatching {
-		panic("core: ShardedEngine does not support DirectTrailMatching; use Engine for the ablation")
-	}
 	if shards <= 0 {
 		shards = runtime.GOMAXPROCS(0)
 	}

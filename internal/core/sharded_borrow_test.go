@@ -56,8 +56,8 @@ func TestShardedReplayBorrowsFrames(t *testing.T) {
 						t.Errorf("%s: %d events, owned-frame run has %d", label, len(gotEvents), len(wantEvents))
 					} else {
 						for i := range wantEvents {
-							if eventKey(gotEvents[i]) != eventKey(wantEvents[i]) {
-								t.Errorf("%s: event %d = %s, want %s", label, i, eventKey(gotEvents[i]), eventKey(wantEvents[i]))
+							if gotEvents[i] != wantEvents[i] {
+								t.Errorf("%s: event %d = %+v, want %+v", label, i, gotEvents[i], wantEvents[i])
 								break
 							}
 						}

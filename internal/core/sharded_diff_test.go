@@ -123,12 +123,6 @@ func diffClassification(t *testing.T, label string, got, want core.DistillerStat
 	engineLedger(t, label, got)
 }
 
-// eventKey is the comparable identity of an event (the Footprint pointer
-// necessarily differs between engines).
-func eventKey(ev core.Event) string {
-	return fmt.Sprintf("%v|%v|%s|%s", ev.At, ev.Type, ev.Session, ev.Detail)
-}
-
 // alertKey is the comparable identity of an alert, including how many
 // times it fired and how many events witnessed it.
 func alertKey(a core.Alert) string {
@@ -155,8 +149,8 @@ func diffRunsCfg(t *testing.T, label string, frames []rec, cfg core.Config) {
 			t.Errorf("%s shards=%d: %d events, serial has %d", label, shards, len(gotEvents), len(wantEvents))
 		} else {
 			for i := range wantEvents {
-				if eventKey(gotEvents[i]) != eventKey(wantEvents[i]) {
-					t.Errorf("%s shards=%d: event %d = %s, want %s", label, shards, i, eventKey(gotEvents[i]), eventKey(wantEvents[i]))
+				if gotEvents[i] != wantEvents[i] {
+					t.Errorf("%s shards=%d: event %d = %+v, want %+v", label, shards, i, gotEvents[i], wantEvents[i])
 					break
 				}
 			}

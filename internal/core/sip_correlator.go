@@ -52,17 +52,17 @@ func (c *sipCorrelator) Process(v *FrameView, h RouteHints, ctx *SessionContext,
 		st.badFormat = true
 		*evs = append(*evs, Event{
 			At: v.At, Type: EvSIPBadFormat, Session: st.callID,
-			Detail: "[" + strings.Join(v.Malformed, " ") + "]", Footprint: ctx.Observation(),
+			Detail: "[" + strings.Join(v.Malformed, " ") + "]",
 		})
 	}
 	if m.IsRequest() {
-		c.requestEvents(v, st, out, ctx, evs)
+		c.requestEvents(v, st, out, evs)
 	} else {
 		c.responseEvents(v, st, out, ctx, evs)
 	}
 }
 
-func (c *sipCorrelator) requestEvents(v *FrameView, st *sessionState, out sipOutcome, ctx *SessionContext, evs *[]Event) {
+func (c *sipCorrelator) requestEvents(v *FrameView, st *sessionState, out sipOutcome, evs *[]Event) {
 	if !out.fromToOK {
 		return
 	}
@@ -72,7 +72,7 @@ func (c *sipCorrelator) requestEvents(v *FrameView, st *sessionState, out sipOut
 		// Stored values outlive the frame, so they are copies, not
 		// substrings of the message's header text.
 		*evs = append(*evs, Event{At: v.At, Type: EvSIPRegister, Session: st.callID,
-			Detail: strings.Clone(out.to.AOR), Footprint: ctx.Observation()})
+			Detail: strings.Clone(out.to.AOR)})
 		if authz := m.Headers.Get(sip.HdrAuthorization); authz != "" {
 			if creds, err := sip.ParseCredentials(authz); err == nil {
 				if st.guessResponses == nil {
@@ -85,7 +85,6 @@ func (c *sipCorrelator) requestEvents(v *FrameView, st *sessionState, out sipOut
 						At: v.At, Type: EvPasswordGuessing, Session: st.callID,
 						Detail: strconv.Itoa(len(st.guessResponses)) + " distinct challenge responses for " +
 							out.to.AOR + " from " + v.Src.String(),
-						Footprint: ctx.Observation(),
 					})
 				}
 			}
@@ -93,16 +92,16 @@ func (c *sipCorrelator) requestEvents(v *FrameView, st *sessionState, out sipOut
 	case sip.MethodInvite:
 		if out.firstInvite {
 			*evs = append(*evs, Event{At: v.At, Type: EvSIPInvite, Session: st.callID,
-				Detail: st.callerAOR + " -> " + st.calleeAOR, Footprint: ctx.Observation()})
+				Detail: st.callerAOR + " -> " + st.calleeAOR})
 		}
 		if out.reinvite {
 			*evs = append(*evs, Event{At: v.At, Type: EvSIPReinvite, Session: st.callID,
-				Detail: out.reinviteMover + " moving media from " + out.reinviteOld.String(), Footprint: ctx.Observation()})
+				Detail: out.reinviteMover + " moving media from " + out.reinviteOld.String()})
 		}
 	case sip.MethodBye:
 		if out.firstBye {
 			*evs = append(*evs, Event{At: v.At, Type: EvSIPBye, Session: st.callID,
-				Detail: out.from.AOR + " hangs up", Footprint: ctx.Observation()})
+				Detail: out.from.AOR + " hangs up"})
 		}
 	}
 }
@@ -116,13 +115,12 @@ func (c *sipCorrelator) responseEvents(v *FrameView, st *sessionState, out sipOu
 	case m.StatusCode == sip.StatusUnauthorized:
 		st.challenges++
 		*evs = append(*evs, Event{At: v.At, Type: EvSIPAuthChallenge, Session: st.callID,
-			Detail: "challenge #" + strconv.Itoa(st.challenges), Footprint: ctx.Observation()})
+			Detail: "challenge #" + strconv.Itoa(st.challenges)})
 		if st.challenges >= c.cfg.AuthFloodThreshold && !st.floodFired {
 			st.floodFired = true
 			*evs = append(*evs, Event{
 				At: v.At, Type: EvAuthFlood, Session: st.callID,
-				Detail:    strconv.Itoa(st.challenges) + " unauthorized replies in one session",
-				Footprint: ctx.Observation(),
+				Detail: strconv.Itoa(st.challenges) + " unauthorized replies in one session",
 			})
 		}
 	case out.regOK:
@@ -130,11 +128,10 @@ func (c *sipCorrelator) responseEvents(v *FrameView, st *sessionState, out sipOu
 			ctx.SetBinding(out.regAOR, out.bindingIP)
 		}
 		*evs = append(*evs, Event{At: v.At, Type: EvSIPRegisterOK, Session: st.callID,
-			Detail: out.regAOR, Footprint: ctx.Observation()})
+			Detail: out.regAOR})
 	case out.established:
 		*evs = append(*evs, Event{At: v.At, Type: EvSIPCallEstablished, Session: st.callID,
-			Detail:    st.callerAOR + " <-> " + st.calleeAOR + " media " + st.callerMedia.String() + "/" + st.calleeMedia.String(),
-			Footprint: ctx.Observation()})
+			Detail: st.callerAOR + " <-> " + st.calleeAOR + " media " + st.callerMedia.String() + "/" + st.calleeMedia.String()})
 		c.checkUnmatchedMedia(v, st, ctx, evs)
 	}
 }
@@ -154,6 +151,5 @@ func (c *sipCorrelator) checkUnmatchedMedia(v *FrameView, st *sessionState, ctx 
 		At: v.At, Type: EvRTPUnmatchedMedia, Session: st.callID,
 		Detail: "caller " + st.callerAOR + " registered at " + binding.String() +
 			" but negotiated media at " + st.callerMedia.String(),
-		Footprint: ctx.Observation(),
 	})
 }

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"reflect"
 	"runtime"
+	"sync/atomic"
 	"testing"
 	"time"
 	"unsafe"
@@ -12,8 +13,8 @@ import (
 	"scidive/internal/sip"
 )
 
-// Tests of what a SIP trail counts, what a short dialog costs and of the
-// DirectTrailMatching ablation's literal SIP trail.
+// Tests of what a SIP trail counts, what a short dialog costs and what
+// the engine keeps of a message once its frame is done.
 
 // TestSIPTrailSlotLayout holds a SIP trail to the contract a media trail
 // has: its Len climbs one per message and stops at MaxTrailLen, and a
@@ -116,8 +117,9 @@ func dialogFrames(t *testing.T, callID string) [][]byte {
 
 // TestSIPDialogFootprint is the tier-1 pin on what a finished short call
 // costs while its session lives: 512 six-message dialogs hold at most
-// 2.5 KB of heap each (measures 1.7 KB; 5.2 KB while SIP trails held
-// every *sip.Message of the dialog), measured the way the benchmark's
+// 1.5 KB of heap each (measures 1.0 KB; 1.7 KB while every event boxed
+// a copy of its frame, 5.2 KB while SIP trails held every *sip.Message
+// of the dialog), measured the way the benchmark's
 // heap_bytes_per_session is.
 func TestSIPDialogFootprint(t *testing.T) {
 	const dialogs = 512
@@ -143,8 +145,8 @@ func TestSIPDialogFootprint(t *testing.T) {
 	runtime.KeepAlive(frames)
 	perDialog := (int64(after.HeapAlloc) - int64(before.HeapAlloc)) / dialogs
 	t.Logf("heap per six-message dialog: %d B", perDialog)
-	if perDialog > 2500 {
-		t.Errorf("heap per six-message dialog = %d B, want <= 2500", perDialog)
+	if perDialog > 1500 {
+		t.Errorf("heap per six-message dialog = %d B, want <= 1500", perDialog)
 	}
 	if tr := eng.trails.Lookup("short0@pin", ProtoSIP); tr == nil || tr.Len() != 6 {
 		t.Fatalf("first dialog's SIP trail: %+v, want Len 6", tr)
@@ -152,53 +154,16 @@ func TestSIPDialogFootprint(t *testing.T) {
 	runtime.KeepAlive(eng)
 }
 
-// TestDirectTrailBounded holds the ablation's literal trail to its bound:
-// with MaxTrailLen 4, no Call-ID ever keeps more than its 4 most recent
-// messages, while the trail store still counts each dialog's messages up
-// to the same bound.
-func TestDirectTrailBounded(t *testing.T) {
-	const bound = 4
-	eng := NewEngine(Config{DirectTrailMatching: true, MaxTrailLen: bound})
-	var frames [][]byte
-	for i := 0; i < 3; i++ {
-		frames = append(frames, dialogFrames(t, fmt.Sprintf("direct%d@bound", i))...)
-	}
-	at := time.Duration(0)
-	seen := make(map[string]int)
-	for round := 0; round < 2; round++ {
-		for i, fr := range frames {
-			at += time.Millisecond
-			eng.HandleFrame(at, fr)
-			id := fmt.Sprintf("direct%d@bound", i/6)
-			seen[id]++
-			list := eng.direct[id]
-			if want := min(seen[id], bound); len(list) != want {
-				t.Fatalf("%s after %d messages: literal trail holds %d, want %d", id, seen[id], len(list), want)
-			}
-			if last := list[len(list)-1]; last.at != at || last.msg.CallID() != id {
-				t.Fatalf("%s: newest entry is %v %q, want the message just fed at %v", id, last.at, last.msg.CallID(), at)
-			}
-			for j := 1; j < len(list); j++ {
-				if list[j].at <= list[j-1].at {
-					t.Fatalf("%s: literal trail out of arrival order: %v then %v", id, list[j-1].at, list[j].at)
-				}
-			}
-			if got := eng.trails.Lookup(id, ProtoSIP).Len(); got != min(seen[id], bound) {
-				t.Fatalf("%s: trail store counts %d, want %d", id, got, min(seen[id], bound))
-			}
-		}
-	}
-	if len(eng.direct) != 3 {
-		t.Errorf("literal trails for %d Call-IDs, want 3", len(eng.direct))
-	}
-}
-
 // TestStoredKeysDoNotPinMessages: a parsed message's header values are
 // substrings of one copy of its header block, so a value stored past the
 // frame would keep that whole block alive for as long as the store. After
 // a registration with credentials, a call, an OPTIONS probe and a hangup,
-// no session key, trail key, options-scan dialog, guessed response or
-// REGISTER event detail may point into any message's header block.
+// no session key, trail key, options-scan dialog, guessed response, or
+// Session or Detail of a retained event, partial match or alert may point
+// into any message's header block. And nothing the engine retains — the
+// event log, the alerts, the rule partials (the BYE leaves one open) —
+// may reach a message at all: with the engine still alive and its
+// per-frame view reset, every parsed message must be collectable.
 func TestStoredKeysDoNotPinMessages(t *testing.T) {
 	alice, _ := sip.ParseAddress("<sip:alice@10.0.0.10>;tag=r1")
 	aliceAOR, _ := sip.ParseAddress("<sip:alice@10.0.0.10>")
@@ -226,7 +191,7 @@ func TestStoredKeysDoNotPinMessages(t *testing.T) {
 	eng := NewEngine(Config{}, WithEventLog())
 	type block struct{ lo, hi uintptr }
 	var blocks []block
-	var msgs []*sip.Message
+	var freed atomic.Int32
 	for i, fr := range frames {
 		eng.HandleFrame(time.Duration(i+1)*time.Millisecond, fr)
 		m := eng.view.Msg
@@ -246,7 +211,8 @@ func TestStoredKeysDoNotPinMessages(t *testing.T) {
 		if p := uintptr(unsafe.Pointer(unsafe.StringData(m.CallID()))); p < b.lo || p >= b.hi {
 			t.Fatalf("frame %d: the Call-ID is not a substring of the header block", i)
 		}
-		blocks, msgs = append(blocks, b), append(msgs, m)
+		blocks = append(blocks, b)
+		runtime.SetFinalizer(m, func(*sip.Message) { freed.Add(1) })
 	}
 	pinned := func(what, s string) {
 		t.Helper()
@@ -288,16 +254,54 @@ func TestStoredKeysDoNotPinMessages(t *testing.T) {
 	for aor := range g.bindings {
 		pinned("binding", aor)
 	}
-	registers := 0
-	for _, ev := range eng.Events() {
-		if ev.Type == EvSIPRegister {
-			pinned("REGISTER detail", ev.Detail)
+	event := func(what string, ev Event) {
+		t.Helper()
+		pinned(what+" "+ev.Type.String()+" session", ev.Session)
+		pinned(what+" "+ev.Type.String()+" detail", ev.Detail)
+	}
+	events, registers, byes := eng.Events(), 0, 0
+	for _, ev := range events {
+		event("event", ev)
+		switch ev.Type {
+		case EvSIPRegister:
 			registers++
+		case EvSIPBye:
+			byes++
 		}
 	}
-	if guesses != 1 || dialogs != 1 || registers != 1 || len(g.bindings) != 1 || len(g.idx.sessions) != 3 {
-		t.Fatalf("nothing to check: %d guesses, %d probed dialogs, %d REGISTER events, %d bindings, %d sessions",
-			guesses, dialogs, registers, len(g.bindings), len(g.idx.sessions))
+	partials := 0
+	for _, parts := range eng.rules.partials {
+		for _, p := range parts {
+			for _, ev := range p.events {
+				event("partial", ev)
+			}
+			partials++
+		}
 	}
-	runtime.KeepAlive(msgs)
+	for _, a := range eng.Alerts() {
+		pinned("alert session", a.Session)
+		pinned("alert detail", a.Detail)
+		for _, ev := range a.Events {
+			event("alert", ev)
+		}
+	}
+	if guesses != 1 || dialogs != 1 || registers != 1 || byes != 1 || partials == 0 ||
+		len(g.bindings) != 1 || len(g.idx.sessions) != 3 {
+		t.Fatalf("nothing to check: %d guesses, %d probed dialogs, %d REGISTER and %d BYE events, %d partials, %d bindings, %d sessions",
+			guesses, dialogs, registers, byes, partials, len(g.bindings), len(g.idx.sessions))
+	}
+
+	// Only the per-frame view may still point at a message (the last
+	// one); everything else the engine holds must let them all go.
+	eng.view.reset()
+	want := int32(len(frames))
+	for i := 0; i < 50 && freed.Load() < want; i++ {
+		runtime.GC()
+		time.Sleep(time.Millisecond)
+	}
+	if got := freed.Load(); got != want {
+		t.Errorf("%d of %d parsed messages collected while the engine lives; the rest are still reachable from its state", got, want)
+	}
+	runtime.KeepAlive(eng)
+	runtime.KeepAlive(events)
 }

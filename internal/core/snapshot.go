@@ -460,10 +460,8 @@ func writeEvent(w *snapWriter, ev Event) {
 	w.str(ev.Point)
 }
 
-// readEvent decodes an event. The triggering footprint is deliberately
-// not checkpointed (it aliases decoded packet memory); reinstated events
-// carry a nil Footprint, which nothing downstream of the rule engine
-// reads.
+// readEvent decodes an event: every field writeEvent wrote, which is
+// every field an Event has.
 func readEvent(r *snapReader) Event {
 	return Event{At: r.dur(), Type: EventType(r.vint()), Session: r.strv(), Detail: r.strv(), Point: r.strv()}
 }
@@ -1728,13 +1726,8 @@ func (e *Engine) header() snapHeader {
 // versioned, checksummed, geometry-portable checkpoint: the folded Stats()
 // view as the stats block, the session-keyed body, the routing directory
 // and the buffered fragment groups, so any shards × ingest geometry (or
-// the serial engine) can restore it. The DirectTrailMatching ablation is
-// not checkpointable: it re-reads raw trail contents, which snapshots
-// deliberately drop.
+// the serial engine) can restore it.
 func (e *Engine) Snapshot() ([]byte, error) {
-	if e.cfg.DirectTrailMatching {
-		return nil, fmt.Errorf("core: snapshot: the DirectTrailMatching ablation rereads raw trail contents and cannot be checkpointed")
-	}
 	var w snapWriter
 	writeSnapHeader(&w, e.header())
 	e.writeSnapBodyWithStats(&w, e.Stats())
@@ -1751,9 +1744,6 @@ func (e *Engine) Snapshot() ([]byte, error) {
 // against the header, each mismatch yielding a descriptive error that says
 // how to proceed. On any error the engine is left untouched.
 func (e *Engine) RestoreSnapshot(data []byte) error {
-	if e.cfg.DirectTrailMatching {
-		return fmt.Errorf("core: restore: the DirectTrailMatching ablation cannot be checkpointed")
-	}
 	if e.stats.Frames != 0 {
 		return fmt.Errorf("core: restore requires a fresh engine (this one already processed %d frames)", e.stats.Frames)
 	}

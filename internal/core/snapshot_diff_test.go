@@ -111,8 +111,9 @@ func runShardedKillRestore(t *testing.T, frames []rec, shards, k int, cfg core.C
 	return b.Alerts(), b.Events(), b.Stats()
 }
 
-// compareToBaseline asserts a kill/restore run is byte-identical (under
-// the Footprint-free keys) to the uninterrupted baseline.
+// compareToBaseline asserts a kill/restore run is identical to the
+// uninterrupted baseline: every event field by field, every alert by its
+// key, and the stats.
 func compareToBaseline(t *testing.T, label string,
 	gotAlerts []core.Alert, gotEvents []core.Event, gotStats core.EngineStats,
 	wantAlerts []core.Alert, wantEvents []core.Event, wantStats core.EngineStats) {
@@ -121,8 +122,8 @@ func compareToBaseline(t *testing.T, label string,
 		t.Errorf("%s: %d events, uninterrupted run has %d", label, len(gotEvents), len(wantEvents))
 	} else {
 		for i := range wantEvents {
-			if eventKey(gotEvents[i]) != eventKey(wantEvents[i]) {
-				t.Errorf("%s: event %d = %s, want %s", label, i, eventKey(gotEvents[i]), eventKey(wantEvents[i]))
+			if gotEvents[i] != wantEvents[i] {
+				t.Errorf("%s: event %d = %+v, want %+v", label, i, gotEvents[i], wantEvents[i])
 				break
 			}
 		}

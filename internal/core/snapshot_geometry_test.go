@@ -4,7 +4,7 @@ package core_test
 // by session, not by shard, so a checkpoint written at one engine
 // geometry must resume at ANY other — serial or sharded, narrower or
 // wider, with or without parallel ingest — and the resumed run must be
-// byte-identical (under the Footprint-free keys) to an uninterrupted run.
+// identical, event for event and alert for alert, to an uninterrupted run.
 // This is the elastic-operations proof: growing 8 shards to 32 is
 // checkpoint → restart wider → resume, and these tests hold every
 // capture × resume geometry pair to the uninterrupted baseline.

@@ -10,8 +10,8 @@ import "fmt"
 // arrives and keep whatever they need on the session's state, so nothing
 // ever reads a footprint back out of a trail: a trail counts what it has
 // seen, clamped to its bound, and that count is all a checkpoint carries.
-// The DirectTrailMatching ablation, which does reread raw footprints,
-// keeps its own list (engine.go).
+// The direct-matching ablation (experiments.DirectMatcher), which does
+// reread raw footprints, keeps its own list outside the engine.
 type Trail struct {
 	// Session is the correlation key shared by all trails of one session.
 	Session string

@@ -5,8 +5,8 @@ import (
 	"time"
 )
 
-func rtpFp(at time.Duration) *RTPFootprint {
-	return &RTPFootprint{FootprintBase: FootprintBase{At: at}}
+func rtpFp(at time.Duration) *FrameView {
+	return &FrameView{Proto: ProtoRTP, At: at}
 }
 
 // TestTrailAppendAndOrder appends to an unbounded trail: each append
@@ -19,7 +19,7 @@ func TestTrailAppendAndOrder(t *testing.T) {
 		t.Fatalf("new trail = %+v, want an empty call-1 RTP trail", tr)
 	}
 	for i := 0; i < 10; i++ {
-		s.Get("call-1", ProtoRTP).Append(rtpFp(time.Duration(i) * time.Millisecond))
+		s.Get("call-1", ProtoRTP).AppendView(rtpFp(time.Duration(i) * time.Millisecond))
 		if tr.Len() != i+1 {
 			t.Fatalf("after append %d: Len = %d, want %d", i, tr.Len(), i+1)
 		}
@@ -36,7 +36,7 @@ func TestTrailBounded(t *testing.T) {
 	for _, proto := range []Protocol{ProtoSIP, ProtoRTP, ProtoRTCP, ProtoAccounting} {
 		tr := s.Get("call-1", proto)
 		for i := 0; i < 20; i++ {
-			tr.Append(rtpFp(time.Duration(i) * time.Millisecond))
+			tr.AppendView(rtpFp(time.Duration(i) * time.Millisecond))
 			if want := min(i+1, 5); tr.Len() != want {
 				t.Fatalf("%v trail after %d appends: Len = %d, want %d", proto, i+1, tr.Len(), want)
 			}
@@ -75,10 +75,10 @@ func TestTrailCounter(t *testing.T) {
 
 func TestTrailStoreSessionGrouping(t *testing.T) {
 	s := NewTrailStore(0)
-	s.Get("call-1", ProtoSIP).Append(rtpFp(0))
-	s.Get("call-1", ProtoRTP).Append(rtpFp(0))
-	s.Get("call-1", ProtoAccounting).Append(rtpFp(0))
-	s.Get("call-2", ProtoSIP).Append(rtpFp(0))
+	s.Get("call-1", ProtoSIP).AppendView(rtpFp(0))
+	s.Get("call-1", ProtoRTP).AppendView(rtpFp(0))
+	s.Get("call-1", ProtoAccounting).AppendView(rtpFp(0))
+	s.Get("call-2", ProtoSIP).AppendView(rtpFp(0))
 	if s.Sessions() != 2 {
 		t.Errorf("Sessions = %d", s.Sessions())
 	}
