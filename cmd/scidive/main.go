@@ -17,16 +17,15 @@
 // checkpointing, restarting with the new width, and resuming).
 //
 // A running process hot-reloads its ruleset on SIGHUP: the -rules file is
-// re-parsed and swapped in at a frame boundary without dropping a frame
-// (a parse error keeps the active ruleset; in-flight partial matches of
-// removed or edited rules are dropped and surfaced as a rule-reload
-// alert). -reload-rules N does the same after every N delivered frames,
-// deterministically, for tests and drills.
+// re-parsed and swapped in before the next delivered frame, without
+// dropping a frame (a parse error keeps the active ruleset; in-flight
+// partial matches of removed or edited rules are dropped and surfaced as
+// a rule-reload alert). -reload-rules N does the same after every N
+// delivered frames, deterministically, for tests and drills.
 package main
 
 import (
 	"encoding/json"
-	"errors"
 	"flag"
 	"fmt"
 	"io"
@@ -35,7 +34,6 @@ import (
 	"runtime"
 	"strconv"
 	"strings"
-	"sync"
 	"syscall"
 	"time"
 
@@ -48,7 +46,6 @@ import (
 // ShardedEngine; the CLI drives either through it.
 type idsEngine interface {
 	HandleFrame(at time.Duration, frame []byte)
-	ReplayCapture(r *capture.Reader) error
 	Snapshot() ([]byte, error)
 	RestoreSnapshot(data []byte) error
 	ReloadRules(rules []core.Rule) (int, error)
@@ -238,28 +235,12 @@ func run(args []string, out io.Writer) error {
 		}
 		fmt.Fprintf(out, "rules reloaded from %s: %d in-flight partial matches dropped\n", source, dropped)
 	}
-	// SIGHUP triggers a live reload at any point in the replay; ReloadRules
-	// is safe against concurrent frame delivery, so the watcher calls it
-	// directly. It is stopped before results print so the reload notice
-	// cannot interleave with the alert listing.
+	// SIGHUP requests a live reload. ReloadRules must not run concurrently
+	// with HandleFrame, so deliver applies a pending request before the
+	// next frame, on the delivery goroutine.
 	sighup := make(chan os.Signal, 1)
 	signal.Notify(sighup, syscall.SIGHUP)
-	hupDone := make(chan struct{})
-	go func() {
-		defer close(hupDone)
-		for range sighup {
-			reloadRules()
-		}
-	}()
-	var hupOnce sync.Once
-	stopHUP := func() {
-		hupOnce.Do(func() {
-			signal.Stop(sighup)
-			close(sighup)
-			<-hupDone
-		})
-	}
-	defer stopHUP()
+	defer signal.Stop(sighup)
 	writeCkpt := func() error {
 		snap, err := eng.Snapshot()
 		if err != nil {
@@ -267,8 +248,10 @@ func run(args []string, out io.Writer) error {
 		}
 		return core.WriteCheckpoint(*checkpointPath, snap)
 	}
-	// deliver skips the frames a resumed checkpoint already covers and
-	// cuts periodic checkpoints at exact frame boundaries.
+	// deliver skips the frames a resumed checkpoint already covers, applies
+	// reloads and cuts periodic checkpoints at exact frame boundaries.
+	// capture.Replay reuses its frame buffer, which parallel ingest lanes
+	// read after HandleFrame returns, so that path copies each frame.
 	var deliverErr error
 	skip, processed := resumeSkip, uint64(0)
 	deliver := func(at time.Duration, frame []byte) {
@@ -278,6 +261,14 @@ func run(args []string, out io.Writer) error {
 		if skip > 0 {
 			skip--
 			return
+		}
+		select {
+		case <-sighup:
+			reloadRules()
+		default:
+		}
+		if *ingest > 1 {
+			frame = append([]byte(nil), frame...)
 		}
 		eng.HandleFrame(at, frame)
 		processed++
@@ -294,22 +285,9 @@ func run(args []string, out io.Writer) error {
 			return err
 		}
 		fmt.Fprintf(out, "scenario %s: %s\n", *scenarioName, outcome.Impact)
-	} else if *checkpointPath != "" || *resumePath != "" || *reloadEvery > 0 {
-		rd := capture.NewReader(f)
-		for {
-			rec, err := rd.Next()
-			if errors.Is(err, io.EOF) {
-				break
-			}
-			if err != nil {
-				return err
-			}
-			deliver(rec.Time, rec.Frame)
-		}
-	} else if err := eng.ReplayCapture(capture.NewReader(f)); err != nil {
+	} else if err := capture.Replay(capture.NewReader(f), deliver); err != nil {
 		return err
 	}
-	stopHUP()
 	if deliverErr != nil {
 		return deliverErr
 	}

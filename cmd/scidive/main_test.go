@@ -604,14 +604,16 @@ func TestReloadRulesCLI(t *testing.T) {
 	}
 }
 
-// TestReloadRulesSIGHUP exercises the live signal path: SIGHUPs hammer the
-// process throughout a replay while the rules file is repeatedly rewritten
-// — sometimes the identical valid ruleset, sometimes unparseable garbage.
-// Whatever lands, identical-ruleset reloads are no-ops and garbage reloads
-// are skipped with the active ruleset kept, so the run must complete
-// cleanly with the static run's exact alerts. The test registers its own
-// SIGHUP handler first so a signal arriving before run installs its
-// watcher cannot kill the test process.
+// TestReloadRulesSIGHUP exercises the live signal path on both engine
+// kinds: SIGHUPs hammer the process throughout a replay while the rules
+// file is repeatedly rewritten — sometimes the identical valid ruleset,
+// sometimes unparseable garbage. Whatever lands, identical-ruleset
+// reloads are no-ops and garbage reloads are skipped with the active
+// ruleset kept, so the run must complete cleanly with the static run's
+// exact alerts. Reloads apply on the delivery goroutine, so under -race
+// this also proves no reload touches the engine mid-frame. The test
+// registers its own SIGHUP handler first so a signal arriving before run
+// installs its own cannot kill the test process.
 func TestReloadRulesSIGHUP(t *testing.T) {
 	guard := make(chan os.Signal, 1)
 	signal.Notify(guard, syscall.SIGHUP)
@@ -619,63 +621,67 @@ func TestReloadRulesSIGHUP(t *testing.T) {
 
 	path := writeScenarioCapture(t, "bye", 5)
 	valid := []byte(core.FormatRules(core.DefaultRuleset()))
-	rulesFile := filepath.Join(t.TempDir(), "default.rules")
-	if err := os.WriteFile(rulesFile, valid, 0o644); err != nil {
-		t.Fatal(err)
-	}
-	var static strings.Builder
-	if err := run([]string{"-in", path, "-shards", "2", "-rules", rulesFile}, &static); err != nil {
-		t.Fatalf("static run: %v", err)
-	}
+	for _, shards := range []string{"1", "2"} {
+		t.Run("shards"+shards, func(t *testing.T) {
+			rulesFile := filepath.Join(t.TempDir(), "default.rules")
+			if err := os.WriteFile(rulesFile, valid, 0o644); err != nil {
+				t.Fatal(err)
+			}
+			args := []string{"-in", path, "-shards", shards, "-rules", rulesFile}
+			var static strings.Builder
+			if err := run(args, &static); err != nil {
+				t.Fatalf("static run: %v", err)
+			}
 
-	// swapIn replaces the rules file atomically (temp + rename) so a
-	// concurrent reload never reads a truncated file — a partial write
-	// could parse as a valid SUBSET ruleset and legitimately change
-	// behavior, which is not the failure mode under test.
-	swapIn := func(content []byte) {
-		tmp := rulesFile + ".tmp"
-		if err := os.WriteFile(tmp, content, 0o644); err == nil {
-			os.Rename(tmp, rulesFile)
-		}
-	}
-	stop := make(chan struct{})
-	hammerDone := make(chan struct{})
-	go func() {
-		defer close(hammerDone)
-		garbage := []byte("rule broken nope {\n    seq sip-bye\n")
-		for i := 0; ; i++ {
-			select {
-			case <-stop:
-				swapIn(valid)
-				return
-			default:
+			// swapIn replaces the rules file atomically (temp + rename) so
+			// a concurrent reload never reads a truncated file — a partial
+			// write could parse as a valid SUBSET ruleset and legitimately
+			// change behavior, which is not the failure mode under test.
+			swapIn := func(content []byte) {
+				tmp := rulesFile + ".tmp"
+				if err := os.WriteFile(tmp, content, 0o644); err == nil {
+					os.Rename(tmp, rulesFile)
+				}
 			}
-			if i%2 == 0 {
-				swapIn(garbage)
-			} else {
-				swapIn(valid)
+			stop := make(chan struct{})
+			hammerDone := make(chan struct{})
+			go func() {
+				defer close(hammerDone)
+				garbage := []byte("rule broken nope {\n    seq sip-bye\n")
+				for i := 0; ; i++ {
+					select {
+					case <-stop:
+						swapIn(valid)
+						return
+					default:
+					}
+					if i%2 == 0 {
+						swapIn(garbage)
+					} else {
+						swapIn(valid)
+					}
+					syscall.Kill(os.Getpid(), syscall.SIGHUP)
+					time.Sleep(200 * time.Microsecond)
+				}
+			}()
+			// Startup must parse a valid file; the hammer may already have
+			// swapped garbage in, so retry until the startup parse wins.
+			var reloaded strings.Builder
+			var err error
+			for {
+				reloaded.Reset()
+				if err = run(args, &reloaded); err == nil || !strings.Contains(err.Error(), "rules:") {
+					break
+				}
 			}
-			syscall.Kill(os.Getpid(), syscall.SIGHUP)
-			time.Sleep(200 * time.Microsecond)
-		}
-	}()
-	// Startup must parse a valid file; the hammer may already have swapped
-	// garbage in, so retry until the startup parse wins the race.
-	var reloaded strings.Builder
-	var err error
-	for {
-		reloaded.Reset()
-		if err = run([]string{"-in", path, "-shards", "2", "-rules", rulesFile}, &reloaded); err == nil ||
-			!strings.Contains(err.Error(), "rules:") {
-			break
-		}
-	}
-	close(stop)
-	<-hammerDone
-	if err != nil {
-		t.Fatalf("run under SIGHUP storm: %v", err)
-	}
-	if got, want := alertSection(t, reloaded.String()), alertSection(t, static.String()); got != want {
-		t.Errorf("SIGHUP-storm alerts diverged:\n--- reloaded ---\n%s--- static ---\n%s", got, want)
+			close(stop)
+			<-hammerDone
+			if err != nil {
+				t.Fatalf("run under SIGHUP storm: %v", err)
+			}
+			if got, want := alertSection(t, reloaded.String()), alertSection(t, static.String()); got != want {
+				t.Errorf("SIGHUP-storm alerts diverged:\n--- reloaded ---\n%s--- static ---\n%s", got, want)
+			}
+		})
 	}
 }

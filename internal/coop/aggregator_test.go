@@ -1,6 +1,7 @@
 package coop
 
 import (
+	"bytes"
 	"fmt"
 	"math/rand"
 	"net/netip"
@@ -216,6 +217,9 @@ func TestAggregatorSnapshotRoundTrip(t *testing.T) {
 	restored := NewAggregator(AggregatorConfig{})
 	if err := restored.Restore(snap); err != nil {
 		t.Fatalf("Restore: %v", err)
+	}
+	if !bytes.Equal(restored.Snapshot(), snap) {
+		t.Error("restore → snapshot is not a byte fixed point")
 	}
 	for _, frame := range frames[half:] {
 		orig.HandleDigest(src, frame)

@@ -259,7 +259,7 @@ func SnapshotRuleEngine(re *RuleEngine) []byte {
 	w.buf = append(w.buf, aggSnapMagic...)
 	w.u8(aggSnapVersion)
 	w.u64(rulesFingerprint(re.rules))
-	writeRuleEngine(w, re)
+	writeRuleSnap(w, exportRuleEngine(re))
 	w.u64(fnv64(w.buf))
 	return w.buf
 }

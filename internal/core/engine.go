@@ -163,7 +163,7 @@ func NewEngine(cfg Config, opts ...EngineOption) *Engine {
 // the returned count is how many partials were dropped. nil installs
 // DefaultRuleset. The error is always nil for the serial engine (the
 // signature matches ShardedEngine.ReloadRules, which can fail after
-// Close).
+// Close). Like Snapshot, it must not run concurrently with HandleFrame.
 func (e *Engine) ReloadRules(rules []Rule) (int, error) {
 	if rules == nil {
 		rules = DefaultRuleset()

@@ -1,6 +1,8 @@
 package core
 
 import (
+	"bytes"
+	"encoding/binary"
 	"fmt"
 	"net/netip"
 	"testing"
@@ -378,7 +380,11 @@ func fuzzSnapshotSeeds(t testing.TB) [][]byte {
 // checkpoints for the mutator to corrupt, truncate and bit-flip — to
 // both engines' restore paths. The contract under attack: decoding must
 // never panic, never allocate absurdly, and never partially restore — a
-// rejected checkpoint leaves the engine exactly as fresh as it was.
+// rejected checkpoint leaves the engine exactly as fresh as it was — and
+// the serial and sharded engines must agree on whether to accept it.
+// Each input runs twice: as given, and with its trailing checksum
+// restamped, so mutations reach the body decoders instead of dying at
+// the checksum gate.
 func FuzzSnapshotDecode(f *testing.F) {
 	seeds := fuzzSnapshotSeeds(f)
 	for _, s := range seeds {
@@ -392,42 +398,59 @@ func FuzzSnapshotDecode(f *testing.F) {
 	f.Add([]byte{})
 	f.Add([]byte("SCDV"))
 	f.Fuzz(func(t *testing.T, data []byte) {
-		serial := NewEngine(Config{}, WithEventLog())
-		if err := serial.RestoreSnapshot(data); err != nil {
-			if st := serial.Stats(); st != (EngineStats{}) {
-				t.Fatalf("rejected checkpoint left serial state behind: %+v", st)
-			}
-			if len(serial.Alerts()) != 0 || len(serial.Events()) != 0 {
-				t.Fatal("rejected checkpoint left alerts or events behind")
-			}
-		} else {
-			// Whatever restores must snapshot again deterministically and
-			// that snapshot must restore into another fresh engine.
-			again, err := serial.Snapshot()
-			if err != nil {
-				t.Fatalf("restored engine cannot snapshot: %v", err)
-			}
-			second := NewEngine(Config{}, WithEventLog())
-			if err := second.RestoreSnapshot(again); err != nil {
-				t.Fatalf("re-snapshot does not restore: %v", err)
+		checkSnapshotDecode(t, data)
+		if n := len(data) - 8; n >= 0 {
+			restamped := binary.BigEndian.AppendUint64(append([]byte(nil), data[:n]...), fnv64(data[:n]))
+			if !bytes.Equal(restamped, data) {
+				checkSnapshotDecode(t, restamped)
 			}
 		}
-		// The engine stays usable either way.
-		serial.HandleFrame(time.Second, fuzzSeedFrames(t)[0])
-
-		sharded := NewShardedEngine(Config{}, 2, WithEventLog())
-		defer sharded.Close()
-		if err := sharded.RestoreSnapshot(data); err != nil {
-			if st := sharded.Stats(); st != (EngineStats{}) {
-				t.Fatalf("rejected checkpoint left sharded state behind: %+v", st)
-			}
-			if len(sharded.Alerts()) != 0 {
-				t.Fatal("rejected checkpoint left sharded alerts behind")
-			}
-		}
-		sharded.HandleFrame(time.Second, fuzzSeedFrames(t)[0])
-		sharded.Flush()
 	})
+}
+
+// checkSnapshotDecode restores data into a fresh serial and a fresh
+// sharded engine and checks FuzzSnapshotDecode's contract.
+func checkSnapshotDecode(t *testing.T, data []byte) {
+	serial := NewEngine(Config{}, WithEventLog())
+	serialErr := serial.RestoreSnapshot(data)
+	if serialErr != nil {
+		if st := serial.Stats(); st != (EngineStats{}) {
+			t.Fatalf("rejected checkpoint left serial state behind: %+v", st)
+		}
+		if len(serial.Alerts()) != 0 || len(serial.Events()) != 0 {
+			t.Fatal("rejected checkpoint left alerts or events behind")
+		}
+	} else {
+		// Whatever restores must snapshot again deterministically and
+		// that snapshot must restore into another fresh engine.
+		again, err := serial.Snapshot()
+		if err != nil {
+			t.Fatalf("restored engine cannot snapshot: %v", err)
+		}
+		second := NewEngine(Config{}, WithEventLog())
+		if err := second.RestoreSnapshot(again); err != nil {
+			t.Fatalf("re-snapshot does not restore: %v", err)
+		}
+	}
+	// The engine stays usable either way.
+	serial.HandleFrame(time.Second, fuzzSeedFrames(t)[0])
+
+	sharded := NewShardedEngine(Config{}, 2, WithEventLog())
+	defer sharded.Close()
+	shardedErr := sharded.RestoreSnapshot(data)
+	if shardedErr != nil {
+		if st := sharded.Stats(); st != (EngineStats{}) {
+			t.Fatalf("rejected checkpoint left sharded state behind: %+v", st)
+		}
+		if len(sharded.Alerts()) != 0 {
+			t.Fatal("rejected checkpoint left sharded alerts behind")
+		}
+	}
+	if (serialErr == nil) != (shardedErr == nil) {
+		t.Fatalf("serial and sharded restores disagree: serial %v, sharded %v", serialErr, shardedErr)
+	}
+	sharded.HandleFrame(time.Second, fuzzSeedFrames(t)[0])
+	sharded.Flush()
 }
 
 // FuzzParseRules exercises the rule DSL parser.

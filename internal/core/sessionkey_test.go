@@ -276,7 +276,7 @@ func (w *attrWorld) media(proto Protocol) {
 
 func (w *attrWorld) snapshotRestore() {
 	sw := &snapWriter{}
-	writeSessionIndex(sw, w.g.idx)
+	writeIndexSnap(sw, exportSessionIndex(w.g.idx))
 	r := &snapReader{buf: sw.buf}
 	snap := readSessionIndex(r)
 	if r.err != nil {

@@ -229,7 +229,7 @@ type shardCtl struct {
 	ip      netip.Addr
 	session string // itemEvict
 	ack     chan struct{}
-	snap    []byte         // itemSnapshot: the worker's serialized state, written before the ack
+	body    *rawEngineBody // itemSnapshot: the worker's exported state, set before the ack
 	restore *workerRestore // itemRestore: decoded state to install
 	rules   []Rule         // itemReload: the new ruleset, and the shared
 	dropped *atomic.Int64  // counter of dropped partial matches
@@ -1462,7 +1462,7 @@ func (w *shardWorker) runItem(it *shardItem) {
 		close(it.ctl.ack)
 	case itemSnapshot:
 		w.publish()
-		it.ctl.snap = w.snapshotWorker()
+		it.ctl.body = w.snapshotWorker()
 		close(it.ctl.ack)
 	case itemRestore:
 		w.installRestore(it.ctl.restore)
@@ -1638,17 +1638,16 @@ func (w *shardWorker) restartEngine(at time.Duration) {
 // If the body fails to decode, the old engine keeps running: a rolling
 // restart never trades a healthy shard for a cold one.
 func (w *shardWorker) rollEngine() {
-	var body snapWriter
-	w.eng.writeSnapBody(&body)
+	blob := w.eng.bodyBytes()
 	fresh := w.owner.newShardEngine()
-	snap, err := fresh.decodeSnapBodyBytes(body.buf)
+	snap, err := fresh.decodeSnapBodyBytes(blob)
 	if err != nil {
 		return
 	}
 	w.eng = fresh
 	w.owner.wireWorker(w)
 	w.eng.installSnap(snap, true)
-	w.lastEngineSnap = body.buf
+	w.lastEngineSnap = blob
 	w.owner.shardsRestarted.Add(1)
 }
 

@@ -372,7 +372,7 @@ func openSnapshot(data []byte) (snapHeader, *snapReader, error) {
 
 // validateSnapHeader checks a decoded header against the restoring
 // engine's identity. Engine kind, shard count and ingest width are NOT
-// validated: a portable (v3) body is keyed by session, so any geometry can
+// validated: a portable body is keyed by session, so any geometry can
 // restore it. Every remaining mismatch is a descriptive error naming both
 // sides and saying how to proceed, so a resume against the wrong
 // configuration fails loudly and actionably.
@@ -575,62 +575,21 @@ type indexSnap struct {
 	pendingReg [][2]string
 }
 
-func writeSessionIndex(w *snapWriter, x *sessionIndex) {
-	ids := make([]string, 0, len(x.sessions))
-	for id := range x.sessions {
-		ids = append(ids, id)
-	}
-	sort.Strings(ids)
-	w.u32(uint32(len(ids)))
-	for _, id := range ids {
-		st := x.sessions[id]
-		w.str(st.callID)
-		w.dur(st.lastSeen)
-		w.bool(st.established)
-		w.str(st.callerAOR)
-		w.str(st.calleeAOR)
-		w.str(st.callerTag)
-		w.str(st.calleeTag)
-		w.addrPort(st.callerMedia)
-		w.addrPort(st.calleeMedia)
-		w.addr(st.inviteSrcIP)
-		w.bool(st.byeSeen)
-		w.dur(st.byeAt)
-		w.addrPort(st.byeFromMedia)
-		w.u32(st.lastReinviteSeq)
-		w.bool(st.reinviteSeen)
-		w.dur(st.reinviteAt)
-		w.addrPort(st.reinviteOldMedia)
-		w.bool(st.badFormat)
-		w.bool(st.acctStart)
-		w.bool(st.unmatchedOnce)
-		w.dur(st.rtcpByeAt)
-		w.bool(st.rtcpByePending)
-		w.bool(st.rtcpByeFired)
-		w.bool(st.isRegistration)
-		w.vint(st.challenges)
-		w.bool(st.floodFired)
-		guesses := make([]string, 0, len(st.guessResponses))
+// exportSessionIndex captures the index's dialogs and pending
+// registrations in decoded form; writeIndexSnap sorts them.
+func exportSessionIndex(x *sessionIndex) indexSnap {
+	snap := indexSnap{sessions: make([]sessionSnap, 0, len(x.sessions))}
+	for _, st := range x.sessions {
+		s := sessionSnap{st: *st}
 		for g := range st.guessResponses {
-			guesses = append(guesses, g)
+			s.guessResponses = append(s.guessResponses, g)
 		}
-		sort.Strings(guesses)
-		w.u32(uint32(len(guesses)))
-		for _, g := range guesses {
-			w.str(g)
-		}
-		w.bool(st.guessFired)
+		snap.sessions = append(snap.sessions, s)
 	}
-	regs := make([]string, 0, len(x.pendingReg))
-	for id := range x.pendingReg {
-		regs = append(regs, id)
+	for id, aor := range x.pendingReg {
+		snap.pendingReg = append(snap.pendingReg, [2]string{id, aor})
 	}
-	sort.Strings(regs)
-	w.u32(uint32(len(regs)))
-	for _, id := range regs {
-		w.str(id)
-		w.str(x.pendingReg[id])
-	}
+	return snap
 }
 
 func readSessionIndex(r *snapReader) indexSnap {
@@ -707,29 +666,6 @@ func installSessionIndex(x *sessionIndex, snap indexSnap) {
 
 // --- reassembler ---
 
-// writeReassembly serializes a distiller's fragment reassembler. A shard's
-// distiller has none (the router reassembles) and writes the empty table.
-func writeReassembly(w *snapWriter, reasm *packet.Reassembler) {
-	if reasm == nil {
-		w.u32(0)
-		w.vint(0)
-		return
-	}
-	streams := reasm.ExportStreams()
-	w.u32(uint32(len(streams)))
-	for _, s := range streams {
-		w.addr(s.ID.Src)
-		w.addr(s.ID.Dst)
-		w.u8(s.ID.Proto)
-		w.u16(s.ID.ID)
-		w.bytes(s.Data)
-		w.bools(s.Have)
-		w.vint(s.TotalLen)
-		w.dur(s.First)
-	}
-	w.vint(reasm.CapacityEvicted())
-}
-
 func readReassembly(r *snapReader) ([]packet.FragStream, int) {
 	n := r.count()
 	var streams []packet.FragStream
@@ -779,103 +715,51 @@ type ruleSnap struct {
 	version    int
 	eventsSeen int
 	pendings   []pendingSnap
-	lastKeys   []string // absent-lookback keys, sorted
+	lastKeys   []string // absent-lookback keys
 	lastAt     []time.Duration
 }
 
-func writeRuleEngine(w *snapWriter, re *RuleEngine) {
-	keys := make([]string, 0, len(re.partials))
+// exportRuleEngine captures rule-matching state in decoded form. It
+// aliases the engine's alerts and partial-match slices (see exportBody);
+// writeRuleSnap sorts what the map walks leave unordered.
+func exportRuleEngine(re *RuleEngine) ruleSnap {
+	snap := ruleSnap{alerts: re.alerts, dedupBase: re.dedupBase, evicted: re.evicted, version: re.version, eventsSeen: re.EventsSeen}
 	for k, parts := range re.partials {
-		if len(parts) > 0 {
-			keys = append(keys, k)
-		}
-	}
-	sort.Strings(keys)
-	w.u32(uint32(len(keys)))
-	for _, k := range keys {
 		rule, session, _ := strings.Cut(k, "|")
-		w.str(rule)
-		w.str(session)
-		parts := re.partials[k]
-		w.u32(uint32(len(parts)))
 		for _, p := range parts {
-			w.dur(p.startedAt)
-			writeEvents(w, p.events)
-			w.vint(p.next)
-			w.bools(p.matched)
-			w.vint(p.remaining)
+			snap.partials = append(snap.partials, partialSnap{rule: rule, session: session, startedAt: p.startedAt,
+				events: p.events, next: p.next, matched: p.matched, remaining: p.remaining})
 		}
 	}
-	writeAlerts(w, re.alerts)
-	dk := make([]string, 0, len(re.dedup))
-	for k := range re.dedup {
-		dk = append(dk, k)
+	for k, idx := range re.dedup {
+		snap.dedupKeys = append(snap.dedupKeys, k)
+		snap.dedupIdx = append(snap.dedupIdx, idx)
 	}
-	sort.Strings(dk)
-	w.u32(uint32(len(dk)))
-	for _, k := range dk {
-		w.str(k)
-		w.vint(re.dedup[k])
-	}
-	w.vint(re.dedupBase)
-	w.vint(re.evicted)
-	w.vint(re.version)
-	w.vint(re.EventsSeen)
-	writeAbsentState(w, re)
-}
-
-// writeAbsentState serializes the absence machinery (v6): pending graced
-// alerts grouped by rule|key, then the absent-event lookback table.
-func writeAbsentState(w *snapWriter, re *RuleEngine) {
-	pk := make([]string, 0, len(re.pendings))
 	for k, pend := range re.pendings {
-		if len(pend) > 0 {
-			pk = append(pk, k)
-		}
-	}
-	sort.Strings(pk)
-	w.u32(uint32(len(pk)))
-	for _, k := range pk {
-		w.str(k)
-		pend := re.pendings[k]
-		w.u32(uint32(len(pend)))
 		for _, p := range pend {
-			w.dur(p.completedAt)
-			w.dur(p.deadline)
-			writeAlert(w, p.alert)
+			snap.pendings = append(snap.pendings, pendingSnap{key: k, completedAt: p.completedAt, deadline: p.deadline, alert: p.alert})
 		}
 	}
-	lk := make([]string, 0, len(re.lastAbsent))
-	for k := range re.lastAbsent {
-		lk = append(lk, k)
+	for k, at := range re.lastAbsent {
+		snap.lastKeys = append(snap.lastKeys, k)
+		snap.lastAt = append(snap.lastAt, at)
 	}
-	sort.Strings(lk)
-	w.u32(uint32(len(lk)))
-	for _, k := range lk {
-		w.str(k)
-		w.dur(re.lastAbsent[k])
-	}
+	return snap
 }
 
-// readRuleEngine decodes rule-matching state. With a non-nil ruleset,
-// partial-match shapes are validated against it so a decoded snapshot can
-// never index out of a rule's step list; with rules nil (the sharded
-// writer mining its own workers' trusted blobs) shape validation is
-// skipped because the blobs never crossed a process boundary.
+// readRuleEngine decodes rule-matching state, validating every partial
+// match and pending absence alert against the ruleset so a decoded
+// snapshot can never index out of a rule's step list.
 func readRuleEngine(r *snapReader, rules []Rule) ruleSnap {
 	var snap ruleSnap
 	nk := r.count()
 	for i := 0; i < nk && r.err == nil; i++ {
 		rule := r.strv()
 		session := r.strv()
-		var target Rule
-		if rules != nil {
-			var known bool
-			target, known = RuleByName(rules, rule)
-			if r.err == nil && !known {
-				r.fail("core: snapshot references unknown rule %q (ruleset hash should have caught this)", rule)
-				break
-			}
+		target, known := RuleByName(rules, rule)
+		if r.err == nil && !known {
+			r.fail("core: snapshot references unknown rule %q (ruleset hash should have caught this)", rule)
+			break
 		}
 		np := r.count()
 		for j := 0; j < np && r.err == nil; j++ {
@@ -890,10 +774,6 @@ func readRuleEngine(r *snapReader, rules []Rule) ruleSnap {
 			}
 			if r.err != nil {
 				break
-			}
-			if rules == nil {
-				snap.partials = append(snap.partials, p)
-				continue
 			}
 			steps := len(target.Steps)
 			if target.Unordered {
@@ -926,7 +806,7 @@ func readRuleEngine(r *snapReader, rules []Rule) ruleSnap {
 	np := r.count()
 	for i := 0; i < np && r.err == nil; i++ {
 		key := r.strv()
-		if rules != nil && r.err == nil {
+		if r.err == nil {
 			name, _, _ := strings.Cut(key, "|")
 			target, known := RuleByName(rules, name)
 			if !known {
@@ -1030,9 +910,10 @@ type corrBlob struct {
 	blob []byte
 }
 
-// rawEngineBody is a fully decoded engine body with correlator state still
-// in blob form. Nothing in it aliases any engine, so it can be split,
-// merged and re-serialized freely — the portable-snapshot writer folds
+// rawEngineBody is the one in-memory form of an engine body, with
+// correlator state in blob form: exportBody captures it from a live
+// engine, parseEngineBody decodes it, writeEngineBody serializes it and
+// bindBody readies it for installSnap. The sharded snapshot folds
 // per-shard bodies into one global body through this type, and restore
 // splits a global body back into per-shard bodies.
 type rawEngineBody struct {
@@ -1060,7 +941,7 @@ type engineSnap struct {
 	corrInstalls []func()
 }
 
-// snapshotterNames lists the correlators that carry checkpointable private
+// snapshotters lists the correlators that carry checkpointable private
 // state, in registry order.
 func snapshotters(correlators []Correlator) []Correlator {
 	var out []Correlator
@@ -1072,17 +953,17 @@ func snapshotters(correlators []Correlator) []Correlator {
 	return out
 }
 
-// writeCorrelators serializes every snapshotter correlator's private state
-// as a named, length-prefixed blob.
-func writeCorrelators(w *snapWriter, correlators []Correlator) {
+// exportCorrelators serializes every snapshotter correlator's private
+// state as a named blob.
+func exportCorrelators(correlators []Correlator) []corrBlob {
 	snaps := snapshotters(correlators)
-	w.u32(uint32(len(snaps)))
-	for _, c := range snaps {
-		w.str(c.Name())
+	out := make([]corrBlob, len(snaps))
+	for i, c := range snaps {
 		var cw snapWriter
 		c.(snapshotter).snapshotState(&cw)
-		w.bytes(cw.buf)
+		out[i] = corrBlob{name: c.Name(), blob: cw.buf}
 	}
+	return out
 }
 
 // readCorrelatorBlobs reads the named correlator-state blobs without
@@ -1096,7 +977,7 @@ func readCorrelatorBlobs(r *snapReader) []corrBlob {
 	return out
 }
 
-// writeCorrBlobs re-serializes already-serialized correlator state.
+// writeCorrBlobs serializes correlator state blobs.
 func writeCorrBlobs(w *snapWriter, blobs []corrBlob) {
 	w.u32(uint32(len(blobs)))
 	for _, cb := range blobs {
@@ -1119,85 +1000,43 @@ func decodeCorrBlob(c Correlator, blob []byte) (func(), error) {
 	return install, nil
 }
 
-// buildCorrInstalls decodes correlator blobs against the target correlator
-// set, returning install closures (two-phase: nothing mutates until every
-// section of the snapshot has decoded).
-func buildCorrInstalls(correlators []Correlator, blobs []corrBlob) ([]func(), error) {
-	snaps := snapshotters(correlators)
-	if len(blobs) != len(snaps) {
-		return nil, fmt.Errorf("core: snapshot holds %d correlator states; engine has %d stateful correlators", len(blobs), len(snaps))
-	}
-	var installs []func()
-	for i, cb := range blobs {
-		if cb.name != snaps[i].Name() {
-			return nil, fmt.Errorf("core: snapshot correlator state %q does not match engine correlator %q", cb.name, snaps[i].Name())
-		}
-		install, err := decodeCorrBlob(snaps[i], cb.blob)
-		if err != nil {
-			return nil, err
-		}
-		installs = append(installs, install)
-	}
-	return installs, nil
-}
-
-// writeSnapBody serializes the serial engine's full pipeline state with
-// its raw (engine-local) stats block. The sharded engine reuses this per
-// shard for warm-restart blobs and as the mining source for the global
-// portable body.
-func (e *Engine) writeSnapBody(w *snapWriter) {
-	e.writeSnapBodyWithStats(w, e.stats)
-}
-
-// writeSnapBodyWithStats serializes the engine body with an explicit stats
-// block: the portable checkpoint writes the folded Stats() view (so the
-// block means the same thing whichever engine kind wrote it), while warm
-// shard blobs keep the raw per-shard counters.
-func (e *Engine) writeSnapBodyWithStats(w *snapWriter, st EngineStats) {
-	writeEngineStats(w, st)
-	writeDistillerStats(w, e.distiller.stats)
-	writeReassembly(w, e.distiller.reasm)
-	keys := make([]trailKey, 0, len(e.trails.trails))
-	for k := range e.trails.trails {
-		keys = append(keys, k)
-	}
-	sort.Slice(keys, func(i, j int) bool {
-		if keys[i].session != keys[j].session {
-			return keys[i].session < keys[j].session
-		}
-		return keys[i].proto < keys[j].proto
-	})
-	w.u32(uint32(len(keys)))
-	for _, k := range keys {
-		w.str(k.session)
-		w.vint(int(k.proto))
-		w.vint(e.trails.trails[k].Len())
-	}
-	writeSessionIndex(w, e.gen.idx)
+// exportBody captures the engine's full pipeline state as a body whose
+// stats block is st: the portable checkpoint passes the folded Stats()
+// view (so the block means the same thing whichever engine kind wrote
+// it), warm shard blobs the raw per-shard counters. The body aliases the
+// engine's live alert, event and partial-match slices, so it must be
+// written or folded before the engine runs again.
+func (e *Engine) exportBody(st EngineStats) rawEngineBody {
 	ctx := e.gen.ctx
-	aors := make([]string, 0, len(ctx.bindings))
-	for aor := range ctx.bindings {
-		aors = append(aors, aor)
+	body := rawEngineBody{
+		stats:           st,
+		dstats:          e.distiller.stats,
+		trails:          make([]trailSnap, 0, len(e.trails.trails)),
+		index:           exportSessionIndex(e.gen.idx),
+		bindingClock:    ctx.bindingClock,
+		evictedSessions: ctx.evictedSessions,
+		evictedBindings: ctx.evictedBindings,
+		corrs:           exportCorrelators(e.gen.correlators),
+		rules:           exportRuleEngine(e.rules),
+		events:          e.events,
 	}
-	sort.Strings(aors)
-	canon := canonicalBindingAges(aors, func(aor string) int { return ctx.bindingAge[aor] })
-	w.u32(uint32(len(aors)))
-	for _, aor := range aors {
-		w.str(aor)
-		w.addr(ctx.bindings[aor])
-		w.vint(canon[aor])
+	if reasm := e.distiller.reasm; reasm != nil { // nil on a shard: the router reassembles
+		body.streams, body.reasmEvicted = reasm.ExportStreams(), reasm.CapacityEvicted()
 	}
-	w.vint(len(aors))
-	w.vint(ctx.evictedSessions)
-	w.vint(ctx.evictedBindings)
-	writeCorrelators(w, e.gen.correlators)
-	writeRuleEngine(w, e.rules)
-	writeEvents(w, e.events)
+	for k, tr := range e.trails.trails {
+		body.trails = append(body.trails, trailSnap{session: k.session, proto: k.proto, length: tr.Len()})
+	}
+	for aor, ip := range ctx.bindings {
+		body.bindings = append(body.bindings, aor)
+		body.bindingIPs = append(body.bindingIPs, ip)
+		body.bindingAges = append(body.bindingAges, ctx.bindingAge[aor])
+	}
+	return body
 }
 
-// parseEngineBody decodes an engine body into a rawEngineBody without
-// binding it to any engine: correlator state stays in blob form. With a
-// non-nil ruleset the rule-engine section is shape-validated against it.
+// parseEngineBody decodes an engine body without binding it to any
+// engine: correlator state stays in blob form, and the rule-engine
+// section is shape-validated against rules.
 func parseEngineBody(r *snapReader, rules []Rule) rawEngineBody {
 	var body rawEngineBody
 	body.stats = readEngineStats(r)
@@ -1227,79 +1066,58 @@ func parseEngineBody(r *snapReader, rules []Rule) rawEngineBody {
 	return body
 }
 
-// parseEngineBodyBytes decodes a standalone engine-body blob into its raw
-// form, requiring every byte to be consumed.
-func parseEngineBodyBytes(blob []byte, rules []Rule) (rawEngineBody, error) {
-	r := &snapReader{buf: blob}
-	body := parseEngineBody(r, rules)
-	if r.err != nil {
-		return rawEngineBody{}, r.err
+// bindBody decodes a body's correlator blobs against the engine's
+// correlator instances, returning the body ready for installSnap. It
+// mutates nothing (two-phase: the install closures run only once every
+// section of the snapshot has decoded).
+func (e *Engine) bindBody(body rawEngineBody) (*engineSnap, error) {
+	snaps := snapshotters(e.gen.correlators)
+	if len(body.corrs) != len(snaps) {
+		return nil, fmt.Errorf("core: snapshot holds %d correlator states; engine has %d stateful correlators", len(body.corrs), len(snaps))
 	}
-	if !r.done() {
-		return rawEngineBody{}, fmt.Errorf("core: snapshot corrupt (%d trailing bytes in engine body)", r.remaining())
-	}
-	return body, nil
-}
-
-// decodeSnapBody decodes an engine body into an engineSnap without
-// mutating the engine. The engine is consulted only for its correlator
-// instances and ruleset (shape validation and install-closure targets).
-func (e *Engine) decodeSnapBody(r *snapReader) (*engineSnap, error) {
-	body := parseEngineBody(r, e.rules.rules)
-	if r.err != nil {
-		return nil, r.err
-	}
-	installs, err := buildCorrInstalls(e.gen.correlators, body.corrs)
-	if err != nil {
-		return nil, err
-	}
-	return &engineSnap{rawEngineBody: body, corrInstalls: installs}, nil
-}
-
-// decodeSnapBodyBytes decodes a standalone engine-body blob (warm shard
-// restarts keep these in memory between checkpoints).
-func (e *Engine) decodeSnapBodyBytes(blob []byte) (*engineSnap, error) {
-	r := &snapReader{buf: blob}
-	snap, err := e.decodeSnapBody(r)
-	if err != nil {
-		return nil, err
-	}
-	if !r.done() {
-		return nil, fmt.Errorf("core: snapshot corrupt (%d trailing bytes in engine body)", r.remaining())
+	snap := &engineSnap{rawEngineBody: body}
+	for i, cb := range body.corrs {
+		if cb.name != snaps[i].Name() {
+			return nil, fmt.Errorf("core: snapshot correlator state %q does not match engine correlator %q", cb.name, snaps[i].Name())
+		}
+		install, err := decodeCorrBlob(snaps[i], cb.blob)
+		if err != nil {
+			return nil, err
+		}
+		snap.corrInstalls = append(snap.corrInstalls, install)
 	}
 	return snap, nil
 }
 
-// --- neutral body writer (portable checkpoints) ---
-
-// canonicalBindingAges renumbers media-binding LRU ages to 1..n in
-// relative-order (age, then AOR) so the checkpoint carries only the LRU
-// ORDER, never the raw clock values — those are geometry-dependent (each
-// shard worker stamps with its own clock), and only the order matters
-// for eviction. The accompanying clock is written as n, so post-restore
-// insertions always age past every reinstated binding. This is what keeps
-// checkpoints of the same logical state byte-identical across engine
-// geometries.
-func canonicalBindingAges(aors []string, age func(aor string) int) map[string]int {
-	order := append([]string(nil), aors...)
-	sort.Slice(order, func(i, j int) bool {
-		ai, aj := age(order[i]), age(order[j])
-		if ai != aj {
-			return ai < aj
-		}
-		return order[i] < order[j]
-	})
-	canon := make(map[string]int, len(order))
-	for i, aor := range order {
-		canon[aor] = i + 1
+// decodeSnapBodyBytes decodes a standalone engine-body blob (warm shard
+// restarts keep these in memory between checkpoints), requiring every
+// byte to be consumed.
+func (e *Engine) decodeSnapBodyBytes(blob []byte) (*engineSnap, error) {
+	r := &snapReader{buf: blob}
+	body := parseEngineBody(r, e.rules.rules)
+	if r.err != nil {
+		return nil, r.err
 	}
-	return canon
+	if !r.done() {
+		return nil, fmt.Errorf("core: snapshot corrupt (%d trailing bytes in engine body)", r.remaining())
+	}
+	return e.bindBody(body)
 }
 
-// writeEngineBody serializes an already-decoded rawEngineBody in exactly
-// the layout writeSnapBody produces from a live engine. The sharded
-// writer uses it to emit the folded global body; determinism comes from
-// sorting every keyed section here rather than trusting input order.
+// bodyBytes serializes the engine's body with its raw stats: the
+// warm-restart form a shard worker caches.
+func (e *Engine) bodyBytes() []byte {
+	body := e.exportBody(e.stats)
+	var w snapWriter
+	writeEngineBody(&w, &body)
+	return w.buf
+}
+
+// --- body writer ---
+
+// writeEngineBody serializes a body, exported or decoded. Determinism
+// comes from sorting every keyed section here rather than trusting input
+// order, so the same logical state always yields the same bytes.
 func writeEngineBody(w *snapWriter, body *rawEngineBody) {
 	writeEngineStats(w, body.stats)
 	writeDistillerStats(w, body.dstats)
@@ -1324,20 +1142,31 @@ func writeEngineBody(w *snapWriter, body *rawEngineBody) {
 		age int
 	}
 	binds := make([]binding, len(body.bindings))
-	ages := make(map[string]int, len(body.bindings))
-	aors := make([]string, len(body.bindings))
 	for i, aor := range body.bindings {
 		binds[i] = binding{aor: aor, ip: body.bindingIPs[i], age: body.bindingAges[i]}
-		ages[aor] = body.bindingAges[i]
-		aors[i] = aor
 	}
-	canon := canonicalBindingAges(aors, func(aor string) int { return ages[aor] })
+	// Media-binding LRU ages are renumbered 1..n in (age, AOR) order, so
+	// the checkpoint carries only the LRU ORDER, never the raw clock
+	// values: those are geometry-dependent (each shard worker stamps with
+	// its own clock), and only the order matters for eviction. The clock
+	// is written as n, so post-restore insertions always age past every
+	// reinstated binding. This is what keeps checkpoints of the same
+	// logical state byte-identical across engine geometries.
+	sort.Slice(binds, func(i, j int) bool {
+		if binds[i].age != binds[j].age {
+			return binds[i].age < binds[j].age
+		}
+		return binds[i].aor < binds[j].aor
+	})
+	for i := range binds {
+		binds[i].age = i + 1
+	}
 	sort.Slice(binds, func(i, j int) bool { return binds[i].aor < binds[j].aor })
 	w.u32(uint32(len(binds)))
 	for _, b := range binds {
 		w.str(b.aor)
 		w.addr(b.ip)
-		w.vint(canon[b.aor])
+		w.vint(b.age)
 	}
 	w.vint(len(binds))
 	w.vint(body.evictedSessions)
@@ -1347,8 +1176,7 @@ func writeEngineBody(w *snapWriter, body *rawEngineBody) {
 	writeEvents(w, body.events)
 }
 
-// writeFragStreams serializes reassembly streams in the writeReassembly
-// layout from their exported form.
+// writeFragStreams serializes a fragment reassembler's exported streams.
 func writeFragStreams(w *snapWriter, streams []packet.FragStream, evicted int) {
 	w.u32(uint32(len(streams)))
 	for _, s := range streams {
@@ -1364,8 +1192,7 @@ func writeFragStreams(w *snapWriter, streams []packet.FragStream, evicted int) {
 	w.vint(evicted)
 }
 
-// writeIndexSnap serializes a decoded session index in the
-// writeSessionIndex layout, sorted by Call-ID.
+// writeIndexSnap serializes a session index sorted by Call-ID.
 func writeIndexSnap(w *snapWriter, snap indexSnap) {
 	sessions := append([]sessionSnap(nil), snap.sessions...)
 	sort.Slice(sessions, func(i, j int) bool { return sessions[i].st.callID < sessions[j].st.callID })
@@ -1415,9 +1242,9 @@ func writeIndexSnap(w *snapWriter, snap indexSnap) {
 	}
 }
 
-// writeRuleSnap serializes decoded rule-engine state in the
-// writeRuleEngine layout: partials grouped by rule|session key with keys
-// sorted and within-key insertion order preserved.
+// writeRuleSnap serializes rule-engine state: partials grouped by
+// rule|session key with keys sorted and within-key insertion order
+// preserved.
 func writeRuleSnap(w *snapWriter, snap ruleSnap) {
 	byKey := make(map[string][]partialSnap)
 	keys := make([]string, 0, len(snap.partials))
@@ -1462,8 +1289,9 @@ func writeRuleSnap(w *snapWriter, snap ruleSnap) {
 	w.vint(snap.evicted)
 	w.vint(snap.version)
 	w.vint(snap.eventsSeen)
-	// Absence machinery, writeAbsentState layout: pendings grouped by key
-	// (keys sorted, within-key order preserved), then the lookback table.
+	// Absence machinery (v6): pending graced alerts grouped by rule|key
+	// (keys sorted, within-key order preserved), then the absent-event
+	// lookback table.
 	type pendGroup struct {
 		key  string
 		pend []pendingSnap
@@ -1726,11 +1554,13 @@ func (e *Engine) header() snapHeader {
 // versioned, checksummed, geometry-portable checkpoint: the folded Stats()
 // view as the stats block, the session-keyed body, the routing directory
 // and the buffered fragment groups, so any shards × ingest geometry (or
-// the serial engine) can restore it.
+// the serial engine) can restore it. It must not run concurrently with
+// HandleFrame.
 func (e *Engine) Snapshot() ([]byte, error) {
 	var w snapWriter
 	writeSnapHeader(&w, e.header())
-	e.writeSnapBodyWithStats(&w, e.Stats())
+	body := e.exportBody(e.Stats())
+	writeEngineBody(&w, &body)
 	writeSticky(&w, e.gen.sticky)
 	writeFragGroups(&w, e.distiller.frags.groups)
 	writeStreamMux(&w, e.distiller.streams)
@@ -1754,7 +1584,11 @@ func (e *Engine) RestoreSnapshot(data []byte) error {
 	if err := validateSnapHeader(h, e.header()); err != nil {
 		return err
 	}
-	snap, err := e.decodeSnapBody(r)
+	body := parseEngineBody(r, e.rules.rules)
+	if r.err != nil {
+		return r.err
+	}
+	snap, err := e.bindBody(body)
 	if err != nil {
 		return err
 	}

@@ -1,6 +1,6 @@
 package core_test
 
-// Cross-geometry resume differential: portable (v3) checkpoints are keyed
+// Cross-geometry resume differential: portable checkpoints are keyed
 // by session, not by shard, so a checkpoint written at one engine
 // geometry must resume at ANY other — serial or sharded, narrower or
 // wider, with or without parallel ingest — and the resumed run must be
@@ -153,30 +153,74 @@ func TestCrossGeometryResumeDifferential(t *testing.T) {
 	}
 }
 
+// restoreThenSnapshot restores a checkpoint into a fresh engine of the
+// given geometry and snapshots it again before any frame arrives.
+func restoreThenSnapshot(t *testing.T, snap []byte, g geometry, cfg core.Config) []byte {
+	t.Helper()
+	var eng interface {
+		RestoreSnapshot([]byte) error
+		Snapshot() ([]byte, error)
+	}
+	if g.shards == 0 {
+		eng = core.NewEngine(cfg, core.WithEventLog())
+	} else {
+		gcfg := cfg
+		gcfg.IngestRouters = g.ingest
+		sharded := core.NewShardedEngine(gcfg, g.shards, core.WithEventLog())
+		defer sharded.Close()
+		eng = sharded
+	}
+	if err := eng.RestoreSnapshot(snap); err != nil {
+		t.Fatalf("%v restore: %v", g, err)
+	}
+	again, err := eng.Snapshot()
+	if err != nil {
+		t.Fatalf("%v snapshot after restore: %v", g, err)
+	}
+	return again
+}
+
+// sameOutsideProvenance fails unless got equals want everywhere but the
+// header's capture-geometry fields (engine kind at offset 5, shard and
+// ingest widths at 6..13) and the trailing checksum that covers them.
+func sameOutsideProvenance(t *testing.T, what string, got, want []byte) {
+	t.Helper()
+	const geoEnd, checksumLen = 14, 8
+	if len(got) != len(want) {
+		t.Errorf("%s is %d bytes, serial is %d", what, len(got), len(want))
+		return
+	}
+	for i := geoEnd; i < len(want)-checksumLen; i++ {
+		if got[i] != want[i] {
+			t.Errorf("%s differs from serial at offset %d (outside the header's provenance fields)", what, i)
+			return
+		}
+	}
+}
+
 // TestCrossGeometrySnapshotBytes pins the stronger property the portable
 // format was built around: the checkpoint BYTES of the same logical state
 // are identical no matter which geometry serialized them, because every
 // writer works from a session-keyed global view with deterministic
 // ordering. Capture geometry is recorded in the header purely as
-// provenance — its fields (engine kind at offset 5, shard and ingest
-// widths at 6..13) and the trailing checksum that covers them are the
-// only bytes allowed to differ.
+// provenance; those fields and the checksum are the only bytes allowed to
+// differ. It also holds restore → snapshot to a byte fixed point at every
+// resume geometry, over scenarios whose mid-run checkpoints carry sharder
+// correlator blobs, fragment groups and TCP stream state: a shard's slice
+// of a restored body must install exactly what the checkpoint said.
 func TestCrossGeometrySnapshotBytes(t *testing.T) {
-	const geoEnd, checksumLen = 14, 8
 	frames := scenarioFrames(t, "bye", 7)
 	k := len(frames) / 2
 	want := checkpointAt(t, frames, k, geometry{shards: 0}, core.Config{})
 	for _, g := range []geometry{{shards: 1, ingest: 1}, {shards: 2, ingest: 1}, {shards: 8, ingest: 2}} {
-		got := checkpointAt(t, frames, k, g, core.Config{})
-		if len(got) != len(want) {
-			t.Errorf("%v checkpoint is %d bytes, serial is %d", g, len(got), len(want))
-			continue
-		}
-		for i := geoEnd; i < len(want)-checksumLen; i++ {
-			if got[i] != want[i] {
-				t.Errorf("%v checkpoint differs from serial at offset %d (outside the header's provenance fields)", g, i)
-				break
-			}
+		sameOutsideProvenance(t, fmt.Sprintf("%v checkpoint", g), checkpointAt(t, frames, k, g, core.Config{}), want)
+	}
+	for _, name := range []string{"bye", "fakeim", "optionsscan", "fragflood", "tcptrunk-split"} {
+		frames := scenarioFrames(t, name, 7)
+		snap := checkpointAt(t, frames, len(frames)/2, geometry{shards: 0}, core.Config{})
+		for _, g := range resumeGeometries {
+			sameOutsideProvenance(t, fmt.Sprintf("%s: %v restore → snapshot", name, g),
+				restoreThenSnapshot(t, snap, g, core.Config{}), snap)
 		}
 	}
 }

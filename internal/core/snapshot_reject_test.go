@@ -7,7 +7,7 @@ package core_test
 // must fail loudly with an error that names what differs and says how to
 // proceed, and must leave the target engine untouched (still able to run
 // from scratch). Geometry is deliberately NOT a mismatch class: portable
-// (v3) checkpoints are keyed by session, so engine kind, shard count and
+// checkpoints are keyed by session, so engine kind, shard count and
 // ingest width may all differ between capture and resume — the
 // acceptance tests below (and snapshot_geometry_test.go) hold those
 // resumes to the uninterrupted run's exact output.

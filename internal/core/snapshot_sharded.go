@@ -2,17 +2,16 @@ package core
 
 import (
 	"fmt"
-	"sort"
 	"strings"
 	"time"
 )
 
-// Sharded checkpoint/restore over the portable (v3) format. A sharded
-// snapshot is a coordinated quiescent-point capture folded into the same
-// session-keyed global layout the serial engine writes: a snapshot marker
-// is enqueued to every shard behind all pending work (the consistent cut),
-// each worker serializes its pipeline body, and the writer mines those
-// bodies back into one global engine body — one folded stats block, the
+// Sharded checkpoint/restore over the portable, session-keyed format. A
+// sharded snapshot is a coordinated quiescent-point capture folded into
+// the same global layout the serial engine writes: a snapshot marker is
+// enqueued to every shard behind all pending work (the consistent cut),
+// each worker exports its pipeline body, and the writer folds those
+// bodies in memory into one global engine body — one folded stats block, the
 // union of the per-shard session tables, trails and partial matches, the
 // merged alert/event streams (in merge-tag order, exactly what Alerts()
 // and Events() return), the merged or router-owned correlator state, plus
@@ -63,14 +62,17 @@ func addDistillerStats(a, b DistillerStats) DistillerStats {
 	return a
 }
 
-// snapshotWorker serializes the worker's engine body (runs on the worker
-// goroutine, after publish, at the marker's consistent cut). It also
-// refreshes the warm-restart cache.
-func (w *shardWorker) snapshotWorker() []byte {
+// snapshotWorker exports the worker's engine body (runs on the worker
+// goroutine, after publish, at the marker's consistent cut) and refreshes
+// the warm-restart cache from it. The body aliases the live engine; the
+// worker stays idle until Snapshot has folded it, because Snapshot never
+// runs concurrently with HandleFrame.
+func (w *shardWorker) snapshotWorker() *rawEngineBody {
+	body := w.eng.exportBody(w.eng.stats)
 	var eb snapWriter
-	w.eng.writeSnapBody(&eb)
-	w.lastEngineSnap = append([]byte(nil), eb.buf...)
-	return eb.buf
+	writeEngineBody(&eb, &body)
+	w.lastEngineSnap = eb.buf
+	return &body
 }
 
 // installRestore installs one shard's slice of a portable checkpoint
@@ -81,9 +83,7 @@ func (w *shardWorker) snapshotWorker() []byte {
 // the capture-time order ahead of anything the resumed run appends.
 func (w *shardWorker) installRestore(p *workerRestore) {
 	w.eng.installSnap(p.engine, true)
-	var eb snapWriter
-	w.eng.writeSnapBody(&eb)
-	w.lastEngineSnap = eb.buf
+	w.lastEngineSnap = w.eng.bodyBytes()
 	w.alertTags = append(w.alertTags[:0], p.alertTags...)
 	w.eventTags = append(w.eventTags[:0], p.eventTags...)
 	w.trimmedA, w.trimmedE = 0, 0
@@ -117,7 +117,7 @@ func (s *ShardedEngine) header() snapHeader {
 // a portable, session-keyed checkpoint. It flushes all queued work, takes
 // the merged output views, enqueues a snapshot marker to every shard
 // behind anything still pending (the consistent cut) while serializing
-// the router's own state under the routing lock, then mines the per-shard
+// the router's own state under the routing lock, then folds the per-shard
 // bodies into one global engine body. Must not run concurrently with
 // HandleFrame or Close.
 //
@@ -143,21 +143,11 @@ func (s *ShardedEngine) Snapshot() ([]byte, error) {
 	writeSnapHeader(&w, s.header())
 	streams := s.reasm.ExportStreams()
 	// Router correlator state, position-indexed over the snapshotters.
-	// stateSharder correlators are worker-resident: their global blob is
-	// the merge of the per-shard blobs (filled in below). The rest are
-	// router-authoritative (their hinter state judges every frame here in
-	// global order): the global blob is the router instance's state.
-	snaps := snapshotters(s.correlators)
-	routerCorrs := make([]corrBlob, len(snaps))
-	for i, c := range snaps {
-		routerCorrs[i] = corrBlob{name: c.Name()}
-		if _, ok := c.(stateSharder); ok {
-			continue
-		}
-		var cw snapWriter
-		c.(snapshotter).snapshotState(&cw)
-		routerCorrs[i].blob = cw.buf
-	}
+	// Router-authoritative correlators (their hinter state judges every
+	// frame here in global order) keep the router instance's blob;
+	// stateSharder correlators are worker-resident, so theirs is replaced
+	// below by the merge of the per-shard blobs.
+	routerCorrs := exportCorrelators(s.correlators)
 	var tail snapWriter
 	writeSticky(&tail, s.sticky)
 	writeFragGroups(&tail, s.frags.groups)
@@ -176,14 +166,10 @@ func (s *ShardedEngine) Snapshot() ([]byte, error) {
 	lastSeen := make(map[string]time.Duration)
 	bestClock := -1
 	for i := range s.workers {
-		blob := marks[i].snap
-		if blob == nil {
+		wb := marks[i].body
+		if wb == nil {
 			// Quarantined or stalled shard: degraded capture (see doc).
 			continue
-		}
-		wb, err := parseEngineBodyBytes(blob, nil)
-		if err != nil {
-			return nil, fmt.Errorf("core: snapshot: shard %d state: %w", i, err)
 		}
 		body.dstats = addDistillerStats(body.dstats, wb.dstats)
 		body.trails = append(body.trails, wb.trails...)
@@ -210,7 +196,7 @@ func (s *ShardedEngine) Snapshot() ([]byte, error) {
 		}
 	}
 	body.corrs = routerCorrs
-	for i, c := range snaps {
+	for i, c := range snapshotters(s.correlators) {
 		sh, ok := c.(stateSharder)
 		if !ok {
 			continue
@@ -239,14 +225,9 @@ func (s *ShardedEngine) Snapshot() ([]byte, error) {
 		version += a.Count
 	}
 	body.rules.version = version
-	lk := make([]string, 0, len(lastSeen))
-	for k := range lastSeen {
-		lk = append(lk, k)
-	}
-	sort.Strings(lk)
-	for _, k := range lk {
+	for k, at := range lastSeen {
 		body.rules.lastKeys = append(body.rules.lastKeys, k)
-		body.rules.lastAt = append(body.rules.lastAt, lastSeen[k])
+		body.rules.lastAt = append(body.rules.lastAt, at)
 	}
 	body.events = events
 	writeEngineBody(&w, &body)
@@ -415,15 +396,13 @@ func (s *ShardedEngine) RestoreSnapshot(data []byte) error {
 			shards[j].corrs = append(shards[j].corrs, corrBlob{name: cb.name, blob: ew.buf})
 		}
 	}
-	// Decode every shard's slice against its (fresh, quiescent) engine
-	// before anything installs. The driver may touch the worker engines
-	// here: restore requires a fresh engine and never runs concurrently
-	// with HandleFrame, so the workers are idle.
+	// Bind every shard's slice to its (fresh, quiescent) engine before
+	// anything installs. The caller may touch the worker engines here:
+	// restore requires a fresh engine and never runs concurrently with
+	// HandleFrame, so the workers are idle.
 	restores := make([]*workerRestore, n)
 	for j := range shards {
-		var bw snapWriter
-		writeEngineBody(&bw, &shards[j])
-		snap, err := s.workers[j].eng.decodeSnapBodyBytes(bw.buf)
+		snap, err := s.workers[j].eng.bindBody(shards[j])
 		if err != nil {
 			return fmt.Errorf("core: restore: shard %d: %w", j, err)
 		}
