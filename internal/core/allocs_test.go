@@ -234,6 +234,24 @@ func TestSteadyStateAllocs(t *testing.T) {
 				})
 			}
 		}
+		// A batch the linger cuts short carries a single item, so what
+		// a batch costs is paid per frame on a slow tap: taking a batch
+		// from the free list, running it, publishing the worker's results
+		// and recycling the batch must allocate nothing.
+		t.Run("batch-roundtrip", func(t *testing.T) {
+			eng := NewShardedEngine(Config{}, 1)
+			defer eng.Close()
+			w := eng.workers[0]
+			got := testing.AllocsPerRun(1000, func() {
+				b := append(eng.getBatch(), shardItem{kind: itemExpire})
+				w.runBatch(b)
+				w.publish()
+				eng.putBatch(b)
+			})
+			if got != 0 {
+				t.Errorf("one-item batch round trip: %.1f allocs/op, want 0", got)
+			}
+		})
 		// Through ReplayCapture the synchronous router borrows the
 		// reader's one buffer: no copy per frame. The shards work
 		// asynchronously, the reader has a few set-up allocations and the

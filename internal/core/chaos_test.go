@@ -9,6 +9,7 @@ package core_test
 import (
 	"fmt"
 	"net/netip"
+	"reflect"
 	"sort"
 	"testing"
 	"time"
@@ -84,18 +85,21 @@ func TestShardPanicQuarantine(t *testing.T) {
 	victimShard := core.ShardOf(session, shards)
 	panicShard := 1 - victimShard
 
-	run := func() ([]core.Alert, core.EngineStats, []core.ShardHealth) {
+	run := func(pause time.Duration) ([]core.Alert, core.EngineStats, []core.ShardHealth) {
 		inj := new(chaoscore.ScriptedInjector).PanicAt(panicShard, 0)
 		eng := core.NewShardedEngine(core.Config{}, shards, core.WithFaultInjector(inj))
 		for _, r := range frames {
 			eng.HandleFrame(r.at, r.frame)
+			if pause > 0 {
+				time.Sleep(pause)
+			}
 		}
 		eng.Close()
 		health := settleHealth(t, eng)
 		return eng.Alerts(), eng.Stats(), health
 	}
 
-	alerts, stats, health := run()
+	alerts, stats, health := run(0)
 
 	if _, ok := findAlert(alerts, core.RuleByeAttack); !ok {
 		t.Errorf("bye-attack detection on shard %d lost to shard %d's panic: %v",
@@ -140,7 +144,7 @@ func TestShardPanicQuarantine(t *testing.T) {
 
 	// Exact determinism: identical input, identical injection, identical
 	// alerts and accounting — regardless of goroutine scheduling.
-	alerts2, stats2, health2 := run()
+	alerts2, stats2, health2 := run(0)
 	if got, want := sortedAlertKeys(alerts2), sortedAlertKeys(alerts); !equalStrings(got, want) {
 		t.Errorf("second run alerts differ:\n got %v\nwant %v", got, want)
 	}
@@ -152,6 +156,24 @@ func TestShardPanicQuarantine(t *testing.T) {
 			t.Errorf("second run shard %d health %+v, first %+v", i, health2[i], health[i])
 		}
 	}
+
+	// Batch boundaries depend on timing: a partial batch leaves once it
+	// outlives the router's linger (100µs), or on the backstop tick (1ms)
+	// once the feed goes quiet. Pausing 2ms after every frame cuts every
+	// batch to one item, and the outcome must still be the unpaused one —
+	// alert for alert, counter for counter.
+	t.Run("paused", func(t *testing.T) {
+		alerts3, stats3, health3 := run(2 * time.Millisecond)
+		if !reflect.DeepEqual(alerts3, alerts) {
+			t.Errorf("paused run alerts differ:\n got %+v\nwant %+v", alerts3, alerts)
+		}
+		if stats3 != stats {
+			t.Errorf("paused run stats %+v, unpaused %+v", stats3, stats)
+		}
+		if !reflect.DeepEqual(health3, health) {
+			t.Errorf("paused run health %+v, unpaused %+v", health3, health)
+		}
+	})
 }
 
 func equalStrings(a, b []string) bool {

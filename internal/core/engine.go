@@ -23,9 +23,11 @@ type EngineStats struct {
 	// FramesAfterClose counts HandleFrame calls arriving after Close
 	// (sharded engine only; the serial engine has no Close).
 	FramesAfterClose int
-	// FramesShed and BatchesShed count work dropped by the sharded
-	// router's load-shedding policy (ShedAfter) or dropped because the
-	// owning shard was quarantined.
+	// FramesShed counts frames the sharded engine dropped: by its
+	// load-shedding policy (ShedAfter), or because the owning shard was
+	// quarantined. BatchesShed counts ShedAfter timeouts only, one per
+	// batch that waited them out; a quarantined shard's losses are frames,
+	// whatever batches they arrived in.
 	FramesShed  int
 	BatchesShed int
 	// Per-category Limits evictions (see Limits for each cap's policy).
@@ -183,12 +185,21 @@ func (e *Engine) ReloadRules(rules []Rule) (int, error) {
 // Stats returns a snapshot of the engine counters, folding in the
 // eviction counts kept by the pipeline stages.
 func (e *Engine) Stats() EngineStats {
-	st := e.stats
+	var st EngineStats
+	e.statsInto(&st)
+	return st
+}
+
+// statsInto is Stats writing into a caller-owned struct: a shard worker
+// fills its own field once per batch, which allocates nothing (a local
+// escapes through the budgeted correlators' interface).
+func (e *Engine) statsInto(st *EngineStats) {
+	*st = e.stats
 	st.SessionsCapEvicted = e.gen.ctx.evictedSessions
 	st.BindingsEvicted = e.gen.ctx.evictedBindings
 	for _, c := range e.gen.correlators {
 		if b, ok := c.(budgeted); ok {
-			b.contributeStats(&st)
+			b.contributeStats(st)
 		}
 	}
 	if e.distiller.reasm != nil { // a shard's distiller reassembles nothing: the router does
@@ -196,7 +207,6 @@ func (e *Engine) Stats() EngineStats {
 		st.StreamsEvicted = e.distiller.streams.reasm.CapacityEvicted()
 	}
 	st.AlertsEvicted = e.rules.evicted
-	return st
 }
 
 // DistillerStats returns the distiller's classification counters,

@@ -67,7 +67,8 @@ import (
 const (
 	// ingBatchSize frames are dealt to a lane per rotation turn. Matches
 	// shardBatchSize so one ingest batch amortizes the routing lock the
-	// same way a shard batch amortizes a queue send.
+	// same way a shard batch amortizes a queue send. A partial batch is
+	// dealt under the same linger rule as a shard batch (linger.go).
 	ingBatchSize = 64
 	// ingQueueDepth bounds each lane's input and output channels.
 	ingQueueDepth = 2
@@ -151,10 +152,13 @@ type ingestTier struct {
 	owner *ShardedEngine
 	lanes []*ingLane
 
-	feedMu sync.Mutex // serializes feeding: arrival order is feed order
-	closed bool
-	fill   *ingBatch // partially filled batch not yet dealt to a lane
-	rot    int       // next lane in the deal rotation
+	feedMu  sync.Mutex // serializes feeding: arrival order is feed order
+	closed  bool
+	fill    *ingBatch     // partially filled batch not yet dealt to a lane
+	opened  batchStamp    // when fill took its first frame (linger clock)
+	rot     int           // next lane in the deal rotation
+	lg      linger        // the age bound on fill
+	offered atomic.Uint64 // frames HandleFrame fed (the backstops' activity count)
 
 	free    chan *ingBatch // fixed recycled batch pool
 	seqDone chan struct{}
@@ -184,13 +188,15 @@ func newIngestTier(s *ShardedEngine, n int) *ingestTier {
 		t.lanes[i] = l
 		go l.run()
 	}
+	t.lg.init(t.offered.Load, t.lingerIdle)
 	go t.sequence()
 	return t
 }
 
 // feed accepts one frame in arrival order. It appends to the fill batch
-// and deals the batch to the next lane in rotation when full. Blocking
-// on a full lane (or an empty pool) is the backpressure path.
+// and deals the batch to the next lane in rotation when full, or when the
+// linger says it has waited long enough. Blocking on a full lane (or an empty pool) is
+// the backpressure path.
 func (t *ingestTier) feed(at time.Duration, frame []byte) {
 	t.feedMu.Lock()
 	if t.closed {
@@ -198,18 +204,41 @@ func (t *ingestTier) feed(at time.Duration, frame []byte) {
 		t.owner.framesAfterClose.Add(1)
 		return
 	}
+	t.offered.Add(1)
+	t.lg.frame()
 	b := t.fill
 	if b == nil {
 		b = <-t.free
 		t.fill = b
+		t.opened = t.lg.open()
 	}
 	b.dig[b.n] = ingDigest{at: at, frame: frame}
 	b.n++
 	if b.n == ingBatchSize {
+		t.lg.filled()
+		t.fill = nil
+		t.dealLocked(b)
+	} else if t.lg.due() {
+		if now, measuring := t.lg.check(); t.lg.expired(t.opened, now, measuring) {
+			t.fill = nil
+			t.dealLocked(b)
+		}
+	}
+	t.lg.done()
+	t.feedMu.Unlock()
+}
+
+// lingerIdle is the backstop's quiet-tap deal: no frame was fed for a
+// whole tick, so the fill batch goes to its lane now.
+func (t *ingestTier) lingerIdle() {
+	t.feedMu.Lock()
+	defer t.feedMu.Unlock()
+	if !t.closed && t.fill != nil && t.fill.n > 0 {
+		b := t.fill
 		t.fill = nil
 		t.dealLocked(b)
 	}
-	t.feedMu.Unlock()
+	t.lg.armed = false
 }
 
 // dealLocked hands a filled batch to the next lane in rotation. Called
@@ -267,6 +296,7 @@ func (t *ingestTier) close() {
 		return
 	}
 	t.closed = true
+	t.lg.stop()
 	if t.fill != nil && t.fill.n > 0 {
 		b := t.fill
 		t.fill = nil
@@ -306,7 +336,8 @@ func (l *ingLane) decodeOne(d *ingDigest) {
 // sequence is the single consumer of every lane's output. Reading lanes
 // in the same strict rotation the feeder dealt them restores the global
 // arrival order; each batch is replayed into the routing path under the
-// routing lock, one lock acquisition per 64 frames.
+// routing lock, one lock acquisition (and, while the router's linger is
+// due, one age check) per digest batch.
 func (t *ingestTier) sequence() {
 	defer close(t.seqDone)
 	s := t.owner
@@ -326,6 +357,7 @@ func (t *ingestTier) sequence() {
 		}
 		b := m.batch
 		s.mu.Lock()
+		s.lg.frame()
 		for i := 0; i < b.n; i++ {
 			d := &b.dig[i]
 			s.frames.Add(1)
@@ -335,6 +367,10 @@ func (t *ingestTier) sequence() {
 			}
 			s.sequenceDigestLocked(s.frameIdx, d)
 		}
+		if s.lg.due() {
+			s.lingerLocked()
+		}
+		s.lg.done()
 		s.mu.Unlock()
 		t.lanes[b.lane].sequenced.Add(uint64(b.n))
 		b.reset()

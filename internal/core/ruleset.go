@@ -29,7 +29,8 @@ const (
 // detectable event rather than a silent gap in coverage.
 const (
 	// RuleIDSOverload fires when the router sheds frames because a shard
-	// queue stayed full past ShedAfter or the shard was quarantined.
+	// queue stayed full past ShedAfter, and once when a shard is
+	// quarantined (everything routed to it from then on is shed).
 	RuleIDSOverload = "ids-overload"
 	// RuleShardFailure fires when a shard worker panics or the watchdog
 	// finds it stalled past StallTimeout.

@@ -54,8 +54,9 @@ import (
 // a bounded wait instead of blocking the router, and with
 // Limits.StallTimeout a watchdog quarantines shards that accept work but
 // stop making progress. Every shed frame is accounted in Stats and
-// ShardHealth and raises an ids-overload self-alert — degradation is a
-// detectable event, never silent.
+// ShardHealth and is covered by an ids-overload self-alert, whose Count
+// rises once per ShedAfter timeout and once per quarantine — degradation
+// is a detectable event, never silent.
 //
 // HandleFrame may be called from multiple goroutines. The synchronous
 // router only borrows the frame for the call, copying what it must keep
@@ -108,6 +109,9 @@ type ShardedEngine struct {
 	dec     decoder
 	sticky  map[string]string // Call-ID -> routing key (pinned on first sighting)
 	pending [][]shardItem
+	opened  []batchStamp     // when each pending batch took its first item (linger clock)
+	lg      linger           // the age bound on pending batches (linger.go)
+	free    chan []shardItem // recycled batches (getBatch/putBatch)
 	// hints is per-frame scratch for the sipHinter pass: taking the
 	// address of a local RouteHints forces a heap escape through the
 	// interface, so SIP classification reuses this field instead.
@@ -291,6 +295,9 @@ type shardWorker struct {
 	lastEngineSnap []byte
 	pubVer         int // rules.version at last alert publish
 	pubEvict       int // engine EventsEvicted mirrored into pub
+	// stats is publish's scratch for the engine's counters: a field, so
+	// filling it per batch allocates nothing.
+	stats EngineStats
 
 	resMu sync.Mutex
 	pub   shardResults
@@ -307,37 +314,41 @@ type shardWorker struct {
 }
 
 const (
-	// shardBatchSize frames are accumulated per shard before a channel
-	// send, amortizing synchronization on the hot path.
+	// shardBatchSize items are accumulated per shard before a channel
+	// send, amortizing synchronization on the hot path. A partial batch
+	// goes out early by the linger rule (linger.go): about batchLinger
+	// after it opened while the router has time to spare, and within
+	// about two lingerTicks once the tap goes quiet.
 	shardBatchSize = 64
 	// shardQueueDepth bounds each shard's channel; a full queue blocks
 	// the router (backpressure) or, with Limits.ShedAfter, sheds.
 	shardQueueDepth = 8
 )
 
-// shardBatchPool recycles batch slices between the router (which fills
-// them) and the consumer that finishes them — a worker, or the router's
-// own shed path. Returned batches are zeroed first so no shipped message
-// or control value is retained past processing.
-var shardBatchPool = sync.Pool{
-	New: func() any {
-		b := make([]shardItem, 0, shardBatchSize)
-		return &b
-	},
-}
-
-// getBatch returns an empty batch with shardBatchSize capacity.
-func getBatch() []shardItem {
-	return (*shardBatchPool.Get().(*[]shardItem))[:0]
+// getBatch returns an empty batch from the engine's free list, or a new
+// one with shardBatchSize capacity. The free list holds slice headers in
+// a channel buffer, so recycling a batch allocates nothing.
+func (s *ShardedEngine) getBatch() []shardItem {
+	select {
+	case b := <-s.free:
+		return b
+	default:
+		return make([]shardItem, 0, shardBatchSize)
+	}
 }
 
 // putBatch zeroes a finished batch (dropping its message and control
-// references) and recycles it. Safe on batches that grew past
-// shardBatchSize (markers appended by Flush/Close/TrailCounts).
-func putBatch(b []shardItem) {
+// references, so recycling never extends a shipped value's life) and
+// returns it to the free list, or drops it when the list is full. Safe
+// on batches that grew past shardBatchSize (markers appended by Flush,
+// Close and TrailCounts). Called by whoever finishes a batch: a worker,
+// or the router's shed path.
+func (s *ShardedEngine) putBatch(b []shardItem) {
 	clear(b)
-	b = b[:0]
-	shardBatchPool.Put(&b)
+	select {
+	case s.free <- b[:0]:
+	default:
+	}
 }
 
 // NewShardedEngine builds a sharded IDS instance. shards <= 0 uses
@@ -367,7 +378,12 @@ func NewShardedEngine(cfg Config, shards int, opts ...EngineOption) *ShardedEngi
 		sticky:      make(map[string]string),
 		selfDedup:   make(map[string]int),
 		pending:     make([][]shardItem, shards),
-		workers:     make([]*shardWorker, shards),
+		opened:      make([]batchStamp, shards),
+		// Room for every batch one shard can hold at once — a full
+		// queue, the one its worker runs and the router's pending one —
+		// so a steady stream recycles without allocating.
+		free:    make(chan []shardItem, shards*(shardQueueDepth+2)),
+		workers: make([]*shardWorker, shards),
 	}
 	s.dec = newDecoder(s.correlators)
 	s.liveRules.Store(&s.cfg.Rules)
@@ -416,7 +432,7 @@ func NewShardedEngine(cfg Config, shards int, opts ...EngineOption) *ShardedEngi
 		w.beat.Store(now)
 		s.wireWorker(w)
 		s.keepLog = w.eng.keepLog
-		s.pending[i] = getBatch()
+		s.pending[i] = s.getBatch()
 		s.workers[i] = w
 		go w.run()
 	}
@@ -428,9 +444,12 @@ func NewShardedEngine(cfg Config, shards int, opts ...EngineOption) *ShardedEngi
 	if s.ingesters < 1 {
 		s.ingesters = 1
 	}
+	offered := s.frames.Load
 	if s.ingesters > 1 {
 		s.ing = newIngestTier(s, s.ingesters)
+		offered = s.ing.offered.Load
 	}
+	s.lg.init(offered, s.lingerIdle)
 	return s
 }
 
@@ -488,6 +507,14 @@ func ShardOf(key string, n int) int { return shardOf(key, n) }
 // goroutines (and the router, for self-monitoring alerts) in shard-local
 // order; use Alerts for the merged stream. The callback must not call
 // back into the engine.
+//
+// No Flush is needed for an alert to fire. While the router has time to
+// spare, its trigger frame waits in a partial batch about batchLinger
+// (100µs); once the tap goes quiet, at most about two lingerTicks (2ms).
+// Only a saturated router holds a batch until it fills: frames keep
+// coming. The ingest feeder's batches follow the same rule. On top of
+// that come the shard's queue, when it is backed up, and its processing
+// time.
 func (s *ShardedEngine) OnAlert(fn func(Alert)) {
 	s.cbMu.Lock()
 	s.onAlert = fn
@@ -522,10 +549,15 @@ func (s *ShardedEngine) HandleFrame(at time.Duration, frame []byte) {
 	}
 	s.frames.Add(1)
 	s.frameIdx++
+	s.lg.frame()
 	if s.frameIdx%gcEvery == 0 {
 		s.expireLocked(at)
 	}
 	s.routeLocked(s.frameIdx, at, frame)
+	if s.lg.due() {
+		s.lingerLocked()
+	}
+	s.lg.done()
 }
 
 // AttachTap subscribes the engine to all hub traffic of a network.
@@ -756,16 +788,45 @@ func (s *ShardedEngine) mediaShardLocked(sl *flowSlot) int {
 	return int(*cache) - 1
 }
 
-// appendItemLocked queues one item for a shard, flushing the batch when
-// full.
+// appendItemLocked queues one item for a shard, stamping the batch's
+// opening time on its first item and flushing the batch when full.
 func (s *ShardedEngine) appendItemLocked(shard int, it *shardItem) {
 	if it.frames > 0 {
 		s.workers[shard].routedF.Add(uint64(it.frames))
 	}
+	if len(s.pending[shard]) == 0 {
+		s.opened[shard] = s.lg.open()
+	}
 	s.pending[shard] = append(s.pending[shard], *it)
 	if len(s.pending[shard]) >= shardBatchSize {
+		s.lg.filled()
 		s.flushShardLocked(shard)
 	}
+}
+
+// lingerLocked hands off every pending batch the linger says has waited
+// long enough. The router runs it after a frame (the sequencer, after a
+// digest batch) when the linger is due.
+func (s *ShardedEngine) lingerLocked() {
+	now, measuring := s.lg.check()
+	for i := range s.pending {
+		if len(s.pending[i]) > 0 && s.lg.expired(s.opened[i], now, measuring) {
+			s.flushShardLocked(i)
+		}
+	}
+}
+
+// lingerIdle is the backstop's quiet-tap flush: no frame was offered for
+// a whole tick, so every pending batch goes out now.
+func (s *ShardedEngine) lingerIdle() {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if !s.closed {
+		for i := range s.pending {
+			s.flushShardLocked(i)
+		}
+	}
+	s.lg.armed = false
 }
 
 // broadcastLocked queues one control item on every shard, ordered with
@@ -809,10 +870,11 @@ func (s *ShardedEngine) flushShardLocked(shard int) {
 		return
 	}
 	batch := s.pending[shard]
-	s.pending[shard] = getBatch()
+	s.pending[shard] = s.getBatch()
 	w := s.workers[shard]
 	if w.state.Load() != stateHealthy {
-		s.shedBatchLocked(shard, batch)
+		w.shed(batch) // the quarantine raised the alert
+		s.putBatch(batch)
 		return
 	}
 	select {
@@ -849,26 +911,25 @@ func (w *shardWorker) noteEnqueued() {
 	}
 }
 
-// shedBatchLocked drops a whole batch: frames are counted as shed, flush
-// and inspect markers are acked so no reader waits on dropped work, and
-// an ids-overload self-alert records the loss. Control items (bindings,
-// expiries, evictions) in a shed batch are lost too — acceptable
-// degradation for an already-overloaded or failed shard.
+// shedBatchLocked drops a whole batch that waited out Limits.ShedAfter on
+// a healthy shard's full queue: its frames count as shed, the batch
+// counts in BatchesShed, and an ids-overload self-alert records the loss.
+// Control items (bindings, expiries, evictions) in a shed batch are lost
+// too — acceptable degradation for an already-overloaded shard.
 func (s *ShardedEngine) shedBatchLocked(shard int, batch []shardItem) {
 	w := s.workers[shard]
-	n, at := shedItems(batch)
 	w.shedBatches.Add(1)
-	if n > 0 {
-		w.shedFrames.Add(uint64(n))
+	if n, at := w.shed(batch); n > 0 {
 		s.raiseSelf(RuleIDSOverload, fmt.Sprintf("shard:%d", shard),
-			fmt.Sprintf("shed %d frames bound for shard %d (queue stalled or shard quarantined)", n, shard), at)
+			fmt.Sprintf("shed %d frames bound for shard %d (queue stalled)", n, shard), at)
 	}
-	putBatch(batch)
+	s.putBatch(batch)
 }
 
-// shedItems counts the frames in a run of items and acks its markers,
-// returning the frame count and the timestamp of the last dropped frame.
-func shedItems(items []shardItem) (frames int, at time.Duration) {
+// shed counts a run of items the shard will not process as shed and acks
+// their markers, so no reader waits on dropped work. It returns the frame
+// count and the timestamp of the last dropped frame.
+func (w *shardWorker) shed(items []shardItem) (frames int, at time.Duration) {
 	for i := range items {
 		it := &items[i]
 		if it.frames > 0 {
@@ -878,13 +939,35 @@ func shedItems(items []shardItem) (frames int, at time.Duration) {
 			close(it.ctl.ack)
 		}
 	}
+	if frames > 0 {
+		w.shedFrames.Add(uint64(frames))
+	}
 	return frames, at
 }
 
+// quarantine takes a failed shard out of service. It raises the shard's
+// one ids-overload self-alert — from here on every frame routed to the
+// shard is shed, and only FramesShed counts them — before the state
+// flips, so no frame is shed before the alert exists. idx and at are the
+// frame position and capture time the failure was seen at.
+func (s *ShardedEngine) quarantine(w *shardWorker, state uint32, idx uint64, at time.Duration) {
+	s.raiseSelfAt(idx, RuleIDSOverload, fmt.Sprintf("shard:%d", w.id),
+		fmt.Sprintf("shard %d quarantined (%s): frames routed to it are shed", w.id, stateName(state)), at)
+	w.state.Store(state)
+}
+
 // raiseSelf records a self-monitoring alert, deduplicated per (rule,
-// session) like RuleEngine.raise. Safe from the router (under mu), the
-// watchdog, and shard workers.
+// session) like RuleEngine.raise, merged at the router's current frame
+// position. Safe from the router (under mu), the watchdog, and shard
+// workers.
 func (s *ShardedEngine) raiseSelf(rule, session, detail string, at time.Duration) {
+	s.raiseSelfAt(s.frames.Load(), rule, session, detail, at)
+}
+
+// raiseSelfAt is raiseSelf merged at frame position idx: a worker names
+// the frame it failed on, so where its alert sorts does not depend on how
+// far the router has run ahead.
+func (s *ShardedEngine) raiseSelfAt(idx uint64, rule, session, detail string, at time.Duration) {
 	s.selfMu.Lock()
 	key := rule + "|" + session
 	if i, ok := s.selfDedup[key]; ok {
@@ -895,7 +978,7 @@ func (s *ShardedEngine) raiseSelf(rule, session, detail string, at time.Duration
 	a := Alert{At: at, Rule: rule, Severity: SeverityCritical, Session: session, Detail: detail, Count: 1}
 	s.selfDedup[key] = len(s.selfAlert)
 	s.selfAlert = append(s.selfAlert, a)
-	s.selfTags = append(s.selfTags, mergeTag{idx: s.frames.Load(), sub: selfAlertSub + s.selfSeq})
+	s.selfTags = append(s.selfTags, mergeTag{idx: idx, sub: selfAlertSub + s.selfSeq})
 	s.selfSeq++
 	s.selfMu.Unlock()
 	s.cbMu.Lock()
@@ -906,11 +989,11 @@ func (s *ShardedEngine) raiseSelf(rule, session, detail string, at time.Duration
 	}
 }
 
-// noteShardPanic quarantine-accounts a worker panic.
-func (s *ShardedEngine) noteShardPanic(w *shardWorker, at time.Duration, failure any) {
+// noteShardPanic accounts a worker panic at the item it failed on.
+func (s *ShardedEngine) noteShardPanic(w *shardWorker, it *shardItem, failure any) {
 	s.shardsFailed.Add(1)
-	s.raiseSelf(RuleShardFailure, fmt.Sprintf("shard:%d", w.id),
-		fmt.Sprintf("worker panic: %v (published alerts retained, subsequent frames shed)", failure), at)
+	s.raiseSelfAt(it.idx, RuleShardFailure, fmt.Sprintf("shard:%d", w.id),
+		fmt.Sprintf("worker panic: %v (published alerts retained, subsequent frames shed)", failure), it.at)
 }
 
 // watchdog quarantines shards that accepted work but stopped making
@@ -937,10 +1020,10 @@ func (s *ShardedEngine) watchdog(timeout time.Duration) {
 					continue
 				}
 				if now-w.beat.Load() > int64(timeout) {
-					w.state.Store(stateStalled)
 					s.shardsFailed.Add(1)
 					s.raiseSelf(RuleShardFailure, fmt.Sprintf("shard:%d", w.id),
 						fmt.Sprintf("no progress for %v with work queued; quarantined", timeout), 0)
+					s.quarantine(w, stateStalled, s.frames.Load(), 0)
 				}
 			}
 		}
@@ -1074,6 +1157,7 @@ func (s *ShardedEngine) Close() {
 		return
 	}
 	s.closed = true
+	s.lg.stop()
 	if s.watchStop != nil {
 		close(s.watchStop)
 	}
@@ -1166,7 +1250,7 @@ type ShardHealth struct {
 	FramesRouted    uint64 // frames the router assigned to this shard
 	FramesProcessed uint64 // frames fully processed by the worker
 	FramesShed      uint64 // frames dropped (overload shed or failure)
-	BatchesShed     uint64 // whole batches dropped
+	BatchesShed     uint64 // batches dropped on a ShedAfter timeout
 }
 
 // ShardHealth returns the per-shard health and accounting snapshot.
@@ -1362,28 +1446,26 @@ func (w *shardWorker) run() {
 			// shard. Inspect markers still publish (the engine is
 			// quiescent — "alerts flushed" outlives the failure).
 			w.drainBatch(batch)
-			putBatch(batch)
+			w.owner.putBatch(batch)
 			w.completedB.Add(1)
 			continue
 		}
 		pos, failure := w.runBatch(batch)
 		if failure != nil {
-			at := batch[pos].at
-			w.owner.noteShardPanic(w, at, failure)
+			it := &batch[pos]
+			w.owner.noteShardPanic(w, it, failure)
 			w.publish()
-			n, _ := shedItems(batch[pos:])
-			if n > 0 {
-				w.shedFrames.Add(uint64(n))
-			}
 			if w.eng.cfg.Limits.RestartFailedShards {
-				w.restartEngine(at)
+				w.shed(batch[pos:])
+				w.restartEngine(it)
 			} else {
-				w.state.Store(statePanicked)
+				w.owner.quarantine(w, statePanicked, it.idx, it.at)
+				w.shed(batch[pos:])
 			}
 		} else {
 			w.publish()
 		}
-		putBatch(batch)
+		w.owner.putBatch(batch)
 		w.completedB.Add(1)
 		if w.trackBeat {
 			w.beat.Store(time.Now().UnixNano())
@@ -1418,13 +1500,7 @@ func (w *shardWorker) drainBatch(batch []shardItem) {
 			w.publishTrails()
 		}
 	}
-	n, at := shedItems(batch)
-	w.shedBatches.Add(1)
-	if n > 0 {
-		w.shedFrames.Add(uint64(n))
-		w.owner.raiseSelf(RuleIDSOverload, fmt.Sprintf("shard:%d", w.id),
-			fmt.Sprintf("shed %d frames bound for shard %d (queue stalled or shard quarantined)", n, w.id), at)
-	}
+	w.shed(batch)
 	if w.trackBeat {
 		w.beat.Store(time.Now().UnixNano())
 	}
@@ -1555,7 +1631,8 @@ func (w *shardWorker) publish() {
 	w.syncTags()
 	w.resMu.Lock()
 	defer w.resMu.Unlock()
-	w.pub.stats = addStats(w.base.stats, e.Stats())
+	e.statsInto(&w.stats)
+	w.pub.stats = addStats(w.base.stats, w.stats)
 	w.pub.dstats = addDistillerStats(w.base.dstats, e.distiller.stats)
 	if v := e.rules.version; v != w.pubVer {
 		w.pubVer = v
@@ -1592,7 +1669,7 @@ func (w *shardWorker) publishTrails() {
 // correlator state and partial-match progress as of the checkpoint — only
 // frames since it are lost); without a checkpoint the restart is cold and
 // a shard-state-loss self-alert records that the shard is running blind.
-func (w *shardWorker) restartEngine(at time.Duration) {
+func (w *shardWorker) restartEngine(it *shardItem) {
 	w.syncTags()
 	e := w.eng
 	w.base.stats = addStats(w.base.stats, e.Stats())
@@ -1614,8 +1691,8 @@ func (w *shardWorker) restartEngine(at time.Duration) {
 		}
 	}
 	if !warm {
-		w.owner.raiseSelf(RuleShardStateLoss, fmt.Sprintf("shard:%d", w.id),
-			fmt.Sprintf("shard %d restarted with empty detection state (no checkpoint available); in-flight rule progress for its sessions is lost", w.id), at)
+		w.owner.raiseSelfAt(it.idx, RuleShardStateLoss, fmt.Sprintf("shard:%d", w.id),
+			fmt.Sprintf("shard %d restarted with empty detection state (no checkpoint available); in-flight rule progress for its sessions is lost", w.id), it.at)
 	}
 	w.resMu.Lock()
 	w.pubVer = 0
