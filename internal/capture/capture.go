@@ -19,7 +19,6 @@ import (
 	"errors"
 	"fmt"
 	"io"
-	"sync"
 	"time"
 )
 
@@ -111,9 +110,8 @@ const (
 
 // Reader reads capture files: the native SCAP format, classic pcap, and
 // pcapng. The format is auto-detected from the file's magic number on
-// the first read; every consumer (Next, ReadAll, Replay,
-// ReplayPartitioned) sees the same Record stream regardless of
-// container. Only Ethernet link-layer captures are accepted — the
+// the first read; every consumer (Next, ReadAll, Replay) sees the same
+// Record stream regardless of container. Only Ethernet link-layer captures are accepted — the
 // decode pipeline starts at the Ethernet header.
 type Reader struct {
 	br      *bufio.Reader
@@ -278,68 +276,6 @@ func Replay(r *Reader, fn FrameFunc) error {
 		fn(rec.Time, rec.Frame)
 		buf = rec.Frame[:cap(rec.Frame)]
 	}
-}
-
-// ReplayPartitioned deals the remaining records of r round-robin across
-// the consumers: consumer i receives records i, i+N, i+2N, … of the
-// capture, each on its own goroutine, in capture order within the lane.
-// Cross-lane ordering is unspecified — a consumer that needs the global
-// order must reconstruct it (the sharded engine's ingest tier does this
-// by sequence-tagging at the deal). The FrameFunc aliasing contract
-// holds per lane: each lane owns a small ring of buffers and a buffer is
-// only reused after the consumer's call on it has returned.
-//
-// With a single consumer this is exactly Replay. It returns nil at clean
-// end-of-file; a read error stops the deal, drains the lanes, and is
-// returned.
-func ReplayPartitioned(r *Reader, fns ...FrameFunc) error {
-	if len(fns) == 0 {
-		return errors.New("capture: ReplayPartitioned needs at least one consumer")
-	}
-	if len(fns) == 1 {
-		return Replay(r, fns[0])
-	}
-	type deal struct {
-		at    time.Duration
-		frame []byte
-	}
-	const depth = 2 // per-lane double buffer: the reader fills one while the consumer holds the other
-	ins := make([]chan deal, len(fns))
-	free := make([]chan []byte, len(fns))
-	var wg sync.WaitGroup
-	for i := range fns {
-		ins[i] = make(chan deal, depth)
-		free[i] = make(chan []byte, depth)
-		for j := 0; j < depth; j++ {
-			free[i] <- nil // nextInto allocates on first use, then the buffer recycles
-		}
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			for d := range ins[i] {
-				fns[i](d.at, d.frame)
-				free[i] <- d.frame[:cap(d.frame)] // the call returned: safe to reuse
-			}
-		}(i)
-	}
-	var err error
-	for i := 0; ; i++ {
-		lane := i % len(fns)
-		var rec Record
-		rec, err = r.nextInto(<-free[lane])
-		if err != nil {
-			break
-		}
-		ins[lane] <- deal{rec.Time, rec.Frame}
-	}
-	for _, in := range ins {
-		close(in)
-	}
-	wg.Wait()
-	if errors.Is(err, io.EOF) {
-		return nil
-	}
-	return err
 }
 
 // ReadAll consumes the remaining records.

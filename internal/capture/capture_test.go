@@ -4,7 +4,6 @@ import (
 	"bytes"
 	"errors"
 	"io"
-	"sync/atomic"
 	"testing"
 	"testing/quick"
 	"time"
@@ -105,93 +104,6 @@ func TestEOFAfterLastRecord(t *testing.T) {
 	}
 	if _, err := r.Next(); !errors.Is(err, io.EOF) {
 		t.Errorf("second Next err = %v, want io.EOF", err)
-	}
-}
-
-// partitionedCapture writes n records whose bodies encode their index,
-// with lengths that force the lane buffers to grow and shrink.
-func partitionedCapture(t *testing.T, n int) *bytes.Buffer {
-	t.Helper()
-	var buf bytes.Buffer
-	w := NewWriter(&buf)
-	for i := 0; i < n; i++ {
-		frame := bytes.Repeat([]byte{byte(i)}, 1+(i*37)%300)
-		if err := w.WriteFrame(time.Duration(i)*time.Millisecond, frame); err != nil {
-			t.Fatalf("WriteFrame %d: %v", i, err)
-		}
-	}
-	if err := w.Close(); err != nil {
-		t.Fatalf("Close: %v", err)
-	}
-	return &buf
-}
-
-// TestReplayPartitioned: consumer i of N must see exactly records
-// i, i+N, i+2N, … in capture order, and because the lanes reuse
-// buffers, the contents must be checked during the call (the aliasing
-// contract ReplayPartitioned promises to uphold per lane).
-func TestReplayPartitioned(t *testing.T) {
-	const n = 107
-	for _, lanes := range []int{1, 2, 3, 4} {
-		buf := partitionedCapture(t, n)
-		type seen struct {
-			at  time.Duration
-			idx byte
-			len int
-		}
-		got := make([][]seen, lanes)
-		fns := make([]FrameFunc, lanes)
-		for i := range fns {
-			i := i
-			fns[i] = func(at time.Duration, frame []byte) {
-				s := seen{at: at, len: len(frame)}
-				if len(frame) > 0 {
-					s.idx = frame[0]
-					for _, b := range frame {
-						if b != frame[0] {
-							t.Errorf("lanes=%d lane %d: frame bytes are not uniform — buffer reused too early", lanes, i)
-							break
-						}
-					}
-				}
-				got[i] = append(got[i], s)
-			}
-		}
-		if err := ReplayPartitioned(NewReader(buf), fns...); err != nil {
-			t.Fatalf("lanes=%d: %v", lanes, err)
-		}
-		total := 0
-		for lane := 0; lane < lanes; lane++ {
-			for j, s := range got[lane] {
-				rec := lane + j*lanes
-				if s.at != time.Duration(rec)*time.Millisecond || int(s.idx) != rec%256 || s.len != 1+(rec*37)%300 {
-					t.Fatalf("lanes=%d lane %d record %d: got (at=%v idx=%d len=%d), want capture record %d",
-						lanes, lane, j, s.at, s.idx, s.len, rec)
-				}
-			}
-			total += len(got[lane])
-		}
-		if total != n {
-			t.Errorf("lanes=%d: %d records delivered, want %d", lanes, total, n)
-		}
-	}
-}
-
-// TestReplayPartitionedErrors: zero consumers is an error, and a
-// corrupt record surfaces the read error after draining the lanes.
-func TestReplayPartitionedErrors(t *testing.T) {
-	if err := ReplayPartitioned(NewReader(new(bytes.Buffer))); err == nil {
-		t.Error("zero consumers accepted")
-	}
-	buf := partitionedCapture(t, 10)
-	cut := bytes.NewBuffer(buf.Bytes()[:buf.Len()-3])
-	var calls atomic.Int64
-	fn := func(time.Duration, []byte) { calls.Add(1) }
-	if err := ReplayPartitioned(NewReader(cut), fn, fn); err == nil {
-		t.Error("truncated capture replayed without error")
-	}
-	if calls.Load() != 9 {
-		t.Errorf("%d whole records delivered before the truncated one, want 9", calls.Load())
 	}
 }
 

@@ -234,8 +234,8 @@ func TestPcapNGTimestampResolutions(t *testing.T) {
 }
 
 // TestPcapReplayAutoDetect proves the replay entry points themselves
-// auto-detect: the same frames arrive whether the container is SCAP,
-// pcap, or pcapng, through both Replay and ReplayPartitioned.
+// auto-detect: the same frames arrive through Replay whether the
+// container is SCAP, pcap, or pcapng.
 func TestPcapReplayAutoDetect(t *testing.T) {
 	order := binary.BigEndian
 	var scap bytes.Buffer
@@ -269,14 +269,8 @@ func TestPcapReplayAutoDetect(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s: Replay: %v", tc.name, err)
 		}
-		var n int
-		count := func(time.Duration, []byte) { n++ }
-		if err := ReplayPartitioned(NewReader(bytes.NewReader(tc.file)), count, count); err != nil {
-			t.Fatalf("%s: ReplayPartitioned: %v", tc.name, err)
-		}
-		if len(frames) != len(pcapTestRecs) || n != len(pcapTestRecs) {
-			t.Fatalf("%s: Replay delivered %d frames, ReplayPartitioned %d, want %d",
-				tc.name, len(frames), n, len(pcapTestRecs))
+		if len(frames) != len(pcapTestRecs) {
+			t.Fatalf("%s: Replay delivered %d frames, want %d", tc.name, len(frames), len(pcapTestRecs))
 		}
 		for i := range frames {
 			if !bytes.Equal(frames[i], pcapTestRecs[i].Frame) {

@@ -301,6 +301,12 @@ func chAddr(a sip.Address, tag string) sip.Address {
 // byeAttackCall appends a full established call on callID followed by a
 // BYE and orphan RTP from the BYE sender — the Figure 5 detection.
 func (g *chaosGen) byeAttackCall(callID string, callerIP, calleeIP netip.Addr, callerPort, calleePort uint16) {
+	g.byeEndedCall(callID, callerIP, calleeIP, callerPort, calleePort, 3)
+}
+
+// byeEndedCall appends a full established call on callID ended by a BYE,
+// then orphans RTP packets from the BYE sender (0 = a benign teardown).
+func (g *chaosGen) byeEndedCall(callID string, callerIP, calleeIP netip.Addr, callerPort, calleePort uint16, orphans int) {
 	callerMedia := netip.AddrPortFrom(callerIP, callerPort)
 	calleeMedia := netip.AddrPortFrom(calleeIP, calleePort)
 	caller := sip.Address{URI: sip.URI{User: "chaos-a", Host: callerIP.String()}}
@@ -338,7 +344,7 @@ func (g *chaosGen) byeAttackCall(callID string, callerIP, calleeIP netip.Addr, c
 		Via:        via(callerIP),
 	})
 	g.emit(callerIP, calleeIP, sip.DefaultPort, sip.DefaultPort, bye.Marshal())
-	for i := 0; i < 3; i++ {
+	for i := 0; i < orphans; i++ {
 		g.rtp(callerIP, calleeIP, callerPort, calleePort, uint16(110+i), 0xA0A0) // orphan media after BYE
 	}
 }

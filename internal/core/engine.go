@@ -131,6 +131,7 @@ func NewEngine(cfg Config, opts ...EngineOption) *Engine {
 	}
 	e.distiller.reasm.SetLimit(cfg.Limits.MaxFragGroups)
 	e.gen.SetLimits(cfg.Limits)
+	e.gen.rules = e.rules
 	e.rules.maxAlerts = cfg.Limits.MaxRetainedAlerts
 	// Router-state mirrors: the serial engine tracks the sticky routing
 	// keys and in-progress fragment-group frames the sharded router would,
@@ -293,12 +294,16 @@ func (e *Engine) logEvent(ev Event) {
 	if !e.keepLog {
 		return
 	}
-	if max := e.cfg.Limits.MaxRetainedEvents; max > 0 && len(e.events) >= max {
-		drop := len(e.events) - max + 1
-		e.events = append(e.events[:0], e.events[drop:]...)
+	limit := e.cfg.Limits.MaxRetainedEvents
+	if limit > 0 && len(e.events) >= limit {
+		// Slide the window past the oldest entries (amortized O(1), see
+		// appendWindow) and clear them so they release their strings.
+		drop := len(e.events) - limit + 1
+		clear(e.events[:drop])
+		e.events = e.events[drop:]
 		e.stats.EventsEvicted += drop
 	}
-	e.events = append(e.events, ev)
+	e.events = appendWindow(e.events, ev, limit)
 }
 
 // AttachTap subscribes the engine to all hub traffic of a network,

@@ -71,3 +71,90 @@ func (s *ShardedEngine) ReplayPoisoned(r *capture.Reader) error {
 		}
 	})
 }
+
+// LivePartials counts the in-progress multi-step matches the rule engine
+// holds.
+func (re *RuleEngine) LivePartials() int {
+	n := 0
+	for _, parts := range re.partials {
+		n += len(parts)
+	}
+	return n
+}
+
+// LiveLookbacks counts the absent-event lookback entries the rule engine
+// holds.
+func (re *RuleEngine) LiveLookbacks() int {
+	if re.clock == nil {
+		return 0
+	}
+	return len(re.clock.lastAbsent)
+}
+
+// LivePartials counts the serial engine's in-progress multi-step matches.
+func (e *Engine) LivePartials() int { return e.rules.LivePartials() }
+
+// LiveSessions counts the serial engine's session directory entries.
+func (e *Engine) LiveSessions() int { return len(e.gen.idx.sessions) }
+
+// CheckPartialsLive reports a session-keyed partial whose session is not
+// in the engine's directory: rule progress must never outlive its
+// session.
+func (e *Engine) CheckPartialsLive() error { return checkPartialsLive(e) }
+
+// LivePartials sums the shards' in-progress multi-step matches (after a
+// Flush; quarantined shards are skipped).
+func (s *ShardedEngine) LivePartials() int {
+	n := 0
+	s.eachHealthyShard(func(e *Engine) { n += e.LivePartials() })
+	return n
+}
+
+// LiveSessions sums the shards' session directory entries.
+func (s *ShardedEngine) LiveSessions() int {
+	n := 0
+	s.eachHealthyShard(func(e *Engine) { n += e.LiveSessions() })
+	return n
+}
+
+// CheckPartialsLive runs Engine.CheckPartialsLive on every shard: each
+// shard's partials must key sessions of that shard's directory.
+func (s *ShardedEngine) CheckPartialsLive() error {
+	var err error
+	s.eachHealthyShard(func(e *Engine) {
+		if err == nil {
+			err = checkPartialsLive(e)
+		}
+	})
+	return err
+}
+
+// eachHealthyShard flushes, then runs fn on every healthy shard's engine
+// at rest.
+func (s *ShardedEngine) eachHealthyShard(fn func(e *Engine)) {
+	s.Flush()
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	for _, w := range s.workers {
+		if w.state.Load() == stateHealthy {
+			fn(w.eng)
+		}
+	}
+}
+
+func checkPartialsLive(e *Engine) error {
+	for k, parts := range e.rules.partials {
+		if len(parts) == 0 {
+			return fmt.Errorf("rule %s keeps an empty entry for %q", k.rule, k.key)
+		}
+		r, _ := RuleByName(e.rules.rules, k.rule)
+		if _, live := e.gen.idx.sessions[k.key]; sessionKeyed(&r) && !live {
+			return fmt.Errorf("rule %s keeps %d partial(s) for session %q, which the directory dropped",
+				k.rule, len(parts), k.key)
+		}
+	}
+	return nil
+}
+
+// GCEvery is how many frames pass between session-expiry sweeps.
+const GCEvery = gcEvery

@@ -91,10 +91,15 @@ type EventGenerator struct {
 	// dispatcher).
 	byProto [ProtoOther + 1][]Correlator
 
-	// dropTrail drops an evicted session's trails and routing pin. Every
-	// eviction path runs it beside dropSession; a field, so ExpireSessions
-	// does not allocate a closure per call.
+	// dropTrail drops an evicted session's trails, routing pin and rule
+	// progress. Every path that drops a directory entry — the periodic
+	// expire, the MaxSessions LRU eviction and the router-broadcast
+	// EvictSession — runs it beside dropSession; a field, so
+	// ExpireSessions does not allocate a closure per call.
 	dropTrail func(id string)
+	// rules is the rule engine the generator's events feed (nil for a
+	// bare generator): dropTrail ends a dropped session's partials there.
+	rules *RuleEngine
 
 	// sticky mirrors the sharded router's Call-ID -> routing-key pins
 	// (sharded.go classifySIPMsgLocked) on the router's exact lifecycle,
@@ -157,6 +162,9 @@ func newEventGeneratorFrom(cfg GenConfig, trails *TrailStore, correlators []Corr
 	g.dropTrail = func(id string) {
 		g.trails.Drop(id)
 		delete(g.sticky, id)
+		if g.rules != nil {
+			g.rules.dropSession(id)
+		}
 	}
 	return g
 }

@@ -13,6 +13,14 @@ import "time"
 // and every sharded configuration evict the same victims in the same
 // order. Each eviction increments a per-category counter surfaced in
 // EngineStats.
+//
+// Rule progress has no cap of its own, because it ends when it can no
+// longer match: a partial of a multi-step rule keyed by session ends
+// with its session's directory entry, a windowed rule's partial once the
+// clock passes its window, and an absent lookback after its grace. The
+// one case still unbounded is a custom multi-step rule with Window 0
+// keyed by detail, or by a session key no directory entry owns (an
+// rtp:/rtcp:/raw: fallback, im:, scan:, or an accounting-only Call-ID).
 type Limits struct {
 	// MaxSessions caps per-session dialog state and its trails. The
 	// least-recently-touched session is evicted (ties: smaller Call-ID).

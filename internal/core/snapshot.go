@@ -725,24 +725,26 @@ type ruleSnap struct {
 func exportRuleEngine(re *RuleEngine) ruleSnap {
 	snap := ruleSnap{alerts: re.alerts, dedupBase: re.dedupBase, evicted: re.evicted, version: re.version, eventsSeen: re.EventsSeen}
 	for k, parts := range re.partials {
-		rule, session, _ := strings.Cut(k, "|")
 		for _, p := range parts {
-			snap.partials = append(snap.partials, partialSnap{rule: rule, session: session, startedAt: p.startedAt,
+			snap.partials = append(snap.partials, partialSnap{rule: k.rule, session: k.key, startedAt: p.startedAt,
 				events: p.events, next: p.next, matched: p.matched, remaining: p.remaining})
 		}
 	}
 	for k, idx := range re.dedup {
-		snap.dedupKeys = append(snap.dedupKeys, k)
+		snap.dedupKeys = append(snap.dedupKeys, k.flat())
 		snap.dedupIdx = append(snap.dedupIdx, idx)
 	}
-	for k, pend := range re.pendings {
-		for _, p := range pend {
-			snap.pendings = append(snap.pendings, pendingSnap{key: k, completedAt: p.completedAt, deadline: p.deadline, alert: p.alert})
+	if c := re.clock; c != nil {
+		for k, pend := range c.pendings {
+			flat := k.flat()
+			for _, p := range pend {
+				snap.pendings = append(snap.pendings, pendingSnap{key: flat, completedAt: p.completedAt, deadline: p.deadline, alert: p.alert})
+			}
 		}
-	}
-	for k, at := range re.lastAbsent {
-		snap.lastKeys = append(snap.lastKeys, k)
-		snap.lastAt = append(snap.lastAt, at)
+		for k, at := range c.lastAbsent {
+			snap.lastKeys = append(snap.lastKeys, k.flat())
+			snap.lastAt = append(snap.lastAt, at)
+		}
 	}
 	return snap
 }
@@ -855,9 +857,14 @@ func readRuleEngine(r *snapReader, rules []Rule) ruleSnap {
 // failed engine's published alerts were already folded into the worker's
 // base, so restoring them here would double-count).
 func installRuleEngine(re *RuleEngine, snap ruleSnap, outputs bool) {
-	re.partials = make(map[string][]*partial)
+	byName := make(map[string]*Rule, len(re.rules))
+	for i := range re.rules {
+		byName[re.rules[i].Name] = &re.rules[i]
+	}
+	re.partials = make(map[ruleKey][]*partial)
+	re.clock = nil
 	for _, ps := range snap.partials {
-		key := ps.rule + "|" + ps.session
+		k := ruleKey{rule: ps.rule, key: ps.session}
 		p := &partial{
 			startedAt: ps.startedAt,
 			events:    ps.events,
@@ -865,29 +872,43 @@ func installRuleEngine(re *RuleEngine, snap ruleSnap, outputs bool) {
 			matched:   ps.matched,
 			remaining: ps.remaining,
 		}
-		re.partials[key] = append(re.partials[key], p)
+		re.partials[k] = append(re.partials[k], p)
+		if r := byName[ps.rule]; r != nil && r.Window > 0 {
+			re.clocked().timers.push(ruleTimer{at: p.startedAt + r.Window + 1, k: k, p: p})
+		}
 	}
 	// The absence machinery is in-flight state like the partials, so it
-	// installs on the warm-restart path too.
-	re.pendings = make(map[string][]*pendingAlert)
+	// installs on the warm-restart path too. A lookback whose rule has no
+	// absent clause can cancel nothing, so it is not reinstated.
 	for _, ps := range snap.pendings {
-		re.pendings[ps.key] = append(re.pendings[ps.key], &pendingAlert{
+		c := re.clocked()
+		k := splitRuleKey(ps.key)
+		c.pendSeq++
+		p := &pendingAlert{
+			key:         k,
 			completedAt: ps.completedAt,
 			deadline:    ps.deadline,
 			alert:       ps.alert,
-		})
+			seq:         c.pendSeq,
+		}
+		c.pendings[k] = append(c.pendings[k], p)
+		c.due.push(p)
 	}
-	re.lastAbsent = make(map[string]time.Duration, len(snap.lastKeys))
-	for i, k := range snap.lastKeys {
-		re.lastAbsent[k] = snap.lastAt[i]
+	for i, flat := range snap.lastKeys {
+		k := splitRuleKey(flat)
+		if r := byName[k.rule]; r != nil && len(r.Absent) > 0 {
+			c := re.clocked()
+			c.lastAbsent[k] = snap.lastAt[i]
+			c.timers.push(ruleTimer{at: snap.lastAt[i] + r.AbsentGrace, k: k, seen: snap.lastAt[i]})
+		}
 	}
 	if !outputs {
 		return
 	}
 	re.alerts = snap.alerts
-	re.dedup = make(map[string]int, len(snap.dedupKeys))
-	for i, k := range snap.dedupKeys {
-		re.dedup[k] = snap.dedupIdx[i]
+	re.dedup = make(map[ruleKey]int, len(snap.dedupKeys))
+	for i, flat := range snap.dedupKeys {
+		re.dedup[splitRuleKey(flat)] = snap.dedupIdx[i]
 	}
 	re.dedupBase = snap.dedupBase
 	re.evicted = snap.evicted
