@@ -314,6 +314,38 @@ const (
 	aggCkptVersion = 1
 )
 
+// aggState is the aggregator checkpoint's record: per-probe sequence
+// cursors and shed counters in point order, the finalized flag, the
+// un-finalized merge buffer, and the rule engine as a SnapshotRuleEngine
+// blob.
+type aggState struct {
+	points    []pointCursor
+	finalized bool
+	pending   []mergedEvent
+	rules     []byte
+}
+
+type pointCursor struct {
+	point         string
+	next, dropped uint64
+}
+
+func walkAggState(w *core.WireCodec, s *aggState) {
+	core.WireSeq(w, &s.points, func(w *core.WireCodec, p *pointCursor) {
+		w.Str(&p.point)
+		w.U64(&p.next)
+		w.U64(&p.dropped)
+	})
+	w.Bool(&s.finalized)
+	core.WireSeq(w, &s.pending, func(w *core.WireCodec, me *mergedEvent) {
+		w.Event(&me.ev)
+		w.Str(&me.point)
+		w.U64(&me.seq)
+		w.Int(&me.idx)
+	})
+	w.Bytes(&s.rules)
+}
+
 // Snapshot serializes the aggregator's accepted state — per-probe
 // sequence cursors, shed counters, the un-finalized merge buffer, and
 // the rule engine (partials, pending absences, alerts) — through the
@@ -321,66 +353,41 @@ const (
 // are transport state and deliberately not captured: after a restore
 // the probes' retransmission machinery re-delivers anything unacked.
 func (a *Aggregator) Snapshot() []byte {
-	e := core.NewWireEncoder(aggCkptMagic, aggCkptVersion)
-	points := make([]string, 0, len(a.nextSeq))
-	for pt := range a.nextSeq {
-		points = append(points, pt)
+	s := aggState{finalized: a.finalized, pending: a.pending, rules: core.SnapshotRuleEngine(a.rules)}
+	for pt, next := range a.nextSeq {
+		s.points = append(s.points, pointCursor{point: pt, next: next, dropped: a.probeDropped[pt]})
 	}
-	sort.Strings(points)
-	e.U64(uint64(len(points)))
-	for _, pt := range points {
-		e.Str(pt)
-		e.U64(a.nextSeq[pt])
-		e.U64(a.probeDropped[pt])
-	}
-	e.Bool(a.finalized)
-	e.U64(uint64(len(a.pending)))
-	for _, me := range a.pending {
-		e.Event(me.ev)
-		e.Str(me.point)
-		e.U64(me.seq)
-		e.U64(uint64(me.idx))
-	}
-	e.Bytes(core.SnapshotRuleEngine(a.rules))
-	return e.Finish()
+	sort.Slice(s.points, func(i, j int) bool { return s.points[i].point < s.points[j].point })
+	w := core.NewWireCodec(aggCkptMagic, aggCkptVersion)
+	walkAggState(w, &s)
+	return w.Seal()
 }
 
 // Restore installs a Snapshot into an aggregator configured with the
 // same ruleset. Decoding is all-or-nothing: any corruption (or a
 // ruleset mismatch) leaves the aggregator untouched.
 func (a *Aggregator) Restore(data []byte) error {
-	d, err := core.NewWireDecoder(data, aggCkptMagic, aggCkptVersion, "aggregator checkpoint")
+	w, err := core.OpenWireCodec(data, aggCkptMagic, aggCkptVersion, "aggregator checkpoint")
 	if err != nil {
 		return err
 	}
-	n := int(d.U64())
-	nextSeq := make(map[string]uint64, n)
-	probeDropped := make(map[string]uint64, n)
-	for i := 0; i < n && d.Err() == nil; i++ {
-		pt := d.Str()
-		nextSeq[pt] = d.U64()
-		probeDropped[pt] = d.U64()
-	}
-	finalized := d.Bool()
-	np := int(d.U64())
-	var pending []mergedEvent
-	for i := 0; i < np && d.Err() == nil; i++ {
-		pending = append(pending, mergedEvent{
-			ev: d.Event(), point: d.Str(), seq: d.U64(), idx: int(d.U64()),
-		})
-	}
-	reBlob := d.Bytes()
-	if err := d.Close("aggregator checkpoint"); err != nil {
+	var s aggState
+	walkAggState(w, &s)
+	if err := w.Close("aggregator checkpoint"); err != nil {
 		return err
 	}
 	fresh := core.NewRuleEngine(a.cfg.Rules)
-	if err := core.RestoreRuleEngine(fresh, reBlob); err != nil {
+	if err := core.RestoreRuleEngine(fresh, s.rules); err != nil {
 		return err
 	}
-	a.nextSeq = nextSeq
-	a.probeDropped = probeDropped
-	a.finalized = finalized
-	a.pending = pending
+	a.nextSeq = make(map[string]uint64, len(s.points))
+	a.probeDropped = make(map[string]uint64, len(s.points))
+	for _, p := range s.points {
+		a.nextSeq[p.point] = p.next
+		a.probeDropped[p.point] = p.dropped
+	}
+	a.finalized = s.finalized
+	a.pending = s.pending
 	a.buffered = make(map[string]map[uint64]*core.Digest)
 	a.rules = fresh
 	return nil

@@ -2,9 +2,11 @@ package coop
 
 import (
 	"bytes"
+	"encoding/binary"
 	"fmt"
 	"math/rand"
 	"net/netip"
+	"runtime"
 	"strings"
 	"testing"
 	"time"
@@ -267,5 +269,97 @@ func TestAggregatorRestoreRejectsCorruption(t *testing.T) {
 	}
 	if err := NewAggregator(AggregatorConfig{}).Restore(snap[:len(snap)-2]); err == nil {
 		t.Error("truncated snapshot restored without error")
+	}
+}
+
+// sealed appends a restamped FNV-1a checksum to a checkpoint payload, so
+// a hand-built or mutated blob reaches the decoder past the checksum gate.
+func sealed(payload []byte) []byte {
+	h := uint64(14695981039346656037)
+	for _, b := range payload {
+		h = (h ^ uint64(b)) * 1099511628211
+	}
+	return binary.BigEndian.AppendUint64(append([]byte(nil), payload...), h)
+}
+
+// hostileCountBlob is a well-sealed 21-byte SCAG checkpoint whose point
+// count claims n entries and carries none.
+func hostileCountBlob(n uint64) []byte {
+	return sealed(binary.BigEndian.AppendUint64([]byte("SCAG\x01"), n))
+}
+
+// TestAggregatorRestoreBoundsAllocation: a checkpoint's counts size
+// nothing until the bytes behind them are there. A 21-byte blob claiming
+// four million points must be refused having allocated next to nothing.
+func TestAggregatorRestoreBoundsAllocation(t *testing.T) {
+	blob := hostileCountBlob(1 << 22)
+	if len(blob) != 21 {
+		t.Fatalf("hostile blob is %d bytes, want 21", len(blob))
+	}
+	agg := NewAggregator(AggregatorConfig{})
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	err := agg.Restore(blob)
+	runtime.ReadMemStats(&after)
+	if err == nil {
+		t.Fatal("a blob claiming 1<<22 points and holding none restored")
+	}
+	if grew := after.TotalAlloc - before.TotalAlloc; grew >= 1<<20 {
+		t.Fatalf("refusing a 21-byte blob allocated %d bytes", grew)
+	}
+}
+
+// FuzzAggregatorRestore holds the aggregator checkpoint decoder to the
+// engine checkpoint's contract: it never panics, a rejected blob leaves
+// the aggregator exactly as it was, and whatever restores snapshots to a
+// fixed point — restoring that snapshot and snapshotting again gives the
+// same bytes. Each input also runs with its checksum restamped, so
+// mutations reach the payload decoder.
+func FuzzAggregatorRestore(f *testing.F) {
+	frames := flatten(probeStreams(5))
+	var src netip.AddrPort
+	mid := NewAggregator(AggregatorConfig{})
+	for _, frame := range frames[:len(frames)/2] {
+		mid.HandleDigest(src, frame)
+	}
+	valid := mid.Snapshot()
+	f.Add(valid)
+	f.Add(valid[:len(valid)/2])
+	flip := append([]byte(nil), valid...)
+	flip[len(flip)/3] ^= 0x10
+	f.Add(flip)
+	f.Add(NewAggregator(AggregatorConfig{}).Snapshot())
+	f.Add(hostileCountBlob(1 << 22))
+	f.Add([]byte("SCAG"))
+	f.Fuzz(func(t *testing.T, data []byte) {
+		checkAggregatorRestore(t, data, frames)
+		if n := len(data) - 8; n >= 0 {
+			if restamped := sealed(data[:n]); !bytes.Equal(restamped, data) {
+				checkAggregatorRestore(t, restamped, frames)
+			}
+		}
+	})
+}
+
+func checkAggregatorRestore(t *testing.T, data []byte, frames [][]byte) {
+	var src netip.AddrPort
+	agg := NewAggregator(AggregatorConfig{})
+	for _, frame := range frames[:3] {
+		agg.HandleDigest(src, frame)
+	}
+	before, stats := agg.Snapshot(), agg.Stats()
+	if err := agg.Restore(data); err != nil {
+		if !bytes.Equal(agg.Snapshot(), before) || agg.Stats() != stats {
+			t.Fatalf("rejected checkpoint (%v) changed the aggregator", err)
+		}
+		return
+	}
+	once := agg.Snapshot()
+	again := NewAggregator(AggregatorConfig{})
+	if err := again.Restore(once); err != nil {
+		t.Fatalf("re-snapshot does not restore: %v", err)
+	}
+	if twice := again.Snapshot(); !bytes.Equal(twice, once) {
+		t.Fatalf("snapshot is not a fixed point of restore: %d bytes, then %d different bytes", len(once), len(twice))
 	}
 }

@@ -121,17 +121,17 @@ type budgeted interface {
 }
 
 // snapshotter correlators carry private state that must survive a process
-// restart, serialized through checkpoint/restore (snapshot.go). The
-// protocol is two-phase: snapshotState writes the state deterministically
-// (maps in sorted key order), and decodeState reads it back WITHOUT
-// mutating the correlator, returning an install closure. The engine runs
-// every install only after the whole snapshot has decoded cleanly, so a
-// corrupt checkpoint can never leave a correlator half-reinstated.
-// Correlators whose maps are aliased elsewhere (e.g. the RTP trackers the
-// generator exposes for inspection) must refill them in place.
+// restart, serialized through checkpoint/restore (snapshot.go). walkState
+// spells the state's layout once for both directions: an encoding codec
+// gets the live state deterministically (maps in sorted key order); a
+// decoding codec fills fresh values WITHOUT mutating the correlator, and
+// the returned closure installs them. The engine runs every install only
+// after the whole snapshot has decoded cleanly, so a corrupt checkpoint
+// can never leave a correlator half-reinstated. Correlators whose maps
+// are aliased elsewhere (e.g. the RTP trackers the generator exposes for
+// inspection) must refill them in place.
 type snapshotter interface {
-	snapshotState(w *snapWriter)
-	decodeState(r *snapReader) (install func(), err error)
+	walkState(cd *codec) (install func())
 }
 
 // stateSharder correlators hold worker-resident cross-session state keyed

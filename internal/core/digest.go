@@ -3,7 +3,6 @@ package core
 import (
 	"encoding/binary"
 	"fmt"
-	"time"
 )
 
 // This file is the cooperative layer's event-export surface: the compact
@@ -56,18 +55,19 @@ type Digest struct {
 	Events []Event
 }
 
+func walkDigest(c *codec, d *Digest) {
+	c.str(&d.Point)
+	c.u64(&d.Seq)
+	c.u64(&d.Dropped)
+	seq(c, &d.Events, walkEvent)
+}
+
 // EncodeDigest serializes a digest: magic, version, payload, and a
 // trailing FNV-64a checksum over everything before it.
 func EncodeDigest(d *Digest) []byte {
-	w := &snapWriter{}
-	w.buf = append(w.buf, digestMagic...)
-	w.u8(digestVersion)
-	w.str(d.Point)
-	w.u64(d.Seq)
-	w.u64(d.Dropped)
-	writeEvents(w, d.Events)
-	w.u64(fnv64(w.buf))
-	return w.buf
+	c := encoder(digestMagic, digestVersion)
+	walkDigest(c, d)
+	return c.sealed()
 }
 
 // DecodeDigest parses and validates a digest frame. Decoding is
@@ -79,14 +79,10 @@ func DecodeDigest(data []byte) (*Digest, error) {
 	if err != nil {
 		return nil, err
 	}
-	r := &snapReader{buf: body}
-	d := &Digest{Point: r.strv(), Seq: r.u64(), Dropped: r.u64()}
-	d.Events = readEvents(r)
-	if r.err != nil {
-		return nil, fmt.Errorf("core: digest corrupt: %w", r.err)
-	}
-	if !r.done() {
-		return nil, fmt.Errorf("core: digest corrupt (%d trailing bytes)", r.remaining())
+	c, d := &codec{buf: body}, &Digest{}
+	walkDigest(c, d)
+	if err := c.close("digest"); err != nil {
+		return nil, err
 	}
 	if d.Seq == 0 {
 		return nil, fmt.Errorf("core: digest corrupt (sequence number 0; sequences start at 1)")
@@ -99,16 +95,17 @@ func DecodeDigest(data []byte) (*Digest, error) {
 	return d, nil
 }
 
+func walkDigestAck(c *codec, point *string, upTo *uint64) {
+	c.str(point)
+	c.u64(upTo)
+}
+
 // EncodeDigestAck serializes an aggregator→probe acknowledgement for
 // every digest from point up to and including seq.
 func EncodeDigestAck(point string, seq uint64) []byte {
-	w := &snapWriter{}
-	w.buf = append(w.buf, digestAckMagic...)
-	w.u8(digestVersion)
-	w.str(point)
-	w.u64(seq)
-	w.u64(fnv64(w.buf))
-	return w.buf
+	c := encoder(digestAckMagic, digestVersion)
+	walkDigestAck(c, &point, &seq)
+	return c.sealed()
 }
 
 // DecodeDigestAck parses an acknowledgement frame.
@@ -117,14 +114,10 @@ func DecodeDigestAck(data []byte) (point string, seq uint64, err error) {
 	if err != nil {
 		return "", 0, err
 	}
-	r := &snapReader{buf: body}
-	point = r.strv()
-	seq = r.u64()
-	if r.err != nil {
-		return "", 0, fmt.Errorf("core: digest ack corrupt: %w", r.err)
-	}
-	if !r.done() {
-		return "", 0, fmt.Errorf("core: digest ack corrupt (%d trailing bytes)", r.remaining())
+	c := &codec{buf: body}
+	walkDigestAck(c, &point, &seq)
+	if err := c.close("digest ack"); err != nil {
+		return "", 0, err
 	}
 	return point, seq, nil
 }
@@ -210,11 +203,11 @@ func (e *Exporter) Observe(ev Event) {
 		return
 	}
 	if e.limit > 0 && len(e.pending) >= e.limit {
-		copy(e.pending, e.pending[1:])
-		e.pending = e.pending[:len(e.pending)-1]
+		e.pending[0] = Event{}
+		e.pending = e.pending[1:]
 		e.dropped++
 	}
-	e.pending = append(e.pending, ev)
+	e.pending = appendWindow(e.pending, ev, e.limit)
 }
 
 // Pending reports how many selected events await the next Flush.
@@ -255,13 +248,12 @@ func (e *Exporter) Flush(point string) *Digest {
 // checkpoint can only restore into an aggregator running the rules that
 // wrote it.
 func SnapshotRuleEngine(re *RuleEngine) []byte {
-	w := &snapWriter{}
-	w.buf = append(w.buf, aggSnapMagic...)
-	w.u8(aggSnapVersion)
-	w.u64(rulesFingerprint(re.rules))
-	writeRuleSnap(w, exportRuleEngine(re))
-	w.u64(fnv64(w.buf))
-	return w.buf
+	c := encoder(aggSnapMagic, aggSnapVersion)
+	fp := rulesFingerprint(re.rules)
+	c.u64(&fp)
+	snap := exportRuleEngine(re).canonical()
+	walkRuleSnap(c, &snap)
+	return c.sealed()
 }
 
 // RestoreRuleEngine validates a SnapshotRuleEngine blob against the
@@ -274,114 +266,79 @@ func RestoreRuleEngine(re *RuleEngine, data []byte) error {
 	if err != nil {
 		return err
 	}
-	r := &snapReader{buf: body}
-	if got, want := r.u64(), rulesFingerprint(re.rules); r.err == nil && got != want {
-		return fmt.Errorf("core: aggregator checkpoint was written by a different ruleset (fingerprint %016x, want %016x)", got, want)
+	c := &codec{buf: body}
+	var fp uint64
+	c.u64(&fp)
+	if want := rulesFingerprint(re.rules); c.err == nil && fp != want {
+		return fmt.Errorf("core: aggregator checkpoint was written by a different ruleset (fingerprint %016x, want %016x)", fp, want)
 	}
-	snap := readRuleEngine(r, re.rules)
-	if r.err != nil {
-		return fmt.Errorf("core: aggregator checkpoint corrupt: %w", r.err)
+	var snap ruleSnap
+	if walkRuleSnap(c, &snap); c.err == nil {
+		c.err = snap.validate(re.rules)
 	}
-	if !r.done() {
-		return fmt.Errorf("core: aggregator checkpoint corrupt (%d trailing bytes)", r.remaining())
+	if err := c.close("aggregator checkpoint"); err != nil {
+		return err
 	}
 	installRuleEngine(re, snap, true)
 	return nil
 }
 
-// NewWireEncoder / NewWireDecoder expose the snapshot codec's primitives
-// to the coop package for its own control-plane envelopes (the
-// aggregator's full checkpoint wraps per-point sequence cursors around a
-// SnapshotRuleEngine blob). The encoder appends a trailing FNV-64a
-// checksum on Finish; the decoder verifies it up front.
-
-// WireEncoder builds a checksummed control-plane blob from the snapshot
-// codec's fixed-width big-endian primitives.
-type WireEncoder struct {
-	w snapWriter
+// WireCodec exposes the snapshot codec to the coop package for its own
+// control-plane envelopes (the aggregator's full checkpoint wraps
+// per-point sequence cursors around a SnapshotRuleEngine blob). Like the
+// engine's records, a WireCodec layout is spelled once: the same walk
+// encodes with a codec from NewWireCodec and decodes with one from
+// OpenWireCodec. List counts (WireSeq) are 8 bytes wide, and decoding
+// refuses a count larger than the bytes left, so a hostile count cannot
+// drive an allocation.
+type WireCodec struct {
+	c codec
 }
 
-// NewWireEncoder starts a blob with the given magic tag and version byte.
-func NewWireEncoder(magic string, version uint8) *WireEncoder {
-	e := &WireEncoder{}
-	e.w.buf = append(e.w.buf, magic...)
-	e.w.u8(version)
-	return e
+// NewWireCodec starts encoding a blob with the given magic tag and
+// version byte; Seal finishes it.
+func NewWireCodec(magic string, version uint8) *WireCodec {
+	w := &WireCodec{c: *encoder(magic, version)}
+	w.c.wide = true
+	return w
 }
 
-// U64 appends a big-endian uint64.
-func (e *WireEncoder) U64(v uint64) { e.w.u64(v) }
-
-// Dur appends a duration.
-func (e *WireEncoder) Dur(d time.Duration) { e.w.dur(d) }
-
-// Str appends a length-prefixed string.
-func (e *WireEncoder) Str(s string) { e.w.str(s) }
-
-// Bytes appends a length-prefixed byte string.
-func (e *WireEncoder) Bytes(b []byte) { e.w.bytes(b) }
-
-// Bool appends a boolean byte.
-func (e *WireEncoder) Bool(v bool) { e.w.bool(v) }
-
-// Event appends an event in the snapshot codec's event layout.
-func (e *WireEncoder) Event(ev Event) { writeEvent(&e.w, ev) }
-
-// Finish appends the checksum and returns the completed blob. The
-// encoder must not be reused afterwards.
-func (e *WireEncoder) Finish() []byte {
-	e.w.u64(fnv64(e.w.buf))
-	return e.w.buf
-}
-
-// WireDecoder consumes a WireEncoder blob with the snapshot reader's
-// sticky-error bounds checking.
-type WireDecoder struct {
-	r snapReader
-}
-
-// NewWireDecoder validates the blob's magic, version and checksum and
-// positions a decoder at the payload.
-func NewWireDecoder(data []byte, magic string, version uint8, what string) (*WireDecoder, error) {
+// OpenWireCodec validates a blob's magic, version and checksum and starts
+// decoding its payload; Close finishes it.
+func OpenWireCodec(data []byte, magic string, version uint8, what string) (*WireCodec, error) {
 	body, err := openControlFrame(data, magic, version, what)
 	if err != nil {
 		return nil, err
 	}
-	return &WireDecoder{r: snapReader{buf: body}}, nil
+	return &WireCodec{c: codec{buf: body, wide: true}}, nil
 }
 
-// U64 reads a big-endian uint64.
-func (d *WireDecoder) U64() uint64 { return d.r.u64() }
+// U64 walks a big-endian uint64.
+func (w *WireCodec) U64(v *uint64) { w.c.u64(v) }
 
-// Dur reads a duration.
-func (d *WireDecoder) Dur() time.Duration { return d.r.dur() }
+// Int walks an int as 8 bytes.
+func (w *WireCodec) Int(v *int) { w.c.vint(v) }
 
-// Str reads a length-prefixed string.
-func (d *WireDecoder) Str() string { return d.r.strv() }
+// Str walks a length-prefixed string.
+func (w *WireCodec) Str(s *string) { w.c.str(s) }
 
-// Bytes reads a length-prefixed byte string.
-func (d *WireDecoder) Bytes() []byte { return d.r.bytesv() }
+// Bytes walks a length-prefixed byte string.
+func (w *WireCodec) Bytes(b *[]byte) { w.c.bytes(b) }
 
-// Bool reads a boolean byte.
-func (d *WireDecoder) Bool() bool { return d.r.boolv() }
+// Bool walks a boolean byte.
+func (w *WireCodec) Bool(v *bool) { w.c.bool(v) }
 
-// Event reads an event in the snapshot codec's event layout.
-func (d *WireDecoder) Event() Event { return readEvent(&d.r) }
+// Event walks an event in the snapshot codec's event layout.
+func (w *WireCodec) Event(ev *Event) { walkEvent(&w.c, ev) }
 
-// Count reads a u32 element count, rejecting hostile length prefixes
-// that exceed the remaining bytes.
-func (d *WireDecoder) Count() int { return d.r.count() }
-
-// Err returns the first decode failure, if any.
-func (d *WireDecoder) Err() error { return d.r.err }
-
-// Close verifies the blob was fully consumed without error.
-func (d *WireDecoder) Close(what string) error {
-	if d.r.err != nil {
-		return fmt.Errorf("core: %s corrupt: %w", what, d.r.err)
-	}
-	if !d.r.done() {
-		return fmt.Errorf("core: %s corrupt (%d trailing bytes)", what, d.r.remaining())
-	}
-	return nil
+// WireSeq walks a list: an 8-byte count, then walk over each element.
+func WireSeq[T any](w *WireCodec, xs *[]T, walk func(*WireCodec, *T)) {
+	seq(&w.c, xs, func(_ *codec, x *T) { walk(w, x) })
 }
+
+// Seal appends the checksum and returns the encoded blob. The codec must
+// not be reused afterwards.
+func (w *WireCodec) Seal() []byte { return w.c.sealed() }
+
+// Close verifies a decoded blob was fully consumed without error.
+func (w *WireCodec) Close(what string) error { return w.c.close(what) }

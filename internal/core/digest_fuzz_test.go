@@ -8,8 +8,9 @@ import (
 // FuzzDigestDecode hammers the cooperative layer's control-plane
 // decoders with hostile bytes. Both are all-or-nothing: any mutation
 // must yield an error and no partial digest — and a frame that does
-// decode must survive a re-encode/re-decode round trip, since the
-// aggregator's retransmission path re-reads what probes re-send.
+// decode must survive a re-encode/re-decode round trip with every field
+// of every event intact, since the aggregator's retransmission path
+// re-reads what probes re-send.
 func FuzzDigestDecode(f *testing.F) {
 	valid := EncodeDigest(&Digest{
 		Point: "edge", Seq: 3, Dropped: 1,
@@ -38,6 +39,11 @@ func FuzzDigestDecode(f *testing.F) {
 			}
 			if rd.Point != d.Point || rd.Seq != d.Seq || rd.Dropped != d.Dropped || len(rd.Events) != len(d.Events) {
 				t.Fatalf("round trip drifted: %+v vs %+v", rd, d)
+			}
+			for i := range d.Events {
+				if rd.Events[i] != d.Events[i] {
+					t.Fatalf("round trip drifted at event %d: %+v vs %+v", i, rd.Events[i], d.Events[i])
+				}
 			}
 		}
 		if point, seq, err := DecodeDigestAck(data); err == nil {

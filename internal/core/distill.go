@@ -144,13 +144,13 @@ func (g *fragGroups) prune(now time.Duration) {
 }
 
 // install replaces the groups with a checkpoint's.
-func (g *fragGroups) install(idents []fragIdent, firsts []time.Duration, frames [][]routedFrame) {
+func (g *fragGroups) install(groups []fragGroupSnap) {
 	clear(g.groups)
-	for i, id := range idents {
-		if i == 0 || firsts[i] < g.floor {
-			g.floor = firsts[i]
+	for i, s := range groups {
+		if i == 0 || s.first < g.floor {
+			g.floor = s.first
 		}
-		g.groups[id] = &fragGroup{first: firsts[i], frames: frames[i]}
+		g.groups[s.id] = &fragGroup{first: s.first, frames: s.frames}
 	}
 }
 

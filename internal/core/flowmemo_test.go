@@ -95,10 +95,8 @@ func TestFlowMemoEpochSites(t *testing.T) {
 	bumps("onEstablished", &rc.epoch, func() { rc.onEstablished(&sessionState{calleeMedia: ep2}) })
 	rc.track(2*time.Millisecond, ep1, 1)
 	bumps("onExpire", &rc.epoch, func() { rc.onExpire(3*time.Millisecond, 0) })
-	bumps("decodeState install", &rc.epoch, func() {
-		var w snapWriter
-		rc.snapshotState(&w)
-		install, err := rc.decodeState(&snapReader{buf: w.buf})
+	bumps("walkState install", &rc.epoch, func() {
+		install, err := decodeCorrBlob(rc, encodeCorrState(rc))
 		if err != nil {
 			t.Fatal(err)
 		}

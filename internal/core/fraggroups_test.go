@@ -28,9 +28,7 @@ func TestFragGroupsMirrorReassembler(t *testing.T) {
 			g := newFragGroups()
 			r.OnEvict(g.drop)
 			var saved []packet.FragStream
-			var savedIdents []fragIdent
-			var savedFirsts []time.Duration
-			var savedFrames [][]routedFrame
+			var savedGroups []fragGroupSnap
 			now := time.Duration(0)
 			for step := 0; step < 400; step++ {
 				now += time.Duration(rng.Intn(30000)-8000) * time.Millisecond
@@ -40,15 +38,10 @@ func TestFragGroupsMirrorReassembler(t *testing.T) {
 					r.SetLimit(rng.Intn(4))
 				case op == 1:
 					saved = r.ExportStreams()
-					savedIdents, savedFirsts, savedFrames = nil, nil, nil
-					for id, grp := range g.groups {
-						savedIdents = append(savedIdents, id)
-						savedFirsts = append(savedFirsts, grp.first)
-						savedFrames = append(savedFrames, grp.frames)
-					}
+					savedGroups = exportRouter(nil, &g, nil).frags
 				case op == 2 && saved != nil:
 					r.ImportStreams(saved, r.CapacityEvicted())
-					g.install(savedIdents, savedFirsts, savedFrames)
+					g.install(savedGroups)
 				case op == 3:
 					g.expire(r, now)
 				default:

@@ -421,8 +421,9 @@ func checkSnapshotDecode(t *testing.T, data []byte) {
 			t.Fatal("rejected checkpoint left alerts or events behind")
 		}
 	} else {
-		// Whatever restores must snapshot again deterministically and
-		// that snapshot must restore into another fresh engine.
+		// Whatever restores must snapshot again deterministically: that
+		// snapshot must restore into another fresh engine, which must
+		// snapshot to the same bytes.
 		again, err := serial.Snapshot()
 		if err != nil {
 			t.Fatalf("restored engine cannot snapshot: %v", err)
@@ -430,6 +431,13 @@ func checkSnapshotDecode(t *testing.T, data []byte) {
 		second := NewEngine(Config{}, WithEventLog())
 		if err := second.RestoreSnapshot(again); err != nil {
 			t.Fatalf("re-snapshot does not restore: %v", err)
+		}
+		third, err := second.Snapshot()
+		if err != nil {
+			t.Fatalf("twice-restored engine cannot snapshot: %v", err)
+		}
+		if !bytes.Equal(third, again) {
+			t.Fatalf("re-snapshot is not a fixed point: %d bytes, then %d different bytes", len(again), len(third))
 		}
 	}
 	// The engine stays usable either way.

@@ -130,43 +130,38 @@ type imRecord struct {
 	at time.Duration
 }
 
-// snapshotState serializes the source histories in sorted key order.
-func (c *imCorrelator) snapshotState(w *snapWriter) {
-	keys := make([]string, 0, len(c.ims))
-	for k := range c.ims {
-		keys = append(keys, k)
-	}
-	sort.Strings(keys)
-	w.u32(uint32(len(keys)))
-	for _, k := range keys {
-		rec := c.ims[k]
-		w.str(k)
-		w.addr(rec.ip)
-		w.dur(rec.at)
-	}
-	w.u64(c.evicted.Load())
+// imEntry is one source history as a checkpoint carries it.
+type imEntry struct {
+	key string
+	rec imRecord
 }
 
-// decodeState decodes histories without touching the live map; the
-// returned closure installs them (in place — the map is shared).
-func (c *imCorrelator) decodeState(r *snapReader) (func(), error) {
-	n := r.count()
-	recs := make(map[string]imRecord, min(n, 4096))
-	for i := 0; i < n && r.err == nil; i++ {
-		k := r.strv()
-		recs[k] = imRecord{ip: r.addrv(), at: r.dur()}
+// walkState walks the source histories in key order, then the eviction
+// count. The install closure refills the map in place (it is shared).
+func (c *imCorrelator) walkState(cd *codec) func() {
+	var entries []imEntry
+	var evicted uint64
+	if cd.enc {
+		entries = make([]imEntry, 0, len(c.ims))
+		for k, rec := range c.ims {
+			entries = append(entries, imEntry{key: k, rec: rec})
+		}
+		sort.Slice(entries, func(i, j int) bool { return entries[i].key < entries[j].key })
+		evicted = c.evicted.Load()
 	}
-	evicted := r.u64()
-	if r.err != nil {
-		return nil, r.err
-	}
+	seq(cd, &entries, func(cd *codec, e *imEntry) {
+		cd.str(&e.key)
+		cd.addr(&e.rec.ip)
+		cd.dur(&e.rec.at)
+	})
+	cd.u64(&evicted)
 	return func() {
 		clear(c.ims)
-		for k, rec := range recs {
-			c.ims[k] = rec
+		for _, e := range entries {
+			c.ims[e.key] = e.rec
 		}
 		c.evicted.Store(evicted)
-	}, nil
+	}
 }
 
 // evictStalestIM removes the least-recently-seen IM history entry (ties

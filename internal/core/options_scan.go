@@ -72,72 +72,84 @@ func (c *optionsScanCorrelator) onExpire(now time.Duration, sessionsRemaining in
 	}
 }
 
-// snapshotState serializes the per-source sweep windows in source order,
-// each with its probed dialog set sorted.
-func (c *optionsScanCorrelator) snapshotState(w *snapWriter) {
-	writeScanSources(w, c.sources)
+// scanEntry is one source's sweep window as a checkpoint carries it.
+type scanEntry struct {
+	src netip.Addr
+	rec *optionsScanRecord
 }
 
-// decodeState decodes sweep windows; the returned closure installs them.
-func (c *optionsScanCorrelator) decodeState(r *snapReader) (func(), error) {
-	recs := readScanSources(r)
-	if r.err != nil {
-		return nil, r.err
+// walkScanEntries walks sweep windows, each one's probed dialog set as a
+// sorted list.
+func walkScanEntries(cd *codec, entries *[]scanEntry) {
+	seq(cd, entries, func(cd *codec, e *scanEntry) {
+		var dialogs []string
+		if cd.enc {
+			for d := range e.rec.dialogs {
+				dialogs = append(dialogs, d)
+			}
+			sort.Strings(dialogs)
+		} else {
+			e.rec = &optionsScanRecord{}
+		}
+		cd.addr(&e.src)
+		cd.dur(&e.rec.start)
+		cd.dur(&e.rec.last)
+		cd.bool(&e.rec.fired)
+		seq(cd, &dialogs, (*codec).str)
+		if !cd.enc {
+			e.rec.dialogs = make(map[string]struct{}, len(dialogs))
+			for _, d := range dialogs {
+				e.rec.dialogs[d] = struct{}{}
+			}
+		}
+	})
+}
+
+// scanEntries lists sweep windows in source order.
+func scanEntries(sources map[netip.Addr]*optionsScanRecord) []scanEntry {
+	entries := make([]scanEntry, 0, len(sources))
+	for src, r := range sources {
+		entries = append(entries, scanEntry{src: src, rec: r})
 	}
+	sort.Slice(entries, func(i, j int) bool { return entries[i].src.Compare(entries[j].src) < 0 })
+	return entries
+}
+
+// scanSources rebuilds the source map from decoded entries.
+func scanSources(entries []scanEntry) map[netip.Addr]*optionsScanRecord {
+	sources := make(map[netip.Addr]*optionsScanRecord, len(entries))
+	for _, e := range entries {
+		sources[e.src] = e.rec
+	}
+	return sources
+}
+
+// decodeScanBlob decodes a whole options-scan state blob.
+func decodeScanBlob(blob []byte) (map[netip.Addr]*optionsScanRecord, error) {
+	var entries []scanEntry
+	err := decodeAll(blob, "options-scan state", func(cd *codec) { walkScanEntries(cd, &entries) })
+	return scanSources(entries), err
+}
+
+func encodeScanBlob(sources map[netip.Addr]*optionsScanRecord) []byte {
+	entries := scanEntries(sources)
+	return encodeAll(func(cd *codec) { walkScanEntries(cd, &entries) })
+}
+
+// walkState walks the per-source sweep windows; the returned closure
+// installs decoded ones.
+func (c *optionsScanCorrelator) walkState(cd *codec) func() {
+	var entries []scanEntry
+	if cd.enc {
+		entries = scanEntries(c.sources)
+	}
+	walkScanEntries(cd, &entries)
 	return func() {
 		clear(c.sources)
-		for src, rec := range recs {
-			c.sources[src] = rec
-		}
-	}, nil
-}
-
-// writeScanSources serializes a source → sweep-record map in source order,
-// each record's probed dialog set sorted.
-func writeScanSources(w *snapWriter, sources map[netip.Addr]*optionsScanRecord) {
-	srcs := make([]netip.Addr, 0, len(sources))
-	for src := range sources {
-		srcs = append(srcs, src)
-	}
-	sort.Slice(srcs, func(i, j int) bool { return srcs[i].Compare(srcs[j]) < 0 })
-	w.u32(uint32(len(srcs)))
-	for _, src := range srcs {
-		r := sources[src]
-		w.addr(src)
-		w.dur(r.start)
-		w.dur(r.last)
-		w.bool(r.fired)
-		dialogs := make([]string, 0, len(r.dialogs))
-		for d := range r.dialogs {
-			dialogs = append(dialogs, d)
-		}
-		sort.Strings(dialogs)
-		w.u32(uint32(len(dialogs)))
-		for _, d := range dialogs {
-			w.str(d)
+		for src, r := range scanSources(entries) {
+			c.sources[src] = r
 		}
 	}
-}
-
-// readScanSources decodes the writeScanSources layout (errors stick to r).
-func readScanSources(r *snapReader) map[netip.Addr]*optionsScanRecord {
-	n := r.count()
-	recs := make(map[netip.Addr]*optionsScanRecord, min(n, 4096))
-	for i := 0; i < n && r.err == nil; i++ {
-		src := r.addrv()
-		rec := &optionsScanRecord{
-			start:   r.dur(),
-			last:    r.dur(),
-			fired:   r.boolv(),
-			dialogs: make(map[string]struct{}),
-		}
-		nd := r.count()
-		for j := 0; j < nd && r.err == nil; j++ {
-			rec.dialogs[r.strv()] = struct{}{}
-		}
-		recs[src] = rec
-	}
-	return recs
 }
 
 // mergeState folds shard-local sweep blobs into one global blob
@@ -147,13 +159,9 @@ func readScanSources(r *snapReader) map[netip.Addr]*optionsScanRecord {
 func (c *optionsScanCorrelator) mergeState(blobs [][]byte) ([]byte, error) {
 	merged := make(map[netip.Addr]*optionsScanRecord)
 	for _, blob := range blobs {
-		r := &snapReader{buf: blob}
-		recs := readScanSources(r)
-		if r.err == nil && !r.done() {
-			r.fail("core: snapshot corrupt (%d trailing bytes in options-scan state)", r.remaining())
-		}
-		if r.err != nil {
-			return nil, r.err
+		recs, err := decodeScanBlob(blob)
+		if err != nil {
+			return nil, err
 		}
 		for src, rec := range recs {
 			ex, ok := merged[src]
@@ -173,30 +181,22 @@ func (c *optionsScanCorrelator) mergeState(blobs [][]byte) ([]byte, error) {
 			}
 		}
 	}
-	var w snapWriter
-	writeScanSources(&w, merged)
-	return w.buf, nil
+	return encodeScanBlob(merged), nil
 }
 
 // filterState keeps only the sources whose routing key ("scan:" + source
 // IP — the key sipRouteKey pins) passes keep (stateSharder).
 func (c *optionsScanCorrelator) filterState(blob []byte, keep func(routeKey string) bool) ([]byte, error) {
-	r := &snapReader{buf: blob}
-	recs := readScanSources(r)
-	if r.err == nil && !r.done() {
-		r.fail("core: snapshot corrupt (%d trailing bytes in options-scan state)", r.remaining())
-	}
-	if r.err != nil {
-		return nil, r.err
+	recs, err := decodeScanBlob(blob)
+	if err != nil {
+		return nil, err
 	}
 	for src := range recs {
 		if !keep("scan:" + src.String()) {
 			delete(recs, src)
 		}
 	}
-	var w snapWriter
-	writeScanSources(&w, recs)
-	return w.buf, nil
+	return encodeScanBlob(recs), nil
 }
 
 func (c *optionsScanCorrelator) Process(v *FrameView, h RouteHints, ctx *SessionContext, evs *[]Event) {

@@ -240,54 +240,44 @@ type seqTrack struct {
 	lastAct time.Duration // last activity heartbeat (RTPActivityEvery cadence)
 }
 
-// snapshotState serializes the continuity trackers in endpoint order.
-func (c *rtpCorrelator) snapshotState(w *snapWriter) {
-	keys := make([]netip.AddrPort, 0, len(c.seqs))
-	for k := range c.seqs {
-		keys = append(keys, k)
-	}
-	sort.Slice(keys, func(i, j int) bool { return seqLess(keys[i], keys[j]) })
-	w.u32(uint32(len(keys)))
-	for _, k := range keys {
-		tr := c.seqs[k]
-		w.addrPort(k)
-		w.u16(tr.last)
-		w.bool(tr.primed)
-		w.dur(tr.at)
-		w.dur(tr.lastAct)
-	}
-	w.u64(c.evicted.Load())
+// seqEntry is one continuity tracker as a checkpoint carries it.
+type seqEntry struct {
+	dst netip.AddrPort
+	tr  seqTrack
 }
 
-// decodeState decodes trackers without touching the live map; the returned
-// closure refills it in place (the generator aliases it via seqTrackers).
-func (c *rtpCorrelator) decodeState(r *snapReader) (func(), error) {
-	type entry struct {
-		key netip.AddrPort
-		tr  seqTrack
+// walkState walks the continuity trackers in endpoint order, then the
+// eviction count. The install closure refills the map in place (the
+// generator aliases it via seqTrackers).
+func (c *rtpCorrelator) walkState(cd *codec) func() {
+	var entries []seqEntry
+	var evicted uint64
+	if cd.enc {
+		entries = make([]seqEntry, 0, len(c.seqs))
+		for k, tr := range c.seqs {
+			entries = append(entries, seqEntry{dst: k, tr: *tr})
+		}
+		sort.Slice(entries, func(i, j int) bool { return seqLess(entries[i].dst, entries[j].dst) })
+		evicted = c.evicted.Load()
 	}
-	n := r.count()
-	entries := make([]entry, 0, min(n, 4096))
-	for i := 0; i < n && r.err == nil; i++ {
-		entries = append(entries, entry{
-			key: r.addrPortv(),
-			tr:  seqTrack{last: r.u16(), primed: r.boolv(), at: r.dur(), lastAct: r.dur()},
-		})
-	}
-	evicted := r.u64()
-	if r.err != nil {
-		return nil, r.err
-	}
+	seq(cd, &entries, func(cd *codec, e *seqEntry) {
+		cd.addrPort(&e.dst)
+		cd.u16(&e.tr.last)
+		cd.bool(&e.tr.primed)
+		cd.dur(&e.tr.at)
+		cd.dur(&e.tr.lastAct)
+	})
+	cd.u64(&evicted)
 	return func() {
 		clear(c.seqs)
 		for _, e := range entries {
 			tr := new(seqTrack)
 			*tr = e.tr
-			c.seqs[e.key] = tr
+			c.seqs[e.dst] = tr
 		}
 		c.epoch++
 		c.evicted.Store(evicted)
-	}, nil
+	}
 }
 
 // evictStalestSeq removes the sequence tracker with the oldest last

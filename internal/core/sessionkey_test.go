@@ -275,23 +275,20 @@ func (w *attrWorld) media(proto Protocol) {
 }
 
 func (w *attrWorld) snapshotRestore() {
-	sw := &snapWriter{}
-	writeIndexSnap(sw, exportSessionIndex(w.g.idx))
-	r := &snapReader{buf: sw.buf}
-	snap := readSessionIndex(r)
-	if r.err != nil {
-		w.t.Fatalf("session index round trip: %v", r.err)
+	snap := exportSessionIndex(w.g.idx).canonical()
+	blob := encodeAll(func(c *codec) { walkIndex(c, &snap) })
+	var back indexSnap
+	if err := decodeAll(blob, "session index", func(c *codec) { walkIndex(c, &back) }); err != nil {
+		w.t.Fatalf("session index round trip: %v", err)
 	}
-	installSessionIndex(w.g.idx, snap)
+	installSessionIndex(w.g.idx, back)
 }
 
 // seqRestore round-trips both correlators' trackers through a checkpoint
 // on their own: every tracker is a new object afterwards.
 func (w *attrWorld) seqRestore() {
 	for _, rc := range []*rtpCorrelator{w.rc, w.twin} {
-		var sw snapWriter
-		rc.snapshotState(&sw)
-		install, err := rc.decodeState(&snapReader{buf: sw.buf})
+		install, err := decodeCorrBlob(rc, encodeCorrState(rc))
 		if err != nil {
 			w.t.Fatalf("tracker round trip: %v", err)
 		}

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"encoding"
 	"encoding/binary"
 	"fmt"
 	"net/netip"
@@ -23,20 +24,38 @@ import (
 // bytes (the snapshot-format golden test pins this; gob was rejected
 // because map iteration order leaks into its output).
 //
-// Format v4 extends v3 with the stream-transport section (TCP reassembly
-// buffers plus per-direction SIP framing prefixes) so a checkpoint taken
-// mid-message resumes byte-identically; it is otherwise the v3 layout.
+// Every record is spelled once, as a walk over a codec that either
+// encodes or decodes: the function that writes a record is the function
+// that reads it back, so the two directions cannot disagree about a
+// layout. Export builds the record form (rawEngineBody and its parts)
+// from a live engine, canonical() puts it in its one deterministic order,
+// and the walk encodes it; restore walks the bytes into the same form,
+// shape-checks it against the ruleset and only then installs it.
 //
-// Format v3 is portable across engine geometry: the body is keyed by
-// session, not by shard. Both engine kinds write the same global layout —
-// one folded stats block, one session index, one rule-engine section, one
-// merged alert/event stream, plus the routing directory (sticky session →
-// route key pins) and buffered in-progress fragment groups — and restore
-// re-routes every session through the restoring engine's own router
-// config. A checkpoint captured serial or at 8 shards × 2 ingesters
-// resumes at any shards × ingest combination, in either engine kind; the
-// engine kind, shard count and ingest width recorded in the header are
-// informational only.
+// Format v6, in walk order:
+//
+//	header    "SCDV", version 6, engine kind, shard count, ingest width,
+//	          frames processed, config hash, rules hash, correlator names
+//	body      engine stats, distiller stats, IP fragment streams and the
+//	          reassembler's eviction count, trails, session index
+//	          (dialogs, then pending registrations), media bindings with
+//	          their LRU clock and the eviction counters, correlator state
+//	          blobs, the rule-engine section (partial matches grouped by
+//	          rule|key, retained alerts, dedup entries, counters, pending
+//	          absence alerts grouped by rule|key, absent-event lookbacks),
+//	          the event log
+//	tail      sticky route pins, buffered fragment groups, TCP stream
+//	          reassembly with each direction's SIP framing prefix and the
+//	          stream eviction count
+//	checksum  FNV-1a 64 over everything before it
+//
+// The body is keyed by session, not by shard, so a checkpoint is portable
+// across engine geometry: both engine kinds write the same global layout
+// and restore re-routes every session through the restoring engine's own
+// router config. A checkpoint captured serial or at 8 shards × 2
+// ingesters resumes at any shards × ingest combination, in either engine
+// kind; the engine kind, shard count and ingest width recorded in the
+// header are informational only.
 //
 // Restore is strictly decode-validate-install: the entire body is decoded
 // into intermediate structures (correlator state included, via the
@@ -46,12 +65,6 @@ import (
 // exactly as it was — never partially reinstated (FuzzSnapshotDecode holds
 // the decoder to this).
 
-// Format v6 extends v5 with the cooperative layer: events carry their
-// capture point, and the rule-engine section adds the absence machinery
-// (pending graced alerts plus the absent-event lookback table) so an
-// aggregator checkpoint taken mid-grace matures or cancels identically
-// after restore.
-
 const (
 	snapMagic   = "SCDV"
 	snapVersion = 6
@@ -60,184 +73,240 @@ const (
 	snapKindSharded = 1
 )
 
-// --- deterministic writer/reader ---
+// --- codec ---
 
-// snapWriter appends fixed-width big-endian fields to a buffer.
-type snapWriter struct {
-	buf []byte
+// codec walks a record in one direction. An encoding codec appends every
+// field a walk visits to buf; a decoding codec reads each field from buf
+// into the walked value, with bounds checking. The first decode failure
+// sticks: every later field leaves its target zero, so walks are written
+// straight-line and the caller checks err once.
+type codec struct {
+	enc bool
+	// wide makes list counts 8 bytes instead of 4 (the SCAG layout).
+	// String and byte-string lengths are 4 bytes either way.
+	wide bool
+	buf  []byte
+	off  int
+	err  error
 }
 
-func (w *snapWriter) u8(v uint8)   { w.buf = append(w.buf, v) }
-func (w *snapWriter) u16(v uint16) { w.buf = binary.BigEndian.AppendUint16(w.buf, v) }
-func (w *snapWriter) u32(v uint32) { w.buf = binary.BigEndian.AppendUint32(w.buf, v) }
-func (w *snapWriter) u64(v uint64) { w.buf = binary.BigEndian.AppendUint64(w.buf, v) }
-func (w *snapWriter) vint(v int)   { w.u64(uint64(int64(v))) }
-func (w *snapWriter) dur(d time.Duration) {
-	w.u64(uint64(int64(d)))
+// encoder starts an encoding codec with a magic tag and version byte.
+func encoder(magic string, version uint8) *codec {
+	return &codec{enc: true, buf: append([]byte(magic), version)}
 }
 
-func (w *snapWriter) bool(v bool) {
-	if v {
-		w.u8(1)
-	} else {
-		w.u8(0)
+// sealed appends the FNV-1a checksum of everything encoded so far and
+// returns the finished bytes.
+func (c *codec) sealed() []byte {
+	return binary.BigEndian.AppendUint64(c.buf, fnv64(c.buf))
+}
+
+// encodeAll runs walk on a fresh encoder with no envelope.
+func encodeAll(walk func(*codec)) []byte {
+	c := &codec{enc: true}
+	walk(c)
+	return c.buf
+}
+
+// decodeAll walks the whole of blob; what names the blob in the error
+// for bytes left over.
+func decodeAll(blob []byte, what string, walk func(*codec)) error {
+	c := &codec{buf: blob}
+	walk(c)
+	if c.err == nil && c.remaining() > 0 {
+		return fmt.Errorf("core: snapshot corrupt (%d trailing bytes in %s)", c.remaining(), what)
+	}
+	return c.err
+}
+
+// close reports a control-plane decode that failed or left bytes unread,
+// naming the frame kind.
+func (c *codec) close(what string) error {
+	if c.err != nil {
+		return fmt.Errorf("core: %s corrupt: %w", what, c.err)
+	}
+	if n := c.remaining(); n > 0 {
+		return fmt.Errorf("core: %s corrupt (%d trailing bytes)", what, n)
+	}
+	return nil
+}
+
+func (c *codec) fail(format string, args ...any) {
+	if c.err == nil {
+		c.err = fmt.Errorf(format, args...)
 	}
 }
 
-func (w *snapWriter) bytes(b []byte) {
-	w.u32(uint32(len(b)))
-	w.buf = append(w.buf, b...)
-}
+func (c *codec) remaining() int { return len(c.buf) - c.off }
 
-func (w *snapWriter) str(s string) {
-	w.u32(uint32(len(s)))
-	w.buf = append(w.buf, s...)
-}
-
-func (w *snapWriter) bools(b []bool) {
-	w.u32(uint32(len(b)))
-	for _, v := range b {
-		w.bool(v)
-	}
-}
-
-func (w *snapWriter) addr(a netip.Addr) {
-	b, _ := a.MarshalBinary()
-	w.bytes(b)
-}
-
-func (w *snapWriter) addrPort(ap netip.AddrPort) {
-	b, _ := ap.MarshalBinary()
-	w.bytes(b)
-}
-
-// snapReader consumes a snapWriter's output with bounds checking. The
-// first failure sticks: every subsequent read returns a zero value, so
-// decoders can be written straight-line and check err once per section.
-type snapReader struct {
-	buf []byte
-	off int
-	err error
-}
-
-func (r *snapReader) fail(format string, args ...any) {
-	if r.err == nil {
-		r.err = fmt.Errorf(format, args...)
-	}
-}
-
-func (r *snapReader) take(n int) []byte {
-	if r.err != nil {
+func (c *codec) take(n int) []byte {
+	if c.err != nil {
 		return nil
 	}
-	if n < 0 || r.off+n > len(r.buf) {
-		r.fail("core: snapshot truncated (need %d bytes at offset %d of %d)", n, r.off, len(r.buf))
+	if n < 0 || c.off+n > len(c.buf) {
+		c.fail("core: snapshot truncated (need %d bytes at offset %d of %d)", n, c.off, len(c.buf))
 		return nil
 	}
-	b := r.buf[r.off : r.off+n]
-	r.off += n
+	b := c.buf[c.off : c.off+n]
+	c.off += n
 	return b
 }
 
-func (r *snapReader) u8() uint8 {
-	b := r.take(1)
-	if b == nil {
-		return 0
+func (c *codec) u8(v *uint8) {
+	if c.enc {
+		c.buf = append(c.buf, *v)
+	} else if b := c.take(1); b != nil {
+		*v = b[0]
 	}
-	return b[0]
 }
 
-func (r *snapReader) u16() uint16 {
-	b := r.take(2)
-	if b == nil {
-		return 0
+func (c *codec) u16(v *uint16) {
+	if c.enc {
+		c.buf = binary.BigEndian.AppendUint16(c.buf, *v)
+	} else if b := c.take(2); b != nil {
+		*v = binary.BigEndian.Uint16(b)
 	}
-	return binary.BigEndian.Uint16(b)
 }
 
-func (r *snapReader) u32() uint32 {
-	b := r.take(4)
-	if b == nil {
-		return 0
+func (c *codec) u32(v *uint32) {
+	if c.enc {
+		c.buf = binary.BigEndian.AppendUint32(c.buf, *v)
+	} else if b := c.take(4); b != nil {
+		*v = binary.BigEndian.Uint32(b)
 	}
-	return binary.BigEndian.Uint32(b)
 }
 
-func (r *snapReader) u64() uint64 {
-	b := r.take(8)
-	if b == nil {
-		return 0
+func (c *codec) u64(v *uint64) {
+	if c.enc {
+		c.buf = binary.BigEndian.AppendUint64(c.buf, *v)
+	} else if b := c.take(8); b != nil {
+		*v = binary.BigEndian.Uint64(b)
 	}
-	return binary.BigEndian.Uint64(b)
 }
 
-func (r *snapReader) vint() int          { return int(int64(r.u64())) }
-func (r *snapReader) dur() time.Duration { return time.Duration(int64(r.u64())) }
-func (r *snapReader) boolv() bool        { return r.u8() != 0 }
-func (r *snapReader) remaining() int     { return len(r.buf) - r.off }
-func (r *snapReader) done() bool         { return r.err == nil && r.off == len(r.buf) }
-
-// count reads a u32 element count and rejects counts that could not fit in
-// the remaining bytes, so a hostile length prefix cannot drive huge
-// allocations or long loops.
-func (r *snapReader) count() int {
-	n := int(r.u32())
-	if r.err == nil && n > r.remaining() {
-		r.fail("core: snapshot corrupt (count %d exceeds %d remaining bytes)", n, r.remaining())
-		return 0
-	}
-	return n
+// vint walks an int as 8 bytes.
+func (c *codec) vint(v *int) {
+	u := uint64(int64(*v))
+	c.u64(&u)
+	*v = int(int64(u))
 }
 
-func (r *snapReader) bytesv() []byte {
-	n := r.count()
-	b := r.take(n)
-	if b == nil {
-		return nil
-	}
-	return append([]byte(nil), b...)
+func (c *codec) dur(d *time.Duration) {
+	u := uint64(int64(*d))
+	c.u64(&u)
+	*d = time.Duration(int64(u))
 }
 
-func (r *snapReader) strv() string {
-	n := r.count()
-	b := r.take(n)
-	return string(b)
+func (c *codec) bool(v *bool) {
+	var b uint8
+	if *v {
+		b = 1
+	}
+	c.u8(&b)
+	*v = b != 0
 }
 
-func (r *snapReader) boolsv() []bool {
-	n := r.count()
-	if r.err != nil {
-		return nil
+// enum walks an int-kinded value (event type, severity, protocol) as a
+// vint.
+func enum[T ~int](c *codec, v *T) {
+	n := int(*v)
+	c.vint(&n)
+	*v = T(n)
+}
+
+// size walks a length or element count, 8 bytes wide or 4. Decoding
+// refuses one larger than the bytes left — every element takes at least
+// one — so a hostile length prefix cannot drive a huge allocation or a
+// long loop.
+func (c *codec) size(n *int, wide bool) {
+	if wide {
+		u := uint64(*n)
+		c.u64(&u)
+		*n = int(u)
+	} else {
+		u := uint32(*n)
+		c.u32(&u)
+		*n = int(u)
 	}
-	out := make([]bool, 0, n)
-	for i := 0; i < n && r.err == nil; i++ {
-		out = append(out, r.boolv())
+	if !c.enc && c.err == nil && (*n < 0 || *n > c.remaining()) {
+		c.fail("core: snapshot corrupt (count %d exceeds %d remaining bytes)", *n, c.remaining())
+		*n = 0
 	}
+}
+
+// count walks a list's element count.
+func (c *codec) count(n *int) { c.size(n, c.wide) }
+
+func (c *codec) bytes(b *[]byte) {
+	n := len(*b)
+	c.size(&n, false)
+	if c.enc {
+		c.buf = append(c.buf, *b...)
+	} else if v := c.take(n); v != nil {
+		*b = append([]byte(nil), v...)
+	}
+}
+
+func (c *codec) str(s *string) {
+	n := len(*s)
+	c.size(&n, false)
+	if c.enc {
+		c.buf = append(c.buf, *s...)
+	} else if v := c.take(n); v != nil {
+		*s = string(v)
+	}
+}
+
+// binary walks a value through its binary marshalling as a byte string.
+func (c *codec) binary(v interface {
+	encoding.BinaryMarshaler
+	encoding.BinaryUnmarshaler
+}, what string) {
+	var b []byte
+	if c.enc {
+		b, _ = v.MarshalBinary()
+	}
+	c.bytes(&b)
+	if !c.enc && c.err == nil {
+		if err := v.UnmarshalBinary(b); err != nil {
+			c.fail("core: snapshot corrupt (bad %s: %v)", what, err)
+		}
+	}
+}
+
+func (c *codec) addr(a *netip.Addr)          { c.binary(a, "address") }
+func (c *codec) addrPort(ap *netip.AddrPort) { c.binary(ap, "address:port") }
+
+// seq walks a counted list. Decoding sizes the slice by min(n, 4096):
+// count has already refused an n beyond the bytes left, and the cap keeps
+// a hostile n from reserving more than a few pages up front.
+func seq[T any](c *codec, xs *[]T, walk func(*codec, *T)) {
+	n := len(*xs)
+	c.count(&n)
+	if c.enc {
+		for i := range *xs {
+			walk(c, &(*xs)[i])
+		}
+		return
+	}
+	if c.err != nil {
+		return
+	}
+	out := make([]T, 0, min(n, 4096))
+	for i := 0; i < n && c.err == nil; i++ {
+		var zero T
+		out = append(out, zero)
+		walk(c, &out[i])
+	}
+	*xs = out
+}
+
+// sorted returns a sorted copy of xs. Canonical order never sorts in
+// place: a record may alias a live engine's or another record's slices.
+func sorted[T any](xs []T, less func(a, b T) bool) []T {
+	out := append([]T(nil), xs...)
+	sort.Slice(out, func(i, j int) bool { return less(out[i], out[j]) })
 	return out
-}
-
-func (r *snapReader) addrv() netip.Addr {
-	b := r.bytesv()
-	if r.err != nil {
-		return netip.Addr{}
-	}
-	var a netip.Addr
-	if err := a.UnmarshalBinary(b); err != nil {
-		r.fail("core: snapshot corrupt (bad address: %v)", err)
-	}
-	return a
-}
-
-func (r *snapReader) addrPortv() netip.AddrPort {
-	b := r.bytesv()
-	if r.err != nil {
-		return netip.AddrPort{}
-	}
-	var ap netip.AddrPort
-	if err := ap.UnmarshalBinary(b); err != nil {
-		r.fail("core: snapshot corrupt (bad address:port: %v)", err)
-	}
-	return ap
 }
 
 // --- hashing ---
@@ -292,69 +361,27 @@ func correlatorNames(correlators []Correlator) []string {
 // snapHeader binds a snapshot to the producing engine's identity.
 type snapHeader struct {
 	engineKind  uint8
-	shards      int
-	ingesters   int
+	shards      uint32
+	ingesters   uint32
 	frames      uint64
 	configHash  uint64
 	rulesHash   uint64
 	correlators []string
 }
 
-func writeSnapHeader(w *snapWriter, h snapHeader) {
-	w.buf = append(w.buf, snapMagic...)
-	w.u8(snapVersion)
-	w.u8(h.engineKind)
-	w.u32(uint32(h.shards))
-	w.u32(uint32(h.ingesters))
-	w.u64(h.frames)
-	w.u64(h.configHash)
-	w.u64(h.rulesHash)
-	w.u32(uint32(len(h.correlators)))
-	for _, name := range h.correlators {
-		w.str(name)
-	}
+func walkSnapHeader(c *codec, h *snapHeader) {
+	c.u8(&h.engineKind)
+	c.u32(&h.shards)
+	c.u32(&h.ingesters)
+	c.u64(&h.frames)
+	c.u64(&h.configHash)
+	c.u64(&h.rulesHash)
+	seq(c, &h.correlators, (*codec).str)
 }
 
-func readSnapHeader(r *snapReader) snapHeader {
-	var h snapHeader
-	magic := r.take(len(snapMagic))
-	if r.err != nil {
-		return h
-	}
-	if string(magic) != snapMagic {
-		r.fail("core: not a SCIDIVE checkpoint (bad magic %q)", magic)
-		return h
-	}
-	if v := r.u8(); r.err == nil && v != snapVersion {
-		if v == 2 {
-			r.fail("core: checkpoint is format v2 (fixed-geometry, pre-portable); this build reads only v6 checkpoints — re-capture a checkpoint with this build")
-		} else if v == 3 {
-			r.fail("core: checkpoint is format v3 (pre-stream-transport); this build reads only v6 checkpoints — re-capture a checkpoint with this build")
-		} else if v == 4 {
-			r.fail("core: checkpoint is format v4 (pre-classification-ledger); this build reads only v6 checkpoints — re-capture a checkpoint with this build")
-		} else if v == 5 {
-			r.fail("core: checkpoint is format v5 (pre-cooperative); this build reads only v6 checkpoints — re-capture a checkpoint with this build")
-		} else {
-			r.fail("core: unsupported checkpoint format version %d (this build reads version %d); re-capture a checkpoint with this build", v, snapVersion)
-		}
-		return h
-	}
-	h.engineKind = r.u8()
-	h.shards = int(r.u32())
-	h.ingesters = int(r.u32())
-	h.frames = r.u64()
-	h.configHash = r.u64()
-	h.rulesHash = r.u64()
-	n := r.count()
-	for i := 0; i < n && r.err == nil; i++ {
-		h.correlators = append(h.correlators, r.strv())
-	}
-	return h
-}
-
-// openSnapshot verifies the checksum and header framing of a snapshot and
-// returns the parsed header plus a reader positioned at the body.
-func openSnapshot(data []byte) (snapHeader, *snapReader, error) {
+// openSnapshot verifies the checksum, magic and version of a snapshot and
+// returns the decoded header plus a codec positioned at the body.
+func openSnapshot(data []byte) (snapHeader, *codec, error) {
 	if len(data) < len(snapMagic)+8 {
 		return snapHeader{}, nil, fmt.Errorf("core: checkpoint truncated (%d bytes)", len(data))
 	}
@@ -362,12 +389,18 @@ func openSnapshot(data []byte) (snapHeader, *snapReader, error) {
 	if got := fnv64(data[:len(data)-8]); got != sum {
 		return snapHeader{}, nil, fmt.Errorf("core: checkpoint corrupt (checksum %016x, computed %016x)", sum, got)
 	}
-	r := &snapReader{buf: data[:len(data)-8]}
-	h := readSnapHeader(r)
-	if r.err != nil {
-		return snapHeader{}, nil, r.err
+	c := &codec{buf: data[:len(data)-8]}
+	if magic := c.take(len(snapMagic)); string(magic) != snapMagic {
+		return snapHeader{}, nil, fmt.Errorf("core: not a SCIDIVE checkpoint (bad magic %q)", magic)
 	}
-	return h, r, nil
+	var v uint8
+	c.u8(&v)
+	if v != snapVersion {
+		return snapHeader{}, nil, fmt.Errorf("core: checkpoint is format v%d; this build reads only v%d checkpoints — re-capture a checkpoint with this build", v, snapVersion)
+	}
+	var h snapHeader
+	walkSnapHeader(c, &h)
+	return h, c, c.err
 }
 
 // validateSnapHeader checks a decoded header against the restoring
@@ -419,7 +452,7 @@ func PeekSnapshotInfo(data []byte) (SnapshotInfo, error) {
 	if err != nil {
 		return SnapshotInfo{}, err
 	}
-	return SnapshotInfo{Sharded: h.engineKind == snapKindSharded, Shards: h.shards, Ingesters: h.ingesters, Frames: h.frames}, nil
+	return SnapshotInfo{Sharded: h.engineKind == snapKindSharded, Shards: int(h.shards), Ingesters: int(h.ingesters), Frames: h.frames}, nil
 }
 
 // WriteCheckpoint atomically writes a snapshot to path: the bytes land in
@@ -450,91 +483,28 @@ func WriteCheckpoint(path string, data []byte) error {
 	return nil
 }
 
-// --- shared field codecs ---
+// --- shared records ---
 
-func writeEvent(w *snapWriter, ev Event) {
-	w.dur(ev.At)
-	w.vint(int(ev.Type))
-	w.str(ev.Session)
-	w.str(ev.Detail)
-	w.str(ev.Point)
+// walkEvent walks every field an Event has.
+func walkEvent(c *codec, ev *Event) {
+	c.dur(&ev.At)
+	enum(c, &ev.Type)
+	c.str(&ev.Session)
+	c.str(&ev.Detail)
+	c.str(&ev.Point)
 }
 
-// readEvent decodes an event: every field writeEvent wrote, which is
-// every field an Event has.
-func readEvent(r *snapReader) Event {
-	return Event{At: r.dur(), Type: EventType(r.vint()), Session: r.strv(), Detail: r.strv(), Point: r.strv()}
+func walkAlert(c *codec, a *Alert) {
+	c.dur(&a.At)
+	c.str(&a.Rule)
+	enum(c, &a.Severity)
+	c.str(&a.Session)
+	c.str(&a.Detail)
+	c.vint(&a.Count)
+	seq(c, &a.Events, walkEvent)
 }
 
-func writeEvents(w *snapWriter, evs []Event) {
-	w.u32(uint32(len(evs)))
-	for _, ev := range evs {
-		writeEvent(w, ev)
-	}
-}
-
-func readEvents(r *snapReader) []Event {
-	n := r.count()
-	out := make([]Event, 0, min(n, 4096))
-	for i := 0; i < n && r.err == nil; i++ {
-		out = append(out, readEvent(r))
-	}
-	return out
-}
-
-func writeAlert(w *snapWriter, a Alert) {
-	w.dur(a.At)
-	w.str(a.Rule)
-	w.vint(int(a.Severity))
-	w.str(a.Session)
-	w.str(a.Detail)
-	w.vint(a.Count)
-	writeEvents(w, a.Events)
-}
-
-func readAlert(r *snapReader) Alert {
-	return Alert{
-		At:       r.dur(),
-		Rule:     r.strv(),
-		Severity: Severity(r.vint()),
-		Session:  r.strv(),
-		Detail:   r.strv(),
-		Count:    r.vint(),
-		Events:   readEvents(r),
-	}
-}
-
-func writeAlerts(w *snapWriter, alerts []Alert) {
-	w.u32(uint32(len(alerts)))
-	for _, a := range alerts {
-		writeAlert(w, a)
-	}
-}
-
-func readAlerts(r *snapReader) []Alert {
-	n := r.count()
-	out := make([]Alert, 0, min(n, 4096))
-	for i := 0; i < n && r.err == nil; i++ {
-		out = append(out, readAlert(r))
-	}
-	return out
-}
-
-func writeEngineStats(w *snapWriter, st EngineStats) {
-	for _, v := range []int{
-		st.Frames, st.Footprints, st.Events, st.Alerts, st.SessionsEvicted,
-		st.FramesAfterClose, st.FramesShed, st.BatchesShed,
-		st.SessionsCapEvicted, st.FragGroupsEvicted, st.StreamsEvicted,
-		st.IMHistoriesEvicted,
-		st.SeqTrackersEvicted, st.BindingsEvicted, st.AlertsEvicted,
-		st.EventsEvicted, st.ShardsFailed, st.ShardsRestarted,
-	} {
-		w.vint(v)
-	}
-}
-
-func readEngineStats(r *snapReader) EngineStats {
-	var st EngineStats
+func walkEngineStats(c *codec, st *EngineStats) {
 	for _, p := range []*int{
 		&st.Frames, &st.Footprints, &st.Events, &st.Alerts, &st.SessionsEvicted,
 		&st.FramesAfterClose, &st.FramesShed, &st.BatchesShed,
@@ -543,28 +513,26 @@ func readEngineStats(r *snapReader) EngineStats {
 		&st.SeqTrackersEvicted, &st.BindingsEvicted, &st.AlertsEvicted,
 		&st.EventsEvicted, &st.ShardsFailed, &st.ShardsRestarted,
 	} {
-		*p = r.vint()
-	}
-	return st
-}
-
-func writeDistillerStats(w *snapWriter, st DistillerStats) {
-	for _, v := range []int{st.Frames, st.Fragments, st.DecodeError, st.SIP, st.RTP, st.RTCP, st.Acct, st.Raw, st.Ignored, st.Mismatched, st.Streamed, st.StreamMsgs} {
-		w.vint(v)
+		c.vint(p)
 	}
 }
 
-func readDistillerStats(r *snapReader) DistillerStats {
-	var st DistillerStats
+func walkDistillerStats(c *codec, st *DistillerStats) {
 	for _, p := range []*int{&st.Frames, &st.Fragments, &st.DecodeError, &st.SIP, &st.RTP, &st.RTCP, &st.Acct, &st.Raw, &st.Ignored, &st.Mismatched, &st.Streamed, &st.StreamMsgs} {
-		*p = r.vint()
+		c.vint(p)
 	}
-	return st
+}
+
+// walkPair walks two strings: a pending registration (Call-ID, AOR) or a
+// sticky route pin (session, routing key).
+func walkPair(c *codec, p *[2]string) {
+	c.str(&p[0])
+	c.str(&p[1])
 }
 
 // --- session index ---
 
-// sessionSnap is the decoded form of one sessionState.
+// sessionSnap is the record form of one sessionState.
 type sessionSnap struct {
 	st             sessionState
 	guessResponses []string
@@ -575,8 +543,45 @@ type indexSnap struct {
 	pendingReg [][2]string
 }
 
+func walkSession(c *codec, s *sessionSnap) {
+	st := &s.st
+	c.str(&st.callID)
+	c.dur(&st.lastSeen)
+	c.bool(&st.established)
+	c.str(&st.callerAOR)
+	c.str(&st.calleeAOR)
+	c.str(&st.callerTag)
+	c.str(&st.calleeTag)
+	c.addrPort(&st.callerMedia)
+	c.addrPort(&st.calleeMedia)
+	c.addr(&st.inviteSrcIP)
+	c.bool(&st.byeSeen)
+	c.dur(&st.byeAt)
+	c.addrPort(&st.byeFromMedia)
+	c.u32(&st.lastReinviteSeq)
+	c.bool(&st.reinviteSeen)
+	c.dur(&st.reinviteAt)
+	c.addrPort(&st.reinviteOldMedia)
+	c.bool(&st.badFormat)
+	c.bool(&st.acctStart)
+	c.bool(&st.unmatchedOnce)
+	c.dur(&st.rtcpByeAt)
+	c.bool(&st.rtcpByePending)
+	c.bool(&st.rtcpByeFired)
+	c.bool(&st.isRegistration)
+	c.vint(&st.challenges)
+	c.bool(&st.floodFired)
+	seq(c, &s.guessResponses, (*codec).str)
+	c.bool(&st.guessFired)
+}
+
+func walkIndex(c *codec, x *indexSnap) {
+	seq(c, &x.sessions, walkSession)
+	seq(c, &x.pendingReg, walkPair)
+}
+
 // exportSessionIndex captures the index's dialogs and pending
-// registrations in decoded form; writeIndexSnap sorts them.
+// registrations in record form.
 func exportSessionIndex(x *sessionIndex) indexSnap {
 	snap := indexSnap{sessions: make([]sessionSnap, 0, len(x.sessions))}
 	for _, st := range x.sessions {
@@ -592,51 +597,15 @@ func exportSessionIndex(x *sessionIndex) indexSnap {
 	return snap
 }
 
-func readSessionIndex(r *snapReader) indexSnap {
-	var snap indexSnap
-	n := r.count()
-	for i := 0; i < n && r.err == nil; i++ {
-		var s sessionSnap
-		s.st.callID = r.strv()
-		s.st.lastSeen = r.dur()
-		s.st.established = r.boolv()
-		s.st.callerAOR = r.strv()
-		s.st.calleeAOR = r.strv()
-		s.st.callerTag = r.strv()
-		s.st.calleeTag = r.strv()
-		s.st.callerMedia = r.addrPortv()
-		s.st.calleeMedia = r.addrPortv()
-		s.st.inviteSrcIP = r.addrv()
-		s.st.byeSeen = r.boolv()
-		s.st.byeAt = r.dur()
-		s.st.byeFromMedia = r.addrPortv()
-		s.st.lastReinviteSeq = r.u32()
-		s.st.reinviteSeen = r.boolv()
-		s.st.reinviteAt = r.dur()
-		s.st.reinviteOldMedia = r.addrPortv()
-		s.st.badFormat = r.boolv()
-		s.st.acctStart = r.boolv()
-		s.st.unmatchedOnce = r.boolv()
-		s.st.rtcpByeAt = r.dur()
-		s.st.rtcpByePending = r.boolv()
-		s.st.rtcpByeFired = r.boolv()
-		s.st.isRegistration = r.boolv()
-		s.st.challenges = r.vint()
-		s.st.floodFired = r.boolv()
-		ng := r.count()
-		for j := 0; j < ng && r.err == nil; j++ {
-			s.guessResponses = append(s.guessResponses, r.strv())
-		}
-		s.st.guessFired = r.boolv()
-		snap.sessions = append(snap.sessions, s)
+// canonical sorts dialogs by Call-ID (each one's guessed responses too)
+// and pending registrations by Call-ID.
+func (x indexSnap) canonical() indexSnap {
+	x.sessions = sorted(x.sessions, func(a, b sessionSnap) bool { return a.st.callID < b.st.callID })
+	for i := range x.sessions {
+		x.sessions[i].guessResponses = sorted(x.sessions[i].guessResponses, func(a, b string) bool { return a < b })
 	}
-	nr := r.count()
-	for i := 0; i < nr && r.err == nil; i++ {
-		id := r.strv()
-		aor := r.strv()
-		snap.pendingReg = append(snap.pendingReg, [2]string{id, aor})
-	}
-	return snap
+	x.pendingReg = sorted(x.pendingReg, func(a, b [2]string) bool { return a[0] < b[0] })
+	return x
 }
 
 // installSessionIndex replaces the index's contents in place (the maps are
@@ -666,190 +635,221 @@ func installSessionIndex(x *sessionIndex, snap indexSnap) {
 
 // --- reassembler ---
 
-func readReassembly(r *snapReader) ([]packet.FragStream, int) {
-	n := r.count()
-	var streams []packet.FragStream
-	for i := 0; i < n && r.err == nil; i++ {
-		streams = append(streams, packet.FragStream{
-			ID: packet.FragID{
-				Src:   r.addrv(),
-				Dst:   r.addrv(),
-				Proto: r.u8(),
-				ID:    r.u16(),
-			},
-			Data:     r.bytesv(),
-			Have:     r.boolsv(),
-			TotalLen: r.vint(),
-			First:    r.dur(),
-		})
-	}
-	return streams, r.vint()
+func walkFragStream(c *codec, s *packet.FragStream) {
+	c.addr(&s.ID.Src)
+	c.addr(&s.ID.Dst)
+	c.u8(&s.ID.Proto)
+	c.u16(&s.ID.ID)
+	c.bytes(&s.Data)
+	seq(c, &s.Have, (*codec).bool)
+	c.vint(&s.TotalLen)
+	c.dur(&s.First)
 }
 
 // --- rule engine ---
 
-type partialSnap struct {
-	rule      string
-	session   string
-	startedAt time.Duration
-	events    []Event
-	next      int
-	matched   []bool
-	remaining int
+// partialGroup is the partial matches filed under one rule|key, in
+// filing order.
+type partialGroup struct {
+	rule, session string
+	parts         []partial
 }
 
-type pendingSnap struct {
-	key         string // ruleName|corrKey
-	completedAt time.Duration
-	deadline    time.Duration
-	alert       Alert
+// pendingGroup is the pending absence alerts filed under one rule|key,
+// in filing order. Only completedAt, deadline and alert are carried.
+type pendingGroup struct {
+	key  string // ruleName|corrKey
+	pend []pendingAlert
+}
+
+type dedupEntry struct {
+	key string // ruleName|corrKey
+	idx int
+}
+
+type lastEntry struct {
+	key string // ruleName|corrKey
+	at  time.Duration
 }
 
 type ruleSnap struct {
-	partials   []partialSnap
+	partials   []partialGroup
 	alerts     []Alert
-	dedupKeys  []string
-	dedupIdx   []int
+	dedup      []dedupEntry
 	dedupBase  int
 	evicted    int
 	version    int
 	eventsSeen int
-	pendings   []pendingSnap
-	lastKeys   []string // absent-lookback keys
-	lastAt     []time.Duration
+	pendings   []pendingGroup
+	lastAbsent []lastEntry // absent-event lookbacks
 }
 
-// exportRuleEngine captures rule-matching state in decoded form. It
-// aliases the engine's alerts and partial-match slices (see exportBody);
-// writeRuleSnap sorts what the map walks leave unordered.
+func walkPartialGroup(c *codec, g *partialGroup) {
+	c.str(&g.rule)
+	c.str(&g.session)
+	seq(c, &g.parts, func(c *codec, p *partial) {
+		c.dur(&p.startedAt)
+		seq(c, &p.events, walkEvent)
+		c.vint(&p.next)
+		seq(c, &p.matched, (*codec).bool)
+		c.vint(&p.remaining)
+	})
+}
+
+func walkPendingGroup(c *codec, g *pendingGroup) {
+	c.str(&g.key)
+	seq(c, &g.pend, func(c *codec, p *pendingAlert) {
+		c.dur(&p.completedAt)
+		c.dur(&p.deadline)
+		walkAlert(c, &p.alert)
+	})
+}
+
+func walkRuleSnap(c *codec, s *ruleSnap) {
+	seq(c, &s.partials, walkPartialGroup)
+	seq(c, &s.alerts, walkAlert)
+	seq(c, &s.dedup, func(c *codec, d *dedupEntry) {
+		c.str(&d.key)
+		c.vint(&d.idx)
+	})
+	c.vint(&s.dedupBase)
+	c.vint(&s.evicted)
+	c.vint(&s.version)
+	c.vint(&s.eventsSeen)
+	seq(c, &s.pendings, walkPendingGroup)
+	seq(c, &s.lastAbsent, func(c *codec, l *lastEntry) {
+		c.str(&l.key)
+		c.dur(&l.at)
+	})
+}
+
+// exportRuleEngine captures rule-matching state in record form. It
+// aliases the engine's alerts and partial-match slices (see exportBody).
 func exportRuleEngine(re *RuleEngine) ruleSnap {
 	snap := ruleSnap{alerts: re.alerts, dedupBase: re.dedupBase, evicted: re.evicted, version: re.version, eventsSeen: re.EventsSeen}
 	for k, parts := range re.partials {
-		for _, p := range parts {
-			snap.partials = append(snap.partials, partialSnap{rule: k.rule, session: k.key, startedAt: p.startedAt,
-				events: p.events, next: p.next, matched: p.matched, remaining: p.remaining})
+		if len(parts) == 0 {
+			continue
 		}
+		g := partialGroup{rule: k.rule, session: k.key, parts: make([]partial, len(parts))}
+		for i, p := range parts {
+			g.parts[i] = *p
+		}
+		snap.partials = append(snap.partials, g)
 	}
 	for k, idx := range re.dedup {
-		snap.dedupKeys = append(snap.dedupKeys, k.flat())
-		snap.dedupIdx = append(snap.dedupIdx, idx)
+		snap.dedup = append(snap.dedup, dedupEntry{key: k.flat(), idx: idx})
 	}
 	if c := re.clock; c != nil {
 		for k, pend := range c.pendings {
-			flat := k.flat()
-			for _, p := range pend {
-				snap.pendings = append(snap.pendings, pendingSnap{key: flat, completedAt: p.completedAt, deadline: p.deadline, alert: p.alert})
+			if len(pend) == 0 {
+				continue
 			}
+			g := pendingGroup{key: k.flat(), pend: make([]pendingAlert, len(pend))}
+			for i, p := range pend {
+				g.pend[i] = *p
+			}
+			snap.pendings = append(snap.pendings, g)
 		}
 		for k, at := range c.lastAbsent {
-			snap.lastKeys = append(snap.lastKeys, k.flat())
-			snap.lastAt = append(snap.lastAt, at)
+			snap.lastAbsent = append(snap.lastAbsent, lastEntry{key: k.flat(), at: at})
 		}
 	}
 	return snap
 }
 
-// readRuleEngine decodes rule-matching state, validating every partial
-// match and pending absence alert against the ruleset so a decoded
-// snapshot can never index out of a rule's step list.
-func readRuleEngine(r *snapReader, rules []Rule) ruleSnap {
-	var snap ruleSnap
-	nk := r.count()
-	for i := 0; i < nk && r.err == nil; i++ {
-		rule := r.strv()
-		session := r.strv()
-		target, known := RuleByName(rules, rule)
-		if r.err == nil && !known {
-			r.fail("core: snapshot references unknown rule %q (ruleset hash should have caught this)", rule)
-			break
+// canonical merges the partial and pending groups filed under the same
+// rule|key (a sharded fold can bring one key from two shards), keeping
+// filing order inside a group, and sorts every keyed list by key.
+func (s ruleSnap) canonical() ruleSnap {
+	s.partials = mergeGroups(s.partials, func(g partialGroup) string { return g.rule + "|" + g.session },
+		func(g *partialGroup) *[]partial { return &g.parts })
+	s.pendings = mergeGroups(s.pendings, func(g pendingGroup) string { return g.key },
+		func(g *pendingGroup) *[]pendingAlert { return &g.pend })
+	s.dedup = sorted(s.dedup, func(a, b dedupEntry) bool { return a.key < b.key })
+	s.lastAbsent = sorted(s.lastAbsent, func(a, b lastEntry) bool { return a.key < b.key })
+	return s
+}
+
+// mergeGroups appends each group's items to the first group with the same
+// key and returns the merged groups sorted by key, writing to none of
+// gs's arrays.
+func mergeGroups[G, T any](gs []G, key func(G) string, items func(*G) *[]T) []G {
+	type keyed struct {
+		key string
+		g   G
+	}
+	at := make(map[string]int, len(gs))
+	var out []keyed
+	for _, g := range gs {
+		k := key(g)
+		i, seen := at[k]
+		if !seen {
+			at[k] = len(out)
+			out = append(out, keyed{key: k, g: g})
+			continue
 		}
-		np := r.count()
-		for j := 0; j < np && r.err == nil; j++ {
-			p := partialSnap{
-				rule:      rule,
-				session:   session,
-				startedAt: r.dur(),
-				events:    readEvents(r),
-				next:      r.vint(),
-				matched:   r.boolsv(),
-				remaining: r.vint(),
-			}
-			if r.err != nil {
-				break
-			}
-			steps := len(target.Steps)
+		dst := items(&out[i].g)
+		*dst = append((*dst)[:len(*dst):len(*dst)], *items(&g)...)
+	}
+	sort.Slice(out, func(i, j int) bool { return out[i].key < out[j].key })
+	merged := make([]G, len(out))
+	for i := range out {
+		merged[i] = out[i].g
+	}
+	return merged
+}
+
+// validate shape-checks a decoded rule-engine section against the
+// ruleset, so an installed snapshot can never index out of a rule's step
+// list, file a pending alert under a rule that cannot hold one, or leave
+// a dedup entry pointing at the wrong alert.
+func (s *ruleSnap) validate(rules []Rule) error {
+	for _, g := range s.partials {
+		target, known := RuleByName(rules, g.rule)
+		if !known {
+			return fmt.Errorf("core: snapshot references unknown rule %q (ruleset hash should have caught this)", g.rule)
+		}
+		steps := len(target.Steps)
+		for _, p := range g.parts {
 			if target.Unordered {
 				if len(p.matched) != steps || p.remaining < 1 || p.remaining > steps {
-					r.fail("core: snapshot corrupt (partial for rule %q has %d matched flags, remaining %d; rule has %d steps)",
-						rule, len(p.matched), p.remaining, steps)
-					break
+					return fmt.Errorf("core: snapshot corrupt (partial for rule %q has %d matched flags, remaining %d; rule has %d steps)",
+						g.rule, len(p.matched), p.remaining, steps)
 				}
 			} else if p.next < 1 || p.next >= steps {
-				r.fail("core: snapshot corrupt (partial for rule %q at step %d of %d)", rule, p.next, steps)
-				break
+				return fmt.Errorf("core: snapshot corrupt (partial for rule %q at step %d of %d)", g.rule, p.next, steps)
 			}
 			if len(p.events) > steps {
-				r.fail("core: snapshot corrupt (partial for rule %q holds %d events for %d steps)", rule, len(p.events), steps)
-				break
-			}
-			snap.partials = append(snap.partials, p)
-		}
-	}
-	snap.alerts = readAlerts(r)
-	nd := r.count()
-	for i := 0; i < nd && r.err == nil; i++ {
-		snap.dedupKeys = append(snap.dedupKeys, r.strv())
-		snap.dedupIdx = append(snap.dedupIdx, r.vint())
-	}
-	snap.dedupBase = r.vint()
-	snap.evicted = r.vint()
-	snap.version = r.vint()
-	snap.eventsSeen = r.vint()
-	np := r.count()
-	for i := 0; i < np && r.err == nil; i++ {
-		key := r.strv()
-		if r.err == nil {
-			name, _, _ := strings.Cut(key, "|")
-			target, known := RuleByName(rules, name)
-			if !known {
-				r.fail("core: snapshot references unknown rule %q (ruleset hash should have caught this)", name)
-				break
-			}
-			if len(target.Absent) == 0 {
-				r.fail("core: snapshot corrupt (pending absence alert for rule %q, which has no absent clause)", name)
-				break
-			}
-		}
-		nn := r.count()
-		for j := 0; j < nn && r.err == nil; j++ {
-			ps := pendingSnap{key: key, completedAt: r.dur(), deadline: r.dur(), alert: readAlert(r)}
-			if r.err == nil && ps.deadline < ps.completedAt {
-				r.fail("core: snapshot corrupt (pending absence alert for %q matures before it completed)", key)
-				break
-			}
-			snap.pendings = append(snap.pendings, ps)
-		}
-	}
-	nl := r.count()
-	for i := 0; i < nl && r.err == nil; i++ {
-		snap.lastKeys = append(snap.lastKeys, r.strv())
-		snap.lastAt = append(snap.lastAt, r.dur())
-	}
-	if r.err == nil {
-		for i, k := range snap.dedupKeys {
-			idx := snap.dedupIdx[i] - snap.dedupBase
-			if idx < 0 || idx >= len(snap.alerts) {
-				r.fail("core: snapshot corrupt (dedup entry %q points at alert %d of %d)", k, idx, len(snap.alerts))
-				return snap
-			}
-			a := snap.alerts[idx]
-			if a.Rule+"|"+a.Session != k {
-				r.fail("core: snapshot corrupt (dedup entry %q points at alert for %q)", k, a.Rule+"|"+a.Session)
-				return snap
+				return fmt.Errorf("core: snapshot corrupt (partial for rule %q holds %d events for %d steps)", g.rule, len(p.events), steps)
 			}
 		}
 	}
-	return snap
+	for _, g := range s.pendings {
+		name, _, _ := strings.Cut(g.key, "|")
+		target, known := RuleByName(rules, name)
+		if !known {
+			return fmt.Errorf("core: snapshot references unknown rule %q (ruleset hash should have caught this)", name)
+		}
+		if len(target.Absent) == 0 {
+			return fmt.Errorf("core: snapshot corrupt (pending absence alert for rule %q, which has no absent clause)", name)
+		}
+		for _, p := range g.pend {
+			if p.deadline < p.completedAt {
+				return fmt.Errorf("core: snapshot corrupt (pending absence alert for %q matures before it completed)", g.key)
+			}
+		}
+	}
+	for _, d := range s.dedup {
+		idx := d.idx - s.dedupBase
+		if idx < 0 || idx >= len(s.alerts) {
+			return fmt.Errorf("core: snapshot corrupt (dedup entry %q points at alert %d of %d)", d.key, idx, len(s.alerts))
+		}
+		if a := s.alerts[idx]; a.Rule+"|"+a.Session != d.key {
+			return fmt.Errorf("core: snapshot corrupt (dedup entry %q points at alert for %q)", d.key, a.Rule+"|"+a.Session)
+		}
+	}
+	return nil
 }
 
 // installRuleEngine replaces rule-matching state. With outputs false only
@@ -863,52 +863,52 @@ func installRuleEngine(re *RuleEngine, snap ruleSnap, outputs bool) {
 	}
 	re.partials = make(map[ruleKey][]*partial)
 	re.clock = nil
-	for _, ps := range snap.partials {
-		k := ruleKey{rule: ps.rule, key: ps.session}
-		p := &partial{
-			startedAt: ps.startedAt,
-			events:    ps.events,
-			next:      ps.next,
-			matched:   ps.matched,
-			remaining: ps.remaining,
-		}
-		re.partials[k] = append(re.partials[k], p)
-		if r := byName[ps.rule]; r != nil && r.Window > 0 {
-			re.clocked().timers.push(ruleTimer{at: p.startedAt + r.Window + 1, k: k, p: p})
+	for _, g := range snap.partials {
+		k := ruleKey{rule: g.rule, key: g.session}
+		r := byName[g.rule]
+		for i := range g.parts {
+			p := new(partial)
+			*p = g.parts[i]
+			re.partials[k] = append(re.partials[k], p)
+			if r != nil && r.Window > 0 {
+				re.clocked().timers.push(ruleTimer{at: p.startedAt + r.Window + 1, k: k, p: p})
+			}
 		}
 	}
 	// The absence machinery is in-flight state like the partials, so it
 	// installs on the warm-restart path too. A lookback whose rule has no
 	// absent clause can cancel nothing, so it is not reinstated.
-	for _, ps := range snap.pendings {
-		c := re.clocked()
-		k := splitRuleKey(ps.key)
-		c.pendSeq++
-		p := &pendingAlert{
-			key:         k,
-			completedAt: ps.completedAt,
-			deadline:    ps.deadline,
-			alert:       ps.alert,
-			seq:         c.pendSeq,
+	for _, g := range snap.pendings {
+		k := splitRuleKey(g.key)
+		for _, ps := range g.pend {
+			c := re.clocked()
+			c.pendSeq++
+			p := &pendingAlert{
+				key:         k,
+				completedAt: ps.completedAt,
+				deadline:    ps.deadline,
+				alert:       ps.alert,
+				seq:         c.pendSeq,
+			}
+			c.pendings[k] = append(c.pendings[k], p)
+			c.due.push(p)
 		}
-		c.pendings[k] = append(c.pendings[k], p)
-		c.due.push(p)
 	}
-	for i, flat := range snap.lastKeys {
-		k := splitRuleKey(flat)
+	for _, l := range snap.lastAbsent {
+		k := splitRuleKey(l.key)
 		if r := byName[k.rule]; r != nil && len(r.Absent) > 0 {
 			c := re.clocked()
-			c.lastAbsent[k] = snap.lastAt[i]
-			c.timers.push(ruleTimer{at: snap.lastAt[i] + r.AbsentGrace, k: k, seen: snap.lastAt[i]})
+			c.lastAbsent[k] = l.at
+			c.timers.push(ruleTimer{at: l.at + r.AbsentGrace, k: k, seen: l.at})
 		}
 	}
 	if !outputs {
 		return
 	}
 	re.alerts = snap.alerts
-	re.dedup = make(map[ruleKey]int, len(snap.dedupKeys))
-	for i, flat := range snap.dedupKeys {
-		re.dedup[splitRuleKey(flat)] = snap.dedupIdx[i]
+	re.dedup = make(map[ruleKey]int, len(snap.dedup))
+	for _, d := range snap.dedup {
+		re.dedup[splitRuleKey(d.key)] = d.idx
 	}
 	re.dedupBase = snap.dedupBase
 	re.evicted = snap.evicted
@@ -924,6 +924,12 @@ type trailSnap struct {
 	length  int
 }
 
+type bindingSnap struct {
+	aor string
+	ip  netip.Addr
+	age int
+}
+
 // corrBlob is one correlator's private state in serialized form, not yet
 // bound to a correlator instance.
 type corrBlob struct {
@@ -931,12 +937,12 @@ type corrBlob struct {
 	blob []byte
 }
 
-// rawEngineBody is the one in-memory form of an engine body, with
-// correlator state in blob form: exportBody captures it from a live
-// engine, parseEngineBody decodes it, writeEngineBody serializes it and
-// bindBody readies it for installSnap. The sharded snapshot folds
-// per-shard bodies into one global body through this type, and restore
-// splits a global body back into per-shard bodies.
+// rawEngineBody is the record form of an engine body, with correlator
+// state in blob form: exportBody captures it from a live engine,
+// walkEngineBody encodes or decodes it, and bindBody readies a decoded
+// one for installSnap. The sharded snapshot folds per-shard bodies into
+// one global body through this type, and restore splits a global body
+// back into per-shard bodies.
 type rawEngineBody struct {
 	stats           EngineStats
 	dstats          DistillerStats
@@ -944,15 +950,73 @@ type rawEngineBody struct {
 	reasmEvicted    int
 	trails          []trailSnap
 	index           indexSnap
-	bindings        []string
-	bindingIPs      []netip.Addr
-	bindingAges     []int
+	bindings        []bindingSnap
 	bindingClock    int
 	evictedSessions int
 	evictedBindings int
 	corrs           []corrBlob
 	rules           ruleSnap
 	events          []Event
+}
+
+func walkEngineBody(c *codec, b *rawEngineBody) {
+	walkEngineStats(c, &b.stats)
+	walkDistillerStats(c, &b.dstats)
+	seq(c, &b.streams, walkFragStream)
+	c.vint(&b.reasmEvicted)
+	seq(c, &b.trails, func(c *codec, t *trailSnap) {
+		c.str(&t.session)
+		enum(c, &t.proto)
+		c.vint(&t.length)
+	})
+	walkIndex(c, &b.index)
+	seq(c, &b.bindings, func(c *codec, bs *bindingSnap) {
+		c.str(&bs.aor)
+		c.addr(&bs.ip)
+		c.vint(&bs.age)
+	})
+	c.vint(&b.bindingClock)
+	c.vint(&b.evictedSessions)
+	c.vint(&b.evictedBindings)
+	seq(c, &b.corrs, func(c *codec, cb *corrBlob) {
+		c.str(&cb.name)
+		c.bytes(&cb.blob)
+	})
+	walkRuleSnap(c, &b.rules)
+	seq(c, &b.events, walkEvent)
+}
+
+// canonical returns the body in the one order every encoder writes, so
+// the same logical state always yields the same bytes: keyed sections
+// sorted, rule groups merged per key, and media-binding ages renumbered.
+func (b rawEngineBody) canonical() rawEngineBody {
+	b.trails = sorted(b.trails, func(x, y trailSnap) bool {
+		if x.session != y.session {
+			return x.session < y.session
+		}
+		return x.proto < y.proto
+	})
+	b.index = b.index.canonical()
+	// Media-binding LRU ages are renumbered 1..n in (age, AOR) order, so
+	// the checkpoint carries only the LRU ORDER, never the raw clock
+	// values: those are geometry-dependent (each shard worker stamps with
+	// its own clock), and only the order matters for eviction. The clock
+	// becomes n, so post-restore insertions always age past every
+	// reinstated binding. This is what keeps checkpoints of the same
+	// logical state byte-identical across engine geometries.
+	binds := sorted(b.bindings, func(x, y bindingSnap) bool {
+		if x.age != y.age {
+			return x.age < y.age
+		}
+		return x.aor < y.aor
+	})
+	for i := range binds {
+		binds[i].age = i + 1
+	}
+	sort.Slice(binds, func(i, j int) bool { return binds[i].aor < binds[j].aor })
+	b.bindings, b.bindingClock = binds, len(binds)
+	b.rules = b.rules.canonical()
+	return b
 }
 
 // engineSnap is a rawEngineBody whose correlator blobs have been decoded
@@ -974,49 +1038,28 @@ func snapshotters(correlators []Correlator) []Correlator {
 	return out
 }
 
+// encodeCorrState serializes one snapshotter correlator's private state.
+func encodeCorrState(c Correlator) []byte {
+	return encodeAll(func(cd *codec) { c.(snapshotter).walkState(cd) })
+}
+
 // exportCorrelators serializes every snapshotter correlator's private
 // state as a named blob.
 func exportCorrelators(correlators []Correlator) []corrBlob {
 	snaps := snapshotters(correlators)
 	out := make([]corrBlob, len(snaps))
 	for i, c := range snaps {
-		var cw snapWriter
-		c.(snapshotter).snapshotState(&cw)
-		out[i] = corrBlob{name: c.Name(), blob: cw.buf}
+		out[i] = corrBlob{name: c.Name(), blob: encodeCorrState(c)}
 	}
 	return out
-}
-
-// readCorrelatorBlobs reads the named correlator-state blobs without
-// binding them to correlator instances.
-func readCorrelatorBlobs(r *snapReader) []corrBlob {
-	n := r.count()
-	out := make([]corrBlob, 0, min(n, 64))
-	for i := 0; i < n && r.err == nil; i++ {
-		out = append(out, corrBlob{name: r.strv(), blob: r.bytesv()})
-	}
-	return out
-}
-
-// writeCorrBlobs serializes correlator state blobs.
-func writeCorrBlobs(w *snapWriter, blobs []corrBlob) {
-	w.u32(uint32(len(blobs)))
-	for _, cb := range blobs {
-		w.str(cb.name)
-		w.bytes(cb.blob)
-	}
 }
 
 // decodeCorrBlob decodes one correlator blob against one correlator
 // instance, returning the two-phase install closure.
-func decodeCorrBlob(c Correlator, blob []byte) (func(), error) {
-	cr := &snapReader{buf: blob}
-	install, err := c.(snapshotter).decodeState(cr)
+func decodeCorrBlob(c Correlator, blob []byte) (install func(), err error) {
+	err = decodeAll(blob, "state", func(cd *codec) { install = c.(snapshotter).walkState(cd) })
 	if err != nil {
 		return nil, fmt.Errorf("core: snapshot corrupt (correlator %s: %v)", c.Name(), err)
-	}
-	if !cr.done() {
-		return nil, fmt.Errorf("core: snapshot corrupt (correlator %s: %d trailing bytes)", c.Name(), cr.remaining())
 	}
 	return install, nil
 }
@@ -1026,7 +1069,7 @@ func decodeCorrBlob(c Correlator, blob []byte) (func(), error) {
 // view (so the block means the same thing whichever engine kind wrote
 // it), warm shard blobs the raw per-shard counters. The body aliases the
 // engine's live alert, event and partial-match slices, so it must be
-// written or folded before the engine runs again.
+// encoded or folded before the engine runs again.
 func (e *Engine) exportBody(st EngineStats) rawEngineBody {
 	ctx := e.gen.ctx
 	body := rawEngineBody{
@@ -1048,42 +1091,8 @@ func (e *Engine) exportBody(st EngineStats) rawEngineBody {
 		body.trails = append(body.trails, trailSnap{session: k.session, proto: k.proto, length: tr.Len()})
 	}
 	for aor, ip := range ctx.bindings {
-		body.bindings = append(body.bindings, aor)
-		body.bindingIPs = append(body.bindingIPs, ip)
-		body.bindingAges = append(body.bindingAges, ctx.bindingAge[aor])
+		body.bindings = append(body.bindings, bindingSnap{aor: aor, ip: ip, age: ctx.bindingAge[aor]})
 	}
-	return body
-}
-
-// parseEngineBody decodes an engine body without binding it to any
-// engine: correlator state stays in blob form, and the rule-engine
-// section is shape-validated against rules.
-func parseEngineBody(r *snapReader, rules []Rule) rawEngineBody {
-	var body rawEngineBody
-	body.stats = readEngineStats(r)
-	body.dstats = readDistillerStats(r)
-	body.streams, body.reasmEvicted = readReassembly(r)
-	nt := r.count()
-	for i := 0; i < nt && r.err == nil; i++ {
-		body.trails = append(body.trails, trailSnap{
-			session: r.strv(),
-			proto:   Protocol(r.vint()),
-			length:  r.vint(),
-		})
-	}
-	body.index = readSessionIndex(r)
-	nb := r.count()
-	for i := 0; i < nb && r.err == nil; i++ {
-		body.bindings = append(body.bindings, r.strv())
-		body.bindingIPs = append(body.bindingIPs, r.addrv())
-		body.bindingAges = append(body.bindingAges, r.vint())
-	}
-	body.bindingClock = r.vint()
-	body.evictedSessions = r.vint()
-	body.evictedBindings = r.vint()
-	body.corrs = readCorrelatorBlobs(r)
-	body.rules = readRuleEngine(r, rules)
-	body.events = readEvents(r)
 	return body
 }
 
@@ -1114,284 +1123,100 @@ func (e *Engine) bindBody(body rawEngineBody) (*engineSnap, error) {
 // restarts keep these in memory between checkpoints), requiring every
 // byte to be consumed.
 func (e *Engine) decodeSnapBodyBytes(blob []byte) (*engineSnap, error) {
-	r := &snapReader{buf: blob}
-	body := parseEngineBody(r, e.rules.rules)
-	if r.err != nil {
-		return nil, r.err
+	var body rawEngineBody
+	if err := decodeAll(blob, "engine body", func(c *codec) { walkEngineBody(c, &body) }); err != nil {
+		return nil, err
 	}
-	if !r.done() {
-		return nil, fmt.Errorf("core: snapshot corrupt (%d trailing bytes in engine body)", r.remaining())
+	if err := body.rules.validate(e.rules.rules); err != nil {
+		return nil, err
 	}
 	return e.bindBody(body)
 }
 
 // bodyBytes serializes the engine's body with its raw stats: the
 // warm-restart form a shard worker caches.
-func (e *Engine) bodyBytes() []byte {
-	body := e.exportBody(e.stats)
-	var w snapWriter
-	writeEngineBody(&w, &body)
-	return w.buf
+func (e *Engine) bodyBytes() []byte { return encodeBody(e.exportBody(e.stats)) }
+
+// encodeBody serializes a standalone body in canonical order.
+func encodeBody(body rawEngineBody) []byte {
+	body = body.canonical()
+	return encodeAll(func(c *codec) { walkEngineBody(c, &body) })
 }
 
-// --- body writer ---
+// --- checkpoint tail: routing directory, fragment and stream buffers ---
 
-// writeEngineBody serializes a body, exported or decoded. Determinism
-// comes from sorting every keyed section here rather than trusting input
-// order, so the same logical state always yields the same bytes.
-func writeEngineBody(w *snapWriter, body *rawEngineBody) {
-	writeEngineStats(w, body.stats)
-	writeDistillerStats(w, body.dstats)
-	writeFragStreams(w, body.streams, body.reasmEvicted)
-	trails := append([]trailSnap(nil), body.trails...)
-	sort.Slice(trails, func(i, j int) bool {
-		if trails[i].session != trails[j].session {
-			return trails[i].session < trails[j].session
-		}
-		return trails[i].proto < trails[j].proto
+// routerSnap is what a checkpoint carries past the engine body, all of it
+// owned by the serial distiller or the sharded router (shards hold none
+// of it): the session → route-key pins that make routing reproducible
+// across a restore (any geometry can re-derive every live dialog's shard
+// from these), the buffered frames of in-progress IP fragment groups (so
+// a restoring router ships each completed group to its shard exactly as
+// an uninterrupted run would have), and the stream-transport demux.
+type routerSnap struct {
+	sticky        [][2]string
+	frags         []fragGroupSnap
+	streams       []tcpStreamSnap
+	streamEvicted int
+}
+
+type fragGroupSnap struct {
+	id     fragIdent
+	first  time.Duration
+	frames []routedFrame
+}
+
+// tcpStreamSnap is one tracked TCP stream direction: its reassembly state
+// (delivery cursor, FIN bookkeeping, buffered out-of-order segments) and
+// its SIP framing buffer (the incomplete message prefix).
+type tcpStreamSnap struct {
+	st     packet.TCPStreamState
+	framer []byte
+}
+
+func walkRouterSnap(c *codec, t *routerSnap) {
+	seq(c, &t.sticky, walkPair)
+	seq(c, &t.frags, func(c *codec, g *fragGroupSnap) {
+		c.addr(&g.id.src)
+		c.addr(&g.id.dst)
+		c.u8(&g.id.proto)
+		c.u16(&g.id.id)
+		c.dur(&g.first)
+		seq(c, &g.frames, func(c *codec, f *routedFrame) {
+			c.dur(&f.at)
+			c.bytes(&f.frame)
+		})
 	})
-	w.u32(uint32(len(trails)))
-	for _, t := range trails {
-		w.str(t.session)
-		w.vint(int(t.proto))
-		w.vint(t.length)
-	}
-	writeIndexSnap(w, body.index)
-	type binding struct {
-		aor string
-		ip  netip.Addr
-		age int
-	}
-	binds := make([]binding, len(body.bindings))
-	for i, aor := range body.bindings {
-		binds[i] = binding{aor: aor, ip: body.bindingIPs[i], age: body.bindingAges[i]}
-	}
-	// Media-binding LRU ages are renumbered 1..n in (age, AOR) order, so
-	// the checkpoint carries only the LRU ORDER, never the raw clock
-	// values: those are geometry-dependent (each shard worker stamps with
-	// its own clock), and only the order matters for eviction. The clock
-	// is written as n, so post-restore insertions always age past every
-	// reinstated binding. This is what keeps checkpoints of the same
-	// logical state byte-identical across engine geometries.
-	sort.Slice(binds, func(i, j int) bool {
-		if binds[i].age != binds[j].age {
-			return binds[i].age < binds[j].age
-		}
-		return binds[i].aor < binds[j].aor
-	})
-	for i := range binds {
-		binds[i].age = i + 1
-	}
-	sort.Slice(binds, func(i, j int) bool { return binds[i].aor < binds[j].aor })
-	w.u32(uint32(len(binds)))
-	for _, b := range binds {
-		w.str(b.aor)
-		w.addr(b.ip)
-		w.vint(b.age)
-	}
-	w.vint(len(binds))
-	w.vint(body.evictedSessions)
-	w.vint(body.evictedBindings)
-	writeCorrBlobs(w, body.corrs)
-	writeRuleSnap(w, body.rules)
-	writeEvents(w, body.events)
-}
-
-// writeFragStreams serializes a fragment reassembler's exported streams.
-func writeFragStreams(w *snapWriter, streams []packet.FragStream, evicted int) {
-	w.u32(uint32(len(streams)))
-	for _, s := range streams {
-		w.addr(s.ID.Src)
-		w.addr(s.ID.Dst)
-		w.u8(s.ID.Proto)
-		w.u16(s.ID.ID)
-		w.bytes(s.Data)
-		w.bools(s.Have)
-		w.vint(s.TotalLen)
-		w.dur(s.First)
-	}
-	w.vint(evicted)
-}
-
-// writeIndexSnap serializes a session index sorted by Call-ID.
-func writeIndexSnap(w *snapWriter, snap indexSnap) {
-	sessions := append([]sessionSnap(nil), snap.sessions...)
-	sort.Slice(sessions, func(i, j int) bool { return sessions[i].st.callID < sessions[j].st.callID })
-	w.u32(uint32(len(sessions)))
-	for _, s := range sessions {
+	seq(c, &t.streams, func(c *codec, s *tcpStreamSnap) {
 		st := &s.st
-		w.str(st.callID)
-		w.dur(st.lastSeen)
-		w.bool(st.established)
-		w.str(st.callerAOR)
-		w.str(st.calleeAOR)
-		w.str(st.callerTag)
-		w.str(st.calleeTag)
-		w.addrPort(st.callerMedia)
-		w.addrPort(st.calleeMedia)
-		w.addr(st.inviteSrcIP)
-		w.bool(st.byeSeen)
-		w.dur(st.byeAt)
-		w.addrPort(st.byeFromMedia)
-		w.u32(st.lastReinviteSeq)
-		w.bool(st.reinviteSeen)
-		w.dur(st.reinviteAt)
-		w.addrPort(st.reinviteOldMedia)
-		w.bool(st.badFormat)
-		w.bool(st.acctStart)
-		w.bool(st.unmatchedOnce)
-		w.dur(st.rtcpByeAt)
-		w.bool(st.rtcpByePending)
-		w.bool(st.rtcpByeFired)
-		w.bool(st.isRegistration)
-		w.vint(st.challenges)
-		w.bool(st.floodFired)
-		guesses := append([]string(nil), s.guessResponses...)
-		sort.Strings(guesses)
-		w.u32(uint32(len(guesses)))
-		for _, g := range guesses {
-			w.str(g)
-		}
-		w.bool(st.guessFired)
-	}
-	regs := append([][2]string(nil), snap.pendingReg...)
-	sort.Slice(regs, func(i, j int) bool { return regs[i][0] < regs[j][0] })
-	w.u32(uint32(len(regs)))
-	for _, reg := range regs {
-		w.str(reg[0])
-		w.str(reg[1])
-	}
+		c.addrPort(&st.ID.Src)
+		c.addrPort(&st.ID.Dst)
+		c.u32(&st.Next)
+		c.bool(&st.Fin)
+		c.u32(&st.FinSeq)
+		c.dur(&st.First)
+		c.dur(&st.Last)
+		seq(c, &st.Segs, func(c *codec, sg *packet.TCPStreamSeg) {
+			c.u32(&sg.Seq)
+			c.bytes(&sg.Data)
+		})
+		c.bytes(&s.framer)
+	})
+	c.vint(&t.streamEvicted)
 }
 
-// writeRuleSnap serializes rule-engine state: partials grouped by
-// rule|session key with keys sorted and within-key insertion order
-// preserved.
-func writeRuleSnap(w *snapWriter, snap ruleSnap) {
-	byKey := make(map[string][]partialSnap)
-	keys := make([]string, 0, len(snap.partials))
-	for _, ps := range snap.partials {
-		k := ps.rule + "|" + ps.session
-		if _, seen := byKey[k]; !seen {
-			keys = append(keys, k)
-		}
-		byKey[k] = append(byKey[k], ps)
+// exportRouter captures the tail in canonical order. streams may be nil
+// (a shard-local engine), which exports an empty stream section.
+func exportRouter(sticky map[string]string, frags *fragGroups, streams *streamMux) routerSnap {
+	var t routerSnap
+	for id, rk := range sticky {
+		t.sticky = append(t.sticky, [2]string{id, rk})
 	}
-	sort.Strings(keys)
-	w.u32(uint32(len(keys)))
-	for _, k := range keys {
-		parts := byKey[k]
-		w.str(parts[0].rule)
-		w.str(parts[0].session)
-		w.u32(uint32(len(parts)))
-		for _, p := range parts {
-			w.dur(p.startedAt)
-			writeEvents(w, p.events)
-			w.vint(p.next)
-			w.bools(p.matched)
-			w.vint(p.remaining)
-		}
+	sort.Slice(t.sticky, func(i, j int) bool { return t.sticky[i][0] < t.sticky[j][0] })
+	for id, grp := range frags.groups {
+		t.frags = append(t.frags, fragGroupSnap{id: id, first: grp.first, frames: grp.frames})
 	}
-	writeAlerts(w, snap.alerts)
-	type dedupEntry struct {
-		key string
-		idx int
-	}
-	dd := make([]dedupEntry, len(snap.dedupKeys))
-	for i, k := range snap.dedupKeys {
-		dd[i] = dedupEntry{key: k, idx: snap.dedupIdx[i]}
-	}
-	sort.Slice(dd, func(i, j int) bool { return dd[i].key < dd[j].key })
-	w.u32(uint32(len(dd)))
-	for _, d := range dd {
-		w.str(d.key)
-		w.vint(d.idx)
-	}
-	w.vint(snap.dedupBase)
-	w.vint(snap.evicted)
-	w.vint(snap.version)
-	w.vint(snap.eventsSeen)
-	// Absence machinery (v6): pending graced alerts grouped by rule|key
-	// (keys sorted, within-key order preserved), then the absent-event
-	// lookback table.
-	type pendGroup struct {
-		key  string
-		pend []pendingSnap
-	}
-	pendIdx := make(map[string]int)
-	var groups []pendGroup
-	for _, ps := range snap.pendings {
-		i, seen := pendIdx[ps.key]
-		if !seen {
-			i = len(groups)
-			pendIdx[ps.key] = i
-			groups = append(groups, pendGroup{key: ps.key})
-		}
-		groups[i].pend = append(groups[i].pend, ps)
-	}
-	sort.Slice(groups, func(i, j int) bool { return groups[i].key < groups[j].key })
-	w.u32(uint32(len(groups)))
-	for _, g := range groups {
-		w.str(g.key)
-		w.u32(uint32(len(g.pend)))
-		for _, p := range g.pend {
-			w.dur(p.completedAt)
-			w.dur(p.deadline)
-			writeAlert(w, p.alert)
-		}
-	}
-	type lastEntry struct {
-		key string
-		at  time.Duration
-	}
-	la := make([]lastEntry, len(snap.lastKeys))
-	for i, k := range snap.lastKeys {
-		la[i] = lastEntry{key: k, at: snap.lastAt[i]}
-	}
-	sort.Slice(la, func(i, j int) bool { return la[i].key < la[j].key })
-	w.u32(uint32(len(la)))
-	for _, e := range la {
-		w.str(e.key)
-		w.dur(e.at)
-	}
-}
-
-// --- routing directory and fragment-buffer codecs ---
-
-// writeSticky serializes the session → route-key pins that make routing
-// reproducible across a restore: any geometry can re-derive every live
-// dialog's shard from these.
-func writeSticky(w *snapWriter, sticky map[string]string) {
-	ids := make([]string, 0, len(sticky))
-	for id := range sticky {
-		ids = append(ids, id)
-	}
-	sort.Strings(ids)
-	w.u32(uint32(len(ids)))
-	for _, id := range ids {
-		w.str(id)
-		w.str(sticky[id])
-	}
-}
-
-func readSticky(r *snapReader) (keys, vals []string) {
-	n := r.count()
-	for i := 0; i < n && r.err == nil; i++ {
-		keys = append(keys, r.strv())
-		vals = append(vals, r.strv())
-	}
-	return keys, vals
-}
-
-// writeFragGroups serializes the buffered frames of in-progress IP
-// fragment groups, so a restoring router can ship each completed group to
-// its shard exactly as an uninterrupted run would have.
-func writeFragGroups(w *snapWriter, frags map[fragIdent]*fragGroup) {
-	idents := make([]fragIdent, 0, len(frags))
-	for id := range frags {
-		idents = append(idents, id)
-	}
-	sort.Slice(idents, func(i, j int) bool {
-		a, b := idents[i], idents[j]
+	sort.Slice(t.frags, func(i, j int) bool {
+		a, b := t.frags[i].id, t.frags[j].id
 		if c := a.src.Compare(b.src); c != 0 {
 			return c < 0
 		}
@@ -1403,114 +1228,82 @@ func writeFragGroups(w *snapWriter, frags map[fragIdent]*fragGroup) {
 		}
 		return a.id < b.id
 	})
-	w.u32(uint32(len(idents)))
-	for _, id := range idents {
-		grp := frags[id]
-		w.addr(id.src)
-		w.addr(id.dst)
-		w.u8(id.proto)
-		w.u16(id.id)
-		w.dur(grp.first)
-		w.u32(uint32(len(grp.frames)))
-		for _, f := range grp.frames {
-			w.dur(f.at)
-			w.bytes(f.frame)
+	if streams != nil {
+		// ExportStreams sorts by stream identity.
+		for _, st := range streams.reasm.ExportStreams() {
+			s := tcpStreamSnap{st: st}
+			if dir := streams.dirs[st.ID]; dir != nil {
+				s.framer = dir.framer.State()
+			}
+			t.streams = append(t.streams, s)
 		}
+		t.streamEvicted = streams.reasm.CapacityEvicted()
 	}
+	return t
 }
 
-func readFragGroups(r *snapReader) (idents []fragIdent, firsts []time.Duration, frames [][]routedFrame) {
-	n := r.count()
-	for i := 0; i < n && r.err == nil; i++ {
-		idents = append(idents, fragIdent{
-			src:   r.addrv(),
-			dst:   r.addrv(),
-			proto: r.u8(),
-			id:    r.u16(),
-		})
-		firsts = append(firsts, r.dur())
-		nf := r.count()
-		var fs []routedFrame
-		for j := 0; j < nf && r.err == nil; j++ {
-			fs = append(fs, routedFrame{at: r.dur(), frame: r.bytesv()})
-		}
-		frames = append(frames, fs)
+// stickyMap rebuilds the route pins.
+func (t *routerSnap) stickyMap(into map[string]string) {
+	clear(into)
+	for _, p := range t.sticky {
+		into[p[0]] = p[1]
 	}
-	return idents, firsts, frames
-}
-
-// writeStreamMux serializes the stream-transport demux (serial distiller
-// or sharded router — shards hold no stream state): every tracked TCP
-// stream direction's reassembly state (delivery cursor, FIN bookkeeping,
-// buffered out-of-order segments), that direction's SIP framing buffer
-// (the incomplete message prefix), and the capacity-eviction counter.
-// ExportStreams sorts by stream identity, so the encoding is
-// deterministic. A nil mux (shard-local engine) writes an empty section.
-func writeStreamMux(w *snapWriter, m *streamMux) {
-	if m == nil {
-		w.u32(0)
-		w.vint(0)
-		return
-	}
-	streams := m.reasm.ExportStreams()
-	w.u32(uint32(len(streams)))
-	for _, st := range streams {
-		w.addrPort(st.ID.Src)
-		w.addrPort(st.ID.Dst)
-		w.u32(st.Next)
-		w.bool(st.Fin)
-		w.u32(st.FinSeq)
-		w.dur(st.First)
-		w.dur(st.Last)
-		w.u32(uint32(len(st.Segs)))
-		for _, sg := range st.Segs {
-			w.u32(sg.Seq)
-			w.bytes(sg.Data)
-		}
-		if dir := m.dirs[st.ID]; dir != nil {
-			w.bytes(dir.framer.State())
-		} else {
-			w.bytes(nil)
-		}
-	}
-	w.vint(m.reasm.CapacityEvicted())
-}
-
-func readStreamMux(r *snapReader) (streams []packet.TCPStreamState, framerBufs [][]byte, evicted int) {
-	n := r.count()
-	for i := 0; i < n && r.err == nil; i++ {
-		st := packet.TCPStreamState{
-			ID: packet.StreamID{Src: r.addrPortv(), Dst: r.addrPortv()},
-		}
-		st.Next = r.u32()
-		st.Fin = r.boolv()
-		st.FinSeq = r.u32()
-		st.First = r.dur()
-		st.Last = r.dur()
-		ns := r.count()
-		for j := 0; j < ns && r.err == nil; j++ {
-			st.Segs = append(st.Segs, packet.TCPStreamSeg{Seq: r.u32(), Data: r.bytesv()})
-		}
-		streams = append(streams, st)
-		framerBufs = append(framerBufs, r.bytesv())
-	}
-	evicted = r.vint()
-	return streams, framerBufs, evicted
 }
 
 // install replaces the mux's state with a decoded checkpoint section. The
 // pending-message queue is always empty at snapshot time (both engines
 // drain extracted messages before the next frame), so only reassembly and
 // framing state carry over.
-func (m *streamMux) install(streams []packet.TCPStreamState, framerBufs [][]byte, evicted int) {
-	m.reasm.ImportStreams(streams, evicted)
+func (m *streamMux) install(streams []tcpStreamSnap, evicted int) {
+	states := make([]packet.TCPStreamState, len(streams))
+	for i := range streams {
+		states[i] = streams[i].st
+	}
+	m.reasm.ImportStreams(states, evicted)
 	clear(m.dirs)
-	for i, st := range streams {
-		dir := newStreamDir(st.ID)
-		dir.framer.SetState(framerBufs[i])
-		m.dirs[st.ID] = dir
+	for _, s := range streams {
+		dir := newStreamDir(s.st.ID)
+		dir.framer.SetState(s.framer)
+		m.dirs[s.st.ID] = dir
 	}
 	m.queue, m.qhead = m.queue[:0], 0
+}
+
+// --- whole checkpoint ---
+
+// encodeCheckpoint writes a portable checkpoint: header, the body in
+// canonical order, the tail, checksum.
+func encodeCheckpoint(h snapHeader, body rawEngineBody, tail routerSnap) []byte {
+	c := encoder(snapMagic, snapVersion)
+	walkSnapHeader(c, &h)
+	body = body.canonical()
+	walkEngineBody(c, &body)
+	walkRouterSnap(c, &tail)
+	return c.sealed()
+}
+
+// decodeCheckpoint opens a checkpoint, checks its header against want,
+// decodes the body and the tail, and shape-checks the rule section
+// against rules.
+func decodeCheckpoint(data []byte, want snapHeader, rules []Rule) (snapHeader, rawEngineBody, routerSnap, error) {
+	var body rawEngineBody
+	var tail routerSnap
+	h, c, err := openSnapshot(data)
+	if err != nil {
+		return h, body, tail, err
+	}
+	if err := validateSnapHeader(h, want); err != nil {
+		return h, body, tail, err
+	}
+	walkEngineBody(c, &body)
+	walkRouterSnap(c, &tail)
+	if c.err == nil && c.remaining() > 0 {
+		return h, body, tail, fmt.Errorf("core: snapshot corrupt (%d trailing bytes)", c.remaining())
+	}
+	if c.err != nil {
+		return h, body, tail, c.err
+	}
+	return h, body, tail, body.rules.validate(rules)
 }
 
 // installSnap installs a fully decoded body. With outputs true everything
@@ -1540,9 +1333,9 @@ func (e *Engine) installSnap(snap *engineSnap, outputs bool) {
 	ctx := e.gen.ctx
 	clear(ctx.bindings)
 	clear(ctx.bindingAge)
-	for i, aor := range snap.bindings {
-		ctx.bindings[aor] = snap.bindingIPs[i]
-		ctx.bindingAge[aor] = snap.bindingAges[i]
+	for _, b := range snap.bindings {
+		ctx.bindings[b.aor] = b.ip
+		ctx.bindingAge[b.aor] = b.age
 	}
 	ctx.bindingClock = snap.bindingClock
 	if outputs {
@@ -1578,15 +1371,8 @@ func (e *Engine) header() snapHeader {
 // the serial engine) can restore it. It must not run concurrently with
 // HandleFrame.
 func (e *Engine) Snapshot() ([]byte, error) {
-	var w snapWriter
-	writeSnapHeader(&w, e.header())
-	body := e.exportBody(e.Stats())
-	writeEngineBody(&w, &body)
-	writeSticky(&w, e.gen.sticky)
-	writeFragGroups(&w, e.distiller.frags.groups)
-	writeStreamMux(&w, e.distiller.streams)
-	w.u64(fnv64(w.buf))
-	return w.buf, nil
+	tail := exportRouter(e.gen.sticky, &e.distiller.frags, e.distiller.streams)
+	return encodeCheckpoint(e.header(), e.exportBody(e.Stats()), tail), nil
 }
 
 // RestoreSnapshot rebuilds the engine's state from a portable checkpoint
@@ -1598,29 +1384,13 @@ func (e *Engine) RestoreSnapshot(data []byte) error {
 	if e.stats.Frames != 0 {
 		return fmt.Errorf("core: restore requires a fresh engine (this one already processed %d frames)", e.stats.Frames)
 	}
-	h, r, err := openSnapshot(data)
+	_, body, tail, err := decodeCheckpoint(data, e.header(), e.rules.rules)
 	if err != nil {
 		return err
-	}
-	if err := validateSnapHeader(h, e.header()); err != nil {
-		return err
-	}
-	body := parseEngineBody(r, e.rules.rules)
-	if r.err != nil {
-		return r.err
 	}
 	snap, err := e.bindBody(body)
 	if err != nil {
 		return err
-	}
-	stickyKeys, stickyVals := readSticky(r)
-	fragIdents, fragFirsts, fragFrames := readFragGroups(r)
-	tcpStreams, framerBufs, tcpEvicted := readStreamMux(r)
-	if r.err != nil {
-		return r.err
-	}
-	if !r.done() {
-		return fmt.Errorf("core: snapshot corrupt (%d trailing bytes)", r.remaining())
 	}
 	e.installSnap(snap, true)
 	// The portable stats block is the folded Stats() view, which already
@@ -1629,13 +1399,10 @@ func (e *Engine) RestoreSnapshot(data []byte) error {
 	// the base block to count each eviction once.
 	e.stats.IMHistoriesEvicted = 0
 	e.stats.SeqTrackersEvicted = 0
-	clear(e.gen.sticky)
-	for i, id := range stickyKeys {
-		e.gen.sticky[id] = stickyVals[i]
-	}
-	e.distiller.frags.install(fragIdents, fragFirsts, fragFrames)
+	tail.stickyMap(e.gen.sticky)
+	e.distiller.frags.install(tail.frags)
 	if e.distiller.streams != nil {
-		e.distiller.streams.install(tcpStreams, framerBufs, tcpEvicted)
+		e.distiller.streams.install(tail.streams, tail.streamEvicted)
 	}
 	return nil
 }

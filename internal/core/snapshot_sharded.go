@@ -69,9 +69,7 @@ func addDistillerStats(a, b DistillerStats) DistillerStats {
 // runs concurrently with HandleFrame.
 func (w *shardWorker) snapshotWorker() *rawEngineBody {
 	body := w.eng.exportBody(w.eng.stats)
-	var eb snapWriter
-	writeEngineBody(&eb, &body)
-	w.lastEngineSnap = eb.buf
+	w.lastEngineSnap = encodeBody(body)
 	return &body
 }
 
@@ -104,8 +102,8 @@ func (w *shardWorker) installRestore(p *workerRestore) {
 func (s *ShardedEngine) header() snapHeader {
 	return snapHeader{
 		engineKind:  snapKindSharded,
-		shards:      len(s.workers),
-		ingesters:   s.ingesters,
+		shards:      uint32(len(s.workers)),
+		ingesters:   uint32(s.ingesters),
 		frames:      s.frames.Load(),
 		configHash:  configFingerprint(s.cfg, s.keepLog),
 		rulesHash:   rulesFingerprint(*s.liveRules.Load()),
@@ -139,8 +137,6 @@ func (s *ShardedEngine) Snapshot() ([]byte, error) {
 		return nil, fmt.Errorf("core: snapshot: engine is closed")
 	}
 	marks := s.markAllLocked(itemSnapshot, nil)
-	var w snapWriter
-	writeSnapHeader(&w, s.header())
 	streams := s.reasm.ExportStreams()
 	// Router correlator state, position-indexed over the snapshotters.
 	// Router-authoritative correlators (their hinter state judges every
@@ -148,10 +144,7 @@ func (s *ShardedEngine) Snapshot() ([]byte, error) {
 	// stateSharder correlators are worker-resident, so theirs is replaced
 	// below by the merge of the per-shard blobs.
 	routerCorrs := exportCorrelators(s.correlators)
-	var tail snapWriter
-	writeSticky(&tail, s.sticky)
-	writeFragGroups(&tail, s.frags.groups)
-	writeStreamMux(&tail, s.streams)
+	tail := exportRouter(s.sticky, &s.frags, s.streams)
 	s.mu.Unlock()
 	s.awaitAll(marks)
 	body := rawEngineBody{
@@ -177,9 +170,9 @@ func (s *ShardedEngine) Snapshot() ([]byte, error) {
 		body.index.pendingReg = append(body.index.pendingReg, wb.index.pendingReg...)
 		body.rules.partials = append(body.rules.partials, wb.rules.partials...)
 		body.rules.pendings = append(body.rules.pendings, wb.rules.pendings...)
-		for li, k := range wb.rules.lastKeys {
-			if at, seen := lastSeen[k]; !seen || wb.rules.lastAt[li] > at {
-				lastSeen[k] = wb.rules.lastAt[li]
+		for _, l := range wb.rules.lastAbsent {
+			if at, seen := lastSeen[l.key]; !seen || l.at > at {
+				lastSeen[l.key] = l.at
 			}
 		}
 		// Bindings are replicated to every shard and age identically;
@@ -187,8 +180,6 @@ func (s *ShardedEngine) Snapshot() ([]byte, error) {
 		if wb.bindingClock > bestClock {
 			bestClock = wb.bindingClock
 			body.bindings = wb.bindings
-			body.bindingIPs = wb.bindingIPs
-			body.bindingAges = wb.bindingAges
 			body.bindingClock = wb.bindingClock
 		}
 		for _, cb := range wb.corrs {
@@ -220,20 +211,15 @@ func (s *ShardedEngine) Snapshot() ([]byte, error) {
 	body.rules.eventsSeen = folded.Events
 	version := folded.AlertsEvicted
 	for gi, a := range alerts {
-		body.rules.dedupKeys = append(body.rules.dedupKeys, a.Rule+"|"+a.Session)
-		body.rules.dedupIdx = append(body.rules.dedupIdx, gi+folded.AlertsEvicted)
+		body.rules.dedup = append(body.rules.dedup, dedupEntry{key: a.Rule + "|" + a.Session, idx: gi + folded.AlertsEvicted})
 		version += a.Count
 	}
 	body.rules.version = version
 	for k, at := range lastSeen {
-		body.rules.lastKeys = append(body.rules.lastKeys, k)
-		body.rules.lastAt = append(body.rules.lastAt, at)
+		body.rules.lastAbsent = append(body.rules.lastAbsent, lastEntry{key: k, at: at})
 	}
 	body.events = events
-	writeEngineBody(&w, &body)
-	w.buf = append(w.buf, tail.buf...)
-	w.u64(fnv64(w.buf))
-	return w.buf, nil
+	return encodeCheckpoint(s.header(), body, tail), nil
 }
 
 // RestoreSnapshot rebuilds the whole sharded pipeline from a portable
@@ -252,28 +238,13 @@ func (s *ShardedEngine) RestoreSnapshot(data []byte) error {
 	if n := s.frames.Load(); n != 0 {
 		return fmt.Errorf("core: restore requires a fresh engine (this one already routed %d frames)", n)
 	}
-	h, r, err := openSnapshot(data)
+	h, body, tail, err := decodeCheckpoint(data, s.header(), *s.liveRules.Load())
 	if err != nil {
 		return err
 	}
-	if err := validateSnapHeader(h, s.header()); err != nil {
-		return err
-	}
-	body := parseEngineBody(r, *s.liveRules.Load())
-	stickyKeys, stickyVals := readSticky(r)
-	fragIdents, fragFirsts, fragFrames := readFragGroups(r)
-	tcpStreams, framerBufs, tcpEvicted := readStreamMux(r)
-	if r.err != nil {
-		return r.err
-	}
-	if !r.done() {
-		return fmt.Errorf("core: snapshot corrupt (%d trailing bytes)", r.remaining())
-	}
 	n := len(s.workers)
-	sticky := make(map[string]string, len(stickyKeys))
-	for i, id := range stickyKeys {
-		sticky[id] = stickyVals[i]
-	}
+	sticky := make(map[string]string, len(tail.sticky))
+	tail.stickyMap(sticky)
 	// shardFor re-routes a session through this engine's geometry: the
 	// pinned routing key when the dialog has one, else the session key
 	// itself (exactly what the router hashes for non-pinned traffic).
@@ -290,8 +261,6 @@ func (s *ShardedEngine) RestoreSnapshot(data []byte) error {
 		// zero: the folded history lives in resumedStats below, and the
 		// shards re-count only what happens after the resume.
 		shards[j].bindings = body.bindings
-		shards[j].bindingIPs = body.bindingIPs
-		shards[j].bindingAges = body.bindingAges
 		shards[j].bindingClock = body.bindingClock
 	}
 	for _, t := range body.trails {
@@ -306,23 +275,22 @@ func (s *ShardedEngine) RestoreSnapshot(data []byte) error {
 		j := shardFor(reg[0])
 		shards[j].index.pendingReg = append(shards[j].index.pendingReg, reg)
 	}
-	for _, ps := range body.rules.partials {
-		j := shardFor(ps.session)
-		shards[j].rules.partials = append(shards[j].rules.partials, ps)
+	for _, g := range body.rules.partials {
+		j := shardFor(g.session)
+		shards[j].rules.partials = append(shards[j].rules.partials, g)
 	}
 	// Absence machinery travels with its correlation key (the part of
 	// rule|key after the separator), exactly as partials travel with
 	// their session.
-	for _, ps := range body.rules.pendings {
-		_, ck, _ := strings.Cut(ps.key, "|")
+	for _, g := range body.rules.pendings {
+		_, ck, _ := strings.Cut(g.key, "|")
 		j := shardFor(ck)
-		shards[j].rules.pendings = append(shards[j].rules.pendings, ps)
+		shards[j].rules.pendings = append(shards[j].rules.pendings, g)
 	}
-	for li, k := range body.rules.lastKeys {
-		_, ck, _ := strings.Cut(k, "|")
+	for _, l := range body.rules.lastAbsent {
+		_, ck, _ := strings.Cut(l.key, "|")
 		j := shardFor(ck)
-		shards[j].rules.lastKeys = append(shards[j].rules.lastKeys, k)
-		shards[j].rules.lastAt = append(shards[j].rules.lastAt, body.rules.lastAt[li])
+		shards[j].rules.lastAbsent = append(shards[j].rules.lastAbsent, l)
 	}
 	// Split the merged output streams. Position tags (frame 0, global
 	// ordinal) keep the merged order identical to the capture; self-
@@ -343,8 +311,7 @@ func (s *ShardedEngine) RestoreSnapshot(data []byte) error {
 	for j := range shards {
 		rs := &shards[j].rules
 		for i, a := range rs.alerts {
-			rs.dedupKeys = append(rs.dedupKeys, a.Rule+"|"+a.Session)
-			rs.dedupIdx = append(rs.dedupIdx, i)
+			rs.dedup = append(rs.dedup, dedupEntry{key: a.Rule + "|" + a.Session, idx: i})
 		}
 		rs.version = len(rs.alerts)
 	}
@@ -390,10 +357,9 @@ func (s *ShardedEngine) RestoreSnapshot(data []byte) error {
 		if emptySnaps == nil {
 			emptySnaps = snapshotters(buildCorrelators(s.cfg.Correlators, s.gen))
 		}
-		var ew snapWriter
-		emptySnaps[ci].(snapshotter).snapshotState(&ew)
+		empty := encodeCorrState(emptySnaps[ci])
 		for j := range shards {
-			shards[j].corrs = append(shards[j].corrs, corrBlob{name: cb.name, blob: ew.buf})
+			shards[j].corrs = append(shards[j].corrs, corrBlob{name: cb.name, blob: empty})
 		}
 	}
 	// Bind every shard's slice to its (fresh, quiescent) engine before
@@ -417,18 +383,15 @@ func (s *ShardedEngine) RestoreSnapshot(data []byte) error {
 	s.frames.Store(h.frames)
 	installSessionIndex(s.idx, body.index)
 	s.reasm.ImportStreams(body.streams, body.reasmEvicted)
-	s.frags.install(fragIdents, fragFirsts, fragFrames)
-	s.streams.install(tcpStreams, framerBufs, tcpEvicted)
+	s.frags.install(tail.frags)
+	s.streams.install(tail.streams, tail.streamEvicted)
 	for _, install := range routerInstalls {
 		install()
 	}
-	clear(s.sticky)
-	for i, id := range stickyKeys {
-		s.sticky[id] = stickyVals[i]
-	}
+	tail.stickyMap(s.sticky)
 	s.capSessions.Store(uint64(body.evictedSessions))
 	s.capFrags.Store(uint64(body.reasmEvicted))
-	s.capStreams.Store(uint64(tcpEvicted))
+	s.capStreams.Store(uint64(tail.streamEvicted))
 	s.shardsFailed.Store(uint64(body.stats.ShardsFailed))
 	s.shardsRestarted.Store(uint64(body.stats.ShardsRestarted))
 	s.selfMu.Lock()

@@ -19,35 +19,52 @@ func movedBy[T any](before, after []T, dropped int) int {
 	return survivors
 }
 
+// checkSlidingWindow pushes n values through push into a list capped at
+// limit whose live window is window(), and holds it to the naive
+// front-drop list element for element, while an eviction moves O(1)
+// retained values amortized whatever the cap and the backing array never
+// exceeds twice the cap. It returns the front-drop reference.
+func checkSlidingWindow[T any](t *testing.T, what string, limit, n int, mk func(i int) T, push func(T), window func() []T) []T {
+	t.Helper()
+	var want []T
+	moved := 0
+	for i := 0; i < n; i++ {
+		x := mk(i)
+		before := window()
+		dropped := 0
+		if len(before) >= limit {
+			dropped = 1
+		}
+		push(x)
+		moved += movedBy(before, window(), dropped)
+		if want = append(want, x); len(want) > limit {
+			want = want[1:]
+		}
+		if cap(window()) > 2*limit {
+			t.Fatalf("%s cap %d: the window's array holds %d slots", what, limit, cap(window()))
+		}
+	}
+	if !reflect.DeepEqual(window(), want) {
+		t.Fatalf("%s cap %d: window differs from the front-drop reference", what, limit)
+	}
+	if moved > 2*n {
+		t.Errorf("%s cap %d: %d appends moved %d retained values; want O(1) per append", what, limit, n, moved)
+	}
+	return want
+}
+
 // TestAlertEvictionSlidesWindow holds the retained alert list under
-// MaxRetainedAlerts to the naive front-drop list, element for element,
-// while an eviction moves O(1) retained alerts amortized whatever the
-// cap, and the backing array never exceeds twice the cap.
+// MaxRetainedAlerts to the sliding-window contract, with every dedup
+// entry still pointing at its alert.
 func TestAlertEvictionSlidesWindow(t *testing.T) {
 	for _, limit := range []int{1, 2, 7, 64, 1000} {
 		re := NewRuleEngine(nil)
 		re.maxAlerts = limit
-		var want []Alert
-		moved, raises := 0, 20*limit+5
-		for i := 0; i < raises; i++ {
-			a := Alert{Rule: "r" + strconv.Itoa(i%3), Session: strconv.Itoa(i), Count: 1}
-			before := re.alerts
-			dropped := 0
-			if len(before) >= limit {
-				dropped = 1
-			}
-			re.raiseAlert(a)
-			moved += movedBy(before, re.alerts, dropped)
-			if want = append(want, a); len(want) > limit {
-				want = want[1:]
-			}
-			if cap(re.alerts) > 2*limit {
-				t.Fatalf("cap %d: the retained window's array holds %d slots", limit, cap(re.alerts))
-			}
-		}
-		if !reflect.DeepEqual(re.alerts, want) {
-			t.Fatalf("cap %d: retained alerts differ from the front-drop reference", limit)
-		}
+		raises := 20*limit + 5
+		checkSlidingWindow(t, "alerts", limit, raises,
+			func(i int) Alert { return Alert{Rule: "r" + strconv.Itoa(i%3), Session: strconv.Itoa(i), Count: 1} },
+			func(a Alert) { re.raiseAlert(a) },
+			func() []Alert { return re.alerts })
 		for i, a := range re.alerts {
 			if idx := re.dedup[ruleKey{rule: a.Rule, key: a.Session}] - re.dedupBase; idx != i {
 				t.Fatalf("cap %d: dedup points alert %d at %d", limit, i, idx)
@@ -57,40 +74,29 @@ func TestAlertEvictionSlidesWindow(t *testing.T) {
 			t.Fatalf("cap %d: %d dedup entries for %d alerts, %d evicted (want %d)",
 				limit, len(re.dedup), len(re.alerts), re.evicted, raises-limit)
 		}
-		if moved > 2*raises {
-			t.Errorf("cap %d: %d raises moved %d retained alerts; want O(1) per raise", limit, raises, moved)
-		}
 	}
 }
 
 // TestEventLogEvictionSlidesWindow is the same check for the engine's
-// retained event log under MaxRetainedEvents.
+// retained event log under MaxRetainedEvents, and for a cooperative
+// exporter's pending queue under MaxDigestEvents, whose digest must carry
+// exactly the front-drop reference's events and drop count.
 func TestEventLogEvictionSlidesWindow(t *testing.T) {
+	mk := func(i int) Event { return Event{Type: EvSIPInvite, Session: strconv.Itoa(i)} }
 	for _, limit := range []int{1, 7, 1000} {
 		e := NewEngine(Config{Limits: Limits{MaxRetainedEvents: limit}}, WithEventLog())
-		var want []Event
-		moved, n := 0, 20*limit+5
-		for i := 0; i < n; i++ {
-			ev := Event{Type: EvSIPInvite, Session: strconv.Itoa(i)}
-			before := e.events
-			dropped := 0
-			if len(before) >= limit {
-				dropped = 1
-			}
-			e.logEvent(ev)
-			moved += movedBy(before, e.events, dropped)
-			if want = append(want, ev); len(want) > limit {
-				want = want[1:]
-			}
-			if cap(e.events) > 2*limit {
-				t.Fatalf("cap %d: the retained log's array holds %d slots", limit, cap(e.events))
-			}
+		n := 20*limit + 5
+		checkSlidingWindow(t, "event log", limit, n, mk, e.logEvent, func() []Event { return e.events })
+		if e.stats.EventsEvicted != n-limit {
+			t.Fatalf("cap %d: %d events evicted, want %d", limit, e.stats.EventsEvicted, n-limit)
 		}
-		if !reflect.DeepEqual(e.events, want) || e.stats.EventsEvicted != n-limit {
-			t.Fatalf("cap %d: retained log differs from the front-drop reference (%d evicted)", limit, e.stats.EventsEvicted)
-		}
-		if moved > 2*n {
-			t.Errorf("cap %d: %d appends moved %d retained events; want O(1) per append", limit, n, moved)
+	}
+	for _, limit := range []int{7, 1000} {
+		x := NewExporter(Limits{MaxDigestEvents: limit})
+		n := 20*limit + 5
+		want := checkSlidingWindow(t, "exporter", limit, n, mk, x.Observe, func() []Event { return x.pending })
+		if d := x.Flush("edge"); d == nil || !reflect.DeepEqual(d.Events, want) || d.Dropped != uint64(n-limit) {
+			t.Fatalf("exporter cap %d: digest differs from the front-drop reference (%d dropped)", limit, x.Dropped())
 		}
 	}
 }
