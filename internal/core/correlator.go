@@ -149,10 +149,23 @@ type stateSharder interface {
 	filterState(blob []byte, keep func(routeKey string) bool) ([]byte, error)
 }
 
-// expirer correlators hold state tied to the session table's lifetime and
-// are notified after every periodic expiry sweep that evicted something.
+// expirer correlators hold state that ends on the sweep clock. Every
+// periodic expiry sweep notifies them (sweepExpirers), whether or not it
+// evicted a session, with the sweep's time and the session timeout.
 type expirer interface {
-	onExpire(now time.Duration, sessionsRemaining int)
+	onExpire(now, timeout time.Duration)
+}
+
+// sweepExpirers is the correlator half of one periodic expiry sweep. The
+// serial generator and the sharded router both call it beside their own
+// directory sweep at the same frame position, so router-owned correlator
+// state ends exactly when the serial engine's does.
+func sweepExpirers(correlators []Correlator, now, timeout time.Duration) {
+	for _, c := range correlators {
+		if ex, ok := c.(expirer); ok {
+			ex.onExpire(now, timeout)
+		}
+	}
 }
 
 // establishObserver correlators react to a session becoming established

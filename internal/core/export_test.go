@@ -158,3 +158,82 @@ func checkPartialsLive(e *Engine) error {
 
 // GCEvery is how many frames pass between session-expiry sweeps.
 const GCEvery = gcEvery
+
+// Owner is one table that holds engine state, with its entry count.
+type Owner struct {
+	Name string
+	N    int
+}
+
+// Owners lists the serial engine's state tables by entry count: the
+// owners a test names when the engine's heap grows with the history of
+// the traffic instead of with what is live.
+func (e *Engine) Owners() []Owner {
+	return append(correlatorOwners(e.gen.correlators), engineOwners(e)...)
+}
+
+// Owners lists the router's tables (the router-owned correlator state,
+// its session directory, sticky pins and flow memo), then each shard's
+// tables summed over the healthy shards (after a Flush). A shard's own
+// trackers and IM histories stay empty: the router holds them.
+func (s *ShardedEngine) Owners() []Owner {
+	var shards []Owner
+	s.eachHealthyShard(func(e *Engine) {
+		own := e.Owners()
+		if shards == nil {
+			shards = own
+			return
+		}
+		for i := range own {
+			shards[i].N += own[i].N
+		}
+	})
+	for i := range shards {
+		shards[i].Name = "shard " + shards[i].Name
+	}
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	router := append(correlatorOwners(s.correlators),
+		Owner{"router sessions", len(s.idx.sessions)},
+		Owner{"router byMedia", len(s.idx.byMedia)},
+		Owner{"router sticky pins", len(s.sticky)},
+		Owner{"flow-memo slots", len(s.memo.slots)},
+	)
+	return append(router, shards...)
+}
+
+// correlatorOwners sizes the cross-session correlator state: continuity
+// trackers, IM source histories and OPTIONS scan windows. In sharded
+// mode the first two live at the router, the last on the shards.
+func correlatorOwners(cs []Correlator) []Owner {
+	var trackers, ims, scans int
+	for _, c := range cs {
+		switch c := c.(type) {
+		case *rtpCorrelator:
+			trackers += len(c.seqs)
+		case *imCorrelator:
+			ims += len(c.ims)
+		case *optionsScanCorrelator:
+			scans += len(c.sources)
+		}
+	}
+	return []Owner{{"rtp trackers", trackers}, {"im histories", ims}, {"options-scan sources", scans}}
+}
+
+// engineOwners sizes one engine's session-keyed and retained state.
+func engineOwners(e *Engine) []Owner {
+	re := e.rules
+	return []Owner{
+		{"sessions", len(e.gen.idx.sessions)},
+		{"byMedia", len(e.gen.idx.byMedia)},
+		{"pending registrations", len(e.gen.idx.pendingReg)},
+		{"bindings", len(e.gen.ctx.bindings)},
+		{"trails", e.trails.Trails()},
+		{"rule partials", re.LivePartials()},
+		{"rule lookbacks", re.LiveLookbacks()},
+		{"alert dedup", len(re.dedup)},
+		{"retained alerts", len(re.alerts)},
+		{"retained events", len(e.events)},
+		{"sticky pins", len(e.gen.sticky)},
+	}
+}

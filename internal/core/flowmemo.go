@@ -145,6 +145,18 @@ func (m *flowMemo) fit(endpoints int) {
 	m.shift = uint(64 - bits.TrailingZeros(uint(sets)))
 }
 
+// dropStale empties every slot whose answer has gone stale, so the table
+// keeps no dropped session or tracker alive. A stale slot never answers,
+// so emptying one changes no route; the router runs this on the sweep
+// clock, not per frame.
+func (m *flowMemo) dropStale(x *sessionIndex, rc *rtpCorrelator) {
+	for i := range m.slots {
+		if sl := &m.slots[i]; sl.dst != 0 && !sl.current(x, rc) {
+			*sl = flowSlot{}
+		}
+	}
+}
+
 // victim picks the slot a new answer for the flow goes in: the flow's own
 // stale slot in way 1, else way 0, whose current answer for another flow
 // first moves to way 1.

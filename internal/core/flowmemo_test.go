@@ -95,6 +95,12 @@ func TestFlowMemoEpochSites(t *testing.T) {
 	bumps("onEstablished", &rc.epoch, func() { rc.onEstablished(&sessionState{calleeMedia: ep2}) })
 	rc.track(2*time.Millisecond, ep1, 1)
 	bumps("onExpire", &rc.epoch, func() { rc.onExpire(3*time.Millisecond, 0) })
+	rc.track(4*time.Millisecond, ep1, 1)
+	before := rc.epoch
+	rc.onExpire(5*time.Millisecond, time.Second)
+	if rc.epoch != before {
+		t.Error("onExpire: epoch moved on a sweep that dropped nothing")
+	}
 	bumps("walkState install", &rc.epoch, func() {
 		install, err := decodeCorrBlob(rc, encodeCorrState(rc))
 		if err != nil {
@@ -124,6 +130,39 @@ func TestFlowMemoHitSkipsLookups(t *testing.T) {
 	}
 	if len(m.slots) != 2*minFlowSets {
 		t.Errorf("table holds %d slots, want the %d-set floor", len(m.slots), minFlowSets)
+	}
+}
+
+// TestFlowMemoDropStale shows the sweep's pass over the memo: a sweep
+// that drops nothing leaves every slot answering; one that drops a
+// tracker moves the epoch, so every RTP slot lets go of its session,
+// key and tracker, and the next packets are answered by lookup — the
+// surviving tracker continues, the dropped one opens a new flow.
+func TestFlowMemoDropStale(t *testing.T) {
+	a, b := netip.MustParseAddrPort("10.0.0.1:40000"), netip.MustParseAddrPort("10.0.0.2:40000")
+	x, rc := newSessionIndex(), newRTPCorrelator()
+	rc.configure(GenConfig{}.withDefaults())
+	var m flowMemo
+	toB, _, _ := m.route(x, rc, ProtoRTP, 0, a, b, 1)
+	toA, _, _ := m.route(x, rc, ProtoRTP, time.Minute, b, a, 1)
+	rc.onExpire(time.Minute, 2*time.Minute)
+	m.dropStale(x, rc)
+	if toB.seq == nil || toA.seq == nil {
+		t.Fatal("a sweep that dropped nothing emptied a slot")
+	}
+	rc.onExpire(time.Minute, 30*time.Second) // b's tracker ends, a's stays
+	m.dropStale(x, rc)
+	if *toB != (flowSlot{}) || *toA != (flowSlot{}) {
+		t.Errorf("stale slots kept %+v and %+v", *toB, *toA)
+	}
+	if _, v, _ := m.route(x, rc, ProtoRTP, 2*time.Minute, b, a, 2); v.NewFlow || v.Prev != 1 {
+		t.Errorf("toward a, whose tracker stayed: verdict %+v", v)
+	}
+	if _, v, _ := m.route(x, rc, ProtoRTP, 2*time.Minute, a, b, 2); !v.NewFlow {
+		t.Errorf("toward b, whose tracker ended: verdict %+v", v)
+	}
+	if err := checkFlowMemo(&m, x, rc, nil); err != nil {
+		t.Error(err)
 	}
 }
 

@@ -24,10 +24,10 @@ func TestExpireSessionsEvictsIdleState(t *testing.T) {
 	if got := g.ExpireSessions(90*time.Minute, 45*time.Minute); got != 1 {
 		t.Fatalf("evicted %d sessions, want 1", got)
 	}
-	if _, ok := g.sessions["old@x"]; ok {
+	if _, ok := g.idx.sessions["old@x"]; ok {
 		t.Error("idle session survived")
 	}
-	if _, ok := g.sessions["fresh@x"]; !ok {
+	if _, ok := g.idx.sessions["fresh@x"]; !ok {
 		t.Error("fresh session evicted")
 	}
 	if trails.Lookup("old@x", ProtoSIP) != nil {
@@ -41,16 +41,27 @@ func TestExpireSessionsEvictsIdleState(t *testing.T) {
 func TestExpireSessionsIdempotent(t *testing.T) {
 	g := NewEventGenerator(GenConfig{}, NewTrailStore(0))
 	g.session("only@x").lastSeen = 0
+	g.Process(&FrameView{Proto: ProtoRTP, Dst: netip.MustParseAddrPort("10.0.0.2:40000")})
 	if got := g.ExpireSessions(time.Hour, time.Minute); got != 1 {
 		t.Fatalf("first sweep evicted %d", got)
 	}
 	if got := g.ExpireSessions(2*time.Hour, time.Minute); got != 0 {
 		t.Errorf("second sweep evicted %d", got)
 	}
-	// All sessions gone: the sequence trackers reset too.
-	if len(g.seqs) != 0 {
-		t.Errorf("seq trackers remain: %d", len(g.seqs))
+	// The tracker's endpoint has been silent past the timeout too.
+	if n := len(rtpOf(g).seqs); n != 0 {
+		t.Errorf("seq trackers remain: %d", n)
 	}
+}
+
+// rtpOf returns the generator's rtp correlator.
+func rtpOf(g *EventGenerator) *rtpCorrelator {
+	for _, c := range g.correlators {
+		if rc, ok := c.(*rtpCorrelator); ok {
+			return rc
+		}
+	}
+	return nil
 }
 
 func TestExpireSessionsKeepsBindings(t *testing.T) {

@@ -109,19 +109,8 @@ type EventGenerator struct {
 	// engine's own generator mirrors.
 	sticky map[string]string
 
-	// sessions, pendingReg, bindings and seqs alias maps inside the
-	// context and the correlators; they are kept as fields so state is
-	// inspectable without walking the registry.
-	sessions   map[string]*sessionState
-	pendingReg map[string]string // Call-ID -> AOR awaiting 200
-	bindings   map[string]netip.Addr
-	seqs       map[netip.AddrPort]*seqTrack
-}
-
-// seqOwner is implemented by the correlator owning the sequence trackers
-// (for the generator's inspection alias).
-type seqOwner interface {
-	seqTrackers() map[netip.AddrPort]*seqTrack
+	// bindings aliases the context's registration bindings.
+	bindings map[string]netip.Addr
 }
 
 // NewEventGenerator returns a generator over the default correlator
@@ -142,16 +131,11 @@ func newEventGeneratorFrom(cfg GenConfig, trails *TrailStore, correlators []Corr
 		ctx:         ctx,
 		correlators: correlators,
 		idx:         ctx.idx,
-		sessions:    ctx.idx.sessions,
-		pendingReg:  ctx.idx.pendingReg,
 		bindings:    ctx.bindings,
 	}
 	for _, c := range correlators {
 		if o, ok := c.(establishObserver); ok {
 			ctx.observers = append(ctx.observers, o)
-		}
-		if so, ok := c.(seqOwner); ok {
-			g.seqs = so.seqTrackers()
 		}
 		for p := Protocol(1); p <= ProtoOther; p++ {
 			if handlesProto(c, p) {
@@ -190,7 +174,7 @@ func (g *EventGenerator) SetLimits(l Limits) {
 // and trails, reporting whether it existed. The sharded engine broadcasts
 // router-side capacity evictions to shards through this.
 func (g *EventGenerator) EvictSession(id string) bool {
-	st, ok := g.sessions[id]
+	st, ok := g.idx.sessions[id]
 	if !ok {
 		return false
 	}
@@ -222,19 +206,19 @@ func (g *EventGenerator) session(callID string) *sessionState {
 }
 
 // ExpireSessions drops per-session state (and the session's trails) for
-// sessions idle longer than timeout as of now, then notifies expirer
-// correlators so state tied to the session table's lifetime is swept too.
-// It returns how many sessions were evicted. Registration bindings and IM
-// histories have their own windows and are kept.
+// sessions idle longer than timeout as of now, then sweeps the expirer
+// correlators: RTP continuity trackers silent longer than timeout, IM
+// source histories older than IMPeriod, lapsed OPTIONS scan windows. It
+// returns how many sessions were evicted. Registration bindings are live
+// registrations, not history, and are kept (MaxBindings caps them).
+// Tables the sweep has churned are rebuilt to their size (compact).
 func (g *EventGenerator) ExpireSessions(now, timeout time.Duration) int {
 	evicted := g.idx.expire(now, timeout, g.dropTrail)
-	if evicted > 0 {
-		for _, c := range g.correlators {
-			if ex, ok := c.(expirer); ok {
-				ex.onExpire(now, len(g.sessions))
-			}
-		}
+	if g.idx.compact() && g.sticky != nil {
+		g.sticky = rebuilt(g.sticky)
 	}
+	g.trails.compact()
+	sweepExpirers(g.correlators, now, timeout)
 	return evicted
 }
 

@@ -16,6 +16,9 @@ import (
 // delivery path with its own stable source, matching what the paper's
 // per-endpoint IDS would see.
 //
+// An entry older than IMPeriod is judged exactly like an absent one, so
+// the expiry sweep drops it (onExpire) without changing any verdict.
+//
 // The history spans SIP dialogs, so in sharded mode it is router-owned:
 // the router's instance judges every MESSAGE in global arrival order
 // (sipHint) and pins each MESSAGE dialog to the sender's shard
@@ -28,6 +31,9 @@ type imCorrelator struct {
 	// evicted is atomic: the sharded router reads it for lock-free stats
 	// while the routing lock is held elsewhere.
 	evicted atomic.Uint64
+	// swept counts histories the sweep has dropped since ims was last
+	// rebuilt (see churned).
+	swept int
 }
 
 func newIMCorrelator() *imCorrelator {
@@ -69,6 +75,20 @@ func (c *imCorrelator) sipHint(at time.Duration, src, dst netip.AddrPort, m *sip
 		h.IM = IMVerdict{Mismatch: true, PrevIP: prev}
 	}
 	h.HasIM = true
+}
+
+// onExpire drops source histories older than the mobility allowance; the
+// sweep's session timeout does not apply to them.
+func (c *imCorrelator) onExpire(now, _ time.Duration) {
+	for k, rec := range c.ims {
+		if now-rec.at > c.cfg.IMPeriod {
+			delete(c.ims, k)
+			c.swept++
+		}
+	}
+	if churned(&c.swept, len(c.ims)) {
+		c.ims = rebuilt(c.ims)
+	}
 }
 
 // judge folds one MESSAGE sighting into the source history, reporting a
@@ -137,7 +157,7 @@ type imEntry struct {
 }
 
 // walkState walks the source histories in key order, then the eviction
-// count. The install closure refills the map in place (it is shared).
+// count. The install closure refills the map in place.
 func (c *imCorrelator) walkState(cd *codec) func() {
 	var entries []imEntry
 	var evicted uint64

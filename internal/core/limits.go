@@ -14,11 +14,16 @@ import "time"
 // order. Each eviction increments a per-category counter surfaced in
 // EngineStats.
 //
-// Rule progress has no cap of its own, because it ends when it can no
-// longer match: a partial of a multi-step rule keyed by session ends
-// with its session's directory entry, a windowed rule's partial once the
-// clock passes its window, and an absent lookback after its grace. The
-// one case still unbounded is a custom multi-step rule with Window 0
+// Some state ends by clock rather than by cap, so its size follows the
+// live window of the traffic with every cap at zero. Rule progress ends
+// when it can no longer match: a partial of a multi-step rule keyed by
+// session ends with its session's directory entry, a windowed rule's
+// partial once the clock passes its window, and an absent lookback after
+// its grace. RTP continuity trackers end once their endpoint has been
+// silent for a session timeout, and IM source histories once they are
+// older than GenConfig.IMPeriod; both on the periodic expiry sweep, at
+// the same frame position in the serial engine and the sharded router.
+// The one case still unbounded is a custom multi-step rule with Window 0
 // keyed by detail, or by a session key no directory entry owns (an
 // rtp:/rtcp:/raw: fallback, im:, scan:, or an accounting-only Call-ID).
 type Limits struct {
@@ -36,9 +41,15 @@ type Limits struct {
 	MaxStreams int
 	// MaxIMHistories caps instant-message source histories (fake-IM
 	// detection state). Least-recently-seen AOR|destination evicted.
+	// Without it the histories still end IMPeriod after their last
+	// message, so the cap only bounds how many senders one IM period
+	// may hold.
 	MaxIMHistories int
 	// MaxSeqTrackers caps RTP sequence-continuity trackers. The tracker
 	// with the oldest last packet is evicted (ties: endpoint order).
+	// Without it a tracker still ends once its endpoint has been silent
+	// for a session timeout, so the cap only bounds how many endpoints
+	// one timeout may hold.
 	MaxSeqTrackers int
 	// MaxBindings caps registration bindings (AOR -> contact address).
 	// The least-recently-refreshed binding is evicted (ties: AOR order).

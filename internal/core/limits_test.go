@@ -20,11 +20,11 @@ func TestSessionCapEvictsLRU(t *testing.T) {
 		trails.Get(id, ProtoSIP).AppendView(&FrameView{})
 	}
 	g.session("d@x") // at cap: must evict a@x, the least recently touched
-	if _, ok := g.sessions["a@x"]; ok {
+	if _, ok := g.idx.sessions["a@x"]; ok {
 		t.Error("LRU session survived the cap")
 	}
 	for _, id := range []string{"b@x", "c@x", "d@x"} {
-		if _, ok := g.sessions[id]; !ok {
+		if _, ok := g.idx.sessions[id]; !ok {
 			t.Errorf("session %s evicted, want only the LRU gone", id)
 		}
 	}
@@ -45,10 +45,10 @@ func TestSessionCapTieBreaksOnCallID(t *testing.T) {
 		g.session(id).lastSeen = 0
 	}
 	g.session("d@x")
-	if _, ok := g.sessions["a@x"]; ok {
+	if _, ok := g.idx.sessions["a@x"]; ok {
 		t.Error("tie-break kept the smaller Call-ID")
 	}
-	if _, ok := g.sessions["b@x"]; !ok {
+	if _, ok := g.idx.sessions["b@x"]; !ok {
 		t.Error("tie-break evicted more than the smallest Call-ID")
 	}
 }
@@ -57,9 +57,9 @@ func TestSessionCapDropsPendingRegistration(t *testing.T) {
 	g := NewEventGenerator(GenConfig{}, NewTrailStore(0))
 	g.SetLimits(Limits{MaxSessions: 1})
 	g.session("reg@x").lastSeen = 0
-	g.pendingReg["reg@x"] = "alice@d"
+	g.idx.pendingReg["reg@x"] = "alice@d"
 	g.session("new@x")
-	if _, ok := g.pendingReg["reg@x"]; ok {
+	if _, ok := g.idx.pendingReg["reg@x"]; ok {
 		t.Error("evicted session left its pending registration dangling")
 	}
 }

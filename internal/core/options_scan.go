@@ -64,7 +64,7 @@ func (c *optionsScanCorrelator) sipRouteKey(m *sip.Message, out sipOutcome, src 
 
 // onExpire prunes sources whose window lapsed; Process would reset them
 // on their next probe anyway, so pruning never changes the event stream.
-func (c *optionsScanCorrelator) onExpire(now time.Duration, sessionsRemaining int) {
+func (c *optionsScanCorrelator) onExpire(now, _ time.Duration) {
 	for src, r := range c.sources {
 		if now-r.last > optionsScanWindow {
 			delete(c.sources, src)

@@ -20,7 +20,9 @@ import (
 // in sharded mode they are router-owned: the router's instance computes
 // the verdict in global frame order (track, or advance on a tracker its
 // flow memo cached) and the shard instances consume it from RouteHints,
-// leaving their own maps untouched.
+// leaving their own maps untouched. A tracker ends once its endpoint has
+// been silent for a session timeout (onExpire, on the sweep clock both
+// engines share), so the map holds what the live window holds.
 type rtpCorrelator struct {
 	cfg    GenConfig
 	limits Limits
@@ -32,6 +34,9 @@ type rtpCorrelator struct {
 	// flow memo (flowmemo.go) caches is seqs[dst] while the epoch it was
 	// filled at is current. Inserts leave existing pointers valid.
 	epoch uint64
+	// swept counts trackers the sweep has dropped since seqs was last
+	// rebuilt (see churned).
+	swept int
 }
 
 func newRTPCorrelator() *rtpCorrelator {
@@ -62,10 +67,6 @@ func (c *rtpCorrelator) contributeStats(st *EngineStats) {
 	st.SeqTrackersEvicted += int(c.evicted.Load())
 }
 
-// seqTrackers exposes the tracker map so the generator can alias it for
-// state inspection.
-func (c *rtpCorrelator) seqTrackers() map[netip.AddrPort]*seqTrack { return c.seqs }
-
 // onEstablished clears continuity trackers for a freshly negotiated
 // session's endpoints: RTP sequence numbers restart at a random value, so
 // stale trackers from earlier calls must not carry over.
@@ -82,14 +83,26 @@ func (c *rtpCorrelator) forget(ep netip.AddrPort) {
 	}
 }
 
-// onExpire sweeps trackers for media endpoints of dead sessions. They are
-// keyed by endpoint, not session, so the cheapest exact sweep is clearing
-// when the session table empties. The map is cleared in place — the
-// generator aliases it.
-func (c *rtpCorrelator) onExpire(now time.Duration, sessionsRemaining int) {
-	if sessionsRemaining == 0 && len(c.seqs) > 0 {
-		clear(c.seqs)
+// onExpire drops every tracker whose endpoint has been silent for longer
+// than the session timeout, on every sweep: trackers are keyed by
+// endpoint, not session, so an RTP-only flood to fresh endpoints is
+// reclaimed too. A packet to a dropped endpoint opens a new flow. The
+// epoch moves once if anything went, so the router's flow memo
+// revalidates its pointers; a rebuild of the churned map moves no tracker.
+func (c *rtpCorrelator) onExpire(now, timeout time.Duration) {
+	dropped := 0
+	for ep, tr := range c.seqs {
+		if now-tr.at > timeout {
+			delete(c.seqs, ep)
+			dropped++
+		}
+	}
+	if dropped > 0 {
 		c.epoch++
+	}
+	c.swept += dropped
+	if churned(&c.swept, len(c.seqs)) {
+		c.seqs = rebuilt(c.seqs)
 	}
 }
 
@@ -247,8 +260,7 @@ type seqEntry struct {
 }
 
 // walkState walks the continuity trackers in endpoint order, then the
-// eviction count. The install closure refills the map in place (the
-// generator aliases it via seqTrackers).
+// eviction count. The install closure refills the map in place.
 func (c *rtpCorrelator) walkState(cd *codec) func() {
 	var entries []seqEntry
 	var evicted uint64

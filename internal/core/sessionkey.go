@@ -97,6 +97,10 @@ type sessionIndex struct {
 	// attributeMedia); the sharded router's flow memo (flowmemo.go) keeps
 	// an answer only while the epoch it was filled at is current.
 	epoch uint64
+
+	// swept counts the sessions the expiry sweep has dropped since the
+	// directory's maps were last rebuilt (compact).
+	swept int
 }
 
 // newSessionIndex returns an empty index.
@@ -203,7 +207,44 @@ func (x *sessionIndex) expire(now, timeout time.Duration, onEvict func(id string
 			evicted++
 		}
 	}
+	x.swept += evicted
 	return evicted
+}
+
+// compact rebuilds the directory's maps once they are churned, and
+// reports whether it did.
+func (x *sessionIndex) compact() bool {
+	if !churned(&x.swept, len(x.sessions)) {
+		return false
+	}
+	x.sessions, x.pendingReg, x.byMedia = rebuilt(x.sessions), rebuilt(x.pendingReg), rebuilt(x.byMedia)
+	return true
+}
+
+// churned reports whether a table is due for a rebuild: the sweep has
+// dropped more entries from it since the last one (*swept) than it still
+// holds (live). If so, the count starts again. A Go map never hands back
+// the room its deletions leave, so a table keyed by ever-fresh identities
+// (Call-IDs, endpoints, senders) keeps growing its capacity under churn
+// while its length stays flat. Rebuilding at this point costs each
+// dropped entry one copy at most.
+func churned(swept *int, live int) bool {
+	if *swept <= live {
+		return false
+	}
+	*swept = 0
+	return true
+}
+
+// rebuilt returns a copy of m sized to what it holds (maps.Clone does
+// not promise that). Nothing reads a table's layout or iteration order,
+// so swapping a table for its copy is invisible in any output.
+func rebuilt[K comparable, V any](m map[K]V) map[K]V {
+	out := make(map[K]V, len(m))
+	for k, v := range m {
+		out[k] = v
+	}
+	return out
 }
 
 func (x *sessionIndex) indexMedia(st *sessionState, media netip.AddrPort) {

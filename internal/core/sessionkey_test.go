@@ -247,7 +247,7 @@ func (w *attrWorld) answer(c *attrCall) {
 	resp.Body = sdpAt(w.ep())
 	if w.rng.Intn(4) == 0 {
 		// callerMedia == calleeMedia: the endpoint is held, and listed, twice.
-		if st := w.g.sessions[c.id]; st != nil && st.callerMedia.IsValid() {
+		if st := w.g.idx.sessions[c.id]; st != nil && st.callerMedia.IsValid() {
 			resp.Body = sdpAt(st.callerMedia)
 		}
 	}
@@ -297,13 +297,13 @@ func (w *attrWorld) seqRestore() {
 }
 
 // expire is the router's sweep: the session table, then the rtp
-// correlators when it evicted something.
+// correlators, which drop trackers silent for longer than the timeout.
 func (w *attrWorld) expire() {
 	w.tick()
-	if w.g.ExpireSessions(w.now, time.Duration(100+w.rng.Intn(400))*time.Millisecond) > 0 {
-		for _, rc := range []*rtpCorrelator{w.rc, w.twin} {
-			rc.onExpire(w.now, len(w.g.sessions))
-		}
+	timeout := time.Duration(100+w.rng.Intn(400)) * time.Millisecond
+	w.g.ExpireSessions(w.now, timeout)
+	for _, rc := range []*rtpCorrelator{w.rc, w.twin} {
+		rc.onExpire(w.now, timeout)
 	}
 }
 
@@ -513,7 +513,7 @@ func TestFallbackKeyCollidingCallID(t *testing.T) {
 		inv.Body = nil
 		inv.Headers.Del(sip.HdrContentType)
 		g.Process(sipFp(t, 0, egCaller, egCallee, inv))
-		st := g.sessions[tc.key]
+		st := g.idx.sessions[tc.key]
 		if st == nil || st.callerMedia.IsValid() {
 			t.Fatalf("%s: hostile dialog not set up as intended: %+v", tc.key, st)
 		}

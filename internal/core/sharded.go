@@ -588,18 +588,17 @@ func (s *ShardedEngine) replayFeed() capture.FrameFunc {
 }
 
 // expireLocked mirrors the serial engine's periodic session sweep: the
-// router expires its own directory and broadcasts the sweep to every
-// shard at the same position in the frame stream, so shard-local tables
-// evict exactly when the serial table would.
+// router expires its own directory and router-owned correlator state and
+// broadcasts the sweep to every shard at the same position in the frame
+// stream, so shard-local tables evict exactly when the serial table
+// would. The flow memo then lets go of the answers the sweep made stale.
 func (s *ShardedEngine) expireLocked(at time.Duration) {
-	evicted := s.idx.expire(at, s.timeout, func(id string) { delete(s.sticky, id) })
-	if evicted > 0 {
-		for _, c := range s.correlators {
-			if ex, ok := c.(expirer); ok {
-				ex.onExpire(at, len(s.idx.sessions))
-			}
-		}
+	s.idx.expire(at, s.timeout, func(id string) { delete(s.sticky, id) })
+	if s.idx.compact() {
+		s.sticky = rebuilt(s.sticky)
 	}
+	sweepExpirers(s.correlators, at, s.timeout)
+	s.memo.dropStale(s.idx, s.rtp)
 	s.broadcastLocked(shardItem{kind: itemExpire, at: at})
 }
 

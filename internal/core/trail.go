@@ -44,6 +44,9 @@ type TrailStore struct {
 	trails map[trailKey]*Trail
 	// MaxTrailLen bounds each trail's count (0 = unbounded).
 	MaxTrailLen int
+	// dropped counts sessions dropped since trails was last rebuilt (see
+	// churned).
+	dropped int
 }
 
 // NewTrailStore returns an empty store. maxTrailLen bounds each trail's
@@ -95,6 +98,15 @@ func (s *TrailStore) Trails() int { return len(s.trails) }
 func (s *TrailStore) Drop(session string) {
 	for _, proto := range []Protocol{ProtoSIP, ProtoRTP, ProtoRTCP, ProtoAccounting, ProtoOther} {
 		delete(s.trails, trailKey{session: session, proto: proto})
+	}
+	s.dropped++
+}
+
+// compact rebuilds the trail table once it is churned; the generator's
+// expiry sweep calls it.
+func (s *TrailStore) compact() {
+	if churned(&s.dropped, len(s.trails)) {
+		s.trails = rebuilt(s.trails)
 	}
 }
 
